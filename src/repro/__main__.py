@@ -136,11 +136,10 @@ def cmd_tune(args) -> int:
         # engine-less instrumentation sites (passes, filters, model)
         registry = obs_metrics.install(obs_metrics.MetricsRegistry())
         tracer = obs_tracer.install(obs_tracer.Tracer())
-        engine = TuningEngine(workers=args.workers,
-                              stats=EngineStats(registry=registry),
+        engine = TuningEngine(stats=EngineStats(registry=registry),
                               validate=validate)
     else:
-        engine = TuningEngine(workers=args.workers, validate=validate)
+        engine = TuningEngine(validate=validate)
     try:
         sweep = sweep_kernel_configs(
             _load_source(args.file), args.kernel, block, [grid], arch,
@@ -187,7 +186,7 @@ def cmd_tune(args) -> int:
             print(log.explain())
         if args.stats:
             print()
-            print("engine stages (%r):" % engine.backend)
+            print("engine stages:")
             print(engine.stats.report())
     finally:
         if tracer is not None:
@@ -564,9 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--grid", default="1024")
     tune.add_argument("--block", default="256")
     tune.add_argument("--max-factor", type=int, default=32)
-    tune.add_argument("--workers", type=int, default=None,
-                      help="evaluation workers (default: "
-                           "$REPRO_TUNE_WORKERS or sequential)")
     tune.add_argument("--stats", action="store_true",
                       help="print per-stage engine timings after the sweep")
     tune.add_argument("--trace", metavar="FILE",

@@ -3,8 +3,9 @@
 Mirrors the paper's progressive filtering of alternative code paths:
 
 1. **Early pruning for shared memory usage** — static shared allocation per
-   block is known right after coarsening; alternatives exceeding the
-   target's per-block shared memory are discarded immediately.
+   block is known from the coarsening plan, before any clone is built;
+   alternatives exceeding the target's per-block shared memory are never
+   materialized.
 2. **Register/spill pruning** — after "backend compilation" (our register
    estimator), alternatives that start spilling are discarded, since GPU
    spills go to local memory orders of magnitude slower than registers.
@@ -14,9 +15,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from ..analysis import shared_bytes_per_block
 from ..dialects import polygeist
 from ..ir import Operation
 from ..obs import decisions as obs_decisions
@@ -33,9 +33,9 @@ class FilterReport:
 
     ``survivors`` are indices into the alternative list *as seen by the
     stage that produced the report*; the merged report from
-    :func:`run_filters` remaps them to indices into the original,
-    unpruned alternative list (with ``survivor_descs`` carrying the
-    matching descriptions), so it stays meaningful after in-place pruning.
+    :func:`run_planned_filters` remaps them to indices into the original
+    planned list (with ``survivor_descs`` carrying the matching
+    descriptions), so it stays meaningful after in-place pruning.
     """
 
     survivors: List[int] = field(default_factory=list)
@@ -44,72 +44,24 @@ class FilterReport:
     dropped_spills: List[str] = field(default_factory=list)
 
 
-def _region_block_loops(alt: Operation, index: int):
-    return block_parallels_in_region(alt.region(index))
-
-
-def _region_shared_bytes(alt: Operation, index: int) -> int:
-    loops = _region_block_loops(alt, index)
-    return max((shared_bytes_per_block(loop) for loop in loops), default=0)
-
-
 def _region_max_registers(alt: Operation, index: int,
                           arch: GPUArchitecture) -> int:
     spilled = 0
-    for loop in _region_block_loops(alt, index):
+    for loop in block_parallels_in_region(alt.region(index)):
         estimate = estimate_registers(thread_parallel(loop), arch)
         spilled = max(spilled, estimate.spilled_registers)
     return spilled
 
 
-def prune_by_shared_memory(alt: Operation,
-                           arch: GPUArchitecture) -> FilterReport:
-    """Stage 1: drop alternatives whose static shared memory cannot fit."""
+def prune_by_registers(alt: Operation,
+                       arch: GPUArchitecture) -> FilterReport:
+    """Stage 3: drop alternatives whose backend compilation spills."""
     report = FilterReport()
     descs = polygeist.alternative_descs(alt)
-    decision = obs_decisions.active_decision()
-    with obs_tracer.span("filters.shared_memory", category="filters",
-                         alternatives=len(alt.regions)) as span:
-        for index in range(len(alt.regions)):
-            usage = _region_shared_bytes(alt, index)
-            if usage > arch.shared_mem_per_block:
-                report.dropped_shared.append(
-                    "%s (%d B > %d B)" % (descs[index], usage,
-                                          arch.shared_mem_per_block))
-                if decision is not None:
-                    decision.eliminate(
-                        descs[index], obs_decisions.SHARED_MEMORY,
-                        "%d B static shared memory exceeds the %d B "
-                        "per-block limit" % (usage,
-                                             arch.shared_mem_per_block))
-            else:
-                report.survivors.append(index)
-                report.survivor_descs.append(descs[index])
-        span.set(survivors=len(report.survivors),
-                 dropped=len(report.dropped_shared))
-    obs_metrics.inc("filters.dropped_shared", len(report.dropped_shared))
-    if report.survivors and len(report.survivors) < len(alt.regions):
-        prune_alternatives(alt, report.survivors)
-    return report
-
-
-def prune_by_registers(alt: Operation, arch: GPUArchitecture,
-                       backend=None) -> FilterReport:
-    """Stage 3: drop alternatives whose backend compilation spills.
-
-    Register estimation is independent per alternative, so an evaluation
-    ``backend`` (see :mod:`repro.engine.parallel`) may fan it out.
-    """
-    report = FilterReport()
-    descs = polygeist.alternative_descs(alt)
-    indices = range(len(alt.regions))
     with obs_tracer.span("filters.registers", category="filters",
                          alternatives=len(alt.regions)) as span:
-        if backend is None:
-            spills = [_region_max_registers(alt, i, arch) for i in indices]
-        else:
-            spills = list(backend.map(
-                lambda i: _region_max_registers(alt, i, arch), indices))
+        spills = [_region_max_registers(alt, i, arch)
+                  for i in range(len(alt.regions))]
         for index, spilled in enumerate(spills):
             if spilled == 0:
                 report.survivors.append(index)
@@ -148,11 +100,10 @@ def prune_planned_by_shared_memory(plans: Sequence,
     ``plans`` are :class:`~repro.transforms.alternatives.AlternativeInfo`
     entries whose ``shared_bytes`` predicts the post-coarsening footprint
     (block copies replicate every shared alloca, thread copies the ones
-    inside the thread loop) — the same number the IR-measuring stage
-    computes on a materialized clone, known before any clone exists.
-    Emits the same span, decisions, and metrics as
-    :func:`prune_by_shared_memory`; nothing is pruned in place because
-    nothing is materialized yet.
+    inside the thread loop) — the largest static shared footprint of any
+    block loop in the cleaned, materialized clone, known before any clone
+    exists. Nothing is pruned in place because nothing is materialized
+    yet.
     """
     report = FilterReport()
     decision = obs_decisions.active_decision()
@@ -181,18 +132,17 @@ def prune_planned_by_shared_memory(plans: Sequence,
 
 def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
                         materialize: Callable[[List[int]], Operation],
-                        backend=None,
                         stage=None) -> Tuple[FilterReport, Operation]:
-    """The lazy twin of :func:`run_filters`.
+    """Run all static pruning stages over planned alternatives.
 
     Runs the shared-memory stage on plan metadata, calls
     ``materialize(survivor_indices)`` to build (and clean) IR for just the
-    survivors, then runs the register stage on the materialized op.
-    Returns ``(merged report, alternatives op)``; the merged report's
-    ``survivors`` index the original planned list, exactly like
-    :func:`run_filters`'s index the original region list. ``stage`` wraps
-    the filter evaluations in an engine accounting stage (materialization
-    does its own accounting inside the callback).
+    survivors, then runs the register stage on the materialized op, which
+    it prunes in place. Returns ``(merged report, alternatives op)``; the
+    merged report composes the two stages' index mappings, so its
+    ``survivors`` (and ``survivor_descs``) index the original planned
+    list. ``stage`` wraps the filter evaluations in an engine accounting
+    stage (materialization does its own accounting inside the callback).
     """
     if stage is None:
         def stage(_name):
@@ -202,9 +152,8 @@ def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
                          alternatives=total) as span:
         with stage("filters"):
             shared_report = prune_planned_by_shared_memory(plans, arch)
-        # mirror run_filters: if every plan busts the shared-memory limit,
-        # keep them all and let the register stage's least-bad fallback
-        # pick, as the in-place pruning path does
+        # if every plan busts the shared-memory limit, keep them all and
+        # let the register stage's least-bad fallback pick
         if shared_report.survivors and \
                 len(shared_report.survivors) < total:
             base = shared_report.survivors
@@ -212,8 +161,7 @@ def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
             base = list(range(total))
         alt = materialize(base)
         with stage("filters"):
-            register_report = prune_by_registers(alt, arch,
-                                                 backend=backend)
+            register_report = prune_by_registers(alt, arch)
         merged = FilterReport(
             survivors=[base[i] for i in register_report.survivors])
         merged.survivor_descs = [plans[i].desc for i in merged.survivors]
@@ -223,38 +171,3 @@ def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
     obs_metrics.inc("filters.runs")
     obs_metrics.inc("filters.survivors", len(merged.survivors))
     return merged, alt
-
-
-def run_filters(alt: Operation, arch: GPUArchitecture,
-                backend=None) -> FilterReport:
-    """Run all static pruning stages; returns a merged report.
-
-    The stages prune ``alt`` in place, so the register stage's survivor
-    indices refer to the *already shared-memory-pruned* region list. The
-    merged report composes the two mappings so its ``survivors`` (and
-    ``survivor_descs``) always index the original alternative list.
-    """
-    original_descs = list(polygeist.alternative_descs(alt))
-    total = len(alt.regions)
-    with obs_tracer.span("filters", category="filters",
-                         alternatives=total) as span:
-        shared_report = prune_by_shared_memory(alt, arch)
-        # when stage 1 pruned nothing (all survived, or none did and
-        # pruning was skipped), stage-2 indices are already original
-        # indices
-        if shared_report.survivors and \
-                len(shared_report.survivors) < total:
-            base = shared_report.survivors
-        else:
-            base = list(range(total))
-        register_report = prune_by_registers(alt, arch, backend=backend)
-        merged = FilterReport(
-            survivors=[base[i] for i in register_report.survivors])
-        merged.survivor_descs = [original_descs[i]
-                                 for i in merged.survivors]
-        merged.dropped_shared = shared_report.dropped_shared
-        merged.dropped_spills = register_report.dropped_spills
-        span.set(survivors=len(merged.survivors))
-    obs_metrics.inc("filters.runs")
-    obs_metrics.inc("filters.survivors", len(merged.survivors))
-    return merged

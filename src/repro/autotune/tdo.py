@@ -30,21 +30,6 @@ from .filters import FilterReport, run_planned_filters
 logger = get_logger("autotune.tdo")
 
 
-def _cleanup_alternatives(alt: Operation) -> None:
-    """Clean the coarsened clones (CSE / redundant-load elimination) so the
-    backend stages see what a real compiler would emit.
-
-    Scoped: only the ``polygeist.alternatives`` regions are rewritten. The
-    surrounding module was already cleaned to a fixpoint by the pipeline's
-    pre-tuning cleanup, and every pass effect is block-local or downward,
-    so this produces the same IR as re-cleaning the whole module (the
-    benchsuite-wide equivalence test in ``tests/test_scoped_cleanup.py``
-    asserts printed-IR equality).
-    """
-    from ..transforms import cleanup_regions
-    cleanup_regions(list(alt.regions))
-
-
 @dataclass
 class Candidate:
     index: int
@@ -259,8 +244,7 @@ def _batched_candidates(alt: Operation, arch: GPUArchitecture,
 
 def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                                env,
-                               select: bool = True,
-                               backend=None) -> TuneOutcome:
+                               select: bool = True) -> TuneOutcome:
     """Model every alternative and (optionally) select the fastest.
 
     ``env`` may be a single launch-environment dict or a sequence of them:
@@ -270,13 +254,9 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
 
     All alternatives are scored in one vectorized numpy batch (bit-
     identical to the scalar reference — see
-    :mod:`repro.simulator.batch`); set ``REPRO_SCALAR_MODEL=1`` to force
-    the scalar path.
-
-    ``backend`` (see :mod:`repro.engine.parallel`) fans the per-alternative
-    evaluation out over workers; ``None`` evaluates sequentially (batched
-    when possible). All paths preserve order, so the selection is
-    identical.
+    :mod:`repro.simulator.batch`); ``REPRO_SCALAR_MODEL=1`` scores them
+    one at a time through the scalar model instead, the oracle the
+    equivalence tests compare the batch against.
     """
     envs = env if isinstance(env, (list, tuple)) else [env]
     descs = polygeist.alternative_descs(alt)
@@ -284,8 +264,7 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     blocks_cache: Dict[tuple, int] = {}
 
     def evaluate(index: int) -> Candidate:
-        # one span per simulated profiling run; runs inside worker
-        # threads under a parallel backend, which the tracer supports
+        # one span per simulated profiling run
         with obs_tracer.span("tdo.alternative", category="tdo",
                              desc=descs[index]) as span:
             try:
@@ -300,18 +279,12 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                 return Candidate(index, descs[index], float("inf"),
                                  False, str(error))
 
-    indices = range(len(alt.regions))
-    # a sequential backend (the default engine's) gains nothing from
-    # per-alternative map dispatch — give it the vectorized batch too;
-    # explicit multi-worker backends keep the scalar fan-out
-    fan_out = backend is not None and getattr(backend, "workers", 1) > 1
     with obs_tracer.span("tdo", category="tdo",
                          alternatives=len(alt.regions),
                          launches=len(envs)):
-        if fan_out:
-            candidates = list(backend.map(evaluate, indices))
-        elif use_scalar_model():
-            candidates = [evaluate(index) for index in indices]
+        if use_scalar_model():
+            candidates = [evaluate(index)
+                          for index in range(len(alt.regions))]
         else:
             candidates = _batched_candidates(alt, arch, envs, descs)
     obs_metrics.inc("tdo.evaluations", len(candidates))
@@ -430,14 +403,14 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     """Full §VI flow for one gpu_wrapper: alternatives → filters → TDO.
 
     ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    evaluation backend and per-stage stats; tuning decisions are cached at
+    per-stage stats and validation switch; tuning decisions are cached at
     the :class:`~repro.pipeline.Program` level, not here.
     """
     from contextlib import nullcontext
+    from ..transforms import cleanup_regions
     from ..transforms.alternatives import plan_coarsening_alternatives
 
     stats = engine.stats if engine is not None else None
-    backend = engine.backend if engine is not None else None
     validate = engine is not None and getattr(engine, "validate", False)
 
     def stage(name):
@@ -479,7 +452,11 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                                 alternatives=len(indices)):
             alt = report.materialize(indices)
         with stage("cleanup"):
-            _cleanup_alternatives(alt)
+            # scoped to the clones: the pipeline pre-cleaned the rest of
+            # the module to a fixpoint, so this equals a whole-module
+            # cleanup (tests/test_scoped_cleanup.py asserts printed-IR
+            # equality benchsuite-wide)
+            cleanup_regions(list(alt.regions))
         return alt
 
     # the IR is stable from materialization until selection, so the spill
@@ -487,8 +464,7 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     # per loop
     with register_estimate_cache():
         filters, alt = run_planned_filters(report.alternatives, arch,
-                                           materialize, backend=backend,
-                                           stage=stage)
+                                           materialize, stage=stage)
         validation = validation_keep = None
         if validate and baseline_func is not None:
             # gate after the cheap static filters, before the timing race:
@@ -498,8 +474,7 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                 validation, validation_keep = _validation_gate(
                     alt, baseline_func, sizing_wrapper, env, decision)
         with stage("tdo"):
-            outcome = timing_driven_optimization(alt, arch, env,
-                                                 backend=backend)
+            outcome = timing_driven_optimization(alt, arch, env)
     outcome.filters = filters
     outcome.validation = validation
     # map the winning region back through the validation prune and the

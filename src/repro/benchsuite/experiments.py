@@ -24,7 +24,8 @@ from ..dialects import polygeist
 from ..frontend import ModuleGenerator, parse_translation_unit
 from ..simulator.model import InvalidLaunch
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
-from ..transforms import generate_coarsening_alternatives, run_cleanup
+from ..transforms import run_cleanup
+from ..transforms.alternatives import plan_coarsening_alternatives
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark
 
@@ -88,11 +89,11 @@ def sweep_kernel_configs(source: str, kernel: str,
     """Model every coarsening config of one kernel over a set of grids.
 
     ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    evaluation backend and per-stage instrumentation to the sweep.
+    per-stage instrumentation to the sweep.
     """
     from contextlib import nullcontext
+    from ..transforms import cleanup_regions
     stats = engine.stats if engine is not None else None
-    backend = engine.backend if engine is not None else None
 
     def stage(name):
         return stats.stage(name) if stats is not None else nullcontext()
@@ -109,22 +110,22 @@ def sweep_kernel_configs(source: str, kernel: str,
     f = generator.module.func(wrapper_name)
     wrapper = polygeist.find_gpu_wrappers(f)[0]
     with stage("alternatives"):
-        report = generate_coarsening_alternatives(wrapper, configs)
+        report = plan_coarsening_alternatives(wrapper, configs)
     if stats is not None:
         stats.count("alternative_generations")
         stats.count("alternatives_generated", len(report.alternatives))
     sweep = KernelSweep(benchmark_name, kernel, tuple(block))
-    if report.op is None:
+    if not report.alternatives:
         return sweep
+    with stage("alternatives"):
+        alt = report.materialize(range(len(report.alternatives)))
     with stage("cleanup"):
-        run_cleanup(generator.module)
+        cleanup_regions(list(alt.regions))
     grid_args = f.body_block().args[:len(grids[0])]
     envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report, arch, envs)
+    envs = _apply_measurement_cutoff(report.alternatives, alt, arch, envs)
     with stage("tdo"):
-        outcome = timing_driven_optimization(report.op, arch, envs,
-                                             select=False,
-                                             backend=backend)
+        outcome = timing_driven_optimization(alt, arch, envs, select=False)
     by_index = {info.index: info for info in report.alternatives}
     for candidate in outcome.candidates:
         info = by_index.get(candidate.index)
@@ -142,14 +143,14 @@ def sweep_kernel_configs(source: str, kernel: str,
     return sweep
 
 
-def _apply_measurement_cutoff(report, arch, envs):
+def _apply_measurement_cutoff(plans, alt, arch, envs):
     """Drop launch geometries whose baseline runtime is below the paper's
     0.0001 s measurement cutoff (§VII-A); keeps kernel measurements from
     being dominated by launch-overhead tails (e.g. lud's shrinking grids).
     """
     from ..autotune.tdo import _time_region
     baseline_index = None
-    for info in report.alternatives:
+    for info in plans:
         config = info.config
         if int(config.get("block_total", 1)) == 1 and \
                 int(config.get("thread_total", 1)) == 1 and \
@@ -163,7 +164,7 @@ def _apply_measurement_cutoff(report, arch, envs):
     kept = []
     for env in envs:
         try:
-            seconds = _time_region(report.op, baseline_index, arch, env,
+            seconds = _time_region(alt, baseline_index, arch, env,
                                    cache)
         except InvalidLaunch:
             continue
@@ -279,6 +280,7 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
                           thread_x: Sequence[int] = (1, 2, 4, 8)
                           ) -> Dict[Tuple[int, int], Optional[float]]:
     """lud_internal: block coarsening along x × thread coarsening."""
+    from ..transforms import cleanup_regions
     bench = get_benchmark("lud")
     groups = _launch_groups(bench)
     (kernel, block), grids = next(
@@ -292,13 +294,13 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
     run_cleanup(generator.module)
     f = generator.module.func(wrapper_name)
     wrapper = polygeist.find_gpu_wrappers(f)[0]
-    report = generate_coarsening_alternatives(wrapper, configs)
-    run_cleanup(generator.module)
+    report = plan_coarsening_alternatives(wrapper, configs)
+    alt = report.materialize(range(len(report.alternatives)))
+    cleanup_regions(list(alt.regions))
     grid_args = f.body_block().args[:len(grids[0])]
     envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report, arch, envs)
-    outcome = timing_driven_optimization(report.op, arch, envs,
-                                         select=False)
+    envs = _apply_measurement_cutoff(report.alternatives, alt, arch, envs)
+    outcome = timing_driven_optimization(alt, arch, envs, select=False)
     by_index = {info.index: info for info in report.alternatives}
     results: Dict[Tuple[int, int], Optional[float]] = {}
     baseline = None

@@ -1,16 +1,15 @@
-"""The tuning engine: cached, parallel, instrumented autotuning.
+"""The tuning engine: cached, instrumented autotuning.
 
-Ties together the three pieces the hot compilation path needs:
+Ties together the two pieces the hot compilation path needs:
 
 * :class:`~repro.engine.cache.TuningCache` — content-addressed memoization
   of tuning decisions keyed by (source hash, arch, tier, configs, launch
   geometry), in memory and optionally on disk;
-* the evaluation backends of :mod:`~repro.engine.parallel` — fan
-  alternative timing / register estimation out over
-  ``concurrent.futures`` workers, with a deterministic sequential
-  fallback;
 * :class:`~repro.engine.stats.EngineStats` — per-stage wall time and
   cache-hit counters, surfaced through :meth:`Program.stats` and the CLI.
+
+One tune runs on one thread; scale-out happens at job granularity, over
+worker processes, in :class:`~repro.engine.scheduler.SweepScheduler`.
 
 Every :class:`~repro.pipeline.Program` uses the process-wide default
 engine unless given its own, so repeated compilations of the same
@@ -24,19 +23,15 @@ from typing import Optional
 
 from .cache import (CacheEntry, TuningCache, default_cache_path,
                     source_hash, tuning_key)
-from .parallel import (BACKEND_ENV, ProcessPoolBackend, SequentialBackend,
-                       ThreadPoolBackend, make_backend, WORKERS_ENV)
 from .scheduler import (Job, JobResult, SWEEP_WORKERS_ENV, SweepScheduler,
                         sweep_workers)
 from .stats import EngineStats
 
 __all__ = [
-    "BACKEND_ENV", "CacheEntry", "EngineStats", "Job", "JobResult",
-    "ProcessPoolBackend", "SWEEP_WORKERS_ENV", "SequentialBackend",
-    "SweepScheduler", "ThreadPoolBackend", "TuningCache", "TuningEngine",
-    "VALIDATE_ENV", "default_cache_path", "default_engine", "make_backend",
-    "set_default_engine", "source_hash", "sweep_workers", "tuning_key",
-    "WORKERS_ENV",
+    "CacheEntry", "EngineStats", "Job", "JobResult", "SWEEP_WORKERS_ENV",
+    "SweepScheduler", "TuningCache", "TuningEngine", "VALIDATE_ENV",
+    "default_cache_path", "default_engine", "set_default_engine",
+    "source_hash", "sweep_workers", "tuning_key",
 ]
 
 #: set to a truthy value ("1", "true", "yes", "on") to turn the
@@ -50,7 +45,7 @@ def _validate_from_env() -> bool:
 
 
 class TuningEngine:
-    """One cache + one evaluation backend + one stats accumulator.
+    """One cache + one stats accumulator.
 
     ``validate`` turns on the differential equivalence gate in
     :func:`~repro.autotune.tdo.tune_wrapper`: every surviving alternative
@@ -59,20 +54,17 @@ class TuningEngine:
     """
 
     def __init__(self, cache: Optional[TuningCache] = None,
-                 workers: Optional[int] = None,
                  stats: Optional[EngineStats] = None,
                  validate: Optional[bool] = None):
         self.cache = cache if cache is not None \
             else TuningCache(default_cache_path())
-        self.backend = make_backend(workers)
         self.stats = stats if stats is not None else EngineStats()
         self.validate = _validate_from_env() if validate is None \
             else bool(validate)
 
     def __repr__(self) -> str:
-        return "TuningEngine(cache=%d entries, backend=%r%s)" % (
-            len(self.cache), self.backend,
-            ", validate" if self.validate else "")
+        return "TuningEngine(cache=%d entries%s)" % (
+            len(self.cache), ", validate" if self.validate else "")
 
 
 _default_engine: Optional[TuningEngine] = None

@@ -176,10 +176,13 @@ class Interpreter:
         self.reverse_parallel = reverse_parallel
         self._steps = 0
         #: per-block execution plans (see :func:`_compile_block`); keyed by
-        #: block identity, so the cache assumes the IR is not mutated while
-        #: this interpreter is alive — true for every harness here, which
-        #: builds a fresh Interpreter per (transformed) module
+        #: block identity, so a caller that mutates IR this interpreter
+        #: already ran must call :meth:`forget_plans` before running again
         self._plans: Dict[Block, list] = {}
+
+    def forget_plans(self) -> None:
+        """Drop the cached execution plans after the IR was rewritten."""
+        self._plans.clear()
 
     # -- public entry points ---------------------------------------------------
 

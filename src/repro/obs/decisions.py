@@ -187,9 +187,9 @@ class DecisionLog:
 
 
 #: the active decision log, per thread — tuning records decisions on
-#: the thread that drives the pipeline (pool workers only compute),
-#: and a per-thread slot keeps concurrent daemon jobs from restoring
-#: over each other's logs or cross-contaminating their decisions
+#: the thread that drives the pipeline, and a per-thread slot keeps
+#: concurrent daemon jobs from restoring over each other's logs or
+#: cross-contaminating their decisions
 _active = threading.local()
 
 

@@ -9,8 +9,8 @@ per-alternative times — record into it too. The module-level helpers
 (:func:`inc`, :func:`observe`, :func:`set_gauge`) are no-ops when no
 registry is installed, mirroring the tracer's fast path.
 
-All instruments are thread-safe: the parallel tuning backend may record
-from several workers at once.
+All instruments are thread-safe: the jobs of a thread-isolated
+``repro serve`` daemon may record from several threads at once.
 """
 
 from __future__ import annotations

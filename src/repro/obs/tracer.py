@@ -1,10 +1,10 @@
 """Span-based tracing with a no-op fast path.
 
 A :class:`Tracer` records nested, named spans of wall time. Nesting is
-tracked per thread (each thread keeps its own span stack), so the tracer
-works unchanged under the parallel tuning backend: spans opened inside a
-``ThreadPoolBackend`` worker nest within that worker's stack and carry the
-worker's thread id, never interleaving with another thread's spans.
+tracked per thread (each thread keeps its own span stack), so concurrent
+jobs of a thread-isolated ``repro serve`` daemon trace independently:
+spans opened on a job's thread nest within that thread's stack and carry
+its thread id, never interleaving with another thread's spans.
 
 Instrumentation sites call the module-level :func:`span` helper. When no
 tracer is installed (the default), it returns a shared no-op context

@@ -163,10 +163,11 @@ class Program:
         select the best, call the compiler again to remove the others"
         flow. Subsequent :meth:`launch` calls run the winner.
         """
-        from .autotune.filters import run_filters
+        from .autotune.filters import run_planned_filters
         from .autotune.tdo import Candidate, TuneOutcome
-        from .transforms import generate_coarsening_alternatives
-        from .transforms.alternatives import select_alternative
+        from .transforms import cleanup_regions
+        from .transforms.alternatives import (plan_coarsening_alternatives,
+                                              select_alternative)
 
         grid = _as_dims(grid)
         block = _as_dims(block)
@@ -183,12 +184,12 @@ class Program:
             wrappers = polygeist.find_gpu_wrappers(f)
             if wrappers:
                 with self.engine.stats.stage("alternatives"):
-                    report = generate_coarsening_alternatives(
+                    report = plan_coarsening_alternatives(
                         wrappers[0], self.autotune_configs)
                 self.engine.stats.count("alternative_generations")
                 self.engine.stats.count("alternatives_generated",
                                         len(report.alternatives))
-                if report.op is not None:
+                if report.alternatives:
                     log = obs_decisions.current()
                     decision = log.begin(wrapper_name, self.arch.name) \
                         if log is not None else None
@@ -196,19 +197,27 @@ class Program:
                         for info in report.alternatives:
                             decision.add(info.desc,
                                          config=dict(info.config))
-                    self._run_cleanup(True)
-                    run_filters(report.op, self.arch)
+
+                    def materialize(indices):
+                        with self.engine.stats.stage("alternatives"):
+                            alt = report.materialize(indices)
+                        with self.engine.stats.stage("cleanup"):
+                            cleanup_regions(list(alt.regions))
+                        return alt
+
+                    _, alt = run_planned_filters(report.alternatives,
+                                                 self.arch, materialize)
                     coerced, _ = self._coerce_args(wrapper_name, grid, args)
                     # snapshot device state: profiling runs are discarded
                     snapshots = [(value, np.array(value.array))
                                  for value in coerced
                                  if isinstance(value, MemoryBuffer)]
-                    descs = list(report.op.attr("alternatives.descs"))
+                    descs = list(alt.attr("alternatives.descs"))
                     candidates = []
                     saved_tracer = self._interpreter.tracer
                     saved_selector = self._interpreter.alternative_selector
                     try:
-                        for index in range(len(report.op.regions)):
+                        for index in range(len(alt.regions)):
                             self._interpreter.alternative_selector = \
                                 _fixed_selector(index)
                             probe = GPURuntime(self.arch)
@@ -250,8 +259,11 @@ class Program:
                     logger.info("profiling selected %s (%.3es) for %s",
                                 best.desc, best.time_seconds,
                                 wrapper_name)
-                    select_alternative(report.op, best.index)
+                    select_alternative(alt, best.index)
                     self._run_cleanup(True)
+                    # the probe runs cached execution plans for blocks
+                    # the selection just rewrote
+                    self._interpreter.forget_plans()
                     self.tuning_outcomes[wrapper_name] = TuneOutcome(
                         best.desc, best.time_seconds, candidates)
         return self.launch(kernel, grid, block, args, runtime=runtime)

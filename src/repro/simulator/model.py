@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..analysis import kernel_statistics, shared_bytes_per_block
 from ..analysis.uniformity import depends_on_values
 from ..dialects import arith, scf
@@ -64,20 +66,16 @@ class InvalidLaunch(ValueError):
 
 
 def use_scalar_model() -> bool:
-    """True when the scalar reference path is forced (or numpy missing).
+    """True when ``REPRO_SCALAR_MODEL`` forces the scalar reference path.
 
-    ``REPRO_SCALAR_MODEL=1`` pins every consumer (TDO scoring, composite
-    modeling) to the one-launch-at-a-time reference implementation — the
-    equivalence suite diffs the two paths through this switch.
+    The switch is the oracle for the batched model: set to ``1`` it pins
+    every consumer (TDO scoring, composite modeling) to the
+    one-launch-at-a-time reference implementation, and both
+    ``tests/test_batched_equivalence.py`` and ``repro bench`` diff the two
+    paths through it.
     """
     import os
-    if os.environ.get("REPRO_SCALAR_MODEL", "") not in ("", "0"):
-        return True
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return True
-    return False
+    return os.environ.get("REPRO_SCALAR_MODEL", "") not in ("", "0")
 
 
 @dataclass
@@ -583,7 +581,6 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
     scalar evaluator — and raises :class:`_VecFallback` where per-env
     divergence (a zero divisor in *some* envs) needs the scalar path.
     """
-    import numpy as np
     if value in cols:
         return cols[value]
     if not isinstance(value, OpResult):
@@ -624,17 +621,13 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
 def env_columns(envs: Sequence[Dict[Value, int]]):
     """Stack launch environments into per-key int64 columns.
 
-    Returns ``None`` when the envs cannot be stacked (fewer than two,
-    ragged key sets, or numpy unavailable) — callers fall back to the
-    scalar :func:`block_count`. Computing the columns once and passing
+    Returns ``None`` when the envs cannot be stacked (fewer than two, or
+    ragged key sets) — callers fall back to the scalar
+    :func:`block_count`. Computing the columns once and passing
     them to every :func:`block_counts` call over the same envs avoids
     re-validating and re-stacking per (loop, alternative).
     """
     if len(envs) < 2:
-        return None
-    try:
-        import numpy as np
-    except ImportError:
         return None
     keys = list(envs[0])
     if any(len(env) != len(keys) or any(k not in env for k in keys)
@@ -651,9 +644,9 @@ def block_counts(block_parallel: Operation,
 
     One evaluation of the bound expressions over stacked int64 columns
     replaces ``len(envs)`` recursive walks; any env set the vectorized
-    evaluator cannot express (ragged keys, env-dependent zero divisors,
-    numpy unavailable) falls back to per-env :func:`block_count`, so the
-    result is always elementwise-identical to the scalar path.
+    evaluator cannot express (ragged keys, env-dependent zero divisors)
+    falls back to per-env :func:`block_count`, so the result is always
+    elementwise-identical to the scalar path.
 
     ``cols`` may carry :func:`env_columns`'s result for these same envs,
     letting repeat callers pay the stacking cost once.
@@ -664,7 +657,6 @@ def block_counts(block_parallel: Operation,
         cols = env_columns(envs)
         if cols is None:
             return [block_count(block_parallel, env) for env in envs]
-    import numpy as np
     total = 1
     try:
         for lb, ub in zip(scf.parallel_lower_bounds(block_parallel),

@@ -9,7 +9,6 @@ coarsening, §V), and :mod:`alternatives` (compile-time multi-versioning,
 """
 
 from .alternatives import (AlternativeInfo, PlannedAlternatives,
-                           generate_coarsening_alternatives,
                            plan_coarsening_alternatives, select_alternative)
 from .barrier_elim import BarrierElimination
 from .canonicalize import Canonicalize
@@ -29,7 +28,7 @@ __all__ = [
     "CoarsenError", "CoarsenResult", "DCE", "IllegalUnroll", "LICM",
     "balance_factors", "block_coarsen", "check_unroll_legality",
     "cleanup_regions", "coarsen_wrapper", "default_cleanup_pipeline",
-    "generate_coarsening_alternatives", "outline_gpu_wrappers",
+    "outline_gpu_wrappers",
     "PlannedAlternatives", "plan_coarsening_alternatives",
     "RedundantLoadElimination",
     "run_cleanup", "select_alternative", "thread_coarsen",

@@ -10,10 +10,9 @@ Generation is two-phase so its cost scales with *survivors*, not
 candidates: :func:`plan_coarsening_alternatives` legality-checks every
 config and predicts its post-coarsening shared-memory footprint without
 cloning anything, and :meth:`PlannedAlternatives.materialize` builds full
-IR clones only for the configs that survive the early filters. The
-one-shot :func:`generate_coarsening_alternatives` (plan + materialize
-everything) is kept for callers that need all regions, e.g. profiling and
-differential validation.
+IR clones only for the configs that survive the early filters. Callers
+that need every region (sweeps, differential validation) materialize all
+plans.
 """
 
 from __future__ import annotations
@@ -38,17 +37,6 @@ class AlternativeInfo:
     result: CoarsenResult
     #: predicted static shared memory per block after coarsening, in bytes
     shared_bytes: int = 0
-
-
-@dataclass
-class AlternativesReport:
-    """Outcome of alternative generation: what was built, what was illegal."""
-
-    op: Optional[Operation]
-    alternatives: List[AlternativeInfo] = field(default_factory=list)
-    rejected: List[str] = field(default_factory=list)
-    #: structured twin of ``rejected``: (config, reason) pairs
-    rejected_configs: List[tuple] = field(default_factory=list)
 
 
 def _shared_alloca_split(main: Operation) -> Tuple[int, int]:
@@ -123,10 +111,12 @@ def plan_coarsening_alternatives(
         configs: Sequence[Dict[str, object]]) -> PlannedAlternatives:
     """Legality-check every config against ``wrapper`` without cloning.
 
-    Produces the same legal/illegal partition, descriptions, and
-    rejection messages as eager generation, plus a per-survivor
-    shared-memory prediction for the early pruning filter. The wrapper is
-    left untouched until :meth:`PlannedAlternatives.materialize`.
+    Partitions the configs into legal plans (with the description
+    coarsening will produce) and rejections (with the legality error),
+    and predicts each plan's shared-memory footprint for the early
+    pruning filter. The wrapper is left untouched until
+    :meth:`PlannedAlternatives.materialize`. Configs whose coarsening is
+    illegal are recorded in ``rejected`` and skipped.
     """
     if wrapper.name != polygeist.GPU_WRAPPER:
         raise ValueError("expected a polygeist.gpu_wrapper")
@@ -150,27 +140,6 @@ def plan_coarsening_alternatives(
             AlternativeInfo(len(planned.alternatives), result.describe(),
                             dict(config), result, shared_bytes=usage))
     return planned
-
-
-def generate_coarsening_alternatives(
-        wrapper: Operation,
-        configs: Sequence[Dict[str, object]]) -> AlternativesReport:
-    """Replace a gpu_wrapper's body with a ``polygeist.alternatives`` op
-    holding one coarsened clone per config.
-
-    Each config is a kwargs dict for
-    :func:`~repro.transforms.coarsen.coarsen_wrapper` (e.g.
-    ``{"block_total": 4, "thread_total": 2}``). Configs whose coarsening is
-    illegal are recorded in ``rejected`` and skipped.
-    """
-    planned = plan_coarsening_alternatives(wrapper, configs)
-    report = AlternativesReport(op=None, rejected=planned.rejected,
-                                rejected_configs=planned.rejected_configs)
-    if not planned.alternatives:
-        return report
-    report.op = planned.materialize(range(len(planned.alternatives)))
-    report.alternatives = planned.alternatives
-    return report
 
 
 def prune_alternatives(alt: Operation, keep: Sequence[int]) -> None:

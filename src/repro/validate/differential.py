@@ -423,8 +423,8 @@ def validate_source(source: str, kernel: str, grid: Sequence[int],
     validate each against the untransformed baseline."""
     from ..autotune.search import default_configs
     from ..frontend import ModuleGenerator, parse_translation_unit
-    from ..transforms import run_cleanup
-    from ..transforms.alternatives import generate_coarsening_alternatives
+    from ..transforms import cleanup_regions, run_cleanup
+    from ..transforms.alternatives import plan_coarsening_alternatives
 
     if configs is None:
         configs = default_configs()
@@ -437,14 +437,15 @@ def validate_source(source: str, kernel: str, grid: Sequence[int],
     wrapper = polygeist.find_gpu_wrappers(func_op)[0]
     sizing_wrapper = polygeist.find_gpu_wrappers(baseline_func)[0]
     grid_env = dict(zip(func_op.body_block().args, grid))
-    generation = generate_coarsening_alternatives(wrapper, configs)
-    if generation.op is None:
+    planned = plan_coarsening_alternatives(wrapper, configs)
+    if not planned.alternatives:
         report = ValidationReport(label=name)
         report.baseline_note = "no legal coarsening configuration: %s" % \
-            "; ".join(generation.rejected)
+            "; ".join(planned.rejected)
         return report
-    run_cleanup(generator.module)
-    return validate_alternatives(baseline_func, generation.op, grid_env,
+    alt = planned.materialize(range(len(planned.alternatives)))
+    cleanup_regions(list(alt.regions))
+    return validate_alternatives(baseline_func, alt, grid_env,
                                  sizing_wrapper, seed=seed, rtol=rtol,
                                  atol=atol, max_steps=max_steps,
                                  grid_cap=grid_cap)

@@ -7,7 +7,7 @@ from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.interpreter import MemoryBuffer, run_module
 from repro.ir import F32, verify_module
-from repro.transforms import (generate_coarsening_alternatives,
+from repro.transforms import (plan_coarsening_alternatives,
                               select_alternative)
 from repro.transforms.alternatives import find_alternatives, \
     prune_alternatives
@@ -51,22 +51,28 @@ CONFIGS = [
 ]
 
 
+def generate(wrapper, configs=CONFIGS):
+    """Plan every config and materialize all legal ones."""
+    planned = plan_coarsening_alternatives(wrapper, configs)
+    return planned, planned.materialize(range(len(planned.alternatives)))
+
+
 class TestGeneration:
     def test_regions_created(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
+        planned, alt = generate(wrapper)
         verify_module(module)
-        assert report.op is not None
-        assert len(report.op.regions) == 4
-        assert len(polygeist.alternative_descs(report.op)) == 4
-        assert not report.rejected
+        assert len(alt.regions) == 4
+        assert len(polygeist.alternative_descs(alt)) == 4
+        assert not planned.rejected
 
     def test_illegal_configs_rejected(self):
         module, name, wrapper = build(DIVERGENT)
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
+        planned, alt = generate(wrapper)
         # block coarsening configs are illegal for this kernel
-        assert len(report.rejected) == 2
-        assert len(report.alternatives) == 2
+        assert len(planned.rejected) == 2
+        assert len(planned.alternatives) == 2
+        assert len(alt.regions) == 2
 
     def test_each_alternative_equivalent(self):
         rng = np.random.default_rng(5)
@@ -78,9 +84,9 @@ class TestGeneration:
         run_module(module, name, [4, inp, reference])
 
         module2, name2, wrapper2 = build()
-        report = generate_coarsening_alternatives(wrapper2, CONFIGS)
+        _, alt = generate(wrapper2)
         verify_module(module2)
-        for index in range(len(report.op.regions)):
+        for index in range(len(alt.regions)):
             inp2 = MemoryBuffer((32,), F32, data=data)
             out2 = MemoryBuffer((32,), F32)
             run_module(module2, name2, [4, inp2, out2],
@@ -92,8 +98,8 @@ class TestGeneration:
 class TestSelection:
     def test_select_splices_region(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
-        select_alternative(report.op, 3)
+        _, alt = generate(wrapper)
+        select_alternative(alt, 3)
         verify_module(module)
         assert not find_alternatives(module.op)
         # the selected config (block 2, thread 2) is in place
@@ -107,8 +113,8 @@ class TestSelection:
 
     def test_selected_module_runs(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
-        select_alternative(report.op, 1)
+        _, alt = generate(wrapper)
+        select_alternative(alt, 1)
         verify_module(module)
         inp = MemoryBuffer((32,), F32,
                            data=np.arange(32, dtype=np.float32))
@@ -120,21 +126,21 @@ class TestSelection:
 
     def test_prune(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
-        prune_alternatives(report.op, [0, 2])
+        _, alt = generate(wrapper)
+        prune_alternatives(alt, [0, 2])
         verify_module(module)
-        assert len(report.op.regions) == 2
-        descs = polygeist.alternative_descs(report.op)
+        assert len(alt.regions) == 2
+        descs = polygeist.alternative_descs(alt)
         assert len(descs) == 2
 
     def test_prune_all_rejected(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
+        _, alt = generate(wrapper)
         with pytest.raises(ValueError):
-            prune_alternatives(report.op, [])
+            prune_alternatives(alt, [])
 
     def test_out_of_range_selection(self):
         module, name, wrapper = build()
-        report = generate_coarsening_alternatives(wrapper, CONFIGS)
+        _, alt = generate(wrapper)
         with pytest.raises(IndexError):
-            select_alternative(report.op, 9)
+            select_alternative(alt, 9)

@@ -1,30 +1,24 @@
-"""Tests for the tuning engine: cache, parallel evaluation, stats, and the
-correctness fixes that ride along with it (snapshot restoration in
-profiling mode, filter-report index remapping, stable model-cache keys,
-selector range checks, zero-time speedup guards)."""
+"""Tests for the tuning engine: cache, stats, and the correctness fixes
+that ride along with it (snapshot restoration in profiling mode,
+filter-report index remapping, stable model-cache keys, selector range
+checks, zero-time speedup guards)."""
 
 import gc
 
 import numpy as np
 import pytest
 
-from repro.autotune import default_configs, run_filters, tune_wrapper
-from repro.autotune.tdo import (Candidate, TuneOutcome,
-                                timing_driven_optimization)
+from repro.autotune import (default_configs, run_planned_filters,
+                            tune_wrapper)
+from repro.autotune.tdo import Candidate, TuneOutcome
 from repro.dialects import polygeist
-from repro.engine import (CacheEntry, EngineStats, SequentialBackend,
-                          ThreadPoolBackend, TuningCache, TuningEngine,
-                          make_backend, source_hash, tuning_key)
+from repro.engine import (CacheEntry, EngineStats, TuningCache,
+                          TuningEngine, source_hash, tuning_key)
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.pipeline import Program, _fixed_selector
 from repro.targets import A100, RX6800
-from repro.transforms import generate_coarsening_alternatives
-
-
-def _square(x):
-    """Module-level so ProcessPoolBackend can pickle it."""
-    return x * x
+from repro.transforms import plan_coarsening_alternatives
 
 
 SOURCE = """
@@ -48,14 +42,22 @@ def fresh_engine(**kwargs):
     return TuningEngine(cache=TuningCache(), **kwargs)
 
 
-def build_alt(source=SOURCE, kernel="scale", block=(64,), configs=None):
+def plan_alts(source=SOURCE, kernel="scale", block=(64,), configs=None):
     unit = parse_translation_unit(source)
     gen = ModuleGenerator(unit)
     name = gen.get_launch_wrapper(kernel, 1, block)
     wrapper = polygeist.find_gpu_wrappers(gen.module.op)[0]
-    report = generate_coarsening_alternatives(
+    planned = plan_coarsening_alternatives(
         wrapper, configs or default_configs(max_total=4))
-    return gen.module, name, wrapper, report
+    return gen.module, name, wrapper, planned
+
+
+def build_alt(source=SOURCE, kernel="scale", block=(64,), configs=None):
+    """Plan and materialize every legal alternative; returns the op."""
+    module, name, wrapper, planned = plan_alts(source, kernel, block,
+                                               configs)
+    alt = planned.materialize(range(len(planned.alternatives)))
+    return module, name, wrapper, alt
 
 
 class TestTuningCache:
@@ -181,89 +183,6 @@ class TestTuningCache:
         assert source_hash("x", {"N": 1}) != source_hash("x", {"N": 2})
 
 
-class TestParallelBackend:
-    def test_make_backend(self, monkeypatch):
-        assert isinstance(make_backend(1), SequentialBackend)
-        assert isinstance(make_backend(0), SequentialBackend)
-        assert isinstance(make_backend(4), ThreadPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "3")
-        assert isinstance(make_backend(), ThreadPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_WORKERS", "not-a-number")
-        assert isinstance(make_backend(), SequentialBackend)
-
-    def test_backends_preserve_order(self):
-        items = list(range(40))
-        fn = lambda x: x * x
-        assert ThreadPoolBackend(4).map(fn, items) == \
-            SequentialBackend().map(fn, items)
-
-    def test_make_backend_process_kind(self, monkeypatch):
-        from repro.engine import ProcessPoolBackend
-        assert isinstance(make_backend(4, kind="process"),
-                          ProcessPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_BACKEND", "process")
-        assert isinstance(make_backend(4), ProcessPoolBackend)
-        monkeypatch.setenv("REPRO_TUNE_BACKEND", "thread")
-        assert isinstance(make_backend(4), ThreadPoolBackend)
-        # backend kind never overrides a sequential worker count
-        assert isinstance(make_backend(1, kind="process"),
-                          SequentialBackend)
-
-    def test_process_backend_preserves_order(self):
-        from repro.engine import ProcessPoolBackend
-        items = list(range(12))
-        assert ProcessPoolBackend(2).map(_square, items) == \
-            [x * x for x in items]
-
-    def test_process_backend_single_item_shortcut(self):
-        # length <= 1 avoids pool startup AND the picklability demand
-        from repro.engine import ProcessPoolBackend
-        assert ProcessPoolBackend(2).map(lambda x: x + 1, [41]) == [42]
-
-    @pytest.mark.parametrize("bench_name", ["lud", "gaussian"])
-    def test_parallel_selects_same_winner(self, bench_name):
-        from repro.benchsuite import gaussian, lud  # noqa: F401 (register)
-        from repro.benchsuite.base import get_benchmark
-        bench = get_benchmark(bench_name)
-        grouped = {}
-        for kernel, grid, block in bench.iter_launches(bench.verify_size):
-            grouped.setdefault((kernel, tuple(block)), []).append(
-                tuple(grid))
-        for (kernel, block), grids in grouped.items():
-            outcomes = {}
-            for label, workers in (("sequential", None), ("parallel", 4)):
-                engine = fresh_engine(workers=workers)
-                program = Program(bench.source, arch=A100, engine=engine)
-                program.tune_aggregate(kernel, block, grids)
-                outcome = program.tuning_outcomes.get(
-                    next(iter(program.tuning_outcomes), None))
-                outcomes[label] = outcome
-            seq, par = outcomes["sequential"], outcomes["parallel"]
-            if seq is None:
-                assert par is None
-                continue
-            assert seq.selected_desc == par.selected_desc, \
-                "%s/%s: parallel TDO picked a different winner" % (
-                    bench_name, kernel)
-            assert seq.selected_time == pytest.approx(par.selected_time)
-
-    def test_tdo_backend_matches_sequential(self):
-        module_s, name_s, _, report_s = build_alt()
-        module_p, name_p, _, report_p = build_alt()
-        env_s = {module_s.func(name_s).body_block().arg(0): 512}
-        env_p = {module_p.func(name_p).body_block().arg(0): 512}
-        seq = timing_driven_optimization(report_s.op, A100, env_s,
-                                         select=False)
-        par = timing_driven_optimization(report_p.op, A100, env_p,
-                                         select=False,
-                                         backend=ThreadPoolBackend(4))
-        assert [c.desc for c in seq.candidates] == \
-            [c.desc for c in par.candidates]
-        assert [c.time_seconds for c in seq.candidates] == \
-            pytest.approx([c.time_seconds for c in par.candidates])
-        assert seq.selected_desc == par.selected_desc
-
-
 class TestEngineStats:
     def test_stage_accumulation(self):
         stats = EngineStats()
@@ -332,33 +251,37 @@ class TestFilterReportRemap:
         """
         configs = [{"block_total": 4}, {"block_total": 8},
                    {"block_total": 1}, {"block_total": 2}]
-        module, name, wrapper, report = build_alt(source, "k", (64,),
-                                                  configs)
-        descs = list(polygeist.alternative_descs(report.op))
-        merged = run_filters(report.op, A100)
-        # survivors index the ORIGINAL alternative list (1x and 2x live at
-        # original positions 2 and 3), not the pruned op
+        module, name, wrapper, planned = plan_alts(source, "k", (64,),
+                                                   configs)
+        descs = [info.desc for info in planned.alternatives]
+        merged, alt = run_planned_filters(planned.alternatives, A100,
+                                          planned.materialize)
+        # survivors index the ORIGINAL planned list (1x and 2x live at
+        # original positions 2 and 3), not the materialized op
         assert merged.survivors == [2, 3]
         assert merged.survivor_descs == [descs[2], descs[3]]
         assert len(merged.dropped_shared) == 2
+        # the dropped plans were never cloned
+        assert planned.clones_materialized == 2
         # and they remain consistent with the op's surviving descs
-        assert list(polygeist.alternative_descs(report.op)) == \
+        assert list(polygeist.alternative_descs(alt)) == \
             merged.survivor_descs
 
     def test_no_shared_pruning_keeps_identity_mapping(self):
-        module, name, wrapper, report = build_alt()
-        total = len(report.op.regions)
-        merged = run_filters(report.op, A100)
+        module, name, wrapper, planned = plan_alts()
+        total = len(planned.alternatives)
+        merged, alt = run_planned_filters(planned.alternatives, A100,
+                                          planned.materialize)
+        assert not merged.dropped_shared
+        assert planned.clones_materialized == total
         assert all(0 <= index < total for index in merged.survivors)
         assert merged.survivor_descs == [
-            polygeist.alternative_descs(report.op)[i]
-            for i in range(len(report.op.regions))]
+            polygeist.alternative_descs(alt)[i]
+            for i in range(len(alt.regions))]
 
     def test_selected_config_matches_winner_desc(self):
         # the remapped indices are what lets tune_wrapper recover the
         # winning coarsening config for cache replay
-        module, name, wrapper, report = build_alt()
-        del report  # tune_wrapper regenerates alternatives itself
         unit = parse_translation_unit(SOURCE)
         gen = ModuleGenerator(unit)
         wname = gen.get_launch_wrapper("scale", 1, (64,))
@@ -381,15 +304,15 @@ class TestFilterReportRemap:
 
 class TestStableModelKeys:
     def test_stable_uid_unique_and_sticky(self):
-        module, name, wrapper, report = build_alt()
-        loops = report.op.ops_matching("scf.parallel")
+        module, name, wrapper, alt = build_alt()
+        loops = alt.ops_matching("scf.parallel")
         uids = [op.stable_uid() for op in loops]
         assert len(set(uids)) == len(uids)
         assert [op.stable_uid() for op in loops] == uids  # sticky
 
     def test_clones_get_fresh_uids(self):
-        module, name, wrapper, report = build_alt()
-        loop = report.op.ops_matching("scf.parallel")[0]
+        module, name, wrapper, alt = build_alt()
+        loop = alt.ops_matching("scf.parallel")[0]
         uid = loop.stable_uid()
         clone = loop.clone({})
         assert clone.stable_uid() != uid
@@ -397,24 +320,24 @@ class TestStableModelKeys:
     def test_uids_never_reused_after_gc(self):
         seen = set()
         for _ in range(50):
-            module, name, wrapper, report = build_alt(
+            module, name, wrapper, alt = build_alt(
                 configs=[{"block_total": 1}])
-            loop = report.op.ops_matching("scf.parallel")[0]
+            loop = alt.ops_matching("scf.parallel")[0]
             uid = loop.stable_uid()
             assert uid not in seen, "stable_uid reused a dead loop's key"
             seen.add(uid)
-            del module, wrapper, report, loop
+            del module, wrapper, alt, loop
             gc.collect()
 
 
 class TestSelectorAndSpeedupGuards:
     def test_fixed_selector_raises_out_of_range(self):
-        module, name, wrapper, report = build_alt()
-        select = _fixed_selector(len(report.op.regions))
+        module, name, wrapper, alt = build_alt()
+        select = _fixed_selector(len(alt.regions))
         with pytest.raises(IndexError):
-            select(report.op)
+            select(alt)
         # in-range indices pass through unclamped
-        assert _fixed_selector(0)(report.op) == 0
+        assert _fixed_selector(0)(alt) == 0
 
     def test_speedup_over_zero_selected_time(self):
         outcome = TuneOutcome("fast", 0.0, [
@@ -447,9 +370,9 @@ class TestSelectorAndSpeedupGuards:
 class TestModelMemoization:
     def test_time_launch_memoized_and_isolated(self):
         from repro.simulator.model import KernelModel
-        module, name, wrapper, report = build_alt(
+        module, name, wrapper, alt = build_alt(
             configs=[{"block_total": 1}])
-        loop = report.op.ops_matching("scf.parallel")[0]
+        loop = alt.ops_matching("scf.parallel")[0]
         model = KernelModel(loop, A100)
         first = model.time_launch(128)
         second = model.time_launch(128)

@@ -1,5 +1,5 @@
 """Tests for the ``repro.obs`` observability layer: tracer spans (incl.
-nesting under the parallel tuning backend), Chrome trace-event export,
+per-thread nesting), Chrome trace-event export,
 metrics registry and the EngineStats facade, the TDO decision log, the
 ``tune --trace`` / ``--explain`` / ``trace summarize`` CLI, pass-failure
 records, logging flags, and the disabled-path overhead guard."""
@@ -108,6 +108,7 @@ class TestTracer:
                 label = span.name.split("-", 1)[1]
                 assert span.parent == "outer-%s" % label
                 assert span.depth == 1
+        _assert_well_nested(tracer.finished())
 
 
 def _assert_well_nested(spans):
@@ -127,41 +128,6 @@ def _assert_well_nested(spans):
                                                      stack[-1].name)
                 assert span.depth > stack[-1].depth
             stack.append(span)
-
-
-class TestParallelBackendNesting:
-    def test_spans_nest_under_thread_pool(self):
-        from repro.__main__ import _run_full_tune
-        engine = TuningEngine(workers=2)
-        configs = paper_sweep_configs(max_product=4)
-        with tracing() as tracer:
-            _run_full_tune(SOURCE, "scale", (256,), [(64,)], A100,
-                           configs, engine)
-        spans = tracer.finished()
-        names = {s.name for s in spans}
-        assert "tdo" in names
-        assert "tdo.alternative" in names
-        assert "filters" in names
-        # the pool evaluated alternatives off the main thread
-        eval_tids = {s.tid for s in spans if s.name == "tdo.alternative"}
-        assert threading.get_ident() not in eval_tids
-        for span in spans:
-            if span.depth > 0:
-                assert span.parent is not None
-        _assert_well_nested(spans)
-
-    def test_model_spans_carry_worker_tids(self):
-        from repro.__main__ import _run_full_tune
-        engine = TuningEngine(workers=2)
-        configs = paper_sweep_configs(max_product=8)
-        with tracing() as tracer:
-            _run_full_tune(SOURCE, "scale", (256,), [(64,)], A100,
-                           configs, engine)
-        compute = [s for s in tracer.finished()
-                   if s.name == "model.compute"]
-        assert compute
-        for span in compute:
-            assert span.parent is not None
 
 
 class TestChromeExport:

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from repro.autotune import (default_configs, paper_sweep_configs,
-                            per_dimension_configs, run_filters,
+                            per_dimension_configs,
+                            prune_planned_by_shared_memory,
+                            run_planned_filters,
                             timing_driven_optimization, tune_wrapper)
+from repro.benchsuite.base import get_benchmark
+from repro.benchsuite.lud import make_diagonally_dominant
 from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.pipeline import Program, compile_cuda
 from repro.runtime import GPURuntime
 from repro.targets import A100, RX6800
-from repro.transforms import generate_coarsening_alternatives
+from repro.transforms import plan_coarsening_alternatives, run_cleanup
 from repro.translate import hipify, retarget_ease_report
 
 SOURCE = """
@@ -56,14 +60,22 @@ class TestSearch:
         assert {} in configs  # the (1,1,1,1) baseline
 
 
-def build_alt(source=SOURCE, kernel="tile_rev", block=(64,), configs=None):
+def plan_alts(source=SOURCE, kernel="tile_rev", block=(64,), configs=None):
     unit = parse_translation_unit(source)
     gen = ModuleGenerator(unit)
     name = gen.get_launch_wrapper(kernel, 1, block)
     wrapper = polygeist.find_gpu_wrappers(gen.module.op)[0]
-    report = generate_coarsening_alternatives(
+    planned = plan_coarsening_alternatives(
         wrapper, configs or default_configs(max_total=4))
-    return gen.module, name, wrapper, report
+    return gen.module, name, wrapper, planned
+
+
+def build_alt(source=SOURCE, kernel="tile_rev", block=(64,), configs=None):
+    """Plan and materialize every legal alternative; returns the op."""
+    module, name, wrapper, planned = plan_alts(source, kernel, block,
+                                               configs)
+    alt = planned.materialize(range(len(planned.alternatives)))
+    return module, name, wrapper, alt
 
 
 class TestFilters:
@@ -77,29 +89,35 @@ class TestFilters:
             a[threadIdx.x] = s[threadIdx.x];
         }
         """
-        module, name, wrapper, report = build_alt(
+        module, name, wrapper, planned = plan_alts(
             source, "k",
             configs=[{"block_total": 1}, {"block_total": 2},
                      {"block_total": 4}])
-        from repro.autotune import prune_by_shared_memory
-        result = prune_by_shared_memory(report.op, A100)
+        result = prune_planned_by_shared_memory(planned.alternatives, A100)
         # 4 x 16 KB = 64 KB > 48 KB: dropped
         assert len(result.dropped_shared) == 1
-        assert len(report.op.regions) == 2
+        assert result.survivors == [0, 1]
+        # the full filter pass never materializes the dropped plan
+        merged, alt = run_planned_filters(planned.alternatives, A100,
+                                          planned.materialize)
+        assert merged.dropped_shared == result.dropped_shared
+        assert len(alt.regions) == 2
+        assert planned.clones_materialized == 2
 
     def test_register_pruning_keeps_least_bad(self):
-        module, name, wrapper, report = build_alt()
-        result = run_filters(report.op, A100)
+        module, name, wrapper, planned = plan_alts()
+        result, _ = run_planned_filters(planned.alternatives, A100,
+                                        planned.materialize)
         assert result.survivors
         verify_module(module)
 
 
 class TestTDO:
     def test_selects_and_splices(self):
-        module, name, wrapper, report = build_alt()
+        module, name, wrapper, alt = build_alt()
         f = module.func(name)
         env = {f.body_block().arg(0): 512}
-        outcome = timing_driven_optimization(report.op, A100, env)
+        outcome = timing_driven_optimization(alt, A100, env)
         verify_module(module)
         assert outcome.selected_time > 0
         assert outcome.selected_desc
@@ -315,3 +333,39 @@ class TestProfileMode:
                                                  key=lambda c:
                                                  c.time_seconds)]
         assert modeled.selected_desc in profiled_order[:3]
+
+    def test_profile_prunes_like_tune_wrapper(self):
+        """Profiling and TDO share one pruning path: on lud_internal,
+        whose block-coarsened tiles overflow the A100's shared memory,
+        the profiled candidates are exactly tune_wrapper's survivors."""
+        bench = get_benchmark("lud")
+        configs = paper_sweep_configs()
+        n, grid, block = 32, (1, 1), (16, 16)
+        matrix = make_diagonally_dominant(n, 0)
+        program = compile_cuda(bench.source, arch=A100,
+                               autotune_configs=configs)
+        rt = GPURuntime(A100)
+        profiled_buf = rt.to_device(matrix.ravel())
+        program.profile_launch("lud_internal", grid, block,
+                               [profiled_buf, n, 0], runtime=rt)
+        (profiled,) = program.tuning_outcomes.values()
+
+        gen = ModuleGenerator(parse_translation_unit(bench.source))
+        name = gen.get_launch_wrapper("lud_internal", len(grid), block)
+        run_cleanup(gen.module)
+        f = gen.module.func(name)
+        env = dict(zip(f.body_block().args[:len(grid)], grid))
+        tuned = tune_wrapper(polygeist.find_gpu_wrappers(f)[0], A100, env,
+                             configs)
+        assert tuned.filters.dropped_shared
+        assert [c.desc for c in profiled.candidates] == \
+            tuned.filters.survivor_descs
+
+        # the compiled-in winner computes what the untuned kernel does
+        baseline = compile_cuda(bench.source, arch=A100,
+                                tier="polygeist-noopt")
+        baseline_buf = rt.to_device(matrix.ravel())
+        baseline.launch("lud_internal", grid, block, [baseline_buf, n, 0],
+                        runtime=rt)
+        np.testing.assert_array_equal(rt.to_host(profiled_buf),
+                                      rt.to_host(baseline_buf))

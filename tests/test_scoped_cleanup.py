@@ -6,13 +6,15 @@ module, and materializes IR clones only for the configurations that
 survive the metadata-level shared-memory filter. Both are pure
 performance moves: this file proves, benchsuite-wide, that they change
 nothing observable — the printed IR after scoped cleanup equals the
-whole-module result, the TDO selection is identical, and the number of
-wrapper clones built equals the post-filter survivor count.
+whole-module result, the TDO selection is identical, the planner's
+shared-memory prediction equals what the cleaned IR allocates, and the
+number of wrapper clones built equals the post-filter survivor count.
 """
 
 import pytest
 
 from repro.autotune import paper_sweep_configs
+from repro.analysis import shared_bytes_per_block
 from repro.autotune.tdo import timing_driven_optimization, tune_wrapper
 from repro.benchsuite.base import BENCHMARKS, get_benchmark
 from repro.dialects import polygeist
@@ -20,8 +22,8 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import print_module
 from repro.targets import arch_by_name
 from repro.transforms import cleanup_regions, run_cleanup
-from repro.transforms.alternatives import (generate_coarsening_alternatives,
-                                           plan_coarsening_alternatives)
+from repro.transforms.alternatives import plan_coarsening_alternatives
+from repro.transforms.coarsen import block_parallels_in_region
 
 A100 = arch_by_name("a100")
 
@@ -35,14 +37,21 @@ def _launch_groups(bench):
 
 
 def _generate(bench, kernel, block, grid_rank, configs):
-    """Parse, pre-clean, and eagerly generate every legal alternative."""
+    """Parse, pre-clean, plan, and materialize every legal alternative.
+
+    Returns ``(module, func, planned, alternatives op)``; the op is
+    ``None`` when no config is legal.
+    """
     generator = ModuleGenerator(parse_translation_unit(bench.source))
     name = generator.get_launch_wrapper(kernel, grid_rank, block)
     run_cleanup(generator.module)
     func_op = generator.module.func(name)
     wrapper = polygeist.find_gpu_wrappers(func_op)[0]
-    report = generate_coarsening_alternatives(wrapper, configs)
-    return generator.module, func_op, report
+    planned = plan_coarsening_alternatives(wrapper, configs)
+    alt = None
+    if planned.alternatives:
+        alt = planned.materialize(range(len(planned.alternatives)))
+    return generator.module, func_op, planned, alt
 
 
 def _candidate_rows(outcome):
@@ -60,14 +69,14 @@ def test_scoped_cleanup_matches_whole_module(name):
     compared = 0
     for (kernel, block), grids in _launch_groups(bench).items():
         grid_rank = len(grids[0])
-        scoped_mod, scoped_func, scoped = _generate(
+        scoped_mod, scoped_func, _, scoped = _generate(
             bench, kernel, block, grid_rank, configs)
-        full_mod, full_func, full = _generate(
+        full_mod, full_func, _, full = _generate(
             bench, kernel, block, grid_rank, configs)
-        if scoped.op is None:
-            assert full.op is None
+        if scoped is None:
+            assert full is None
             continue
-        cleanup_regions(list(scoped.op.regions))
+        cleanup_regions(list(scoped.regions))
         run_cleanup(full_mod)
         assert print_module(scoped_mod) == print_module(full_mod)
 
@@ -76,14 +85,39 @@ def test_scoped_cleanup_matches_whole_module(name):
             return [dict(zip(grid_args, grid)) for grid in grids]
 
         chose_scoped = timing_driven_optimization(
-            scoped.op, A100, envs_for(scoped_func), select=False)
+            scoped, A100, envs_for(scoped_func), select=False)
         chose_full = timing_driven_optimization(
-            full.op, A100, envs_for(full_func), select=False)
+            full, A100, envs_for(full_func), select=False)
         assert chose_scoped.selected_desc == chose_full.selected_desc
         assert chose_scoped.selected_time == chose_full.selected_time
         assert _candidate_rows(chose_scoped) == _candidate_rows(chose_full)
         compared += 1
     assert compared > 0, "no kernel of %s produced alternatives" % name
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_planned_shared_bytes_match_materialized_ir(name):
+    """The shared-memory filter prunes on the planner's prediction alone,
+    before any clone exists. For every kernel of every benchmark, the
+    prediction must equal the largest static shared footprint of any
+    block loop in the materialized, cleaned region."""
+    bench = get_benchmark(name)
+    configs = paper_sweep_configs()
+    checked = 0
+    for (kernel, block), grids in _launch_groups(bench).items():
+        _, _, planned, alt = _generate(bench, kernel, block, len(grids[0]),
+                                       configs)
+        if alt is None:
+            continue
+        cleanup_regions(list(alt.regions))
+        for info, region in zip(planned.alternatives, alt.regions):
+            measured = max(shared_bytes_per_block(loop)
+                           for loop in block_parallels_in_region(region))
+            assert info.shared_bytes == measured, \
+                "%s/%s %s: planned %d B, IR allocates %d B" % (
+                    name, kernel, info.desc, info.shared_bytes, measured)
+            checked += 1
+    assert checked > 0, "no kernel of %s produced alternatives" % name
 
 
 BIG_SHARED_KERNEL = """

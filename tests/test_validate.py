@@ -15,7 +15,8 @@ from repro.engine import TuningEngine, VALIDATE_ENV
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.obs import decisions as obs_decisions
 from repro.targets import arch_by_name
-from repro.transforms import check_unroll_legality, run_cleanup
+from repro.transforms import (check_unroll_legality, cleanup_regions,
+                              run_cleanup)
 from repro.transforms.coarsen import block_parallels
 from repro.validate import (BARRIER_BLOCK_DEPENDENT, BARRIER_DIVERGENT,
                             DIVERGED, ERROR, OK, SHARED_WRITE_RACE, SKIPPED,
@@ -48,6 +49,14 @@ def build_wrapper(source, kernel="k", grid_rank=1, block=(8,)):
     return generator, name, func_op, wrapper
 
 
+def materialize_all(wrapper, configs=CONFIGS):
+    """Plan and materialize every config, then clean the clones."""
+    planned = alternatives_mod.plan_coarsening_alternatives(wrapper, configs)
+    alt = planned.materialize(range(len(planned.alternatives)))
+    cleanup_regions(list(alt.regions))
+    return alt
+
+
 def sabotage_first_addf(alt_op, index):
     """Flip the first arith.addf of region ``index`` to a subtraction."""
     flipped = []
@@ -77,11 +86,9 @@ class TestDifferentialHarness:
         baseline_func = func_op.clone({})
         sizing = polygeist.find_gpu_wrappers(baseline_func)[0]
         grid_env = {func_op.body_block().args[0]: 4}
-        generation = alternatives_mod.generate_coarsening_alternatives(
-            wrapper, CONFIGS)
-        run_cleanup(generator.module)
-        sabotage_first_addf(generation.op, 1)
-        report = validate_alternatives(baseline_func, generation.op,
+        alt = materialize_all(wrapper)
+        sabotage_first_addf(alt, 1)
+        report = validate_alternatives(baseline_func, alt,
                                        grid_env, sizing)
         assert not report.ok
         bad = report.verdicts[1]
@@ -131,13 +138,11 @@ class TestDifferentialHarness:
         baseline_func = func_op.clone({})
         sizing = polygeist.find_gpu_wrappers(baseline_func)[0]
         grid_env = {func_op.body_block().args[0]: 4}
-        generation = alternatives_mod.generate_coarsening_alternatives(
-            wrapper, CONFIGS)
-        run_cleanup(generator.module)
+        alt = materialize_all(wrapper)
         # guard region 1's barrier behind a thread-dependent condition
         from repro.dialects import arith, scf
         from repro.ir import Builder
-        barrier = generation.op.body_block(1).ops[0].ops_matching(
+        barrier = alt.body_block(1).ops[0].ops_matching(
             polygeist.BARRIER)[0]
         thread_loop = barrier.parent_op
         while thread_loop.name != scf.PARALLEL:
@@ -153,7 +158,7 @@ class TestDifferentialHarness:
         then_b.insert(barrier)
         scf.yield_(then_b)
         scf.yield_(Builder(scf.if_else_block(if_op)))
-        report = validate_alternatives(baseline_func, generation.op,
+        report = validate_alternatives(baseline_func, alt,
                                        grid_env, sizing)
         assert report.verdicts[1].status == ERROR
         assert "barrier divergence" in report.verdicts[1].detail
