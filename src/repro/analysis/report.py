@@ -101,7 +101,7 @@ class KernelReport:
     modeled_seconds: float
     #: the uncoarsened (polygeist-noopt) modeled seconds over the same
     #: launches, and the resulting winner speedup; None when the baseline
-    #: itself cannot be modeled
+    #: itself cannot launch (``baseline_note`` then says why)
     baseline_seconds: Optional[float]
     speedup_vs_baseline: Optional[float]
     breakdown: Dict[str, float]
@@ -111,6 +111,8 @@ class KernelReport:
     roofline: Roofline
     bottleneck: Bottleneck
     decisions: Dict[str, object]
+    #: why the baseline could not be modeled, when it could not
+    baseline_note: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -124,6 +126,7 @@ class KernelReport:
             "modeled_seconds": self.modeled_seconds,
             "baseline_seconds": self.baseline_seconds,
             "speedup_vs_baseline": self.speedup_vs_baseline,
+            "baseline_note": self.baseline_note,
             "breakdown": dict(self.breakdown),
             "occupancy": dict(self.occupancy),
             "metrics": dict(self.metrics),
@@ -149,6 +152,9 @@ class KernelReport:
             lines.append("- %.2fx over the uncoarsened baseline (%.3es)"
                          % (self.speedup_vs_baseline,
                             self.baseline_seconds))
+        if self.baseline_note is not None:
+            lines.append("- uncoarsened baseline not modeled: %s"
+                         % self.baseline_note)
         lines.append("- roofline: %.2f flop/B arithmetic intensity "
                      "(ridge %.1f, %s) — %.1f%% of peak bandwidth "
                      "(%.0f / %.0f GB/s), %.1f%% of peak compute "
@@ -512,7 +518,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
     from ..obs.export import _aggregate
     from ..pipeline import Program
     from ..runtime.gpu_runtime import PCIE_BANDWIDTH, PCIE_LATENCY
-    from ..simulator.model import block_count
+    from ..simulator.model import InvalidLaunch, block_count
     from ..targets import arch_by_name
 
     if isinstance(arch, str):
@@ -594,6 +600,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                                          divergent)
 
         baseline_seconds = None
+        baseline_note = None
         speedup = None
         if baseline_program is not None:
             try:
@@ -603,8 +610,9 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                     for grid in grids)
                 if seconds > 0:
                     speedup = baseline_seconds / seconds
-            except Exception:
+            except InvalidLaunch as error:
                 baseline_seconds = None
+                baseline_note = str(error)
 
         decision = next((d for d in log.decisions
                          if d.wrapper == wrapper_name), None)
@@ -625,6 +633,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
             modeled_seconds=seconds,
             baseline_seconds=baseline_seconds,
             speedup_vs_baseline=speedup,
+            baseline_note=baseline_note,
             breakdown=breakdown,
             occupancy=occupancy,
             metrics=metrics.as_dict() if metrics else {},

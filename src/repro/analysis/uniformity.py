@@ -9,9 +9,15 @@ non-uniform unless the analysis is told otherwise.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, Optional, Set
 
 from ..ir import BlockArgument, Operation, OpResult, Value
+
+#: cache entry of a value whose dependence is still being computed
+_PENDING = object()
+#: cache key recording that the cycle guard answered a query
+_CYCLE_READ = object()
 
 
 def contains_barrier(op: Operation) -> bool:
@@ -40,12 +46,17 @@ def depends_on_values(value: Value, sources: Set[Value],
     """
     if _cache is None:
         _cache = {}
-    if value in _cache:
-        return _cache[value]
+    cached = _cache.get(value)
+    if cached is not None:
+        if cached is _PENDING:
+            # a cycle (while loops): provisionally independent
+            _cache[_CYCLE_READ] = True
+            return False
+        return cached
     if value in sources:
         _cache[value] = True
         return True
-    _cache[value] = False  # guard against cycles (while loops)
+    _cache[value] = _PENDING
     result = False
     if isinstance(value, OpResult):
         op = value.owner
@@ -126,6 +137,41 @@ def _external_operands(op: Operation) -> Set[Value]:
     for operand in op._operands:
         external.add(operand)
     return external
+
+
+class DependenceMemo:
+    """:func:`depends_on_values` for many values over one source set.
+
+    Calls share one cache, so a subexpression common to many queried
+    values is walked once. Every answer equals a fresh call's: a shared
+    entry is only kept from a call that never met the cycle guard. A call
+    that did (its provisional ``False`` may differ from what a fresh call
+    starting elsewhere in the cycle computes) drops the entries it added
+    and is answered by a fresh call instead.
+    """
+
+    def __init__(self, sources: Iterable[Value]):
+        self.sources = set(sources)
+        self._cache: Dict[object, object] = {}
+        #: fresh answers of queries that met the cycle guard
+        self._cyclic: Dict[Value, bool] = {}
+
+    def __call__(self, value: Value) -> bool:
+        cache = self._cache
+        known = cache.get(value)
+        if known is None:
+            known = self._cyclic.get(value)
+        if known is not None:
+            return known
+        mark = len(cache)
+        result = depends_on_values(value, self.sources, True, cache)
+        if _CYCLE_READ in cache:
+            # the call only added keys, so they are the ones past mark
+            for key in list(islice(cache, mark, None)):
+                del cache[key]
+            result = depends_on_values(value, self.sources)
+            self._cyclic[value] = result
+        return result
 
 
 def is_uniform_in(value: Value, ivs: Iterable[Value],

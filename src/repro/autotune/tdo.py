@@ -19,8 +19,7 @@ from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.log import get_logger
-from ..simulator.model import (InvalidLaunch, LaunchTiming, block_count,
-                               block_counts, env_columns,
+from ..simulator.model import (InvalidLaunch, block_count,
                                use_scalar_model)
 from ..targets import GPUArchitecture, register_estimate_cache
 from ..transforms.alternatives import select_alternative
@@ -28,6 +27,9 @@ from ..transforms.coarsen import block_parallels_in_region
 from .filters import FilterReport, run_planned_filters
 
 logger = get_logger("autotune.tdo")
+
+#: InvalidLaunch reason of an alternative whose grid size cannot be evaluated
+_UNEVALUABLE = "grid size not evaluable"
 
 
 @dataclass
@@ -89,7 +91,7 @@ def _time_region(alt: Operation, index: int, arch: GPUArchitecture,
         if blocks is None:
             blocks = block_count(loop, env)
             if blocks is None:
-                raise InvalidLaunch("grid size not evaluable")
+                raise InvalidLaunch(_UNEVALUABLE)
             if blocks_cache is not None:
                 blocks_cache[(key, id(env))] = blocks
         if blocks <= 0:
@@ -103,142 +105,59 @@ def _time_region(alt: Operation, index: int, arch: GPUArchitecture,
     return total
 
 
-def _batched_candidates(alt: Operation, arch: GPUArchitecture,
-                        envs, descs: List[str]) -> List[Candidate]:
-    """Score every alternative in one vectorized batch.
-
-    Assembles (model row, block count) entries in exactly the order the
-    scalar path visits them (env-outer, loop-inner), evaluates all of
-    them through :class:`~repro.simulator.batch.BatchedKernelModel`, and
-    reduces per-alternative sums with the scalar path's accumulation
-    grouping — so times, failure reasons, *and* the first-failure point
-    of invalid alternatives are identical to the scalar path's.
-    """
-    import numpy as np
-
-    from ..simulator.batch import BatchedKernelModel
-    from ..simulator.model import KernelModel
-    batch = BatchedKernelModel()
-    model_cache: Dict[int, KernelModel] = {}
-    rows: List[int] = []
-    counts: List[int] = []
-    # per alternative: list (one per env) of [start, stop) slices into
-    # rows/counts, ("uniform", start, envs, loops) when every env
-    # launches every loop, or the InvalidLaunch that stopped assembly
-    plans: List[object] = []
-    env_cols = env_columns(envs)
+def _scalar_seconds(alt: Operation, arch: GPUArchitecture, envs):
+    """The reference: one alternative, one launch, one loop at a time.
+    Lazy, so each alternative is scored inside its own span."""
+    model_cache: Dict[int, object] = {}
+    blocks_cache: Dict[tuple, int] = {}
     for index in range(len(alt.regions)):
-        loops = list(block_parallels_in_region(alt.region(index)))
-        # all envs' block counts per loop in one vectorized evaluation
-        loop_blocks = [block_counts(loop, envs, env_cols)
-                       for loop in loops]
+        try:
+            yield sum(_time_region(alt, index, arch, one, model_cache,
+                                   blocks_cache)
+                      for one in envs)
+        except InvalidLaunch as error:
+            yield error
 
-        # fast path: when no env's grid is unevaluable or empty (the
-        # overwhelmingly common case), the (row, count) sequence is the
-        # loop pattern repeated per env — assembled with list repetition
-        # and one transpose instead of a per-(env, loop) python loop
-        regular = len(envs) > 0 and \
-            not any(None in per_env for per_env in loop_blocks)
-        arrays = []
-        if regular:
-            for per_env in loop_blocks:
-                arr = np.asarray(per_env, dtype=np.int64)
-                if int(arr.min(initial=1)) <= 0:
-                    regular = False
-                    break
-                arrays.append(arr)
-        if regular:
-            pattern: List[int] = []
-            failed: Optional[InvalidLaunch] = None
-            try:
-                # loop order == the scalar path's first-env visit order,
-                # so the first failure (construction or launchability)
-                # is the same one the scalar path reports
-                for loop in loops:
-                    key = loop.stable_uid()
-                    model = model_cache.get(key)
-                    if model is None:
-                        model = KernelModel(loop, arch)
-                        model_cache[key] = model
-                    model.ensure_launchable()
-                    pattern.append(batch.add_model(model))
-            except InvalidLaunch as error:
-                failed = error
-            if failed is not None:
-                plans.append(failed)
-                continue
-            start = len(rows)
-            rows.extend(pattern * len(envs))
-            if arrays:
-                counts.extend(np.stack(arrays).T.ravel().tolist())
-            plans.append(("uniform", start, len(envs), len(loops)))
-            continue
 
-        env_spans: List[Tuple[int, int]] = []
-        failure: Optional[InvalidLaunch] = None
-        for position, one in enumerate(envs):
-            start = len(rows)
-            try:
-                for loop, per_env in zip(loops, loop_blocks):
-                    blocks = per_env[position]
-                    if blocks is None:
-                        raise InvalidLaunch("grid size not evaluable")
-                    if blocks <= 0:
-                        continue
-                    key = loop.stable_uid()
-                    model = model_cache.get(key)
-                    if model is None:
-                        model = KernelModel(loop, arch)
-                        model_cache[key] = model
-                    # scalar raises this inside time_seconds_for; raise
-                    # it here so entries after the failure never batch
-                    model.ensure_launchable()
-                    rows.append(batch.add_model(model))
-                    counts.append(blocks)
-            except InvalidLaunch as error:
-                del rows[start:]
-                del counts[start:]
-                failure = error
-                break
-            env_spans.append((start, len(rows)))
-        plans.append(failure if failure is not None else env_spans)
+def _batched_seconds(alt: Operation, arch: GPUArchitecture, envs):
+    """Every alternative through one
+    :class:`~repro.simulator.batch.LaunchScorer`: per-env totals with the
+    scalar path's failure order and accumulation, summed with the same
+    builtin ``sum`` the scalar path uses."""
+    from ..simulator.batch import LaunchScorer
+    scorer = LaunchScorer(envs, arch, {}, _UNEVALUABLE)
+    for index in range(len(alt.regions)):
+        scorer.add(block_parallels_in_region(alt.region(index)))
+    return [result if isinstance(result, InvalidLaunch) else sum(result)
+            for result in scorer.env_seconds()]
 
-    times_array = batch.times(rows, counts)
-    times = times_array.tolist()
 
+def score_alternatives(alt: Operation, arch: GPUArchitecture,
+                       envs: Sequence[Dict[Value, int]]) -> List[Candidate]:
+    """Every alternative's modeled seconds summed over ``envs``.
+
+    Batched by default; ``REPRO_SCALAR_MODEL=1`` selects the scalar
+    reference, which must give ``==`` candidates (time, validity and
+    reason).
+    """
+    descs = polygeist.alternative_descs(alt)
+    score = _scalar_seconds if use_scalar_model() else _batched_seconds
+    results = iter(score(alt, arch, envs))
     candidates = []
-    for index, plan in enumerate(plans):
+    for index in range(len(alt.regions)):
+        # one span per simulated profiling run
         with obs_tracer.span("tdo.alternative", category="tdo",
                              desc=descs[index]) as span:
-            if isinstance(plan, InvalidLaunch):
-                span.set(invalid=str(plan))
+            seconds = next(results)
+            if isinstance(seconds, InvalidLaunch):
+                span.set(invalid=str(seconds))
                 candidates.append(Candidate(index, descs[index],
                                             float("inf"), False,
-                                            str(plan)))
+                                            str(seconds)))
                 continue
-            # scalar grouping: sum-over-envs of per-env accumulations
-            seconds = 0
-            if isinstance(plan, tuple):
-                _, start, num_envs, width = plan
-                span_times = times_array[start:start + num_envs * width]
-                columns = span_times.reshape(num_envs, width)
-                # left-to-right elementwise adds from 0.0 — the same IEEE
-                # operation sequence as the scalar per-env accumulation
-                env_totals = np.zeros(num_envs)
-                for column in range(width):
-                    env_totals = env_totals + columns[:, column]
-                for env_total in env_totals.tolist():
-                    seconds = seconds + env_total
-            else:
-                for start, stop in plan:
-                    env_total = 0.0
-                    for position in range(start, stop):
-                        env_total += times[position]
-                    seconds = seconds + env_total
             span.set(seconds=seconds)
             obs_metrics.observe("tdo.alternative_seconds", seconds)
-            candidates.append(Candidate(index, descs[index], seconds,
-                                        True))
+            candidates.append(Candidate(index, descs[index], seconds, True))
     return candidates
 
 
@@ -252,41 +171,19 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     application run, so alternatives are ranked by their time summed over
     every launch geometry observed (e.g. gaussian's shrinking grids).
 
-    All alternatives are scored in one vectorized numpy batch (bit-
-    identical to the scalar reference — see
-    :mod:`repro.simulator.batch`); ``REPRO_SCALAR_MODEL=1`` scores them
-    one at a time through the scalar model instead, the oracle the
-    equivalence tests compare the batch against.
+    Scoring is :func:`score_alternatives`: all alternatives in one
+    :class:`~repro.simulator.batch.LaunchScorer` batch (each one's
+    launches × loops block-count matrix, its first failure found in the
+    scalar visit order, one vectorized timing pass over every launching
+    entry), or one at a time through the scalar model under
+    ``REPRO_SCALAR_MODEL=1``, the oracle the equivalence tests compare
+    the batch against.
     """
     envs = env if isinstance(env, (list, tuple)) else [env]
-    descs = polygeist.alternative_descs(alt)
-    model_cache: Dict[int, object] = {}
-    blocks_cache: Dict[tuple, int] = {}
-
-    def evaluate(index: int) -> Candidate:
-        # one span per simulated profiling run
-        with obs_tracer.span("tdo.alternative", category="tdo",
-                             desc=descs[index]) as span:
-            try:
-                seconds = sum(_time_region(alt, index, arch, one,
-                                           model_cache, blocks_cache)
-                              for one in envs)
-                span.set(seconds=seconds)
-                obs_metrics.observe("tdo.alternative_seconds", seconds)
-                return Candidate(index, descs[index], seconds, True)
-            except InvalidLaunch as error:
-                span.set(invalid=str(error))
-                return Candidate(index, descs[index], float("inf"),
-                                 False, str(error))
-
     with obs_tracer.span("tdo", category="tdo",
                          alternatives=len(alt.regions),
                          launches=len(envs)):
-        if use_scalar_model():
-            candidates = [evaluate(index)
-                          for index in range(len(alt.regions))]
-        else:
-            candidates = _batched_candidates(alt, arch, envs, descs)
+        candidates = score_alternatives(alt, arch, envs)
     obs_metrics.inc("tdo.evaluations", len(candidates))
     valid = [c for c in candidates if c.valid]
     if not valid:

@@ -14,6 +14,11 @@ Polygeist-GPU is built on:
 
 Use-def chains are explicit: every value knows its uses, and operand mutation
 goes through :meth:`Operation.set_operand` so the chains stay consistent.
+
+Every class declares ``__slots__``: tuning clones tens of thousands of these
+objects per kernel, and slotted instances are smaller and faster to build.
+A subclass must declare its own ``__slots__`` (even an empty one), or its
+instances silently grow a ``__dict__`` again.
 """
 
 from __future__ import annotations
@@ -27,20 +32,13 @@ from .types import Type
 class Value:
     """An SSA value with a type and explicit use list."""
 
+    __slots__ = ("type", "name_hint", "uses")
+
     def __init__(self, type_: Type, name_hint: str = ""):
         self.type = type_
         self.name_hint = name_hint
         #: list of (operation, operand_index) pairs referencing this value
         self.uses: List["Use"] = []
-
-    @property
-    def users(self) -> List["Operation"]:
-        """Operations that use this value (with duplicates removed, in order)."""
-        seen = []
-        for use in self.uses:
-            if use.owner not in seen:
-                seen.append(use.owner)
-        return seen
 
     def has_uses(self) -> bool:
         return bool(self.uses)
@@ -51,13 +49,6 @@ class Value:
             return
         for use in list(self.uses):
             use.owner.set_operand(use.index, other)
-
-    def replace_uses_if(self, other: "Value",
-                        predicate: Callable[["Operation"], bool]) -> None:
-        """Replace uses whose owning operation satisfies ``predicate``."""
-        for use in list(self.uses):
-            if predicate(use.owner):
-                use.owner.set_operand(use.index, other)
 
     def __repr__(self) -> str:
         hint = self.name_hint or "v"
@@ -77,6 +68,8 @@ class Use:
 class OpResult(Value):
     """A value produced by an operation."""
 
+    __slots__ = ("owner", "index")
+
     def __init__(self, owner: "Operation", index: int, type_: Type,
                  name_hint: str = ""):
         super().__init__(type_, name_hint)
@@ -86,6 +79,8 @@ class OpResult(Value):
 
 class BlockArgument(Value):
     """A value introduced by a block (e.g. a loop induction variable)."""
+
+    __slots__ = ("owner", "index")
 
     def __init__(self, owner: "Block", index: int, type_: Type,
                  name_hint: str = ""):
@@ -105,6 +100,9 @@ class Operation:
     functions) and inserted into blocks via :class:`~repro.ir.builder.Builder`
     or :meth:`Block.append`.
     """
+
+    __slots__ = ("name", "attributes", "parent", "_operands", "results",
+                 "regions", "_stable_uid")
 
     def __init__(self, name: str,
                  operands: Sequence[Value] = (),
@@ -167,12 +165,6 @@ class Operation:
         self._operands[index] = value
         value.uses.append(Use(self, index))
 
-    def replace_operands(self, mapping: Dict[Value, Value]) -> None:
-        """Replace any operand found in ``mapping`` with its image."""
-        for i, operand in enumerate(self._operands):
-            if operand in mapping:
-                self.set_operand(i, mapping[operand])
-
     def drop_all_operand_uses(self) -> None:
         # each (owner, index) pair occurs at most once in a use list (see
         # set_operand), so delete-first-match suffices; this runs once per
@@ -211,11 +203,11 @@ class Operation:
         Clones do not inherit it: each operation object gets its own uid on
         first request.
         """
-        uid = self.__dict__.get("_stable_uid")
-        if uid is None:
-            uid = next(_STABLE_UID_COUNTER)
-            self._stable_uid = uid
-        return uid
+        try:
+            return self._stable_uid
+        except AttributeError:
+            uid = self._stable_uid = next(_STABLE_UID_COUNTER)
+            return uid
 
     # -- structure -----------------------------------------------------------
 
@@ -230,10 +222,6 @@ class Operation:
         while op is not None:
             yield op
             op = op.parent_op
-
-    def is_ancestor_of(self, other: "Operation") -> bool:
-        """True if ``other`` is nested (transitively) inside ``self``."""
-        return any(a is self for a in other.ancestors())
 
     def region(self, index: int = 0) -> "Region":
         return self.regions[index]
@@ -403,6 +391,8 @@ class Operation:
 class Block:
     """A sequence of operations with block arguments."""
 
+    __slots__ = ("parent", "ops", "args")
+
     def __init__(self, arg_types: Sequence[Type] = (),
                  arg_names: Sequence[str] = ()):
         self.parent: Optional[Region] = None
@@ -461,6 +451,8 @@ class Block:
 
 class Region:
     """A list of blocks owned by an operation."""
+
+    __slots__ = ("parent", "blocks")
 
     def __init__(self, blocks: Iterable[Block] = ()):
         self.parent: Optional[Operation] = None

@@ -339,11 +339,13 @@ class Program:
         Produces exactly ``[self.model_launch(kernel, g, block)
         .time_seconds for g in grids]`` — same floats, same tuning side
         effects, same failure points — but with one wrapper lookup and
-        one vectorized grid-size evaluation for the whole group instead
+        one :class:`~repro.simulator.batch.LaunchScorer` pass (one block-
+        count matrix, one vectorized timing) for the whole group instead
         of a full walk per launch. This is the composite-modeling hot
         path of :func:`repro.benchsuite.base.simulate_composite`.
         """
-        from .simulator.model import KernelModel, block_counts
+        from .simulator.batch import LaunchScorer
+        from .simulator.model import UNEVALUABLE_GRID
         from .transforms.coarsen import block_parallels
         block = _as_dims(block)
         grids = [_as_dims(g) for g in grids]
@@ -367,30 +369,14 @@ class Program:
             self._model_cache = {}
         envs = [dict(zip(f.body_block().args[:len(grid)], grid))
                 for grid in grids]
-        loops = block_parallels(wrappers[0])
         with obs_tracer.span("model.launch_group", category="simulator",
                              launches=len(envs)) as span:
-            loop_blocks = [block_counts(loop, envs) for loop in loops]
-            models = []
-            for loop in loops:
-                key = loop.stable_uid()
-                model = self._model_cache.get(key)
-                if model is None:
-                    model = KernelModel(loop, self.arch)
-                    self._model_cache[key] = model
-                models.append(model)
-            seconds = []
-            for position in range(len(envs)):
-                # same accumulation grouping as model_wrapper_launch
-                total_time = 0.0
-                for blocks_per_env, model in zip(loop_blocks, models):
-                    blocks = blocks_per_env[position]
-                    if blocks is None:
-                        raise InvalidLaunch("cannot evaluate grid size "
-                                            "for modeling")
-                    if blocks > 0:
-                        total_time += model.time_seconds_for(blocks)
-                seconds.append(total_time)
+            scorer = LaunchScorer(envs, self.arch, self._model_cache,
+                                  UNEVALUABLE_GRID)
+            scorer.add(block_parallels(wrappers[0]))
+            seconds, = scorer.env_seconds()
+            if isinstance(seconds, InvalidLaunch):
+                raise seconds
             span.set(seconds=sum(seconds))
         return seconds
 

@@ -16,18 +16,27 @@ arithmetic is deterministic given identical operand order, so the batched
 seconds compare ``==`` to the scalar ones — which the equivalence suite
 (``tests/test_batched_equivalence.py``) asserts across the benchsuite.
 
+:class:`LaunchScorer` is what consumers use: it scores candidates (each
+a list of block-level loops, e.g. one coarsening alternative or one
+tuned wrapper) over a set of launch environments. Each candidate becomes
+an (envs × loops) block-count matrix, and every launching entry of every
+candidate is timed in one :class:`BatchedKernelModel` pass.
+
 The scalar path remains the reference implementation; set
-``REPRO_SCALAR_MODEL=1`` to force consumers (TDO) back onto it.
+``REPRO_SCALAR_MODEL=1`` to force consumers (TDO, composite modeling)
+back onto it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
+from ..ir import Operation, Value
+from ..targets import GPUArchitecture
 from .model import (LAUNCH_OVERHEAD, OVERLAP_LEAK, InvalidLaunch,
-                    KernelModel)
+                    KernelModel, block_counts, env_columns)
 
 #: LaunchFeatures fields stacked as float64 columns
 _FLOAT_FIELDS = (
@@ -148,3 +157,120 @@ class BatchedKernelModel:
         busy = np.maximum(busy, latency_floor)
         time = busy + LAUNCH_OVERHEAD
         return np.where(nb > 0, time, 0.0)
+
+
+class LaunchScorer:
+    """Per-env modeled seconds of many candidates, scored in one batch.
+
+    A candidate is a sequence of block-level loops run one after another
+    per launch (a wrapper's main loop and its epilogues). For each env
+    the scalar reference walks the loops in order, adding each launching
+    loop's time to a running total from ``0.0``, and stops at the first
+    failure: an unevaluable grid (reported as ``unevaluable``), or a
+    launching loop whose model cannot be built or cannot launch. Loops
+    that launch 0 blocks are skipped and need no model. ``models``
+    caches :class:`KernelModel` instances by the loop's
+    :meth:`~repro.ir.Operation.stable_uid` and is filled as loops are
+    modeled.
+
+    :meth:`add` builds the candidate's (envs × loops) block-count matrix
+    and finds that first failure in env-outer, loop-inner order without a
+    per-entry Python loop: models are built, in visit order, only for
+    loops whose first launch comes before the first unevaluable grid.
+    :meth:`env_seconds` times every launching entry of every valid
+    candidate in one :class:`BatchedKernelModel` pass. Zero-block entries
+    stay in the matrix as 0.0 (``x + 0.0 == x`` for the non-negative
+    times here), so the per-env column-by-column sums repeat the scalar
+    accumulation exactly.
+    """
+
+    def __init__(self, envs: Sequence[Dict[Value, int]],
+                 arch: GPUArchitecture, models: Dict[int, KernelModel],
+                 unevaluable: str):
+        self.envs = envs
+        self._cols = env_columns(envs)
+        self._arch = arch
+        self._models = models
+        self._unevaluable = unevaluable
+        self._batch = BatchedKernelModel()
+        #: per candidate: (rows, counts) or the InvalidLaunch it hit
+        self._plans: List[object] = []
+
+    def add(self, loops: Sequence[Operation]) -> None:
+        """Queue one candidate; its failure, if any, is found now."""
+        loops = list(loops)
+        counts = np.empty((len(self.envs), len(loops)), dtype=np.int64)
+        for column, loop in enumerate(loops):
+            counts[:, column] = block_counts(loop, self.envs, self._cols)
+        try:
+            rows = self._launch_rows(loops, counts)
+        except InvalidLaunch as error:
+            self._plans.append(error)
+            return
+        self._plans.append((rows, counts))
+
+    def _launch_rows(self, loops: List[Operation],
+                     counts: np.ndarray) -> np.ndarray:
+        width = len(loops)
+        flat = counts.ravel()
+        unevaluable = np.flatnonzero(flat < 0)
+        stop = int(unevaluable[0]) if unevaluable.size else flat.size
+        launching = counts > 0
+        first_launch = []
+        for column in range(width):
+            if launching[:, column].any():
+                position = int(launching[:, column].argmax()) * width + \
+                    column
+                if position < stop:
+                    first_launch.append((position, column))
+        # a loop that never launches before the stop keeps row 0; none
+        # of its entries is timed
+        rows = np.zeros(width, dtype=np.intp)
+        for _, column in sorted(first_launch):
+            key = loops[column].stable_uid()
+            model = self._models.get(key)
+            if model is None:
+                model = KernelModel(loops[column], self._arch)
+                self._models[key] = model
+            model.ensure_launchable()
+            rows[column] = self._batch.add_model(model)
+        if stop < flat.size:
+            raise InvalidLaunch(self._unevaluable)
+        return rows
+
+    def env_seconds(self) -> List[Union[List[float], InvalidLaunch]]:
+        """Per candidate, in :meth:`add` order: one total per env, or
+        the :class:`InvalidLaunch` that stopped it."""
+        masks = []
+        model_rows = []
+        model_counts = []
+        for plan in self._plans:
+            if isinstance(plan, InvalidLaunch):
+                continue
+            rows, counts = plan
+            mask = counts > 0
+            masks.append(mask)
+            model_rows.append(np.broadcast_to(rows, counts.shape)[mask])
+            model_counts.append(counts[mask])
+        times = self._batch.times(
+            np.concatenate(model_rows) if model_rows else [],
+            np.concatenate(model_counts) if model_counts else [])
+        results: List[Union[List[float], InvalidLaunch]] = []
+        start = 0
+        valid = iter(masks)
+        for plan in self._plans:
+            if isinstance(plan, InvalidLaunch):
+                results.append(plan)
+                continue
+            mask = next(valid)
+            stop = start + int(np.count_nonzero(mask))
+            matrix = np.zeros(mask.shape)
+            matrix[mask] = times[start:stop]
+            start = stop
+            # left-to-right adds from 0.0: the scalar per-env operation
+            # sequence, plus exact +0.0 for the skipped launches
+            totals = np.zeros(mask.shape[0])
+            for column in range(mask.shape[1]):
+                totals = totals + matrix[:, column]
+            results.append(totals.tolist())
+        return results

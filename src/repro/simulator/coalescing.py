@@ -11,10 +11,10 @@ stride — the distinction at the heart of Fig. 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..analysis.affine import AffineForm, affine_of
-from ..analysis.uniformity import depends_on_values
+from ..analysis.uniformity import DependenceMemo
 from ..dialects import arith, memref as memref_d, scf
 from ..ir import Block, MemRefType, Operation, Value, byte_width
 
@@ -36,7 +36,30 @@ class GlobalAccess:
     efficiency: float
 
 
-def _flat_affine(op: Operation) -> Optional[AffineForm]:
+class AccessMemo:
+    """The questions both access analyses ask about one thread body.
+
+    Holds the affine form of each index value, as ``affine_of(index)``
+    computes it from the root, and a :class:`DependenceMemo` over
+    ``{threadIdx.x}``. Build one per thread loop and pass it to
+    :func:`analyze_coalescing` and :func:`analyze_shared_conflicts`; the
+    answers equal fresh calls', so results do not depend on sharing.
+    """
+
+    def __init__(self, thread_parallel: Operation):
+        self.tid_x = thread_parallel.body_block().arg(0)
+        self.depends_on_tid = DependenceMemo((self.tid_x,))
+        self._forms: Dict[Value, AffineForm] = {}
+
+    def affine(self, index: Value) -> AffineForm:
+        # forms are shared: callers build new forms, never mutate these
+        form = self._forms.get(index)
+        if form is None:
+            form = self._forms[index] = affine_of(index)
+        return form
+
+
+def _flat_affine(op: Operation, memo: AccessMemo) -> Optional[AffineForm]:
     ref = memref_d.load_op_ref(op)
     type_ = ref.type
     if not isinstance(type_, MemRefType):
@@ -52,16 +75,17 @@ def _flat_affine(op: Operation) -> Optional[AffineForm]:
     strides.reverse()
     form = AffineForm(0)
     for scale, index in zip(strides, memref_d.access_indices(op)):
-        form = form.add(affine_of(index).scaled(scale))
+        form = form.add(memo.affine(index).scaled(scale))
     return form
 
 
-def _stride_of(form: AffineForm, tid_x: Value) -> Optional[int]:
+def _stride_of(form: AffineForm, memo: AccessMemo) -> Optional[int]:
+    tid_x = memo.tid_x
     coeff = form.coefficient(tid_x)
     for sym in form.terms:
         if sym is tid_x:
             continue
-        if depends_on_values(sym, {tid_x}):
+        if memo.depends_on_tid(sym):
             return None
     return coeff
 
@@ -101,10 +125,12 @@ def bank_conflict_factor(stride_elements: Optional[int],
 
 def analyze_shared_conflicts(thread_parallel: Operation,
                              banks: int = 32,
-                             symbolic_trips: float = 16.0) -> float:
+                             symbolic_trips: float = 16.0,
+                             memo: Optional[AccessMemo] = None) -> float:
     """Execution-weighted average bank-conflict factor over all shared
     accesses of a thread body (1.0 = conflict free)."""
-    tid_x = thread_parallel.body_block().arg(0)
+    if memo is None:
+        memo = AccessMemo(thread_parallel)
     total_weight = 0.0
     weighted = 0.0
 
@@ -133,8 +159,8 @@ def analyze_shared_conflicts(thread_parallel: Operation,
                         ref.type.memory_space != "shared":
                     continue
                 element_bytes = byte_width(ref.type.element)
-                form = _flat_affine(op)
-                stride = None if form is None else _stride_of(form, tid_x)
+                form = _flat_affine(op, memo)
+                stride = None if form is None else _stride_of(form, memo)
                 conflict = bank_conflict_factor(stride, element_bytes,
                                                 banks)
                 weighted += factor * conflict
@@ -147,9 +173,12 @@ def analyze_shared_conflicts(thread_parallel: Operation,
 def analyze_coalescing(thread_parallel: Operation,
                        warp_size: int,
                        transaction_bytes: int = 32,
-                       symbolic_trips: float = 16.0) -> List[GlobalAccess]:
+                       symbolic_trips: float = 16.0,
+                       memo: Optional[AccessMemo] = None
+                       ) -> List[GlobalAccess]:
     """Analyze every global access reachable from a thread loop body."""
-    tid_x = thread_parallel.body_block().arg(0)
+    if memo is None:
+        memo = AccessMemo(thread_parallel)
     accesses: List[GlobalAccess] = []
 
     def visit(block: Block, factor: float) -> None:
@@ -183,8 +212,8 @@ def analyze_coalescing(thread_parallel: Operation,
                 if space not in ("global", "constant"):
                     continue
                 element_bytes = byte_width(ref.type.element)
-                form = _flat_affine(op)
-                stride = None if form is None else _stride_of(form, tid_x)
+                form = _flat_affine(op, memo)
+                stride = None if form is None else _stride_of(form, memo)
                 transactions = transactions_for_stride(
                     stride, element_bytes, warp_size, transaction_bytes)
                 useful = warp_size * element_bytes

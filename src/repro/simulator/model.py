@@ -39,7 +39,8 @@ from ..ir import Operation, OpResult, Value
 from ..obs import tracer as obs_tracer
 from ..targets import (GPUArchitecture, LANE_WARP_WIDTH, Occupancy,
                        compute_occupancy, estimate_registers)
-from .coalescing import analyze_coalescing, analyze_shared_conflicts
+from .coalescing import (AccessMemo, analyze_coalescing,
+                         analyze_shared_conflicts)
 from .metrics import KernelMetrics
 
 #: seconds of fixed overhead per kernel launch
@@ -63,6 +64,10 @@ OVERLAP_LEAK = 0.25
 
 class InvalidLaunch(ValueError):
     """The kernel cannot launch on this architecture at all."""
+
+
+#: InvalidLaunch reason of a launch whose grid size cannot be evaluated
+UNEVALUABLE_GRID = "cannot evaluate grid size for modeling"
 
 
 def use_scalar_model() -> bool:
@@ -253,11 +258,13 @@ class KernelModel:
         for extent in extents:
             self.threads_per_block *= max(1, extent)
         self.stats = kernel_statistics(self.threads)
+        memo = AccessMemo(self.threads)
         self.accesses = analyze_coalescing(
-            self.threads, arch.warp_size, arch.transaction_bytes)
+            self.threads, arch.warp_size, arch.transaction_bytes,
+            memo=memo)
         self.registers = estimate_registers(self.threads, arch)
         self.bank_conflicts = analyze_shared_conflicts(
-            self.threads, arch.shared_banks)
+            self.threads, arch.shared_banks, memo=memo)
         self.shared_per_block = shared_bytes_per_block(block_parallel)
         self.block_factor = _coarsen_totals(block_parallel)
         self.thread_factor = _coarsen_totals(self.threads)
@@ -639,24 +646,24 @@ def env_columns(envs: Sequence[Dict[Value, int]]):
 
 def block_counts(block_parallel: Operation,
                  envs: Sequence[Dict[Value, int]],
-                 cols=None) -> List[Optional[int]]:
+                 cols=None) -> np.ndarray:
     """:func:`block_count` over many launch environments at once.
 
-    One evaluation of the bound expressions over stacked int64 columns
-    replaces ``len(envs)`` recursive walks; any env set the vectorized
-    evaluator cannot express (ragged keys, env-dependent zero divisors)
-    falls back to per-env :func:`block_count`, so the result is always
-    elementwise-identical to the scalar path.
+    Returns one int64 per env, ``-1`` where :func:`block_count` returns
+    ``None`` (block counts are never negative). One evaluation of the
+    bound expressions over stacked int64 columns replaces ``len(envs)``
+    recursive walks; any env set the vectorized evaluator cannot express
+    (ragged keys, env-dependent zero divisors) falls back to per-env
+    :func:`block_count`, so the result is always elementwise-identical
+    to the scalar path.
 
     ``cols`` may carry :func:`env_columns`'s result for these same envs,
     letting repeat callers pay the stacking cost once.
     """
-    if len(envs) < 2:
-        return [block_count(block_parallel, env) for env in envs]
-    if cols is None:
+    if cols is None and len(envs) >= 2:
         cols = env_columns(envs)
-        if cols is None:
-            return [block_count(block_parallel, env) for env in envs]
+    if cols is None:
+        return _per_env_block_counts(block_parallel, envs)
     total = 1
     try:
         for lb, ub in zip(scf.parallel_lower_bounds(block_parallel),
@@ -664,13 +671,20 @@ def block_counts(block_parallel: Operation,
             lb_value = _eval_index_vec(lb, cols)
             ub_value = _eval_index_vec(ub, cols)
             if lb_value is None or ub_value is None:
-                return [None] * len(envs)
+                return np.full(len(envs), -1, dtype=np.int64)
             total = total * np.maximum(0, np.asarray(ub_value - lb_value,
                                                      dtype=np.int64))
     except _VecFallback:
-        return [block_count(block_parallel, env) for env in envs]
+        return _per_env_block_counts(block_parallel, envs)
     return np.broadcast_to(np.asarray(total, dtype=np.int64),
-                           (len(envs),)).tolist()
+                           (len(envs),))
+
+
+def _per_env_block_counts(block_parallel: Operation,
+                          envs: Sequence[Dict[Value, int]]) -> np.ndarray:
+    counts = [block_count(block_parallel, env) for env in envs]
+    return np.array([-1 if blocks is None else blocks for blocks in counts],
+                    dtype=np.int64)
 
 
 def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
@@ -694,8 +708,11 @@ def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
         for loop in block_parallels(wrapper):
             blocks = block_count(loop, env)
             if blocks is None:
-                raise InvalidLaunch("cannot evaluate grid size for "
-                                    "modeling")
+                raise InvalidLaunch(UNEVALUABLE_GRID)
+            if blocks <= 0:
+                # an empty launch (e.g. a coarsening epilogue with no
+                # remainder) costs nothing and needs no model
+                continue
             key = loop.stable_uid()
             if models is not None and key in models:
                 model = models[key]
@@ -704,13 +721,12 @@ def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
                 if models is not None:
                     models[key] = model
             timing = model.time_launch(blocks)
-            if blocks > 0:
-                total_time += timing.time_seconds
-                _merge_metrics(metrics, timing.metrics)
-                for name, value in timing.breakdown.items():
-                    breakdown[name] = breakdown.get(name, 0.0) + value
-                if occupancy is None:
-                    occupancy = timing.occupancy
+            total_time += timing.time_seconds
+            _merge_metrics(metrics, timing.metrics)
+            for name, value in timing.breakdown.items():
+                breakdown[name] = breakdown.get(name, 0.0) + value
+            if occupancy is None:
+                occupancy = timing.occupancy
         span.set(seconds=total_time)
     if occupancy is None:
         occupancy = Occupancy(0, 0, 0.0, "none")

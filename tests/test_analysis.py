@@ -143,6 +143,33 @@ class TestUniformity:
         assert is_uniform_in(loaded, [iv], loads_are_dependent=False)
 
 
+    def test_dependence_memo_matches_fresh_calls_through_cycles(
+            self, builder_ctx):
+        # a <-> b is an operand cycle (malformed IR, but the cycle guard
+        # exists for it): a fresh query of b meets a provisional False
+        # for a, so a cache shared naively would then answer a wrongly
+        from itertools import permutations
+
+        from repro.analysis import depends_on_values
+        from repro.analysis.uniformity import DependenceMemo
+        from repro.ir import Operation
+
+        _, f, _ = builder_ctx
+        tid, other = f.body_block().args
+        op_a = Operation("test.a", [other], [INDEX])
+        op_b = Operation("test.b", [op_a.result(), tid], [INDEX])
+        op_a.set_operand(0, op_b.result())
+        op_c = Operation("test.c", [op_a.result()], [INDEX])
+        op_d = Operation("test.d", [other], [INDEX])
+        values = [op.result() for op in (op_a, op_b, op_c, op_d)]
+        fresh = [depends_on_values(v, {tid}) for v in values]
+        assert fresh == [True, True, True, False]
+        for order in permutations(range(len(values))):
+            memo = DependenceMemo([tid])
+            for position in order + order:  # repeats hit the memo
+                assert memo(values[position]) == fresh[position], order
+
+
 class TestKernelStats:
     def test_flop_and_access_counting(self):
         source = """

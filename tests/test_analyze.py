@@ -127,6 +127,11 @@ class TestAnalyzeBenchmark:
         assert internal.speedup_vs_baseline == pytest.approx(
             internal.baseline_seconds / internal.modeled_seconds)
 
+    def test_modeled_baseline_has_no_note(self, lud_analysis):
+        for report in lud_analysis.kernels:
+            assert report.baseline_note is None
+            assert report.as_dict()["baseline_note"] is None
+
     def test_stages_and_spans_captured(self, lud_analysis):
         assert "tdo" in lud_analysis.stages
         assert lud_analysis.spans
@@ -518,3 +523,45 @@ class TestHistogramPercentiles:
         assert header == ["histogram", "count", "mean", "p50", "p90",
                           "max"]
         assert "stage.tdo" in table
+
+
+class TestBaselineFailure:
+    """Only an unlaunchable baseline is reported as missing; any other
+    error while modeling it is a bug and must surface."""
+
+    @staticmethod
+    def _fail_baseline(monkeypatch, error):
+        from repro.pipeline import Program
+
+        model_launch = Program.model_launch
+
+        def failing(self, *args, **kwargs):
+            timing = model_launch(self, *args, **kwargs)
+            if self.tier == "polygeist-noopt":
+                # as a real failure would: after the wrapper was built
+                raise error
+            return timing
+
+        monkeypatch.setattr(Program, "model_launch", failing)
+
+    def test_unlaunchable_baseline_gives_note(self, monkeypatch):
+        from repro.simulator.model import InvalidLaunch
+
+        reason = "kernel exceeds NVIDIA A100 resources (limited by shared)"
+        self._fail_baseline(monkeypatch, InvalidLaunch(reason))
+        analysis = analyze_benchmark(
+            "bfs", A100, configs=paper_sweep_configs(max_product=2))
+        assert analysis.kernels
+        for report in analysis.kernels:
+            assert report.baseline_seconds is None
+            assert report.speedup_vs_baseline is None
+            assert report.baseline_note == reason
+            assert report.as_dict()["baseline_note"] == reason
+            assert "baseline not modeled: %s" % reason in \
+                report.to_markdown()
+
+    def test_other_baseline_errors_propagate(self, monkeypatch):
+        self._fail_baseline(monkeypatch, RuntimeError("model bug"))
+        with pytest.raises(RuntimeError, match="model bug"):
+            analyze_benchmark("bfs", A100,
+                              configs=paper_sweep_configs(max_product=2))

@@ -91,6 +91,199 @@ def test_scalar_env_forces_reference_path(monkeypatch):
     assert not use_scalar_model()
 
 
+# -- first-failure behaviour of the batched scorer ----------------------------
+
+#: a 1-D kernel whose shared buffer decides launchability: block
+#: coarsening by f multiplies it by f in the main loop, while the epilogue
+#: loop (the ``n % f`` leftover blocks) keeps one copy
+_STAGE = r"""
+__global__ void stage(float *x, int n) {
+    __shared__ float buf[%d];
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    buf[threadIdx.x] = x[i];
+    __syncthreads();
+    x[i] = buf[63 - threadIdx.x];
+}
+"""
+#: fits at every block factor below
+_SMALL = 1024
+#: fits uncoarsened (32 KiB), exceeds A100's 48 KiB per block at f >= 2
+_BIG = 8192
+_BLOCK_CONFIGS = paper_sweep_configs((1, 2, 3), (1,))
+
+
+def _stage_alternatives(shared_floats):
+    """Block-coarsened alternatives of ``stage`` and its grid argument."""
+    from repro.dialects import polygeist
+    from repro.frontend import ModuleGenerator, parse_translation_unit
+    from repro.transforms.alternatives import plan_coarsening_alternatives
+
+    gen = ModuleGenerator(parse_translation_unit(_STAGE % shared_floats))
+    f = gen.module.func(gen.get_launch_wrapper("stage", 1, (64,)))
+    wrapper = polygeist.find_gpu_wrappers(f)[0]
+    planned = plan_coarsening_alternatives(wrapper, _BLOCK_CONFIGS)
+    alt = planned.materialize(range(len(planned.alternatives)))
+    return alt, f.body_block().args[0]
+
+
+def _scored_both_ways(monkeypatch, alt, envs):
+    """(scalar, batched) candidate tuples, and the loops each path built
+    a KernelModel for."""
+    import repro.simulator.batch as batch_mod
+    import repro.simulator.model as model_mod
+    from repro.autotune.tdo import score_alternatives
+
+    built = []
+
+    class RecordingModel(model_mod.KernelModel):
+        def __init__(self, loop, arch):
+            built.append(loop)
+            super().__init__(loop, arch)
+
+    monkeypatch.setattr(model_mod, "KernelModel", RecordingModel)
+    monkeypatch.setattr(batch_mod, "KernelModel", RecordingModel)
+    results = []
+    for scalar in ("1", "0"):
+        monkeypatch.setenv("REPRO_SCALAR_MODEL", scalar)
+        built.clear()
+        candidates = score_alternatives(alt, A100, envs)
+        results.append(([(c.index, c.desc, c.time_seconds, c.valid,
+                          c.reason) for c in candidates],
+                        {id(loop) for loop in built}))
+    return results
+
+
+def _loop_blocks(alt, arg, n):
+    from repro.simulator.model import block_count
+    from repro.transforms.coarsen import block_parallels_in_region
+    return [[block_count(loop, {arg: n})
+             for loop in block_parallels_in_region(region)]
+            for region in alt.regions]
+
+
+def test_epilogue_launching_no_blocks_anywhere(monkeypatch):
+    alt, arg = _stage_alternatives(_SMALL)
+    envs = [{arg: n} for n in (2, 4, 6, 8)]
+    # block=2: main loop launches, the epilogue launches 0 in every env
+    assert all(_loop_blocks(alt, arg, n)[1][1] == 0 for n in (2, 4, 6, 8))
+    (scalar, scalar_built), (batched, batched_built) = \
+        _scored_both_ways(monkeypatch, alt, envs)
+    assert scalar == batched
+    assert all(valid for _, _, _, valid, _ in batched)
+    # a loop that never launches needs no model on either path
+    assert scalar_built == batched_built
+    assert len(batched_built) == 4  # 1 + 1 + 2 main/epilogue loops
+
+
+def test_epilogue_launching_no_blocks_in_some_envs(monkeypatch):
+    alt, arg = _stage_alternatives(_SMALL)
+    envs = [{arg: n} for n in (2, 3, 4, 5, 7)]
+    assert [_loop_blocks(alt, arg, n)[1][1] for n in (2, 3, 4, 5, 7)] == \
+        [0, 1, 0, 1, 1]
+    (scalar, scalar_built), (batched, batched_built) = \
+        _scored_both_ways(monkeypatch, alt, envs)
+    assert scalar == batched
+    assert all(valid for _, _, _, valid, _ in batched)
+    assert scalar_built == batched_built
+
+
+def test_unevaluable_grid_after_a_launch(monkeypatch):
+    alt, arg = _stage_alternatives(_SMALL)
+    # the third env cannot size the grid: every alternative fails there,
+    # after launching in the first two
+    envs = [{arg: 4}, {arg: 5}, {}]
+    (scalar, scalar_built), (batched, batched_built) = \
+        _scored_both_ways(monkeypatch, alt, envs)
+    assert scalar == batched
+    assert [(valid, reason) for _, _, _, valid, reason in batched] == \
+        [(False, "grid size not evaluable")] * 3
+    assert scalar_built == batched_built
+
+
+def test_unlaunchable_loop_first_launching_after_unevaluable_grid(
+        monkeypatch):
+    alt, arg = _stage_alternatives(_BIG)
+    # n=1: only the epilogues launch; {}: no grid; n=6: the over-sized
+    # coarsened main loops launch — after the unevaluable grid
+    assert [blocks[0] for blocks in _loop_blocks(alt, arg, 1)[1:]] == [0, 0]
+    envs = [{arg: 1}, {}, {arg: 6}]
+    (scalar, scalar_built), (batched, batched_built) = \
+        _scored_both_ways(monkeypatch, alt, envs)
+    assert scalar == batched
+    assert [reason for _, _, _, _, reason in batched] == \
+        ["grid size not evaluable"] * 3
+    # the unlaunchable main loops were never modeled, the epilogues were
+    assert scalar_built == batched_built
+    assert len(batched_built) == 3
+
+    # the same launches in the other order fail on resources instead
+    envs = [{arg: 1}, {arg: 6}, {}]
+    (scalar, scalar_built), (batched, batched_built) = \
+        _scored_both_ways(monkeypatch, alt, envs)
+    assert scalar == batched
+    assert [reason for _, _, _, _, reason in batched] == \
+        ["grid size not evaluable"] + \
+        ["kernel exceeds NVIDIA A100 resources (limited by shared)"] * 2
+    assert scalar_built == batched_built
+
+
+def _stage_program(shared_floats, tier, configs=None):
+    from repro.engine import TuningCache
+    from repro.pipeline import Program
+
+    return Program(_STAGE % shared_floats, arch=A100, tier=tier,
+                   autotune_configs=configs,
+                   engine=TuningEngine(cache=TuningCache(None)))
+
+
+def _modeled_both_ways(shared_floats, tier, grids, configs=None):
+    """model_launch_seconds over ``grids`` and model_launch one by one,
+    each on a fresh program; an InvalidLaunch is returned as its reason."""
+    from repro.simulator.model import InvalidLaunch
+
+    def grouped():
+        program = _stage_program(shared_floats, tier, configs)
+        return program.model_launch_seconds("stage", (64,), grids)
+
+    def one_by_one():
+        program = _stage_program(shared_floats, tier, configs)
+        return [program.model_launch("stage", grid, (64,)).time_seconds
+                for grid in grids]
+
+    results = []
+    for run in (grouped, one_by_one):
+        try:
+            results.append(run())
+        except InvalidLaunch as error:
+            results.append(str(error))
+    return results
+
+
+@pytest.mark.parametrize("grids", [[(2,), (4,), (8,)],
+                                   [(2,), (3,), (4,), (7,)]],
+                         ids=["epilogue-never", "epilogue-sometimes"])
+def test_launch_group_matches_single_launches(grids):
+    # a block=2-only tuning keeps a main loop plus an epilogue
+    grouped, one_by_one = _modeled_both_ways(
+        _SMALL, "polygeist", grids,
+        configs=[{"block_total": 2, "thread_total": 1}])
+    assert isinstance(grouped, list)
+    assert grouped == one_by_one
+
+
+def test_launch_group_fails_where_single_launches_do():
+    # 72 KiB of shared memory cannot launch even uncoarsened, but a
+    # launch of 0 blocks costs nothing and needs no model
+    huge = 18432
+    grouped, one_by_one = _modeled_both_ways(huge, "polygeist-noopt",
+                                             [(0,), (0,)])
+    assert grouped == one_by_one == [0.0, 0.0]
+    grouped, one_by_one = _modeled_both_ways(huge, "polygeist-noopt",
+                                             [(0,), (3,), (0,)])
+    assert grouped == one_by_one == \
+        "kernel exceeds NVIDIA A100 resources (limited by shared)"
+
+
 # -- property test over random feature vectors --------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -425,7 +425,8 @@ class TestBlockCountsVectorized:
         envs = [dict(zip(args, [n] + [0] * (len(args) - 1)))
                 for n in (1, 7, 64, 1024, 4096)]
         expected = [block_count(loop, env) for env in envs]
-        assert block_counts(loop, envs) == expected
+        assert None not in expected
+        assert block_counts(loop, envs).tolist() == expected
 
     def test_block_counts_ragged_envs_fall_back(self):
         from repro.simulator.model import block_count, block_counts
@@ -437,4 +438,65 @@ class TestBlockCountsVectorized:
         envs = [dict(zip(args, [8] * len(args))),
                 {args[0]: 16}]  # ragged: missing keys
         expected = [block_count(loop, env) for env in envs]
-        assert block_counts(loop, envs) == expected
+        assert None not in expected
+        assert block_counts(loop, envs).tolist() == expected
+
+    def test_block_counts_marks_unevaluable_grids(self):
+        from repro.simulator.model import block_count, block_counts
+
+        module, name, wrapper = build(COALESCED, grid_rank=1)
+        loop = block_parallels(wrapper)[0]
+        for envs in ([{}], [{}, {}]):
+            assert [block_count(loop, env) for env in envs] == \
+                [None] * len(envs)
+            assert block_counts(loop, envs).tolist() == [-1] * len(envs)
+
+
+class TestAccessMemo:
+    def test_affine_memo_is_root_level_past_max_depth(self):
+        # affine_of truncates at _MAX_DEPTH: x100's walk reaches x50 at
+        # depth 50, so only root-level results may be reused
+        from repro.analysis import affine_of
+        from repro.analysis.affine import _MAX_DEPTH
+        from repro.dialects import arith
+        from repro.ir import Builder
+        from repro.simulator.coalescing import AccessMemo
+
+        module, name, wrapper = build(COALESCED)
+        threads = thread_parallel(block_parallels(wrapper)[0])
+        builder = Builder(threads.body_block())
+        one = arith.index_constant(builder, 1)
+        chain = [threads.body_block().arg(0)]
+        for _ in range(2 * _MAX_DEPTH):
+            chain.append(arith.addi(builder, chain[-1], one))
+        assert affine_of(chain[-1]) != affine_of(chain[-1 - _MAX_DEPTH])
+        memo = AccessMemo(threads)
+        for value in reversed(chain):
+            assert memo.affine(value) == affine_of(value)
+        for value in chain:
+            assert memo.affine(value) is memo.affine(value)
+
+    def test_shared_memo_matches_separate_analyses(self):
+        from repro.benchsuite import get_benchmark
+        from repro.pipeline import Program
+        from repro.simulator.coalescing import (AccessMemo,
+                                                analyze_shared_conflicts)
+
+        checked = 0
+        for name in ("lud", "hotspot", "nw"):
+            bench = get_benchmark(name)
+            program = Program(bench.source, arch=A100,
+                              tier="polygeist-noopt")
+            for kernel, grid, block in bench.iter_launches(
+                    bench.model_size):
+                program.model_launch(kernel, grid, block)
+            for wrapper in polygeist.find_gpu_wrappers(program.module.op):
+                for loop in block_parallels(wrapper):
+                    threads = thread_parallel(loop)
+                    memo = AccessMemo(threads)
+                    assert analyze_coalescing(threads, 32, memo=memo) == \
+                        analyze_coalescing(threads, 32)
+                    assert analyze_shared_conflicts(threads, memo=memo) \
+                        == analyze_shared_conflicts(threads)
+                    checked += 1
+        assert checked >= 3
