@@ -256,6 +256,11 @@ def cmd_validate(args) -> int:
         print("lint: clean (%d wrapper(s))" % len(lint_reports))
     print()
     print(report.summary())
+    if not report.verdicts:
+        # ok over no verdicts would be vacuous: nothing was validated
+        print("nothing validated: %s" %
+              (report.baseline_note or "no alternatives"), file=sys.stderr)
+        return 1
     errors = [f for f in findings if f.severity == "error"]
     if not report.ok or errors:
         divergence = report.first_divergence

@@ -1,18 +1,31 @@
 """The IR interpreter.
 
-Execution is generator-based: every region executor is a generator that
-yields at ``polygeist.barrier`` ops. A GPU thread loop creates one generator
-per thread and runs them round-robin in *waves* — all threads run until they
-hit the next barrier (or finish), the barrier's convergence is checked, and
-the wave repeats. This realizes exactly the CUDA synchronization semantics
-the paper's transformations must preserve, so transformed kernels can be
+Each block is compiled once per interpreter, on first execution. Every op
+becomes a closure with its operand and result values pre-bound, so running
+an op is one call. A compiled block is a list of *segments*: a
+straight-line run of regionless ops followed by one control-flow op or the
+block's terminator.
+
+Only regions from which a ``polygeist.barrier`` is reachable compile to
+generators that yield at the barrier; ``func.call`` and
+``gpu.launch_func`` count as reaching one, conservatively. Everything else
+(most loop bodies and branches, whole barrier-free kernels) runs as plain
+calls. A GPU thread loop whose body can reach a barrier creates one
+generator per thread and runs them round-robin in *waves*: all threads run
+until they hit the next barrier (or finish), the barrier's convergence is
+checked, and the wave repeats. A barrier-free thread loop runs each thread
+to completion in turn. Both realize the CUDA synchronization semantics the
+paper's transformations must preserve, so transformed kernels can be
 checked for bit-identical results against the original.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+import operator
+import weakref
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +34,8 @@ from ..dialects import func as func_d
 from ..dialects import gpu as gpu_d
 from ..dialects import polygeist as polygeist_d
 from ..dialects import scf as scf_d
-from ..ir import (Block, FloatType, IndexType, IntegerType, MemRefType,
-                  Module, Operation, Value)
+from ..ir import (Block, FloatType, IndexType, IntegerType, Module,
+                  Operation, Value)
 from .memory import MemoryBuffer, Tracer, dtype_for
 
 
@@ -59,16 +72,16 @@ def _unsigned_rem(a: int, b: int) -> int:
 
 
 _INT_BINOPS = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
+    "arith.addi": operator.add,
+    "arith.subi": operator.sub,
+    "arith.muli": operator.mul,
     "arith.divsi": _trunc_div,
     "arith.remsi": _trunc_rem,
-    "arith.andi": lambda a, b: a & b,
-    "arith.ori": lambda a, b: a | b,
-    "arith.xori": lambda a, b: a ^ b,
-    "arith.shli": lambda a, b: a << b,
-    "arith.shrsi": lambda a, b: a >> b,
+    "arith.andi": operator.and_,
+    "arith.ori": operator.or_,
+    "arith.xori": operator.xor,
+    "arith.shli": operator.lshift,
+    "arith.shrsi": operator.rshift,
     "arith.minsi": min,
     "arith.maxsi": max,
 }
@@ -80,28 +93,28 @@ _INT_BINOPS = {
 _UINT_BINOPS = {
     "arith.divui": _unsigned_div,
     "arith.remui": _unsigned_rem,
-    "arith.shrui": lambda a, b: a >> b,
+    "arith.shrui": operator.rshift,
     "arith.minui": min,
     "arith.maxui": max,
 }
 
 _FLOAT_BINOPS = {
-    "arith.addf": lambda a, b: a + b,
-    "arith.subf": lambda a, b: a - b,
-    "arith.mulf": lambda a, b: a * b,
-    "arith.divf": lambda a, b: a / b,
-    "arith.remf": lambda a, b: np.fmod(a, b),
-    "arith.minf": lambda a, b: min(a, b),
-    "arith.maxf": lambda a, b: max(a, b),
+    "arith.addf": operator.add,
+    "arith.subf": operator.sub,
+    "arith.mulf": operator.mul,
+    "arith.divf": operator.truediv,
+    "arith.remf": np.fmod,
+    "arith.minf": min,
+    "arith.maxf": max,
 }
 
 _CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
 
 _MATH_UNARY = {
@@ -128,15 +141,28 @@ _MATH_BINARY = {
     "math.fmod": np.fmod,
 }
 
+_ATOMIC = {
+    "addf": operator.add,
+    "addi": operator.add,
+    "maxf": max,
+    "maxi": max,
+    "minf": min,
+    "mini": min,
+    "exchange": lambda old, operand: operand,
+}
+
+_BUDGET_EXCEEDED = "interpreter step budget exceeded"
+
 
 class _ExecContext:
     """Current GPU position, threaded through the executors."""
 
     __slots__ = ("block", "thread")
 
-    def __init__(self):
-        self.block: Optional[int] = None
-        self.thread: Optional[int] = None
+    def __init__(self, block: Optional[int] = None,
+                 thread: Optional[int] = None):
+        self.block = block
+        self.thread = thread
 
 
 def _id_sample(ids: Sequence[int], limit: int = 4) -> str:
@@ -157,6 +183,37 @@ def _linearize(coords: Sequence[int], extents: Sequence[int]) -> int:
     return linear
 
 
+def _overrides(tracer: Tracer, hook: str) -> bool:
+    return getattr(type(tracer), hook) is not getattr(Tracer, hook)
+
+
+class _State:
+    """What compiled code reads and updates while it runs.
+
+    Compiled closures reference this, never the :class:`Interpreter` or
+    its compilers, so an interpreter and all it compiled hold no
+    reference cycle and are freed as soon as the interpreter is dropped.
+    """
+
+    __slots__ = ("module", "globals", "tracer", "selector", "reverse",
+                 "steps")
+
+    def __init__(self, module: Module):
+        self.module = module
+        self.globals: Dict[str, MemoryBuffer] = {}
+        self.tracer: Tracer = Tracer()
+        self.selector: Optional[Callable[[Operation], int]] = None
+        self.reverse = False
+        self.steps = 0
+
+    def global_buffer(self, name: str) -> MemoryBuffer:
+        if name not in self.globals:
+            decl = self.module.global_(name)
+            type_ = decl.attr("type")
+            self.globals[name] = MemoryBuffer.for_type(type_, name=name)
+        return self.globals[name]
+
+
 class Interpreter:
     """Executes functions of a module over numpy-backed buffers."""
 
@@ -166,23 +223,69 @@ class Interpreter:
                  max_steps: Optional[int] = None,
                  reverse_parallel: bool = False):
         self.module = module
-        self.tracer = tracer or Tracer()
-        self.alternative_selector = alternative_selector
-        self.globals: Dict[str, MemoryBuffer] = {}
+        self._state = _State(module)
+        self.globals = self._state.globals
         self.max_steps = max_steps
-        #: run block iterations and thread waves in reversed id order; a
-        #: race-free kernel is insensitive to this, so differing results
-        #: between the two orders expose an order dependence (data race)
+        self.alternative_selector = alternative_selector
         self.reverse_parallel = reverse_parallel
-        self._steps = 0
-        #: per-block execution plans (see :func:`_compile_block`); keyed by
-        #: block identity, so a caller that mutates IR this interpreter
-        #: already ran must call :meth:`forget_plans` before running again
-        self._plans: Dict[Block, list] = {}
+        #: one compiler per combination of memory hooks the tracer
+        #: overrides (see the ``tracer`` setter)
+        self._compilers: Dict[Tuple[bool, bool], _Compiler] = {}
+        self.tracer = tracer or Tracer()
+
+    @property
+    def tracer(self) -> Tracer:
+        return self._state.tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer) -> None:
+        # compiled loads and stores call on_load / on_store only when the
+        # tracer's type overrides them; the hooks are bound at compile
+        # time, so each combination keeps its own compiled blocks
+        self._state.tracer = tracer
+        hooks = (_overrides(tracer, "on_load"),
+                 _overrides(tracer, "on_store"))
+        compiler = self._compilers.get(hooks)
+        if compiler is None:
+            compiler = self._compilers[hooks] = _Compiler(
+                self._state, self.max_steps, *hooks)
+        self._compiler = compiler
+
+    @property
+    def alternative_selector(self) -> Optional[Callable[[Operation], int]]:
+        """Picks the region a ``polygeist.alternatives`` op runs (the
+        first one when None)."""
+        return self._state.selector
+
+    @alternative_selector.setter
+    def alternative_selector(self, selector) -> None:
+        self._state.selector = selector
+
+    @property
+    def reverse_parallel(self) -> bool:
+        """Run block iterations and thread waves in reversed id order; a
+        race-free kernel is insensitive to this, so differing results
+        between the two orders expose an order dependence (data race)."""
+        return self._state.reverse
+
+    @reverse_parallel.setter
+    def reverse_parallel(self, reverse: bool) -> None:
+        self._state.reverse = reverse
 
     def forget_plans(self) -> None:
-        """Drop the cached execution plans after the IR was rewritten."""
-        self._plans.clear()
+        """Drop the compiled blocks after the IR was rewritten.
+
+        Blocks are compiled once and keyed by identity, so a caller that
+        mutates IR this interpreter already ran (or changes ``max_steps``)
+        must call this before running again.
+        """
+        self._compilers.clear()
+        self.tracer = self.tracer
+
+    @property
+    def compiled_blocks(self) -> int:
+        """How many blocks this interpreter has compiled so far."""
+        return sum(c.compiled for c in self._compilers.values())
 
     # -- public entry points ---------------------------------------------------
 
@@ -194,8 +297,7 @@ class Interpreter:
             raise InterpreterError(
                 "%s expects %d arguments, got %d" %
                 (name, len(block.args), len(args)))
-        env: Dict[Value, object] = dict(zip(block.args, args))
-        return self._drain(self.exec_block(block, env, _ExecContext()))
+        return self.exec_block(block, dict(zip(block.args, args)))
 
     def run_block(self, block: Block, args: Sequence[object]
                   ) -> List[object]:
@@ -209,18 +311,27 @@ class Interpreter:
             raise InterpreterError(
                 "block expects %d arguments, got %d" %
                 (len(block.args), len(args)))
-        env: Dict[Value, object] = dict(zip(block.args, args))
-        return self._drain(self.exec_block(block, env, _ExecContext()))
+        return self.exec_block(block, dict(zip(block.args, args)))
 
     def global_buffer(self, name: str) -> MemoryBuffer:
         """The backing buffer of a ``memref.global`` (created on demand)."""
-        if name not in self.globals:
-            decl = self.module.global_(name)
-            type_ = decl.attr("type")
-            self.globals[name] = MemoryBuffer.for_type(type_, name=name)
-        return self.globals[name]
+        return self._state.global_buffer(name)
 
-    def _drain(self, gen) -> List[object]:
+    def exec_block(self, block: Block, env: Dict[Value, object],
+                   ctx: Optional[_ExecContext] = None) -> List[object]:
+        """Run ``block`` to completion in ``env``; returns the values of
+        its terminator's operands.
+
+        The block is compiled on its first execution and the compiled form
+        is reused for every later one, by this and by enclosing blocks. A
+        barrier reached outside every GPU thread loop is an error.
+        """
+        code = self._compiler.block(block)
+        if ctx is None:
+            ctx = _ExecContext()
+        if not code.is_gen:
+            return code.run(env, ctx)
+        gen = code.run(env, ctx)
         try:
             token = next(gen)
         except StopIteration as stop:
@@ -228,182 +339,437 @@ class Interpreter:
         raise InterpreterError(
             "barrier %r reached outside a GPU thread loop" % token)
 
-    # -- block / op execution ----------------------------------------------------
 
-    def exec_block(self, block: Block, env: Dict[Value, object],
-                   ctx: _ExecContext):
-        """Generator executing a block; returns terminator operand values.
+# -- the block compiler --------------------------------------------------------
 
-        Blocks are compiled once into a plan of maximal straight-line
-        *runs* of regionless ops (each pre-resolved to its handler) plus
-        individual control-flow entries. Thread loops and ``scf.for``
-        bodies re-execute the same block many times, so the plan pays the
-        name-dispatch cost once per block instead of once per dynamic op —
-        this is what keeps ``tune --validate`` from spending its time in
-        dictionary lookups per interpreted scalar.
-        """
-        plan = self._plans.get(block)
-        if plan is None:
-            plan = self._plans[block] = _compile_block(block)
-        budget = self.max_steps
-        for kind, op, payload in plan:
-            if kind == _KIND_RUN:
-                if budget is None:
-                    for handler, run_op in payload:
-                        handler(self, run_op, env, ctx)
-                    self._steps += len(payload)
-                else:
-                    # exact per-op accounting: the budget must trip before
-                    # the op past the limit executes, as in the slow path
-                    for handler, run_op in payload:
-                        self._steps += 1
-                        if self._steps > budget:
-                            raise InterpreterError(
-                                "interpreter step budget exceeded")
-                        handler(self, run_op, env, ctx)
+
+class _Code:
+    """One block, compiled on its first run.
+
+    ``run(env, ctx)`` returns the terminator's operand values; when
+    ``is_gen`` it is a generator function that yields at barriers and
+    returns them. Until the block first runs, ``run`` is a stub that
+    compiles it and puts the compiled runner in its place, so blocks that
+    never run (untaken branches, epilogues) are never compiled. Callers
+    therefore read ``code.run`` at each call rather than keeping it.
+    """
+
+    __slots__ = ("run", "is_gen", "_pending", "__weakref__")
+
+    def __init__(self, compiler: "_Compiler", block: Block):
+        self.is_gen = compiler.reaches_barrier(block)
+        # weak references keep compiled code free of reference cycles
+        self._pending = (weakref.ref(compiler), block)
+        code = weakref.ref(self)
+        if self.is_gen:
+            def stub(env, ctx):
+                return (yield from code().compiled()(env, ctx))
+        else:
+            def stub(env, ctx):
+                return code().compiled()(env, ctx)
+        self.run = stub
+
+    def compiled(self):
+        """The compiled runner, compiling the block on the first call (a
+        thread loop creates every thread's generator from the stub before
+        any of them runs)."""
+        if self._pending is not None:
+            compiler, block = self._pending
+            self._pending = None
+            self.run = compiler().compile(block, self.is_gen)
+        return self.run
+
+
+def _invoke(code: _Code, env, ctx):
+    """Run compiled code from inside a generator, whatever its kind."""
+    if code.is_gen:
+        return (yield from code.run(env, ctx))
+    return code.run(env, ctx)
+
+
+def _results_getter(values: Sequence[Value]):
+    """``env -> [values...]`` for a terminator's operands."""
+    if not values:
+        return lambda env: []
+    if len(values) == 1:
+        value, = values
+        return lambda env: [env[value]]
+    return lambda env: [env[v] for v in values]
+
+
+_TERMINATORS = (scf_d.YIELD, func_d.RETURN, scf_d.CONDITION)
+
+#: how a segment runs its control op: a plain call, ``yield from`` a
+#: generator, or (for ``polygeist.barrier``, whose op is the token) yield
+_PLAIN, _GEN, _BARRIER = "plain", "gen", "barrier"
+
+#: ops that can yield at a barrier whatever their regions hold; calls and
+#: launches count conservatively (their callee is only known at run time).
+#: A thread loop never yields: its wave scheduler absorbs every barrier
+_REACHES_BARRIER = (polygeist_d.BARRIER, func_d.CALL, gpu_d.LAUNCH_FUNC)
+
+
+class _Compiler:
+    """Compiles blocks for one interpreter and one tracer hook set.
+
+    ``budget`` is the interpreter's ``max_steps`` (unbounded when None).
+    Steps are counted per segment: a segment whose ops all fit in the
+    budget is charged at once, and only the segment that crosses the
+    limit runs op by op, so the budget trips before the first op past it
+    executes.
+    """
+
+    def __init__(self, state: _State, max_steps: Optional[int],
+                 trace_loads: bool, trace_stores: bool):
+        self.state = state
+        self.trace_loads = trace_loads
+        self.trace_stores = trace_stores
+        self.budget = math.inf if max_steps is None else max_steps
+        self.blocks: Dict[Block, _Code] = {}
+        #: how many blocks have been compiled (reached their first run)
+        self.compiled = 0
+        self._reaches: Dict[Block, bool] = {}
+
+    def block(self, block: Block) -> _Code:
+        code = self.blocks.get(block)
+        if code is None:
+            code = self.blocks[block] = _Code(self, block)
+        return code
+
+    # -- barrier reachability ----------------------------------------------
+
+    def reaches_barrier(self, block: Block) -> bool:
+        """Whether running ``block`` can yield at a barrier."""
+        known = self._reaches.get(block)
+        if known is None:
+            known = self._reaches[block] = any(
+                self.op_reaches_barrier(op) for op in block.ops)
+        return known
+
+    def op_reaches_barrier(self, op: Operation) -> bool:
+        name = op.name
+        if name in _REACHES_BARRIER:
+            return True
+        if name not in _CONTROL or (
+                name == scf_d.PARALLEL and
+                scf_d.parallel_kind(op) == scf_d.KIND_THREADS):
+            return False
+        return any(self.reaches_barrier(block)
+                   for region in op.regions for block in region.blocks)
+
+    # -- compilation -------------------------------------------------------
+
+    def compile(self, block: Block, is_gen: bool):
+        """The runner of ``block`` (see :class:`_Code`)."""
+        self.compiled += 1
+        segments = []
+        ops: list = []
+        terminator: Sequence[Value] = ()
+        ended = False
+        for op in block.ops:
+            factory = _SIMPLE.get(op.name)
+            if factory is not None:
+                ops.append(factory(self, op))
                 continue
-            self._steps += 1
-            if budget is not None and self._steps > budget:
-                raise InterpreterError("interpreter step budget exceeded")
-            if kind == _KIND_TERMINATOR:
-                return [env[v] for v in op.operands]
-            name = op.name
-            if name == scf_d.FOR:
-                yield from self._exec_for(op, env, ctx)
-            elif name == scf_d.IF:
-                yield from self._exec_if(op, env, ctx)
-            elif name == scf_d.WHILE:
-                yield from self._exec_while(op, env, ctx)
-            elif name == scf_d.PARALLEL:
-                yield from self._exec_parallel(op, env, ctx)
-            elif name == polygeist_d.GPU_WRAPPER:
-                yield from self.exec_block(op.body_block(), env, ctx)
-            elif name == polygeist_d.BARRIER:
-                self.tracer.on_barrier(ctx.block)
-                yield op
-            elif name == polygeist_d.ALTERNATIVES:
-                index = 0
-                if self.alternative_selector is not None:
-                    index = self.alternative_selector(op)
-                yield from self.exec_block(op.body_block(index), env, ctx)
-            elif name == func_d.CALL:
-                yield from self._exec_call(op, env, ctx)
-            elif name == gpu_d.LAUNCH_FUNC:
-                yield from self._exec_launch(op, env, ctx)
+            if op.name in _TERMINATORS:
+                terminator = tuple(op.operands)
+                ended = True
+                break
+            if op.name == polygeist_d.BARRIER:
+                run, kind = op, _BARRIER
+            elif op.name in _CONTROL:
+                kind = _GEN if self.op_reaches_barrier(op) else _PLAIN
+                run = _CONTROL[op.name](self, op, kind == _GEN)
             else:
-                raise InterpreterError("cannot interpret op %r" % name)
-        return []
+                run, kind = _c_unknown(op), _PLAIN
+            segments.append((len(ops) + 1, tuple(ops), run, kind))
+            ops = []
+        if ops or ended:
+            segments.append((len(ops) + ended, tuple(ops), None, _PLAIN))
+        results = _results_getter(terminator)
+        if is_gen:
+            return self._gen_runner(segments, results)
+        return self._plain_runner(segments, results)
 
-    # -- control flow ------------------------------------------------------------
+    def _plain_runner(self, segments, results):
+        budget = self.budget
+        state = self.state
+        if len(segments) == 1 and segments[0][2] is None:
+            count, ops = segments[0][:2]
 
-    def _exec_for(self, op: Operation, env: Dict[Value, object],
-                  ctx: _ExecContext):
-        lb = int(env[op.operand(0)])
-        ub = int(env[op.operand(1)])
-        step = int(env[op.operand(2)])
-        if step <= 0:
+            def run(env, ctx):
+                steps = state.steps + count
+                if steps > budget:
+                    _exceed(state, budget, ops, env, ctx)
+                state.steps = steps
+                for op in ops:
+                    op(env, ctx)
+                return results(env)
+            return run
+        triples = tuple((count, ops, ctrl)
+                        for count, ops, ctrl, _ in segments)
+
+        def run(env, ctx):
+            for count, ops, ctrl in triples:
+                steps = state.steps + count
+                if steps > budget:
+                    _exceed(state, budget, ops, env, ctx)
+                state.steps = steps
+                for op in ops:
+                    op(env, ctx)
+                if ctrl is not None:
+                    ctrl(env, ctx)
+            return results(env)
+        return run
+
+    def _gen_runner(self, segments, results):
+        budget = self.budget
+        state = self.state
+        segments = tuple(segments)
+
+        def run(env, ctx):
+            for count, ops, ctrl, kind in segments:
+                steps = state.steps + count
+                if steps > budget:
+                    _exceed(state, budget, ops, env, ctx)
+                state.steps = steps
+                for op in ops:
+                    op(env, ctx)
+                if kind is _BARRIER:
+                    state.tracer.on_barrier(ctx.block)
+                    yield ctrl
+                elif kind is _GEN:
+                    yield from ctrl(env, ctx)
+                elif ctrl is not None:
+                    ctrl(env, ctx)
+            return results(env)
+        return run
+
+
+def _exceed(state: _State, budget: int, ops: Sequence, env, ctx):
+    """Run the segment that crosses the budget up to the limit."""
+    for run in ops[:budget - state.steps]:
+        run(env, ctx)
+    state.steps = budget + 1
+    raise InterpreterError(_BUDGET_EXCEEDED)
+
+
+# -- control flow --------------------------------------------------------------
+#
+# Each factory takes (compiler, op, is_gen) and returns the op's closure:
+# a plain function, or a generator function when a barrier is reachable
+# from the op's regions.
+
+
+def _c_unknown(op: Operation):
+    name = op.name
+
+    def unknown(env, ctx):
+        raise InterpreterError("cannot interpret op %r" % name)
+    return unknown
+
+
+def _assign(env, values: Sequence[Value], new: Sequence[object]) -> None:
+    for value, item in zip(values, new):
+        env[value] = item
+
+
+def _c_for(c: _Compiler, op: Operation, is_gen: bool):
+    lb, ub, step = op.operands[:3]
+    inits = tuple(op.operands[3:])
+    block = op.body_block()
+    iv = block.args[0]
+    iter_args = tuple(block.args[1:])
+    results = tuple(op.results)
+    body = c.block(block)
+
+    def bounds(env):
+        lower, upper, stride = int(env[lb]), int(env[ub]), int(env[step])
+        if stride <= 0:
             raise InterpreterError("scf.for needs a positive step")
-        iters = [env[v] for v in op.operands[3:]]
-        block = op.body_block()
-        for i in range(lb, ub, step):
-            env[block.arg(0)] = i
-            for arg, value in zip(block.args[1:], iters):
-                env[arg] = value
-            iters = yield from self.exec_block(block, env, ctx)
-        for result, value in zip(op.results, iters):
-            env[result] = value
+        return range(lower, upper, stride)
 
-    def _exec_if(self, op: Operation, env: Dict[Value, object],
-                 ctx: _ExecContext):
-        cond = bool(env[op.operand(0)])
-        block = op.body_block(0) if cond else op.body_block(1)
-        values = yield from self.exec_block(block, env, ctx)
-        for result, value in zip(op.results, values):
-            env[result] = value
+    if is_gen:
+        # the body is what reaches the barrier, so it is a generator too
+        def run_for(env, ctx):
+            space = bounds(env)
+            iters = [env[v] for v in inits]
+            for i in space:
+                env[iv] = i
+                _assign(env, iter_args, iters)
+                iters = yield from body.run(env, ctx)
+            _assign(env, results, iters)
+        return run_for
+    if not inits:
+        def run_for(env, ctx):
+            for i in bounds(env):
+                env[iv] = i
+                body.run(env, ctx)
+        return run_for
 
-    def _exec_while(self, op: Operation, env: Dict[Value, object],
-                    ctx: _ExecContext):
-        inits = [env[v] for v in op.operands]
-        before, after = op.body_block(0), op.body_block(1)
+    def run_for(env, ctx):
+        space = bounds(env)
+        iters = [env[v] for v in inits]
+        for i in space:
+            env[iv] = i
+            _assign(env, iter_args, iters)
+            iters = body.run(env, ctx)
+        _assign(env, results, iters)
+    return run_for
+
+
+def _c_if(c: _Compiler, op: Operation, is_gen: bool):
+    cond = op.operand(0)
+    then, other = c.block(op.body_block(0)), c.block(op.body_block(1))
+    results = tuple(op.results)
+    if is_gen:
+        def run_if(env, ctx):
+            values = yield from _invoke(then if env[cond] else other,
+                                        env, ctx)
+            _assign(env, results, values)
+        return run_if
+    if not results:
+        def run_if(env, ctx):
+            if env[cond]:
+                then.run(env, ctx)
+            else:
+                other.run(env, ctx)
+        return run_if
+
+    def run_if(env, ctx):
+        _assign(env, results, (then if env[cond] else other).run(env, ctx))
+    return run_if
+
+
+def _c_while(c: _Compiler, op: Operation, is_gen: bool):
+    inits = tuple(op.operands)
+    before_block, after_block = op.body_block(0), op.body_block(1)
+    before, after = c.block(before_block), c.block(after_block)
+    before_args, after_args = tuple(before_block.args), \
+        tuple(after_block.args)
+    results = tuple(op.results)
+    if is_gen:
+        def run_while(env, ctx):
+            values = [env[v] for v in inits]
+            while True:
+                _assign(env, before_args, values)
+                cond_values = yield from _invoke(before, env, ctx)
+                if not cond_values[0]:
+                    _assign(env, results, cond_values[1:])
+                    return
+                _assign(env, after_args, cond_values[1:])
+                values = yield from _invoke(after, env, ctx)
+        return run_while
+
+    def run_while(env, ctx):
+        values = [env[v] for v in inits]
         while True:
-            for arg, value in zip(before.args, inits):
-                env[arg] = value
-            cond_values = yield from self.exec_block(before, env, ctx)
-            cond, forwarded = cond_values[0], cond_values[1:]
-            if not cond:
-                for result, value in zip(op.results, forwarded):
-                    env[result] = value
+            _assign(env, before_args, values)
+            cond_values = before.run(env, ctx)
+            if not cond_values[0]:
+                _assign(env, results, cond_values[1:])
                 return
-            for arg, value in zip(after.args, forwarded):
-                env[arg] = value
-            inits = yield from self.exec_block(after, env, ctx)
+            _assign(env, after_args, cond_values[1:])
+            values = after.run(env, ctx)
+    return run_while
 
-    # -- parallel execution ----------------------------------------------------
 
-    def _parallel_space(self, op: Operation, env: Dict[Value, object]):
-        n = scf_d.parallel_num_dims(op)
-        lbs = [int(env[v]) for v in scf_d.parallel_lower_bounds(op)]
-        ubs = [int(env[v]) for v in scf_d.parallel_upper_bounds(op)]
-        steps = [int(env[v]) for v in scf_d.parallel_steps(op)]
+def _parallel_space(state: _State, op: Operation):
+    """``env -> [(coords, linear id), ...]`` for an ``scf.parallel``,
+    in execution order; cached per distinct bounds."""
+    n = scf_d.parallel_num_dims(op)
+    bounds = tuple(scf_d.parallel_lower_bounds(op) +
+                   scf_d.parallel_upper_bounds(op) +
+                   scf_d.parallel_steps(op))
+    cache: Dict[tuple, list] = {}
+
+    def space(env):
+        key = (state.reverse,) + tuple(
+            [int(env[v]) for v in bounds])
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        lbs, ubs, steps = key[1:n + 1], key[n + 1:2 * n + 1], key[2 * n + 1:]
         ranges = [range(lbs[d], ubs[d], steps[d]) for d in range(n)]
         extents = [len(r) for r in ranges]
         # dimension 0 is x (fastest varying): make it innermost in product
-        positions = [tuple(reversed(p)) for p in
-                     itertools.product(*[range(e) for e in reversed(extents)])]
-        coords = [tuple(ranges[d][p[d]] for d in range(n))
-                  for p in positions]
-        space = list(zip(coords, positions))
-        if self.reverse_parallel:
-            space.reverse()
-        return space, extents
+        positions = [tuple(reversed(p)) for p in itertools.product(
+            *[range(e) for e in reversed(extents)])]
+        hit = [(tuple(ranges[d][p[d]] for d in range(n)),
+                _linearize(p, extents)) for p in positions]
+        if state.reverse:
+            hit.reverse()
+        cache[key] = hit
+        return hit
+    return space
 
-    def _exec_parallel(self, op: Operation, env: Dict[Value, object],
-                       ctx: _ExecContext):
-        kind = scf_d.parallel_kind(op)
-        if kind == scf_d.KIND_THREADS:
-            yield from ()  # make this a generator even on the no-yield path
-            self._exec_threads(op, env, ctx)
-        else:
-            yield from self._exec_sequential_parallel(op, env, ctx, kind)
 
-    def _exec_sequential_parallel(self, op: Operation,
-                                  env: Dict[Value, object],
-                                  ctx: _ExecContext, kind: Optional[str]):
-        space, extents = self._parallel_space(op, env)
-        block = op.body_block()
-        is_blocks = kind == scf_d.KIND_BLOCKS
-        if is_blocks:
-            self.tracer.on_kernel_block_loop(op, len(space))
-        for coord, position in space:
-            iter_env = dict(env)
-            for arg, value in zip(block.args, coord):
-                iter_env[arg] = value
+def _c_parallel(c: _Compiler, op: Operation, is_gen: bool):
+    if scf_d.parallel_kind(op) == scf_d.KIND_THREADS:
+        return _c_threads(c, op)
+    state = c.state
+    is_blocks = scf_d.parallel_kind(op) == scf_d.KIND_BLOCKS
+    block = op.body_block()
+    args = tuple(block.args)
+    body = c.block(block)
+    space_of = _parallel_space(state, op)
+    # iterations run one after another, so they share the enclosing env:
+    # SSA values defined in the body are rebound by each iteration before
+    # use and never read after the loop
+    if is_gen:
+        def run_parallel(env, ctx):
+            space = space_of(env)
             if is_blocks:
-                saved = ctx.block
-                ctx.block = _linearize(position, extents)
-                yield from self.exec_block(block, iter_env, ctx)
+                state.tracer.on_kernel_block_loop(op, len(space))
+            for coord, linear in space:
+                _assign(env, args, coord)
+                if is_blocks:
+                    saved, ctx.block = ctx.block, linear
+                    yield from body.run(env, ctx)
+                    ctx.block = saved
+                else:
+                    yield from body.run(env, ctx)
+        return run_parallel
+
+    def run_parallel(env, ctx):
+        space = space_of(env)
+        if is_blocks:
+            state.tracer.on_kernel_block_loop(op, len(space))
+        for coord, linear in space:
+            _assign(env, args, coord)
+            if is_blocks:
+                saved, ctx.block = ctx.block, linear
+                body.run(env, ctx)
                 ctx.block = saved
             else:
-                yield from self.exec_block(block, iter_env, ctx)
+                body.run(env, ctx)
+    return run_parallel
 
-    def _exec_threads(self, op: Operation, env: Dict[Value, object],
-                      ctx: _ExecContext) -> None:
-        """Run all thread iterations concurrently with barrier waves."""
-        space, extents = self._parallel_space(op, env)
-        block = op.body_block()
 
-        def thread_gen(coord, linear):
+def _c_threads(c: _Compiler, op: Operation):
+    """All thread iterations of a GPU thread loop, with barrier waves."""
+    block = op.body_block()
+    args = tuple(block.args)
+    body = c.block(block)
+    space_of = _parallel_space(c.state, op)
+    if not body.is_gen:
+        # no barrier: each thread runs to completion in turn, sharing env
+        # like a sequential loop
+        def run_threads(env, ctx):
+            thread_ctx = _ExecContext(ctx.block)
+            for coord, linear in space_of(env):
+                _assign(env, args, coord)
+                thread_ctx.thread = linear
+                body.run(env, thread_ctx)
+        return run_threads
+
+    def run_threads(env, ctx):
+        active = []
+        for coord, linear in space_of(env):
             thread_env = dict(env)
-            for arg, value in zip(block.args, coord):
-                thread_env[arg] = value
-            thread_ctx = _ExecContext()
-            thread_ctx.block = ctx.block
-            thread_ctx.thread = linear
-            return self.exec_block(block, thread_env, thread_ctx)
-
-        active = [(linear, thread_gen(coord, linear))
-                  for coord, position in space
-                  for linear in (_linearize(position, extents),)]
+            _assign(thread_env, args, coord)
+            active.append((linear, body.run(
+                thread_env, _ExecContext(ctx.block, linear))))
         while active:
             suspended = []
             barriers = []
@@ -430,245 +796,385 @@ class Interpreter:
                             "thread %d reached a different barrier than "
                             "thread %d" % (linear, suspended[0][0]))
             active = suspended
+    return run_threads
 
-    # -- calls and launches --------------------------------------------------------
 
-    def _exec_call(self, op: Operation, env: Dict[Value, object],
-                   ctx: _ExecContext):
-        callee = self.module.func(op.attr("callee"))
-        block = callee.body_block()
-        call_env: Dict[Value, object] = dict(
-            zip(block.args, (env[v] for v in op.operands)))
-        results = yield from self.exec_block(block, call_env, ctx)
-        for result, value in zip(op.results, results):
-            env[result] = value
+def _c_wrapper(c: _Compiler, op: Operation, is_gen: bool):
+    body = c.block(op.body_block())
+    # a generator when the body is one, which is exactly when is_gen
+    return lambda env, ctx: body.run(env, ctx)
 
-    def _exec_launch(self, op: Operation, env: Dict[Value, object],
-                     ctx: _ExecContext):
-        """Execute an outlined kernel referenced by gpu.launch_func."""
-        kernel_name = op.attr(gpu_d.KERNEL_ATTR)
-        kernel = self.module.func(kernel_name)
+
+def _c_alternatives(c: _Compiler, op: Operation, is_gen: bool):
+    # a run selects one region; the others are never even looked up
+    state, compiler = c.state, weakref.ref(c)
+
+    def selected():
+        selector = state.selector
+        index = selector(op) if selector is not None else 0
+        return compiler().block(op.body_block(index))
+
+    if is_gen:
+        def run_alternatives(env, ctx):
+            yield from _invoke(selected(), env, ctx)
+        return run_alternatives
+
+    def run_alternatives(env, ctx):
+        selected().run(env, ctx)
+    return run_alternatives
+
+
+def _c_call(c: _Compiler, op: Operation, is_gen: bool):
+    state, compiler = c.state, weakref.ref(c)
+    operands = tuple(op.operands)
+    results = tuple(op.results)
+
+    def call(env, ctx):
+        block = state.module.func(op.attr("callee")).body_block()
+        call_env = dict(zip(block.args, [env[v] for v in operands]))
+        values = yield from _invoke(compiler().block(block), call_env, ctx)
+        _assign(env, results, values)
+    return call
+
+
+def _c_launch(c: _Compiler, op: Operation, is_gen: bool):
+    """An outlined kernel referenced by gpu.launch_func."""
+    state, compiler = c.state, weakref.ref(c)
+    operands = tuple(op.operands)
+
+    def launch(env, ctx):
+        kernel = state.module.func(op.attr(gpu_d.KERNEL_ATTR))
         block = kernel.body_block()
-        values = [env[v] for v in op.operands]
-        call_env: Dict[Value, object] = dict(zip(block.args, values))
-        yield from self.exec_block(block, call_env, ctx)
+        call_env = dict(zip(block.args, [env[v] for v in operands]))
+        yield from _invoke(compiler().block(block), call_env, ctx)
+    return launch
 
 
-# -- simple (regionless) op handlers ------------------------------------------------
+_CONTROL = {
+    scf_d.FOR: _c_for,
+    scf_d.IF: _c_if,
+    scf_d.WHILE: _c_while,
+    scf_d.PARALLEL: _c_parallel,
+    polygeist_d.GPU_WRAPPER: _c_wrapper,
+    polygeist_d.ALTERNATIVES: _c_alternatives,
+    func_d.CALL: _c_call,
+    gpu_d.LAUNCH_FUNC: _c_launch,
+}
+
+
+# -- regionless ops ------------------------------------------------------------
+#
+# Each factory takes (compiler, op) and returns ``run(env, ctx)``.
+
+
+def _coercer(type_):
+    """The conversion a value of IR type ``type_`` gets, or None."""
+    if isinstance(type_, FloatType):
+        return dtype_for(type_)
+    if isinstance(type_, IntegerType) and type_.width == 1:
+        return bool
+    if isinstance(type_, (IntegerType, IndexType)):
+        return int
+    return None
 
 
 def _coerce(value, type_):
-    if isinstance(type_, FloatType):
-        return dtype_for(type_)(value)
-    if isinstance(type_, IntegerType) and type_.width == 1:
-        return bool(value)
-    if isinstance(type_, (IntegerType, IndexType)):
-        return int(value)
-    return value
+    coerce = _coercer(type_)
+    return value if coerce is None else coerce(value)
 
 
-def _h_constant(interp, op, env, ctx):
-    env[op.result()] = _coerce(op.attr("value"), op.result().type)
+def _c_constant(c, op):
+    result = op.result()
+    value = _coerce(op.attr("value"), result.type)
+
+    def constant(env, ctx):
+        env[result] = value
+    return constant
 
 
-def _h_int_binary(fn):
-    def handler(interp, op, env, ctx):
-        env[op.result()] = fn(int(env[op.operand(0)]),
-                              int(env[op.operand(1)]))
-    return handler
+def _c_int_binary(fn):
+    def factory(c, op):
+        a, b, result = op.operand(0), op.operand(1), op.result()
+
+        def int_binary(env, ctx):
+            env[result] = fn(int(env[a]), int(env[b]))
+        return int_binary
+    return factory
 
 
 def _type_width(type_) -> int:
     return type_.width if isinstance(type_, IntegerType) else 64
 
 
-def _h_uint_binary(fn):
-    def handler(interp, op, env, ctx):
-        width = _type_width(op.operand(0).type)
+def _c_uint_binary(fn):
+    def factory(c, op):
+        a, b, result = op.operand(0), op.operand(1), op.result()
+        width = _type_width(a.type)
         mask = (1 << width) - 1
-        result = fn(int(env[op.operand(0)]) & mask,
-                    int(env[op.operand(1)]) & mask) & mask
-        # signless ints carry a bit pattern: wrap back to the signed
-        # representation so stores and signed consumers see the same bits
-        if result >= 1 << (width - 1):
-            result -= 1 << width
-        env[op.result()] = result
-    return handler
+        sign = 1 << (width - 1)
+
+        def uint_binary(env, ctx):
+            value = fn(int(env[a]) & mask, int(env[b]) & mask) & mask
+            # signless ints carry a bit pattern: wrap back to the signed
+            # representation so stores and signed consumers see the same
+            # bits
+            if value >= sign:
+                value -= 1 << width
+            env[result] = value
+        return uint_binary
+    return factory
 
 
-def _h_float_binary(fn):
-    def handler(interp, op, env, ctx):
-        env[op.result()] = fn(env[op.operand(0)], env[op.operand(1)])
-    return handler
+def _c_float_binary(fn):
+    def factory(c, op):
+        a, b, result = op.operand(0), op.operand(1), op.result()
+
+        def float_binary(env, ctx):
+            env[result] = fn(env[a], env[b])
+        return float_binary
+    return factory
 
 
-def _h_cmpi(interp, op, env, ctx):
+def _c_cmpi(c, op):
+    fn = _CMP[op.attr("predicate")]  # the verifier admits only these
+    a, b, result = op.operand(0), op.operand(1), op.result()
+
+    def cmpi(env, ctx):
+        # comparing Python ints already gives a bool
+        env[result] = fn(int(env[a]), int(env[b]))
+    return cmpi
+
+
+def _c_cmpf(c, op):
     fn = _CMP[op.attr("predicate")]
-    env[op.result()] = bool(fn(int(env[op.operand(0)]),
-                               int(env[op.operand(1)])))
+    a, b, result = op.operand(0), op.operand(1), op.result()
+
+    def cmpf(env, ctx):
+        env[result] = bool(fn(env[a], env[b]))
+    return cmpf
 
 
-def _h_cmpf(interp, op, env, ctx):
-    fn = _CMP[op.attr("predicate")]
-    env[op.result()] = bool(fn(env[op.operand(0)], env[op.operand(1)]))
+def _c_select(c, op):
+    cond, yes, no = op.operands[:3]
+    result = op.result()
+
+    def select(env, ctx):
+        env[result] = env[yes] if env[cond] else env[no]
+    return select
 
 
-def _h_select(interp, op, env, ctx):
-    env[op.result()] = env[op.operand(1)] if env[op.operand(0)] \
-        else env[op.operand(2)]
+def _c_negf(c, op):
+    a, result = op.operand(0), op.result()
+
+    def negf(env, ctx):
+        env[result] = -env[a]
+    return negf
 
 
-def _h_negf(interp, op, env, ctx):
-    env[op.result()] = -env[op.operand(0)]
+def _c_cast(c, op):
+    a, result = op.operand(0), op.result()
+    coerce = _coercer(result.type)
+    if coerce is None:
+        def cast(env, ctx):
+            env[result] = env[a]
+        return cast
+
+    def cast(env, ctx):
+        env[result] = coerce(env[a])
+    return cast
 
 
-def _h_cast(interp, op, env, ctx):
-    env[op.result()] = _coerce(env[op.operand(0)], op.result().type)
-
-
-def _h_math_unary(fn):
-    def handler(interp, op, env, ctx):
-        value = env[op.operand(0)]
-        result = fn(value)
+def _c_math_unary(fn):
+    def factory(c, op):
+        a, result = op.operand(0), op.result()
         # numpy keeps the dtype for float32 scalars; be defensive anyway
-        env[op.result()] = _coerce(result, op.result().type)
-    return handler
+        coerce = _coercer(result.type) or (lambda value: value)
+
+        def math_unary(env, ctx):
+            env[result] = coerce(fn(env[a]))
+        return math_unary
+    return factory
 
 
-def _h_math_binary(fn):
-    def handler(interp, op, env, ctx):
-        result = fn(env[op.operand(0)], env[op.operand(1)])
-        env[op.result()] = _coerce(result, op.result().type)
-    return handler
+def _c_math_binary(fn):
+    def factory(c, op):
+        a, b, result = op.operand(0), op.operand(1), op.result()
+        coerce = _coercer(result.type) or (lambda value: value)
+
+        def math_binary(env, ctx):
+            env[result] = coerce(fn(env[a], env[b]))
+        return math_binary
+    return factory
 
 
-def _h_alloc(interp, op, env, ctx):
-    type_ = op.result().type
-    sizes = [int(env[v]) for v in op.operands]
-    env[op.result()] = MemoryBuffer.for_type(
-        type_, sizes, name=op.result().name_hint)
+def _c_alloc(c, op):
+    result = op.result()
+    type_, name = result.type, result.name_hint
+    sizes = tuple(op.operands)
+
+    def alloc(env, ctx):
+        env[result] = MemoryBuffer.for_type(
+            type_, [int(env[v]) for v in sizes], name=name)
+    return alloc
 
 
-def _h_dealloc(interp, op, env, ctx):
-    pass
+def _c_dealloc(c, op):
+    def dealloc(env, ctx):
+        pass
+    return dealloc
 
 
-def _h_load(interp, op, env, ctx):
-    buffer = env[op.operand(0)]
-    indices = [int(env[v]) for v in op.operands[1:]]
-    value = buffer.load(indices)
-    interp.tracer.on_load(buffer, buffer.linear_index(indices),
-                          buffer.element_bytes, ctx.block, ctx.thread,
-                          op=op)
-    env[op.result()] = value
+def _indexer(indices: Sequence[Value]):
+    """``(env, buffer) -> linear index`` of one access, computed once.
 
+    Ranks 1 and 2 check the bounds inline; anything unusual (another
+    rank, an out-of-bounds index) goes through
+    :meth:`MemoryBuffer.linear_index`, which raises the usual IndexError.
+    """
+    if len(indices) == 1:
+        i, = indices
 
-def _h_store(interp, op, env, ctx):
-    buffer = env[op.operand(1)]
-    indices = [int(env[v]) for v in op.operands[2:]]
-    buffer.store(indices, env[op.operand(0)])
-    interp.tracer.on_store(buffer, buffer.linear_index(indices),
-                           buffer.element_bytes, ctx.block, ctx.thread,
-                           op=op)
+        def linear(env, buffer):
+            x = int(env[i])
+            shape = buffer.shape
+            if len(shape) == 1 and 0 <= x < shape[0]:
+                return x
+            return buffer.linear_index([x])
+    elif len(indices) == 2:
+        i, j = indices
 
-
-def _h_atomic(interp, op, env, ctx):
-    buffer = env[op.operand(1)]
-    indices = [int(env[v]) for v in op.operands[2:]]
-    old = buffer.load(indices)
-    operand = env[op.operand(0)]
-    kind = op.attr("kind")
-    if kind in ("addf", "addi"):
-        new = old + operand
-    elif kind in ("maxf", "maxi"):
-        new = max(old, operand)
-    elif kind in ("minf", "mini"):
-        new = min(old, operand)
-    elif kind == "exchange":
-        new = operand
+        def linear(env, buffer):
+            x, y = int(env[i]), int(env[j])
+            shape = buffer.shape
+            if len(shape) == 2 and 0 <= x < shape[0] and 0 <= y < shape[1]:
+                return x * shape[1] + y
+            return buffer.linear_index([x, y])
     else:
-        raise InterpreterError("unknown atomic kind %r" % kind)
-    buffer.store(indices, new)
-    linear = buffer.linear_index(indices)
-    interp.tracer.on_load(buffer, linear, buffer.element_bytes,
-                          ctx.block, ctx.thread, op=op)
-    interp.tracer.on_store(buffer, linear, buffer.element_bytes,
-                           ctx.block, ctx.thread, op=op)
-    env[op.result()] = old
+        def linear(env, buffer):
+            return buffer.linear_index([int(env[v]) for v in indices])
+    return linear
 
 
-def _h_dim(interp, op, env, ctx):
-    buffer = env[op.operand(0)]
-    env[op.result()] = buffer.shape[int(env[op.operand(1)])]
+def _write(buffer: MemoryBuffer, linear: int, value) -> None:
+    try:
+        buffer.flat_view[linear] = value
+    except Exception:
+        # a value the dtype cannot hold: raise what MemoryBuffer.store
+        # raises (numpy words it differently for the flat iterator)
+        buffer.array.flat[linear] = value
+        raise
 
 
-def _h_get_global(interp, op, env, ctx):
-    env[op.result()] = interp.global_buffer(op.attr("name"))
+def _c_load(c, op):
+    ref, result = op.operand(0), op.result()
+    linear_of = _indexer(op.operands[1:])
+    if not c.trace_loads:
+        def load(env, ctx):
+            buffer = env[ref]
+            env[result] = buffer.flat_view[linear_of(env, buffer)]
+        return load
+    state = c.state
+
+    def traced_load(env, ctx):
+        buffer = env[ref]
+        linear = linear_of(env, buffer)
+        value = buffer.flat_view[linear]
+        state.tracer.on_load(buffer, linear, buffer.element_bytes,
+                             ctx.block, ctx.thread, op=op)
+        env[result] = value
+    return traced_load
+
+
+def _c_store(c, op):
+    stored, ref = op.operand(0), op.operand(1)
+    linear_of = _indexer(op.operands[2:])
+    if not c.trace_stores:
+        def store(env, ctx):
+            buffer = env[ref]
+            _write(buffer, linear_of(env, buffer), env[stored])
+        return store
+    state = c.state
+
+    def traced_store(env, ctx):
+        buffer = env[ref]
+        linear = linear_of(env, buffer)
+        _write(buffer, linear, env[stored])
+        state.tracer.on_store(buffer, linear, buffer.element_bytes,
+                              ctx.block, ctx.thread, op=op)
+    return traced_store
+
+
+def _c_atomic(c, op):
+    operand, ref, result = op.operand(0), op.operand(1), op.result()
+    linear_of = _indexer(op.operands[2:])
+    kind = op.attr("kind")
+    combine = _ATOMIC.get(kind)
+    state = c.state
+    trace_loads, trace_stores = c.trace_loads, c.trace_stores
+
+    def atomic(env, ctx):
+        buffer = env[ref]
+        linear = linear_of(env, buffer)
+        old = buffer.flat_view[linear]
+        value = env[operand]
+        if combine is None:
+            raise InterpreterError("unknown atomic kind %r" % kind)
+        _write(buffer, linear, combine(old, value))
+        if trace_loads:
+            state.tracer.on_load(buffer, linear, buffer.element_bytes,
+                                 ctx.block, ctx.thread, op=op)
+        if trace_stores:
+            state.tracer.on_store(buffer, linear, buffer.element_bytes,
+                                  ctx.block, ctx.thread, op=op)
+        env[result] = old
+    return atomic
+
+
+def _c_dim(c, op):
+    ref, index, result = op.operand(0), op.operand(1), op.result()
+
+    def dim(env, ctx):
+        env[result] = env[ref].shape[int(env[index])]
+    return dim
+
+
+def _c_get_global(c, op):
+    state = c.state
+    name = op.attr("name")
+    result = op.result()
+
+    def get_global(env, ctx):
+        env[result] = state.global_buffer(name)
+    return get_global
 
 
 _SIMPLE = {
-    "arith.constant": _h_constant,
-    "arith.cmpi": _h_cmpi,
-    "arith.cmpf": _h_cmpf,
-    "arith.select": _h_select,
-    "arith.negf": _h_negf,
-    "memref.alloc": _h_alloc,
-    "memref.alloca": _h_alloc,
-    "memref.dealloc": _h_dealloc,
-    "memref.load": _h_load,
-    "memref.store": _h_store,
-    "memref.atomic_rmw": _h_atomic,
-    "memref.dim": _h_dim,
-    "memref.get_global": _h_get_global,
+    "arith.constant": _c_constant,
+    "arith.cmpi": _c_cmpi,
+    "arith.cmpf": _c_cmpf,
+    "arith.select": _c_select,
+    "arith.negf": _c_negf,
+    "memref.alloc": _c_alloc,
+    "memref.alloca": _c_alloc,
+    "memref.dealloc": _c_dealloc,
+    "memref.load": _c_load,
+    "memref.store": _c_store,
+    "memref.atomic_rmw": _c_atomic,
+    "memref.dim": _c_dim,
+    "memref.get_global": _c_get_global,
 }
 for _name in arith_d.CASTS:
-    _SIMPLE[_name] = _h_cast
+    _SIMPLE[_name] = _c_cast
 for _name, _fn in _INT_BINOPS.items():
-    _SIMPLE[_name] = _h_int_binary(_fn)
+    _SIMPLE[_name] = _c_int_binary(_fn)
 for _name, _fn in _UINT_BINOPS.items():
-    _SIMPLE[_name] = _h_uint_binary(_fn)
+    _SIMPLE[_name] = _c_uint_binary(_fn)
 for _name, _fn in _FLOAT_BINOPS.items():
-    _SIMPLE[_name] = _h_float_binary(_fn)
+    _SIMPLE[_name] = _c_float_binary(_fn)
 for _name, _fn in _MATH_UNARY.items():
-    _SIMPLE[_name] = _h_math_unary(_fn)
+    _SIMPLE[_name] = _c_math_unary(_fn)
 for _name, _fn in _MATH_BINARY.items():
-    _SIMPLE[_name] = _h_math_binary(_fn)
-
-
-# -- block plans ---------------------------------------------------------------
-
-#: plan entry kinds: a run of pre-resolved simple handlers, a block
-#: terminator (its operand values are the block's results), or a single
-#: control-flow op dispatched by name as before
-_KIND_RUN = 0
-_KIND_TERMINATOR = 1
-_KIND_CONTROL = 2
-
-_TERMINATORS = (scf_d.YIELD, func_d.RETURN, scf_d.CONDITION)
-
-
-def _compile_block(block: Block) -> list:
-    """Segment a block into (kind, op, payload) plan entries.
-
-    Consecutive regionless ops become one ``_KIND_RUN`` entry whose
-    payload is a list of ``(handler, op)`` pairs; everything else gets its
-    own entry and is interpreted exactly as the un-compiled loop did.
-    """
-    plan: list = []
-    run: Optional[list] = None
-    for op in block.ops:
-        handler = _SIMPLE.get(op.name)
-        if handler is not None:
-            if run is None:
-                run = []
-                plan.append((_KIND_RUN, None, run))
-            run.append((handler, op))
-            continue
-        run = None
-        kind = _KIND_TERMINATOR if op.name in _TERMINATORS \
-            else _KIND_CONTROL
-        plan.append((kind, op, None))
-    return plan
+    _SIMPLE[_name] = _c_math_binary(_fn)
 
 
 def run_module(module: Module, func_name: str, args: Sequence[object],

@@ -48,7 +48,12 @@ class MemoryBuffer:
             data = np.asarray(data, dtype=dtype)
             if data.shape != self.shape:
                 data = data.reshape(self.shape)
-            self.array = np.array(data)  # defensive copy
+            # defensive copy, row-major whatever the layout of ``data``
+            self.array = np.array(data, order="C")
+        #: a 1-D view of ``array`` indexed by linear element index: it
+        #: reads and writes the same memory, and is the interpreter's fast
+        #: path. Update ``array`` in place, never rebind it
+        self.flat_view = self.array.reshape(-1)
         # row-major strides in elements
         self.strides = []
         stride = 1

@@ -110,6 +110,9 @@ class Program:
     def _run_cleanup(self, parallel: bool) -> None:
         with self.engine.stats.stage("cleanup"):
             run_cleanup(self.module, parallel_optimizations=parallel)
+        # every IR rewrite ends in a cleanup: blocks the interpreter
+        # compiled before it may have changed
+        self._interpreter.forget_plans()
 
     # -- kernel launches ---------------------------------------------------------
 
@@ -261,9 +264,6 @@ class Program:
                                 wrapper_name)
                     select_alternative(alt, best.index)
                     self._run_cleanup(True)
-                    # the probe runs cached execution plans for blocks
-                    # the selection just rewrote
-                    self._interpreter.forget_plans()
                     self.tuning_outcomes[wrapper_name] = TuneOutcome(
                         best.desc, best.time_seconds, candidates)
         return self.launch(kernel, grid, block, args, runtime=runtime)

@@ -15,7 +15,7 @@ The three layers of the correctness story (see ``docs/VALIDATION.md``):
 from .differential import (AlternativeVerdict, BufferDiff, ValidationReport,
                            compare_buffers, validate_alternatives,
                            validate_benchmark, validate_source,
-                           DIVERGED, ERROR, OK, SKIPPED)
+                           DIVERGED, ERROR, EXECUTION_ERRORS, OK, SKIPPED)
 from .lint import (LintFinding, LintReport, block_coarsening_illegal,
                    lint_module, lint_wrapper,
                    BARRIER_BLOCK_DEPENDENT, BARRIER_DIVERGENT,
@@ -23,8 +23,8 @@ from .lint import (LintFinding, LintReport, block_coarsening_illegal,
 
 __all__ = [
     "AlternativeVerdict", "BARRIER_BLOCK_DEPENDENT", "BARRIER_DIVERGENT",
-    "BufferDiff", "DIVERGED", "ERROR", "LintFinding", "LintReport", "OK",
-    "SHARED_WRITE_RACE", "SKIPPED", "ValidationReport",
+    "BufferDiff", "DIVERGED", "ERROR", "EXECUTION_ERRORS", "LintFinding",
+    "LintReport", "OK", "SHARED_WRITE_RACE", "SKIPPED", "ValidationReport",
     "block_coarsening_illegal", "compare_buffers", "lint_module",
     "lint_wrapper", "validate_alternatives", "validate_benchmark",
     "validate_source",

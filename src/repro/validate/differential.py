@@ -35,6 +35,7 @@ from ..ir import FloatType, IndexType, IntegerType, MemRefType, Module, \
     Operation, Value
 from ..interpreter import ConvergenceError, Interpreter, InterpreterError, \
     MemoryBuffer
+from ..simulator.model import InvalidLaunch
 
 #: default interpreter step budget per validation run; keeps validation
 #: bounded at paper-scale grids (runs that exceed it are *skipped*, not
@@ -48,6 +49,12 @@ DEFAULT_GRID_CAP = 4
 #: float comparison tolerances (atomics may reassociate reductions)
 DEFAULT_RTOL = 1e-5
 DEFAULT_ATOL = 1e-8
+
+#: failures of the executed program rather than of the harness: the
+#: interpreter's own errors, out-of-bounds buffer accesses (which
+#: MemoryBuffer raises as IndexError) and launches the runtime's timing
+#: model rejects. Anything else is a bug and propagates.
+EXECUTION_ERRORS = (InterpreterError, IndexError, InvalidLaunch)
 
 #: verdict states
 OK = "ok"
@@ -475,7 +482,9 @@ def validate_benchmark(name: str, arch,
     (``tier="polygeist"`` pinned to that single config); outputs must
     match. Configs the tuner could not apply to any kernel (illegal
     coarsening falls back to the untransformed kernel) are reported as
-    skipped rather than trivially passing.
+    skipped rather than trivially passing. A baseline that fails with one
+    of :data:`EXECUTION_ERRORS` leaves ``baseline_note`` set and no
+    verdicts; any other exception propagates.
     """
     from ..benchsuite import get_benchmark
     from ..pipeline import Program
@@ -498,7 +507,7 @@ def validate_benchmark(name: str, arch,
     report = ValidationReport(label=name)
     try:
         baseline, _ = run("polygeist-noopt", None)
-    except Exception as error:  # inconclusive, not a divergence
+    except EXECUTION_ERRORS as error:  # nothing to compare against
         report.baseline_note = "%s: %s" % (type(error).__name__, error)
         return report
 
@@ -506,7 +515,7 @@ def validate_benchmark(name: str, arch,
         desc = ", ".join("%s=%s" % kv for kv in sorted(config.items()))
         try:
             outputs, program = run("polygeist", config)
-        except Exception as error:
+        except EXECUTION_ERRORS as error:
             report.verdicts.append(AlternativeVerdict(
                 desc, ERROR, "%s: %s" % (type(error).__name__, error)))
             continue

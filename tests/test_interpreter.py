@@ -5,7 +5,8 @@ import pytest
 
 from repro.dialects import arith, func, math, memref, polygeist, scf
 from repro.interpreter import (ConvergenceError, Interpreter,
-                               InterpreterError, MemoryBuffer, run_module)
+                               InterpreterError, MemoryBuffer, Tracer,
+                               run_module)
 from repro.ir import (Builder, F32, F64, FunctionType, I1, I32, INDEX,
                       MemRefType, Module, verify_module)
 
@@ -388,6 +389,13 @@ class TestMemoryBuffer:
         buf = MemoryBuffer.for_type(type_, [3])
         assert buf.shape == (3, 4)
 
+    def test_flat_view_aliases_any_input_layout(self):
+        data = np.asfortranarray(np.arange(6, dtype=np.float32).reshape(2, 3))
+        buf = MemoryBuffer((2, 3), F32, data=data)
+        buf.flat_view[buf.linear_index([1, 2])] = 7.0
+        assert buf.array[1, 2] == 7.0
+        assert buf.load([0, 1]) == 1.0
+
     def test_data_initialization_copies(self):
         data = np.ones(4, dtype=np.float32)
         buf = MemoryBuffer((4,), F32, data=data)
@@ -514,9 +522,9 @@ class TestReverseParallel:
 
 
 class TestBlockPlanFastPath:
-    """The interpreter compiles blocks into straight-line runs plus
-    control entries (see ``_compile_block``); the fast path must keep
-    results and step-budget semantics identical to per-op dispatch."""
+    """The interpreter compiles each block once, on its first run, and
+    runs the compiled form; results and step-budget semantics are those
+    of running the ops one by one."""
 
     def _arith_module(self, num_adds):
         module = Module()
@@ -531,19 +539,32 @@ class TestBlockPlanFastPath:
         verify_module(module)
         return module
 
+    def _loop_module(self, trips=8):
+        """main(out) { for i in [0, trips): out[i] = i + 1 }"""
+        module = Module()
+        f, b = new_func(module, "main", (MemRefType((trips,), INDEX),),
+                        ["out"])
+        c0 = arith.index_constant(b, 0)
+        c1 = arith.index_constant(b, 1)
+        cn = arith.index_constant(b, trips)
+        loop = scf.for_(b, c0, cn, c1)
+        lb = Builder(loop.body_block())
+        i = loop.body_block().arg(0)
+        memref.store(lb, arith.addi(lb, i, c1), f.body_block().arg(0), [i])
+        scf.yield_(lb)
+        func.return_(b)
+        verify_module(module)
+        return module
+
     def test_straight_line_run_executes_correctly(self):
         module = self._arith_module(10)
         out = MemoryBuffer.for_type(MemRefType((1,), INDEX))
         interp = Interpreter(module)
         interp.run_func("main", [out])
         assert out.array[0] == 10
-        # the whole body (constants, adds, store, return) is one plan;
-        # the straight-line ops collapse into a single run entry
-        from repro.interpreter.interp import _KIND_RUN
-        plans = list(interp._plans.values())
-        assert plans, "exec_block must have compiled a plan"
-        kinds = [entry[0] for entry in plans[0]]
-        assert kinds.count(_KIND_RUN) == 1
+        assert interp.compiled_blocks == 1
+        interp.run_func("main", [out])
+        assert interp.compiled_blocks == 1
 
     def test_step_budget_counts_each_op_in_a_run(self):
         module = self._arith_module(10)
@@ -567,8 +588,24 @@ class TestBlockPlanFastPath:
             Interpreter(module, max_steps=12).run_func("main", [out])
         assert out.array[0] == -99
 
+    def test_budget_is_exact_inside_a_loop_body(self):
+        # 3 constants + the for op = 4 steps, then 3 per iteration (addi,
+        # store, yield): iteration k stores at step 4 + 3k + 2, and the
+        # return is step 4 + 3 * 8 + 1 = 29
+        module = self._loop_module()
+        for budget in range(1, 29):
+            out = MemoryBuffer.for_type(MemRefType((8,), INDEX))
+            with pytest.raises(InterpreterError, match="step budget"):
+                Interpreter(module, max_steps=budget).run_func(
+                    "main", [out])
+            stored = [k for k in range(8) if 4 + 3 * k + 2 <= budget]
+            expected = [k + 1 if k in stored else 0 for k in range(8)]
+            assert out.array.tolist() == expected, budget
+        out = MemoryBuffer.for_type(MemRefType((8,), INDEX))
+        Interpreter(module, max_steps=29).run_func("main", [out])
+        assert out.array.tolist() == list(range(1, 9))
+
     def test_plan_reused_across_loop_iterations(self):
-        # an scf.for body block is executed per iteration but compiled once
         module = Module()
         f, b = new_func(module, "main", (MemRefType((1,), INDEX),), ["out"])
         c0 = arith.index_constant(b, 0)
@@ -585,6 +622,179 @@ class TestBlockPlanFastPath:
         interp = Interpreter(module)
         interp.run_func("main", [out])
         assert out.array[0] == 8
-        # one plan for the function body, one for the loop body — not one
-        # per iteration
-        assert len(interp._plans) == 2
+        # the function body and the loop body — not one per iteration
+        assert interp.compiled_blocks == 2
+
+    def test_unrepresentable_store_fails_like_memory_buffer_store(self):
+        module = Module()
+        f, b = new_func(module, "main", (MemRefType((1,), I32),), ["out"])
+        c0 = arith.index_constant(b, 0)
+        big = arith.constant(b, 2 ** 40, I32)
+        memref.store(b, big, f.body_block().arg(0), [c0])
+        func.return_(b)
+        verify_module(module)
+        with pytest.raises(Exception) as direct:
+            MemoryBuffer((1,), I32).store([0], 2 ** 40)
+        with pytest.raises(Exception) as interpreted:
+            Interpreter(module).run_func("main", [MemoryBuffer((1,), I32)])
+        assert type(interpreted.value) is type(direct.value)
+        assert str(interpreted.value) == str(direct.value)
+
+    def test_barrier_threads_share_one_compiled_body(self):
+        # every thread's generator is created before any runs; the body
+        # still compiles once: function, wrapper, block loop, thread loop
+        interp = Interpreter(TestTracerHooks._barrier_kernel())
+        interp.run_func("main", [MemoryBuffer((16,), F32)])
+        assert interp.compiled_blocks == 4
+
+    def test_interpreter_leaves_no_cyclic_garbage(self):
+        # compiled closures reference the run state, never the
+        # interpreter or their own code objects: the validation gate drops
+        # one interpreter per run, and reference counting must free it
+        # with everything it compiled. The else branch never runs, so it
+        # stays an uncompiled stub
+        import gc
+
+        def body(module, bb, tb, bx, tx, out, consts):
+            always = arith.cmpi(tb, "lt", tx, consts["nt"])
+            if_op = scf.if_(tb, always, [])
+            then_b = Builder(scf.if_then_block(if_op))
+            memref.store(then_b, arith.constant(then_b, 1.0, F32), out,
+                         [arith.addi(then_b, arith.muli(
+                             then_b, bx, consts["nt"]), tx)])
+            scf.yield_(then_b)
+            scf.yield_(Builder(scf.if_else_block(if_op)))
+
+        module = build_gpu_kernel(body)
+        out = MemoryBuffer((16,), F32)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            interp = Interpreter(module, max_steps=10 ** 6)
+            interp.run_func("main", [out])
+            assert interp.compiled_blocks == 5
+            del interp
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_forget_plans_recompiles_rewritten_ir(self):
+        module = self._arith_module(3)
+        interp = Interpreter(module)
+        out = MemoryBuffer.for_type(MemRefType((1,), INDEX))
+        interp.run_func("main", [out])
+        assert out.array[0] == 3
+        # rewrite the stored value to the first constant (0)
+        store = [op for op in module.func("main").body_block().ops
+                 if op.name == "memref.store"][0]
+        first = module.func("main").body_block().ops[0].result()
+        store.set_operand(0, first)
+        interp.forget_plans()
+        interp.run_func("main", [out])
+        assert out.array[0] == 0
+
+
+class TestTracerHooks:
+    """Memory hooks fire in execution order with the accessing block and
+    thread; they are bound by the tracer's type, so swapping tracers on
+    one interpreter switches them on and off."""
+
+    class Recorder(Tracer):
+        def __init__(self):
+            self.events = []
+
+        def on_load(self, buffer, linear, nbytes, block, thread, op=None):
+            self.events.append(("load", buffer.space, linear, block,
+                                thread))
+
+        def on_store(self, buffer, linear, nbytes, block, thread,
+                     op=None):
+            self.events.append(("store", buffer.space, linear, block,
+                                thread))
+
+    @staticmethod
+    def _barrier_kernel():
+        """Per block: shared[tx] = 1; barrier; out[gid] = shared[7 - tx]."""
+        def body(module, bb, tb, bx, tx, out, consts):
+            shared = memref.alloca(bb, MemRefType((8,), F32, "shared"))
+            memref.store(tb, arith.constant(tb, 1.0, F32), shared, [tx])
+            polygeist.barrier(tb, [tx])
+            c7 = arith.index_constant(tb, 7)
+            nt = consts["nt"]
+            gid = arith.addi(tb, arith.muli(tb, bx, nt), tx)
+            memref.store(tb, memref.load(tb, shared, [arith.subi(tb, c7, tx)]),
+                         out, [gid])
+        return build_gpu_kernel(body)
+
+    @staticmethod
+    def _barrier_free_kernel():
+        """out[gid] = out[gid] + 1."""
+        def body(module, bb, tb, bx, tx, out, consts):
+            nt = consts["nt"]
+            gid = arith.addi(tb, arith.muli(tb, bx, nt), tx)
+            one = arith.constant(tb, 1.0, F32)
+            memref.store(tb, arith.addf(tb, memref.load(tb, out, [gid]), one),
+                         out, [gid])
+        return build_gpu_kernel(body)
+
+    def test_barrier_kernel_sequence(self):
+        recorder = self.Recorder()
+        run_module(self._barrier_kernel(), "main",
+                   [MemoryBuffer((16,), F32)], tracer=recorder)
+        expected = []
+        for b in range(2):
+            # wave one runs every thread to the barrier, wave two to the end
+            expected += [("store", "shared", t, b, t) for t in range(8)]
+            for t in range(8):
+                expected += [("load", "shared", 7 - t, b, t),
+                             ("store", "global", 8 * b + t, b, t)]
+        assert recorder.events == expected
+
+    def test_barrier_free_kernel_sequence(self):
+        recorder = self.Recorder()
+        run_module(self._barrier_free_kernel(), "main",
+                   [MemoryBuffer((16,), F32)], tracer=recorder)
+        expected = []
+        for b in range(2):
+            for t in range(8):
+                expected += [("load", "global", 8 * b + t, b, t),
+                             ("store", "global", 8 * b + t, b, t)]
+        assert recorder.events == expected
+
+    def test_reversed_order_reverses_blocks_and_threads(self):
+        recorder = self.Recorder()
+        Interpreter(self._barrier_free_kernel(), tracer=recorder,
+                    reverse_parallel=True).run_func(
+            "main", [MemoryBuffer((16,), F32)])
+        assert [e[2:] for e in recorder.events[::2]] == [
+            (8 * b + t, b, t) for b in (1, 0) for t in range(7, -1, -1)]
+
+    def test_swapping_tracers_switches_hooks(self):
+        module = self._barrier_free_kernel()
+        out = MemoryBuffer((16,), F32)
+        interp = Interpreter(module)
+        interp.run_func("main", [out])
+        recorder = self.Recorder()
+        interp.tracer = recorder
+        interp.run_func("main", [out])
+        assert len(recorder.events) == 32
+        interp.tracer = Tracer()
+        interp.run_func("main", [out])
+        assert len(recorder.events) == 32
+        np.testing.assert_array_equal(out.array, np.full(16, 3.0))
+
+    def test_hooks_that_are_not_overridden_are_not_called(self):
+        class StoresOnly(Tracer):
+            def __init__(self):
+                self.stores = 0
+
+            def on_store(self, buffer, linear, nbytes, block, thread,
+                         op=None):
+                self.stores += 1
+
+        tracer = StoresOnly()
+        run_module(self._barrier_free_kernel(), "main",
+                   [MemoryBuffer((16,), F32)], tracer=tracer)
+        assert tracer.stores == 16

@@ -371,6 +371,61 @@ class TestBenchmarkValidation:
         assert any(v.status == OK for v in report.verdicts)
 
 
+class TestBenchmarkExecutionErrors:
+    """``validate_benchmark`` turns executor failures into notes and
+    verdicts, lets every other exception propagate, and ``repro validate``
+    fails when no verdict ran."""
+
+    @staticmethod
+    def _break_run_gpu(monkeypatch, error, tier=None):
+        from repro.benchsuite import get_benchmark
+
+        bench = get_benchmark("nn")
+        original = bench.run_gpu
+
+        def run_gpu(program, runtime, inputs, size):
+            if tier is None or program.tier == tier:
+                raise error
+            return original(program, runtime, inputs, size)
+        monkeypatch.setattr(bench, "run_gpu", run_gpu)
+
+    def test_baseline_executor_error_is_a_note(self, monkeypatch):
+        from repro.interpreter import InterpreterError
+
+        self._break_run_gpu(monkeypatch, InterpreterError("boom"))
+        report = validate_benchmark("nn", A100)
+        assert report.verdicts == []
+        assert report.baseline_note == "InterpreterError: boom"
+
+    def test_cli_exits_nonzero_when_baseline_cannot_run(self, monkeypatch,
+                                                        capsys):
+        from repro.__main__ import main
+
+        self._break_run_gpu(monkeypatch, IndexError("out-of-bounds access"))
+        assert main(["validate", "nn", "--arch", "a100"]) == 1
+        captured = capsys.readouterr()
+        assert "baseline not executable: IndexError" in captured.out
+        assert "nothing validated: IndexError: out-of-bounds access" in \
+            captured.err
+
+    @pytest.mark.parametrize("tier", ["polygeist-noopt", "polygeist"])
+    def test_unexpected_exception_propagates(self, monkeypatch, tier):
+        self._break_run_gpu(monkeypatch, KeyError("harness bug"), tier=tier)
+        with pytest.raises(KeyError, match="harness bug"):
+            validate_benchmark("nn", A100, configs=[{"thread_total": 2}])
+
+    def test_config_executor_error_is_an_error_verdict(self, monkeypatch):
+        from repro.interpreter import ConvergenceError
+
+        self._break_run_gpu(monkeypatch, ConvergenceError("diverged"),
+                            tier="polygeist")
+        report = validate_benchmark("nn", A100,
+                                    configs=[{"thread_total": 2}])
+        assert [(v.desc, v.status, v.detail) for v in report.verdicts] == [
+            ("thread_total=2", ERROR, "ConvergenceError: diverged")]
+        assert not report.ok
+
+
 class TestCLI:
     def test_validate_benchmark_cli(self, capsys):
         from repro.__main__ import main
