@@ -24,9 +24,10 @@ Commands mirror the Polygeist-GPU driver workflow:
 * ``analyze``   — tune + model one benchmark with full observability and
   report each kernel's roofline position, a named bottleneck verdict,
   and why TDO's winner won (see ``docs/ANALYZE.md``);
-* ``check``     — diff two recorded runs (``BENCH_*.json`` or
-  ``sweep --json``) cell by cell and exit non-zero on regressions
-  beyond a noise band; exit 2 when the records are not comparable;
+* ``check``     — diff two recorded runs (``sweep --json`` output or a
+  saved ``perfbench/run.py`` stdout) cell by cell and exit non-zero on
+  regressions beyond a noise band; exit 2 when the records are not
+  comparable;
 * ``serve``     — run the long-lived tuning daemon: an HTTP/JSON API
   over an async job queue and ONE shared on-disk tuning cache, so many
   clients amortize each other's tuning runs (see ``docs/SERVE.md``);
@@ -438,25 +439,6 @@ def cmd_sweep(args) -> int:
     return 0 if outcome.data is not None else 1
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_model_bench
-
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    archs = args.archs.split(",") if args.archs else None
-    recorder = run_model_bench(args.figure, benchmarks=benchmarks,
-                               archs=archs, repeats=args.repeats)
-    out = args.out or ("BENCH_%s.json" % args.figure)
-    recorder.write(out)
-    scalar = recorder.seconds("scalar")
-    batched = recorder.seconds("batched")
-    print("%s: scalar %.2fs CPU, batched %.2fs CPU -> %.2fx speedup "
-          "(outputs identical: %s)" %
-          (args.figure, scalar, batched, recorder.derived["speedup_cpu"],
-           recorder.derived["outputs_identical"]))
-    print("wrote %s" % out)
-    return 0
-
-
 def cmd_serve(args) -> int:
     from .serve import ServerConfig, TuneServer
 
@@ -600,23 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="input-seeding RNG seed")
     validate.set_defaults(fn=cmd_validate)
 
-    bench = sub.add_parser(
-        "bench", help="time scalar vs batched model scoring, write "
-                      "BENCH_<figure>.json")
-    bench.add_argument("figure", choices=("fig16", "fig13"))
-    bench.add_argument("--benchmarks", default="gaussian,lud",
-                       help="comma-separated benchsuite names "
-                            "(default: gaussian,lud)")
-    bench.add_argument("--archs", default="NVIDIA A100",
-                       help="comma-separated GPU names "
-                            "(default: 'NVIDIA A100')")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="repeats per mode; minimum CPU time is "
-                            "recorded (default 1)")
-    bench.add_argument("--out", help="output path "
-                                     "(default BENCH_<figure>.json)")
-    bench.set_defaults(fn=cmd_bench)
-
     cache = sub.add_parser("cache", help="inspect the on-disk tuning cache")
     cache.add_argument("action", choices=("info", "clear"))
     cache.add_argument("--path", help="cache directory (default: "
@@ -758,9 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(fn=cmd_analyze)
 
     check = sub.add_parser(
-        "check", help="diff two bench/sweep records, fail on regressions")
-    check.add_argument("baseline", help="baseline BENCH_*.json or "
-                                        "sweep --json output")
+        "check", help="diff two sweep/perfbench records, fail on "
+                      "regressions")
+    check.add_argument("baseline", help="baseline sweep --json output or "
+                                        "saved perfbench/run.py stdout")
     check.add_argument("new", help="the record to gate")
     check.add_argument("--noise-band", default="5%",
                        help="relative slack before a slower cell counts "

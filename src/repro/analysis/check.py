@@ -1,34 +1,42 @@
 """Performance regression gating: diff two recorded runs cell by cell.
 
-``repro check baseline.json new.json --noise-band 5%`` loads two records
-produced by ``repro bench`` (``BENCH_*.json``) or ``repro sweep --json``,
-extracts the comparable time cells — per-measurement CPU seconds for
-bench records, per-(benchmark, arch, tier) modeled seconds for fig16
-sweeps, per-(kernel, config) seconds for fig13 — and fails when any cell
-in ``new`` exceeds its baseline by more than the noise band. Cells
-present in the baseline but missing from ``new`` also fail: silently
-dropping a cell must not read as "no regression".
+``repro check baseline new --noise-band 5%`` loads two records — each a
+``repro sweep --json`` output or a saved ``perfbench/run.py`` stdout —
+extracts the comparable time cells — per-(benchmark, arch, tier) modeled
+seconds for fig16 sweeps, per-(kernel, config) seconds for fig13, the
+``s``/``ms`` metrics of a perfbench run — and fails when any cell in
+``new`` exceeds its baseline by more than the noise band. Cells present
+in the baseline but missing from ``new`` also fail: silently dropping a
+cell must not read as "no regression".
 
 Comparisons are refused (exit code 2, never a diff) when the two records
 are not comparable at all:
 
-* different kinds (a bench record vs a sweep, fig16 vs fig13);
-* different provenance schema versions;
-* different architecture sets;
-* records predating provenance headers (regenerate them first).
+* different kinds (a sweep vs a perfbench run, fig16 vs fig13, two
+  perfbench workloads or trace modes);
+* different provenance schema versions (sweeps);
+* different architecture sets (sweeps);
+* sweep records predating provenance headers (regenerate them first).
 
-All extracted cells are seconds, so lower is better and the gate is
+All extracted cells are times, so lower is better and the gate is
 one-sided: improvements beyond the band are reported but never fail.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: provenance schema this checker understands
 PROVENANCE_SCHEMA = 2
+
+#: units of the perfbench metrics that are times (lower is better)
+PERFBENCH_TIME_UNITS = ("s", "ms")
+
+#: the first line of a ``perfbench/run.py`` stdout
+_PERFBENCH_HEADER = re.compile(r"workload (\S+) seed (\d+) trace (\d+):")
 
 
 def provenance_header(archs: Optional[List[str]] = None,
@@ -72,27 +80,63 @@ def parse_noise_band(text: str) -> float:
     return value
 
 
+def parse_perfbench(text: str) -> Optional[Dict[str, object]]:
+    """A saved ``perfbench/run.py`` stdout as a record, or None when
+    ``text`` does not start like one.
+
+    The workload, seed and trace mode come from the first line, the
+    metrics from the JSON result on the last.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    header = _PERFBENCH_HEADER.match(lines[0]) if lines else None
+    if header is None:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not isinstance(result, dict) or \
+            not isinstance(result.get("metrics"), dict):
+        raise CheckUsageError(
+            "perfbench output ends without its JSON result line "
+            "(did the run fail?)")
+    return {"perfbench": {"workload": header.group(1),
+                          "seed": int(header.group(2)),
+                          "trace": int(header.group(3))},
+            "metrics": result["metrics"]}
+
+
 def load_record(path: str) -> Dict[str, object]:
     try:
         with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
+            text = handle.read()
+    except OSError as error:
         raise CheckUsageError("cannot load %s: %s" % (path, error)) \
             from None
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        payload = parse_perfbench(text)
+        if payload is None:
+            raise CheckUsageError(
+                "%s is neither a JSON record nor perfbench output" % path) \
+                from None
     if not isinstance(payload, dict):
         raise CheckUsageError("%s is not a JSON object" % path)
     return payload
 
 
 def record_kind(payload: Dict[str, object]) -> Tuple[str, str]:
-    """Classify a record: ``("bench", figure)`` or ``("sweep", figure)``."""
-    if "measurements" in payload and "name" in payload:
-        return ("bench", str(payload["name"]))
+    """Classify a record: ``("sweep", figure)`` or
+    ``("perfbench", "<workload> trace <t>")``."""
+    if "perfbench" in payload:
+        run = payload["perfbench"]
+        return ("perfbench", "%s trace %s" % (run["workload"], run["trace"]))
     if "figure" in payload:
         return ("sweep", str(payload["figure"]))
     raise CheckUsageError(
-        "unrecognized record (neither a bench record with 'measurements' "
-        "nor a sweep JSON with 'figure')")
+        "unrecognized record (neither a sweep JSON with 'figure' nor "
+        "perfbench output)")
 
 
 def _provenance_archs(provenance: Dict[str, object]) -> List[str]:
@@ -114,7 +158,7 @@ def check_provenance(baseline: Dict[str, object],
     if missing:
         raise CheckUsageError(
             "%s record(s) have no provenance header — regenerate with a "
-            "current `repro bench`/`repro sweep --json` before comparing"
+            "current `repro sweep --json` before comparing"
             % " and ".join(missing))
     prov_a = baseline["provenance"]
     prov_b = new["provenance"]
@@ -142,16 +186,12 @@ def check_provenance(baseline: Dict[str, object],
 
 
 def extract_cells(payload: Dict[str, object]) -> Dict[str, float]:
-    """The comparable seconds cells of one record, keyed stably."""
+    """The comparable time cells of one record, keyed stably."""
     kind, figure = record_kind(payload)
-    if kind == "bench":
-        cells: Dict[str, float] = {}
-        for measurement in payload.get("measurements", []):
-            label = measurement.get("label", "?")
-            seconds = measurement.get("cpu_seconds")
-            if isinstance(seconds, (int, float)):
-                cells["measure|%s|cpu_seconds" % label] = float(seconds)
-        return cells
+    if kind == "perfbench":
+        return {name: float(metric["value"])
+                for name, metric in sorted(payload["metrics"].items())
+                if metric.get("unit") in PERFBENCH_TIME_UNITS}
     data = payload.get("data")
     if data is None:
         raise CheckUsageError(
@@ -242,7 +282,7 @@ class CheckReport:
         for cell in self.cells:
             if cell.status == "regression":
                 lines.append(
-                    "  REGRESSION %s: %.4es -> %.4es (%.1f%% slower)" %
+                    "  REGRESSION %s: %.4e -> %.4e (%.1f%% slower)" %
                     (cell.key, cell.baseline, cell.new,
                      100.0 * (cell.ratio - 1.0)))
             elif cell.status == "missing":
@@ -250,7 +290,7 @@ class CheckReport:
                              "in new" % cell.key)
             elif cell.status == "improvement":
                 lines.append(
-                    "  improvement %s: %.4es -> %.4es (%.1f%% faster)" %
+                    "  improvement %s: %.4e -> %.4e (%.1f%% faster)" %
                     (cell.key, cell.baseline, cell.new,
                      100.0 * (1.0 - cell.ratio)))
             elif cell.status == "added":
@@ -272,7 +312,14 @@ def compare_records(baseline: Dict[str, object], new: Dict[str, object],
         raise CheckUsageError(
             "records are not comparable: baseline is %s/%s, new is %s/%s"
             % (kind_a + kind_b))
-    warnings = check_provenance(baseline, new)
+    if kind_a[0] == "perfbench":
+        # another seed draws other programs: comparable, but their pass
+        # costs differ by more than run-to-run noise
+        seeds = (baseline["perfbench"]["seed"], new["perfbench"]["seed"])
+        warnings = [] if seeds[0] == seeds[1] else \
+            ["perfbench seed differs: baseline %s vs new %s" % seeds]
+    else:
+        warnings = check_provenance(baseline, new)
     cells_a = extract_cells(baseline)
     cells_b = extract_cells(new)
     report = CheckReport(kind=kind_a[0], figure=kind_a[1],

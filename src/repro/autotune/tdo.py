@@ -19,8 +19,7 @@ from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.log import get_logger
-from ..simulator.model import (InvalidLaunch, block_count,
-                               use_scalar_model)
+from ..simulator.model import InvalidLaunch, block_count
 from ..targets import GPUArchitecture, register_estimate_cache
 from ..transforms.alternatives import select_alternative
 from ..transforms.coarsen import block_parallels_in_region
@@ -105,25 +104,11 @@ def _time_region(alt: Operation, index: int, arch: GPUArchitecture,
     return total
 
 
-def _scalar_seconds(alt: Operation, arch: GPUArchitecture, envs):
-    """The reference: one alternative, one launch, one loop at a time.
-    Lazy, so each alternative is scored inside its own span."""
-    model_cache: Dict[int, object] = {}
-    blocks_cache: Dict[tuple, int] = {}
-    for index in range(len(alt.regions)):
-        try:
-            yield sum(_time_region(alt, index, arch, one, model_cache,
-                                   blocks_cache)
-                      for one in envs)
-        except InvalidLaunch as error:
-            yield error
-
-
 def _batched_seconds(alt: Operation, arch: GPUArchitecture, envs):
     """Every alternative through one
     :class:`~repro.simulator.batch.LaunchScorer`: per-env totals with the
-    scalar path's failure order and accumulation, summed with the same
-    builtin ``sum`` the scalar path uses."""
+    failure order and accumulation of :func:`_time_region` applied one
+    launch at a time, summed with the builtin ``sum``."""
     from ..simulator.batch import LaunchScorer
     scorer = LaunchScorer(envs, arch, {}, _UNEVALUABLE)
     for index in range(len(alt.regions)):
@@ -136,13 +121,12 @@ def score_alternatives(alt: Operation, arch: GPUArchitecture,
                        envs: Sequence[Dict[Value, int]]) -> List[Candidate]:
     """Every alternative's modeled seconds summed over ``envs``.
 
-    Batched by default; ``REPRO_SCALAR_MODEL=1`` selects the scalar
-    reference, which must give ``==`` candidates (time, validity and
-    reason).
+    The equivalence tests substitute a one-launch-at-a-time oracle built
+    on :func:`_time_region` for :func:`_batched_seconds`; the two must
+    give ``==`` candidates (time, validity and reason).
     """
     descs = polygeist.alternative_descs(alt)
-    score = _scalar_seconds if use_scalar_model() else _batched_seconds
-    results = iter(score(alt, arch, envs))
+    results = iter(_batched_seconds(alt, arch, envs))
     candidates = []
     for index in range(len(alt.regions)):
         # one span per simulated profiling run
@@ -175,9 +159,7 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     :class:`~repro.simulator.batch.LaunchScorer` batch (each one's
     launches × loops block-count matrix, its first failure found in the
     scalar visit order, one vectorized timing pass over every launching
-    entry), or one at a time through the scalar model under
-    ``REPRO_SCALAR_MODEL=1``, the oracle the equivalence tests compare
-    the batch against.
+    entry).
     """
     envs = env if isinstance(env, (list, tuple)) else [env]
     with obs_tracer.span("tdo", category="tdo",

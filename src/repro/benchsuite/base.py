@@ -166,7 +166,6 @@ def simulate_composite(name: str, arch,
     if isinstance(arch, str):
         from ..targets import arch_by_name
         arch = arch_by_name(arch)
-    from ..simulator.model import use_scalar_model
     bench = get_benchmark(name)
     size = size or bench.model_size
     program = Program(bench.source, arch=arch, tier=tier,
@@ -180,19 +179,12 @@ def simulate_composite(name: str, arch,
         for (kernel, block), grids in grouped.items():
             program.tune_aggregate(kernel, block, grids)
     total = 0.0
-    if use_scalar_model():
-        # the per-launch reference path
-        for kernel, grid, block in launches:
-            timing = program.model_launch(kernel, grid, block)
-            total += timing.time_seconds
-    else:
-        # model each kernel group's launches in one batch, then reduce
-        # in the original launch order (same float accumulation as the
-        # reference path — groups interleave in e.g. lud)
-        per_group = {key: iter(program.model_launch_seconds(
-            key[0], key[1], grids)) for key, grids in grouped.items()}
-        for kernel, grid, block in launches:
-            total += next(per_group[(kernel, tuple(block))])
+    # model each kernel group's launches in one batch, then reduce in the
+    # original launch order (groups interleave in e.g. lud)
+    per_group = {key: iter(program.model_launch_seconds(
+        key[0], key[1], grids)) for key, grids in grouped.items()}
+    for kernel, grid, block in launches:
+        total += next(per_group[(kernel, tuple(block))])
     bytes_moved = bench.transfer_bytes(size)
     total += 2 * PCIE_LATENCY + bytes_moved / PCIE_BANDWIDTH
     return total

@@ -22,9 +22,9 @@ tuned wrapper) over a set of launch environments. Each candidate becomes
 an (envs × loops) block-count matrix, and every launching entry of every
 candidate is timed in one :class:`BatchedKernelModel` pass.
 
-The scalar path remains the reference implementation; set
-``REPRO_SCALAR_MODEL=1`` to force consumers (TDO, composite modeling)
-back onto it.
+The scalar path is the reference implementation: the equivalence suite
+substitutes it for the scorer in TDO and composite modeling and compares
+the two.
 """
 
 from __future__ import annotations

@@ -70,19 +70,6 @@ class InvalidLaunch(ValueError):
 UNEVALUABLE_GRID = "cannot evaluate grid size for modeling"
 
 
-def use_scalar_model() -> bool:
-    """True when ``REPRO_SCALAR_MODEL`` forces the scalar reference path.
-
-    The switch is the oracle for the batched model: set to ``1`` it pins
-    every consumer (TDO scoring, composite modeling) to the
-    one-launch-at-a-time reference implementation, and both
-    ``tests/test_batched_equivalence.py`` and ``repro bench`` diff the two
-    paths through it.
-    """
-    import os
-    return os.environ.get("REPRO_SCALAR_MODEL", "") not in ("", "0")
-
-
 @dataclass
 class LaunchTiming:
     """Modeled execution of one block-level parallel loop."""

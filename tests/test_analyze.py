@@ -1,8 +1,9 @@
 """Tests for ``repro.analysis.report`` / ``repro.analysis.check`` and the
 ``repro analyze`` / ``repro check`` CLI: roofline math, bottleneck
-classification, the decision narrative, provenance headers on bench and
-sweep records, noise-band regression gating (pass / fail / refuse), and
-cross-process worker-span merging in traced sweeps."""
+classification, the decision narrative, provenance headers on sweep
+records, noise-band regression gating (pass / fail / refuse) of sweep
+records and saved perfbench outputs, and cross-process worker-span
+merging in traced sweeps."""
 
 import json
 import os
@@ -12,13 +13,13 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.check import (CheckUsageError, PROVENANCE_SCHEMA,
                                   compare_records, extract_cells,
-                                  parse_noise_band, provenance_header,
+                                  load_record, parse_noise_band,
+                                  parse_perfbench, provenance_header,
                                   record_kind)
 from repro.analysis.report import (Bottleneck, REPORT_SCHEMA, Roofline,
                                    VERDICTS, analyze_benchmark,
                                    classify_bottleneck)
 from repro.autotune import paper_sweep_configs
-from repro.bench import BenchRecorder
 from repro.obs import tracer as obs_tracer
 from repro.obs.export import chrome_trace_events, summarize_events
 from repro.obs.tracer import Span, Tracer, tracing
@@ -181,21 +182,16 @@ class TestAnalyzeCLI:
 # -- check: noise-band regression gating --------------------------------------
 
 
-def _bench_record(batched=3.0, scalar=5.0, archs=("NVIDIA A100",),
+def _sweep_record(polygeist=3.0, clang=5.0, archs=("NVIDIA A100",),
                   **prov_overrides):
+    """A fig16 ``sweep --json`` record: lud's two tiers on ``archs``."""
     provenance = provenance_header(list(archs), created=None)
     provenance.update(prov_overrides)
     return {
-        "name": "fig16",
+        "figure": "fig16",
         "provenance": provenance,
-        "config": {"archs": list(archs)},
-        "measurements": [
-            {"label": "scalar", "cpu_seconds": scalar, "wall_seconds": 1.0,
-             "repeats": 1, "meta": {}},
-            {"label": "batched", "cpu_seconds": batched,
-             "wall_seconds": 1.0, "repeats": 1, "meta": {}},
-        ],
-        "derived": {},
+        "data": {"lud": {arch: {"clang": clang, "polygeist": polygeist}
+                         for arch in archs}},
     }
 
 
@@ -214,75 +210,74 @@ class TestParseNoiseBand:
 
 class TestCompareRecords:
     def test_identical_records_pass(self):
-        report = compare_records(_bench_record(), _bench_record())
+        report = compare_records(_sweep_record(), _sweep_record())
         assert report.ok
         assert not report.regressions
         assert "PASS" in report.summary()
 
     def test_regression_beyond_band_fails(self):
-        report = compare_records(_bench_record(batched=3.0),
-                                 _bench_record(batched=3.5),
+        report = compare_records(_sweep_record(polygeist=3.0),
+                                 _sweep_record(polygeist=3.5),
                                  noise_band=0.05)
         assert not report.ok
         (cell,) = report.regressions
-        assert cell.key == "measure|batched|cpu_seconds"
+        assert cell.key == "lud|NVIDIA A100|polygeist"
         assert "REGRESSION" in report.summary()
 
     def test_slowdown_within_band_is_ok(self):
-        report = compare_records(_bench_record(batched=3.0),
-                                 _bench_record(batched=3.05),
+        report = compare_records(_sweep_record(polygeist=3.0),
+                                 _sweep_record(polygeist=3.05),
                                  noise_band=0.05)
         assert report.ok
 
     def test_improvement_reported_but_passes(self):
-        report = compare_records(_bench_record(batched=3.0),
-                                 _bench_record(batched=2.0),
+        report = compare_records(_sweep_record(polygeist=3.0),
+                                 _sweep_record(polygeist=2.0),
                                  noise_band=0.05)
         assert report.ok
         assert "improvement" in report.summary()
 
     def test_missing_cell_fails(self):
-        new = _bench_record()
-        del new["measurements"][1]
-        report = compare_records(_bench_record(), new)
+        new = _sweep_record()
+        del new["data"]["lud"]["NVIDIA A100"]["polygeist"]
+        report = compare_records(_sweep_record(), new)
         assert not report.ok
         assert report.missing
         assert "MISSING" in report.summary()
 
     def test_added_cell_is_informational(self):
-        new = _bench_record()
-        new["measurements"].append(
-            {"label": "extra", "cpu_seconds": 1.0, "wall_seconds": 1.0,
-             "repeats": 1, "meta": {}})
-        report = compare_records(_bench_record(), new)
+        new = _sweep_record()
+        new["data"]["lud"]["NVIDIA A100"]["polygeist-noopt"] = 4.0
+        report = compare_records(_sweep_record(), new)
         assert report.ok
         assert "added" in report.summary()
 
     def test_cross_arch_refused(self):
         with pytest.raises(CheckUsageError, match="cross-arch"):
-            compare_records(_bench_record(),
-                            _bench_record(archs=("AMD MI210",)))
+            compare_records(_sweep_record(),
+                            _sweep_record(archs=("AMD MI210",)))
 
     def test_cross_schema_refused(self):
         with pytest.raises(CheckUsageError, match="cross-schema"):
-            compare_records(_bench_record(),
-                            _bench_record(schema=PROVENANCE_SCHEMA + 1))
+            compare_records(_sweep_record(),
+                            _sweep_record(schema=PROVENANCE_SCHEMA + 1))
 
     def test_missing_provenance_refused(self):
-        bare = _bench_record()
+        bare = _sweep_record()
         del bare["provenance"]
         with pytest.raises(CheckUsageError, match="no provenance"):
-            compare_records(_bench_record(), bare)
+            compare_records(_sweep_record(), bare)
 
     def test_kind_mismatch_refused(self):
-        sweep = {"figure": "fig16", "provenance": provenance_header(),
-                 "data": {}}
+        fig13 = {"figure": "fig13",
+                 "provenance": provenance_header(["NVIDIA A100"]),
+                 "data": []}
         with pytest.raises(CheckUsageError, match="not comparable"):
-            compare_records(_bench_record(), sweep)
+            compare_records(_sweep_record(), fig13)
 
     def test_version_skew_warns_but_compares(self):
-        report = compare_records(_bench_record(),
-                                 _bench_record(repro_version="0.9"))
+        report = compare_records(_sweep_record(),
+                                 _sweep_record(repro_version="0.9"))
         assert report.ok
         assert any("repro version differs" in w for w in report.warnings)
 
@@ -329,27 +324,116 @@ class TestCheckCLI:
         return path
 
     def test_exit_0_on_identical(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_record())
-        b = self._write(tmp_path, "b.json", _bench_record())
+        a = self._write(tmp_path, "a.json", _sweep_record())
+        b = self._write(tmp_path, "b.json", _sweep_record())
         assert main(["check", a, b, "--noise-band", "5%"]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_exit_1_on_regression(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_record(batched=3.0))
-        b = self._write(tmp_path, "b.json", _bench_record(batched=4.0))
+        a = self._write(tmp_path, "a.json", _sweep_record(polygeist=3.0))
+        b = self._write(tmp_path, "b.json", _sweep_record(polygeist=4.0))
         assert main(["check", a, b, "--noise-band", "5%"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_exit_2_on_refusal(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_record())
+        a = self._write(tmp_path, "a.json", _sweep_record())
         b = self._write(tmp_path, "b.json",
-                        _bench_record(archs=("AMD MI210",)))
+                        _sweep_record(archs=("AMD MI210",)))
         assert main(["check", a, b]) == 2
         assert "check refused" in capsys.readouterr().err
 
     def test_exit_2_on_unreadable_file(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_record())
+        a = self._write(tmp_path, "a.json", _sweep_record())
         assert main(["check", a, str(tmp_path / "missing.json")]) == 2
+        assert "check refused" in capsys.readouterr().err
+
+
+# -- check: saved perfbench outputs ------------------------------------------
+
+
+def _perfbench_out(workload="cold_tune", trace=0, seed=1, compile_cpu=2.0):
+    """The stdout of ``perfbench/run.py``, abridged to what check reads."""
+    metrics = {
+        "setup_s": (4.0, "s"),
+        "compile_cpu_s": (compile_cpu, "s"),
+        "jobs_per_s": (3.0, "1/s"),
+        "job_p50_ms": (250.0, "ms"),
+        "job_tail_ms": (300.0, "ms"),
+        "peak_rss_mb": (300.0, "MB"),
+        "modeled_speedup": (1.1, "x"),
+    }
+    lines = ["workload %s seed %d trace %d: 3 timed passes, 12.0 s in all"
+             % (workload, seed, trace),
+             "  loadavg before {'1m': 0.1}, after {'1m': 0.3}"]
+    lines += ["  %-28s %14.6g %-6s" % (name, value, unit)
+              for name, (value, unit) in metrics.items()]
+    lines.append("  checks: 100 attempted, 0 failed (failed_ratio 0.0000)")
+    lines.append(json.dumps({
+        "correct": True, "attempted": 100, "failed": 0,
+        "metrics": {name: {"value": value, "unit": unit}
+                    for name, (value, unit) in metrics.items()}}))
+    return "\n".join(lines) + "\n"
+
+
+class TestPerfbenchRecords:
+    def _write(self, tmp_path, name, text):
+        path = str(tmp_path / name)
+        with open(path, "w") as handle:
+            handle.write(text)
+        return path
+
+    def test_header_and_last_line_parsed(self):
+        record = parse_perfbench(_perfbench_out(trace=1, seed=3))
+        assert record["perfbench"] == {"workload": "cold_tune", "seed": 3,
+                                       "trace": 1}
+        assert record_kind(record) == ("perfbench", "cold_tune trace 1")
+
+    def test_only_time_cells_extracted(self):
+        cells = extract_cells(parse_perfbench(_perfbench_out()))
+        # 1/s, MB and x metrics have no "lower is better" time direction
+        assert cells == {"setup_s": 4.0, "compile_cpu_s": 2.0,
+                         "job_p50_ms": 250.0, "job_tail_ms": 300.0}
+
+    def test_other_workload_refused(self):
+        with pytest.raises(CheckUsageError, match="not comparable"):
+            compare_records(parse_perfbench(_perfbench_out()),
+                            parse_perfbench(_perfbench_out("warm_replay")))
+
+    def test_other_trace_mode_refused(self):
+        with pytest.raises(CheckUsageError, match="not comparable"):
+            compare_records(parse_perfbench(_perfbench_out()),
+                            parse_perfbench(_perfbench_out(trace=1)))
+
+    def test_other_seed_warns_but_compares(self):
+        report = compare_records(parse_perfbench(_perfbench_out()),
+                                 parse_perfbench(_perfbench_out(seed=2)))
+        assert report.ok
+        assert any("seed differs" in w for w in report.warnings)
+
+    def test_run_without_result_line_refused(self):
+        text = _perfbench_out().rsplit("\n", 2)[0] + "\n"
+        with pytest.raises(CheckUsageError, match="JSON result"):
+            parse_perfbench(text)
+
+    def test_neither_json_nor_perfbench_refused(self, tmp_path):
+        assert parse_perfbench("") is None
+        path = self._write(tmp_path, "notes.txt", "not a record {\n")
+        assert parse_perfbench("not a record {\n") is None
+        with pytest.raises(CheckUsageError, match="neither"):
+            load_record(path)
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        a = self._write(tmp_path, "a.out", _perfbench_out())
+        b = self._write(tmp_path, "b.out", _perfbench_out())
+        slow = self._write(tmp_path, "slow.out",
+                           _perfbench_out(compile_cpu=40.0))
+        warm = self._write(tmp_path, "warm.out",
+                           _perfbench_out("warm_replay"))
+        assert main(["check", a, b, "--noise-band", "150%"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert main(["check", a, slow, "--noise-band", "150%"]) == 1
+        assert "REGRESSION compile_cpu_s" in capsys.readouterr().out
+        assert main(["check", a, warm, "--noise-band", "150%"]) == 2
         assert "check refused" in capsys.readouterr().err
 
 
@@ -368,14 +452,6 @@ class TestProvenanceHeaders:
     def test_archs_sorted_for_stable_comparison(self):
         header = provenance_header(["b-arch", "a-arch"])
         assert header["arch"] == ["a-arch", "b-arch"]
-
-    def test_bench_recorder_stamps_provenance(self):
-        recorder = BenchRecorder("fig16",
-                                 config={"archs": ["NVIDIA A100"]})
-        payload = recorder.to_dict()
-        assert payload["provenance"]["schema"] == PROVENANCE_SCHEMA
-        assert payload["provenance"]["arch"] == ["NVIDIA A100"]
-        assert payload["provenance"]["created"] == payload["created"]
 
     def test_sweep_json_stamps_provenance(self, tmp_path):
         from repro.autotune.search import default_configs

@@ -1,19 +1,23 @@
 """Scalar vs batched model equivalence, benchsuite-wide.
 
-The batched numpy scoring path (``repro.simulator.batch``) claims bit-
-identical results to the scalar reference (``REPRO_SCALAR_MODEL=1``).
-These tests hold it to that claim with ``==`` comparisons — no
-tolerances — across every benchsuite kernel on both a 32-wide (A100) and
-a 64-wide (MI210) target, plus a hypothesis property sweep over random
-feature vectors.
+The product scores through the batched numpy path
+(``repro.simulator.batch.LaunchScorer``): TDO's ``_batched_seconds`` and
+``Program.model_launch_seconds``. This module keeps the scalar reference
+as a test oracle — one alternative, one launch, one loop at a time — and
+substitutes it for both with ``monkeypatch``. The tests hold the batched
+path to bit-identical results with ``==`` comparisons — no tolerances —
+across every benchsuite kernel on both a 32-wide (A100) and a 64-wide
+(MI210) target, plus a hypothesis property sweep over random feature
+vectors. A guard test proves the oracle really runs.
 """
-
-import os
 
 import pytest
 
 from repro.autotune import paper_sweep_configs
+from repro.autotune import tdo
 from repro.engine import TuningEngine, default_engine, set_default_engine
+from repro.pipeline import Program
+from repro.simulator.model import InvalidLaunch
 from repro.targets import A100, MI210
 
 #: a small factor grid keeps the sweep fast while still exercising the
@@ -21,28 +25,53 @@ from repro.targets import A100, MI210
 SMALL_CONFIGS = paper_sweep_configs((1, 2, 4), (1, 2, 4))
 
 
-def _run_mode(scalar, fn):
-    """Run ``fn`` with a cold tuning engine, forcing the scalar model."""
-    saved = os.environ.get("REPRO_SCALAR_MODEL")
-    os.environ["REPRO_SCALAR_MODEL"] = "1" if scalar else "0"
-    set_default_engine(TuningEngine())
-    try:
-        result = fn()
-        selections = {
-            key: entry.selected_config
-            for key, entry in default_engine().cache._memory.items()
-        }
-        return result, selections
-    finally:
-        set_default_engine(None)
-        if saved is None:
-            os.environ.pop("REPRO_SCALAR_MODEL", None)
-        else:
-            os.environ["REPRO_SCALAR_MODEL"] = saved
+def _scalar_seconds(alt, arch, envs):
+    """The reference for ``tdo._batched_seconds``: one alternative, one
+    launch, one loop at a time through ``tdo._time_region``."""
+    model_cache = {}
+    blocks_cache = {}
+    for index in range(len(alt.regions)):
+        try:
+            yield sum(tdo._time_region(alt, index, arch, one, model_cache,
+                                       blocks_cache)
+                      for one in envs)
+        except InvalidLaunch as error:
+            yield error
+
+
+def _model_launch_seconds(self, kernel, block, grids):
+    """The reference for ``Program.model_launch_seconds``: one
+    ``model_launch`` per grid."""
+    return [self.model_launch(kernel, grid, block).time_seconds
+            for grid in grids]
+
+
+def _use_scalar_oracle(monkeypatch):
+    """Route TDO and composite modeling through the scalar references."""
+    monkeypatch.setattr(tdo, "_batched_seconds", _scalar_seconds)
+    monkeypatch.setattr(Program, "model_launch_seconds",
+                        _model_launch_seconds)
+
+
+def _run_mode(monkeypatch, scalar, fn):
+    """Run ``fn`` with a cold tuning engine, on the oracle if ``scalar``."""
+    with monkeypatch.context() as patch:
+        if scalar:
+            _use_scalar_oracle(patch)
+        set_default_engine(TuningEngine())
+        try:
+            result = fn()
+            selections = {
+                key: entry.selected_config
+                for key, entry in default_engine().cache._memory.items()
+            }
+            return result, selections
+        finally:
+            set_default_engine(None)
 
 
 @pytest.mark.parametrize("arch", [A100, MI210], ids=lambda a: a.name)
-def test_benchsuite_composites_identical(arch):
+def test_benchsuite_composites_identical(arch, monkeypatch):
     """Every benchmark's tuned composite time matches == across paths."""
     from repro.benchsuite.experiments import fig16_data
 
@@ -51,8 +80,8 @@ def test_benchsuite_composites_identical(arch):
                           tiers=("clang", "polygeist-noopt", "polygeist"),
                           configs=SMALL_CONFIGS)
 
-    scalar, scalar_selected = _run_mode(True, run)
-    batched, batched_selected = _run_mode(False, run)
+    scalar, scalar_selected = _run_mode(monkeypatch, True, run)
+    batched, batched_selected = _run_mode(monkeypatch, False, run)
     assert scalar == batched
     # the tuner must also have picked the same winning coarsening config
     # for every (benchmark, wrapper, grids) tuning decision
@@ -61,7 +90,7 @@ def test_benchsuite_composites_identical(arch):
 
 
 @pytest.mark.parametrize("arch", [A100, MI210], ids=lambda a: a.name)
-def test_per_config_seconds_identical(arch):
+def test_per_config_seconds_identical(arch, monkeypatch):
     """Every candidate config's modeled seconds match ==, not just winners."""
     from repro.benchsuite.experiments import fig13_data
 
@@ -75,20 +104,44 @@ def test_per_config_seconds_identical(arch):
                               for r in sweep.results)))
         return out
 
-    scalar, _ = _run_mode(True, run)
-    batched, _ = _run_mode(False, run)
+    scalar, _ = _run_mode(monkeypatch, True, run)
+    batched, _ = _run_mode(monkeypatch, False, run)
     assert scalar == batched
 
 
-def test_scalar_env_forces_reference_path(monkeypatch):
-    from repro.simulator.model import use_scalar_model
+def test_scalar_oracle_really_runs(monkeypatch):
+    """The oracle pass scores through ``_time_region`` and builds no
+    ``LaunchScorer``; without this, a wrong substitution target would make
+    every ``scalar == batched`` test compare the batch with itself."""
+    import repro.simulator.batch as batch_mod
+    from repro.benchsuite import simulate_composite
 
-    monkeypatch.setenv("REPRO_SCALAR_MODEL", "1")
-    assert use_scalar_model()
-    monkeypatch.setenv("REPRO_SCALAR_MODEL", "0")
-    assert not use_scalar_model()
-    monkeypatch.delenv("REPRO_SCALAR_MODEL")
-    assert not use_scalar_model()
+    calls = {"time_region": 0, "scorers": 0}
+    time_region = tdo._time_region
+
+    def counting_time_region(*args, **kwargs):
+        calls["time_region"] += 1
+        return time_region(*args, **kwargs)
+
+    class CountingScorer(batch_mod.LaunchScorer):
+        def __init__(self, *args, **kwargs):
+            calls["scorers"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tdo, "_time_region", counting_time_region)
+    monkeypatch.setattr(batch_mod, "LaunchScorer", CountingScorer)
+
+    def run():
+        return simulate_composite("gaussian", A100,
+                                  autotune_configs=SMALL_CONFIGS)
+
+    scalar, _ = _run_mode(monkeypatch, True, run)
+    assert calls["time_region"] > 0
+    assert calls["scorers"] == 0
+    # the counters see the product path: it scores through LaunchScorer
+    batched, _ = _run_mode(monkeypatch, False, run)
+    assert calls["scorers"] > 0
+    assert scalar == batched
 
 
 # -- first-failure behaviour of the batched scorer ----------------------------
@@ -143,10 +196,12 @@ def _scored_both_ways(monkeypatch, alt, envs):
     monkeypatch.setattr(model_mod, "KernelModel", RecordingModel)
     monkeypatch.setattr(batch_mod, "KernelModel", RecordingModel)
     results = []
-    for scalar in ("1", "0"):
-        monkeypatch.setenv("REPRO_SCALAR_MODEL", scalar)
-        built.clear()
-        candidates = score_alternatives(alt, A100, envs)
+    for scalar in (True, False):
+        with monkeypatch.context() as patch:
+            if scalar:
+                _use_scalar_oracle(patch)
+            built.clear()
+            candidates = score_alternatives(alt, A100, envs)
         results.append(([(c.index, c.desc, c.time_seconds, c.valid,
                           c.reason) for c in candidates],
                         {id(loop) for loop in built}))
@@ -239,7 +294,6 @@ def _stage_program(shared_floats, tier, configs=None):
 def _modeled_both_ways(shared_floats, tier, grids, configs=None):
     """model_launch_seconds over ``grids`` and model_launch one by one,
     each on a fresh program; an InvalidLaunch is returned as its reason."""
-    from repro.simulator.model import InvalidLaunch
 
     def grouped():
         program = _stage_program(shared_floats, tier, configs)
@@ -247,8 +301,7 @@ def _modeled_both_ways(shared_floats, tier, grids, configs=None):
 
     def one_by_one():
         program = _stage_program(shared_floats, tier, configs)
-        return [program.model_launch("stage", grid, (64,)).time_seconds
-                for grid in grids]
+        return _model_launch_seconds(program, "stage", (64,), grids)
 
     results = []
     for run in (grouped, one_by_one):
