@@ -32,7 +32,8 @@ Commands mirror the Polygeist-GPU driver workflow:
   over an async job queue and ONE shared on-disk tuning cache, so many
   clients amortize each other's tuning runs (see ``docs/SERVE.md``);
 * ``submit``    — send one tuning request to a running daemon and wait
-  for (or poll) the result.
+  for the result (one long-polled request), or with ``--no-wait`` just
+  print the job id.
 
 ``tune --trace out.json`` records every compilation stage — parse, each
 cleanup pass, each pruning filter, each modeled alternative — as a Chrome

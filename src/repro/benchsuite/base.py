@@ -151,7 +151,9 @@ def simulate_composite(name: str, arch,
                        tier: str = "polygeist",
                        autotune_configs: Optional[Sequence[Dict]] = None,
                        size: Optional[int] = None,
-                       engine=None) -> float:
+                       engine=None,
+                       outcomes: Optional[Dict[str, object]] = None
+                       ) -> float:
     """Model the composite time of a benchmark at paper-scale size.
 
     Sums analytically-modeled kernel launches (tuned per the tier) plus
@@ -162,6 +164,9 @@ def simulate_composite(name: str, arch,
     :class:`~repro.engine.TuningEngine`) overrides the process-wide
     default — the ``repro serve`` daemon passes a per-job engine over
     the shared on-disk cache so hit/miss accounting stays per request.
+    When given, ``outcomes`` receives the program's
+    :class:`~repro.autotune.tdo.TuneOutcome` per tuned wrapper name,
+    whether TDO ran or the decision was replayed from the cache.
     """
     if isinstance(arch, str):
         from ..targets import arch_by_name
@@ -187,4 +192,6 @@ def simulate_composite(name: str, arch,
         total += next(per_group[(kernel, tuple(block))])
     bytes_moved = bench.transfer_bytes(size)
     total += 2 * PCIE_LATENCY + bytes_moved / PCIE_BANDWIDTH
+    if outcomes is not None:
+        outcomes.update(program.tuning_outcomes)
     return total

@@ -151,97 +151,95 @@ def const_eval(expr: ast.Expr) -> Optional[int]:
     return None
 
 
+# the AST walkers below are module-level functions, not closures: a nested
+# function that calls itself is a reference cycle, which keeps every name
+# set it filled alive until a full garbage collection
+
+
+def _assigned_in_expr(expr, declared: Set[str], names: Set[str]) -> None:
+    if isinstance(expr, ast.Assign):
+        if isinstance(expr.target, ast.Ident):
+            if expr.target.name not in declared:
+                names.add(expr.target.name)
+        else:
+            _assigned_in_expr(expr.target, declared, names)
+        _assigned_in_expr(expr.value, declared, names)
+    elif isinstance(expr, ast.UnOp):
+        if expr.op in ("++", "--") and isinstance(expr.operand, ast.Ident):
+            if expr.operand.name not in declared:
+                names.add(expr.operand.name)
+        else:
+            _assigned_in_expr(expr.operand, declared, names)
+    elif isinstance(expr, ast.BinOp):
+        _assigned_in_expr(expr.lhs, declared, names)
+        _assigned_in_expr(expr.rhs, declared, names)
+    elif isinstance(expr, ast.Ternary):
+        _assigned_in_expr(expr.cond, declared, names)
+        _assigned_in_expr(expr.true_value, declared, names)
+        _assigned_in_expr(expr.false_value, declared, names)
+    elif isinstance(expr, ast.Call):
+        for arg in expr.args:
+            _assigned_in_expr(arg, declared, names)
+    elif isinstance(expr, ast.Index):
+        _assigned_in_expr(expr.base, declared, names)
+        _assigned_in_expr(expr.index, declared, names)
+    elif isinstance(expr, ast.Member):
+        _assigned_in_expr(expr.base, declared, names)
+    elif isinstance(expr, (ast.Cast, ast.AddressOf, ast.Deref)):
+        _assigned_in_expr(expr.expr, declared, names)
+    elif isinstance(expr, ast.Comma):
+        for sub in expr.exprs:
+            _assigned_in_expr(sub, declared, names)
+
+
+def _assigned_in_stmt(stmt, declared: Set[str], names: Set[str]) -> None:
+    if isinstance(stmt, ast.Block):
+        for child in stmt.stmts:
+            _assigned_in_stmt(child, declared, names)
+    elif isinstance(stmt, ast.DeclStmt):
+        for decl in stmt.decls:
+            if decl.init is not None:
+                _assigned_in_expr(decl.init, declared, names)
+    elif isinstance(stmt, ast.ExprStmt):
+        _assigned_in_expr(stmt.expr, declared, names)
+    elif isinstance(stmt, ast.If):
+        _assigned_in_expr(stmt.cond, declared, names)
+        _assigned_in_stmt(stmt.then_body, declared, names)
+        if stmt.else_body is not None:
+            _assigned_in_stmt(stmt.else_body, declared, names)
+    elif isinstance(stmt, ast.For):
+        if stmt.init is not None:
+            _assigned_in_stmt(stmt.init, declared, names)
+        if stmt.cond is not None:
+            _assigned_in_expr(stmt.cond, declared, names)
+        if stmt.inc is not None:
+            _assigned_in_expr(stmt.inc, declared, names)
+        _assigned_in_stmt(stmt.body, declared, names)
+    elif isinstance(stmt, (ast.While, ast.DoWhile)):
+        _assigned_in_expr(stmt.cond, declared, names)
+        _assigned_in_stmt(stmt.body, declared, names)
+    elif isinstance(stmt, ast.Return):
+        if stmt.value is not None:
+            _assigned_in_expr(stmt.value, declared, names)
+    elif isinstance(stmt, ast.KernelLaunch):
+        for arg in stmt.args:
+            _assigned_in_expr(arg, declared, names)
+
+
 def assigned_names(node, declared: Optional[Set[str]] = None) -> Set[str]:
-    """Names assigned by ``node``, excluding ones it declares itself."""
+    """Names assigned by ``node``, excluding the ``declared`` ones.
+
+    Names that ``node`` declares itself are still reported when it
+    assigns them after the declaration (``for (int i = 0; ...; i++)``
+    reports ``i``)."""
     if declared is None:
         declared = set()
     names: Set[str] = set()
-
-    def visit_expr(expr):
-        if isinstance(expr, ast.Assign):
-            if isinstance(expr.target, ast.Ident):
-                if expr.target.name not in declared:
-                    names.add(expr.target.name)
-            else:
-                visit_expr(expr.target)
-            visit_expr(expr.value)
-        elif isinstance(expr, ast.UnOp):
-            if expr.op in ("++", "--") and isinstance(expr.operand,
-                                                      ast.Ident):
-                if expr.operand.name not in declared:
-                    names.add(expr.operand.name)
-            else:
-                visit_expr(expr.operand)
-        elif isinstance(expr, ast.BinOp):
-            visit_expr(expr.lhs)
-            visit_expr(expr.rhs)
-        elif isinstance(expr, ast.Ternary):
-            visit_expr(expr.cond)
-            visit_expr(expr.true_value)
-            visit_expr(expr.false_value)
-        elif isinstance(expr, ast.Call):
-            for arg in expr.args:
-                visit_expr(arg)
-        elif isinstance(expr, (ast.Index,)):
-            visit_expr(expr.base)
-            visit_expr(expr.index)
-        elif isinstance(expr, ast.Member):
-            visit_expr(expr.base)
-        elif isinstance(expr, (ast.Cast,)):
-            visit_expr(expr.expr)
-        elif isinstance(expr, (ast.AddressOf, ast.Deref)):
-            visit_expr(expr.expr)
-        elif isinstance(expr, ast.Comma):
-            for sub in expr.exprs:
-                visit_expr(sub)
-
-    def visit_stmt(stmt, local_declared):
-        if isinstance(stmt, ast.Block):
-            inner = set(local_declared)
-            for child in stmt.stmts:
-                visit_stmt(child, inner)
-        elif isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    visit_expr(decl.init)
-                local_declared.add(decl.name)
-        elif isinstance(stmt, ast.ExprStmt):
-            visit_expr(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            visit_expr(stmt.cond)
-            visit_stmt(stmt.then_body, set(local_declared))
-            if stmt.else_body is not None:
-                visit_stmt(stmt.else_body, set(local_declared))
-        elif isinstance(stmt, ast.For):
-            inner = set(local_declared)
-            if stmt.init is not None:
-                visit_stmt(stmt.init, inner)
-            if stmt.cond is not None:
-                visit_expr(stmt.cond)
-            if stmt.inc is not None:
-                visit_expr(stmt.inc)
-            visit_stmt(stmt.body, inner)
-        elif isinstance(stmt, (ast.While, ast.DoWhile)):
-            visit_expr(stmt.cond)
-            visit_stmt(stmt.body, set(local_declared))
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                visit_expr(stmt.value)
-        elif isinstance(stmt, ast.KernelLaunch):
-            for arg in stmt.args:
-                visit_expr(arg)
-
-    # outer-level names assigned should respect `declared`
-    def visit_expr_decl_aware(expr):
-        visit_expr(expr)
-
-    saved = names
-
-    def collect(stmt):
-        visit_stmt(stmt, set(declared))
-
-    collect(node) if isinstance(node, ast.Stmt) else visit_expr(node)
-    return {n for n in saved if n not in declared}
+    if isinstance(node, ast.Stmt):
+        _assigned_in_stmt(node, declared, names)
+    else:
+        _assigned_in_expr(node, declared, names)
+    return names
 
 
 # -- math / CUDA builtins ---------------------------------------------------------
@@ -1504,39 +1502,39 @@ def _is_bare_return(block: ast.Block) -> bool:
         block.stmts[0].value is None
 
 
+def _collect_names(node, names: Set[str]) -> None:
+    if isinstance(node, ast.Ident):
+        names.add(node.name)
+    elif isinstance(node, ast.BinOp):
+        _collect_names(node.lhs, names)
+        _collect_names(node.rhs, names)
+    elif isinstance(node, ast.UnOp):
+        _collect_names(node.operand, names)
+    elif isinstance(node, ast.Assign):
+        _collect_names(node.target, names)
+        _collect_names(node.value, names)
+    elif isinstance(node, ast.Ternary):
+        _collect_names(node.cond, names)
+        _collect_names(node.true_value, names)
+        _collect_names(node.false_value, names)
+    elif isinstance(node, ast.Call):
+        for arg in node.args:
+            _collect_names(arg, names)
+    elif isinstance(node, ast.Index):
+        _collect_names(node.base, names)
+        _collect_names(node.index, names)
+    elif isinstance(node, ast.Member):
+        _collect_names(node.base, names)
+    elif isinstance(node, (ast.Cast, ast.AddressOf, ast.Deref)):
+        _collect_names(node.expr, names)
+    elif isinstance(node, ast.Comma):
+        for sub in node.exprs:
+            _collect_names(sub, names)
+
+
 def _free_names(expr: ast.Expr) -> Set[str]:
     names: Set[str] = set()
-
-    def visit(node):
-        if isinstance(node, ast.Ident):
-            names.add(node.name)
-        elif isinstance(node, ast.BinOp):
-            visit(node.lhs)
-            visit(node.rhs)
-        elif isinstance(node, ast.UnOp):
-            visit(node.operand)
-        elif isinstance(node, ast.Assign):
-            visit(node.target)
-            visit(node.value)
-        elif isinstance(node, ast.Ternary):
-            visit(node.cond)
-            visit(node.true_value)
-            visit(node.false_value)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, ast.Index):
-            visit(node.base)
-            visit(node.index)
-        elif isinstance(node, ast.Member):
-            visit(node.base)
-        elif isinstance(node, (ast.Cast, ast.AddressOf, ast.Deref)):
-            visit(node.expr)
-        elif isinstance(node, ast.Comma):
-            for sub in node.exprs:
-                visit(sub)
-
-    visit(expr)
+    _collect_names(expr, names)
     return names
 
 

@@ -2,7 +2,7 @@
 
 from .builder import Builder
 from .core import (Block, BlockArgument, Operation, OpResult, Region, Use,
-                   Value, single_block_region)
+                   Value, single_block_region, unlink_subtree)
 from .module import Module
 from .parser import ParseError, parse_module, parse_op, parse_type
 from .pass_manager import Pass, PassManager, PassRecord, count_ops
@@ -24,5 +24,5 @@ __all__ = [
     "format_attr",
     "is_scalar", "parse_module", "parse_op", "parse_type", "print_module",
     "print_op", "register_op_verifier", "single_block_region",
-    "verify_module", "verify_op",
+    "unlink_subtree", "verify_module", "verify_op",
 ]

@@ -246,38 +246,8 @@ class Operation:
                     "erasing %s whose result still has uses" % self.name)
         if not self.regions:
             self.drop_all_operand_uses()
-            self.detach()
-            return
-        # subtree erase: values defined inside die wholesale, so only
-        # uses of values defined *outside* need unlinking — and each
-        # such value's use list is rebuilt once, instead of scanned once
-        # per erased use (quadratic for high-fan-out values like
-        # constants feeding a large erased nest)
-        dead_ops = set()
-        internal = set()
-        ops = []
-        stack = [self]
-        while stack:
-            op = stack.pop()
-            dead_ops.add(id(op))
-            ops.append(op)
-            for result in op.results:
-                internal.add(id(result))
-            for region in op.regions:
-                for block in region.blocks:
-                    for arg in block.args:
-                        internal.add(id(arg))
-                    stack.extend(block.ops)
-        touched = {}
-        for op in ops:
-            for operand in op._operands:
-                key = id(operand)
-                if key not in internal and key not in touched:
-                    touched[key] = operand
-            op._operands = []
-        for operand in touched.values():
-            operand.uses = [use for use in operand.uses
-                            if id(use.owner) not in dead_ops]
+        else:
+            unlink_subtree([self])
         self.detach()
 
     def replace_all_uses_with(self, values: Sequence[Value]) -> None:
@@ -386,6 +356,42 @@ class Operation:
 
     def __repr__(self) -> str:
         return "<Operation %s>" % self.name
+
+
+def unlink_subtree(roots: Iterable[Operation]) -> None:
+    """Drop every use held by ``roots`` and the ops nested in them.
+
+    Values defined inside the subtree die with it, so only uses of values
+    defined *outside* need unlinking, and each such value's use list is
+    rebuilt once instead of scanned once per dropped use (quadratic for
+    high-fan-out values like constants feeding a large dropped nest).
+    The ops are left with no operands; detaching them is the caller's job.
+    """
+    dead_ops = set()
+    internal = set()
+    ops = []
+    stack = list(roots)
+    while stack:
+        op = stack.pop()
+        dead_ops.add(id(op))
+        ops.append(op)
+        for result in op.results:
+            internal.add(id(result))
+        for region in op.regions:
+            for block in region.blocks:
+                for arg in block.args:
+                    internal.add(id(arg))
+                stack.extend(block.ops)
+    touched = {}
+    for op in ops:
+        for operand in op._operands:
+            key = id(operand)
+            if key not in internal and key not in touched:
+                touched[key] = operand
+        op._operands = []
+    for operand in touched.values():
+        operand.uses = [use for use in operand.uses
+                        if id(use.owner) not in dead_ops]
 
 
 class Block:

@@ -10,6 +10,12 @@ the same way:
 >>> result = client.wait(job["job"])
 >>> result["cache_hit"], result["seconds"]
 
+:meth:`ServeClient.wait` long-polls: each ``GET /v1/jobs/<id>/result``
+asks the daemon to hold the request (``?wait=<seconds>``) until the job
+finishes, so a job costs one request and the answer arrives as soon as
+the job is done, not at the next poll tick. A daemon that ignores
+``?wait`` answers 202 at once, and ``wait`` falls back to polling.
+
 Resilience is built in, not outsourced to every caller:
 
 * 429 (queue full) and 503 (draining) responses are retried up to
@@ -17,7 +23,7 @@ Resilience is built in, not outsourced to every caller:
   server's ``Retry-After`` header when present — pass ``retries=0`` for
   the raw fail-fast behavior;
 * :meth:`wait` distinguishes a *slow* job from a *dead* daemon: a
-  transport failure mid-poll re-probes once and then fails fast with a
+  transport failure mid-wait re-probes once and then fails fast with a
   clear message instead of silently polling out the full timeout.
 
 Server-side rejections (400, and 429/503 once the retry budget is
@@ -34,6 +40,8 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional
 
+from .jobs import MAX_RESULT_WAIT
+
 
 class ServeError(Exception):
     """A non-2xx daemon response (or an unreachable daemon)."""
@@ -48,6 +56,10 @@ class ServeError(Exception):
 
 #: statuses worth retrying: the server said "not now", not "never"
 RETRYABLE = (429, 503)
+
+#: seconds of the HTTP ``timeout`` a long-poll leaves for the daemon's
+#: answer to arrive (at most half the timeout)
+WAIT_MARGIN = 1.0
 
 
 class ServeClient:
@@ -136,21 +148,39 @@ class ServeClient:
         """``GET /v1/jobs/<id>`` — status incl. per-stage progress."""
         return self._call("/v1/jobs/%s" % job_id)
 
-    def result(self, job_id: str) -> Dict[str, Any]:
+    def result(self, job_id: str, wait: float = 0.0) -> Dict[str, Any]:
         """``GET /v1/jobs/<id>/result``; 202 (still running) is returned
-        as the status payload with ``_status == 202``."""
-        return self._call("/v1/jobs/%s/result" % job_id,
-                          accept=(200, 202))
+        as the status payload with ``_status == 202``.
+
+        ``wait`` > 0 asks the daemon to hold the request until the job
+        finishes, for at most ``wait`` seconds (the daemon caps it at
+        :data:`~repro.serve.jobs.MAX_RESULT_WAIT`); it answers 202 when
+        the hold runs out. Keep ``wait`` below this client's HTTP
+        ``timeout``, or the socket read times out first."""
+        path = "/v1/jobs/%s/result" % job_id
+        if wait > 0:
+            path += "?wait=%.3f" % wait
+        return self._call(path, accept=(200, 202))
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.1) -> Dict[str, Any]:
-        """Poll until the job finishes; raises :class:`ServeError` on a
-        failed job, on deadline expiry, or — fast — when the daemon dies
-        mid-poll (transport errors re-probe once, then give up)."""
+        """Block until the job finishes and return its result.
+
+        Each request long-polls (see :meth:`result`) for the smallest of
+        the time left before ``timeout``, :data:`MAX_RESULT_WAIT`, and
+        the HTTP ``timeout`` less :data:`WAIT_MARGIN`, so one request per
+        job is the norm. ``poll`` is the sleep after a 202: the hold ran
+        out, or the daemon predates long-polling and answered at once.
+
+        Raises :class:`ServeError` on a failed job, on deadline expiry,
+        or — fast — when the daemon dies mid-wait (transport errors
+        re-probe once, then give up)."""
         deadline = time.monotonic() + timeout
+        held = self.timeout - min(WAIT_MARGIN, self.timeout / 2.0)
         while True:
+            hold = min(deadline - time.monotonic(), MAX_RESULT_WAIT, held)
             try:
-                payload = self.result(job_id)
+                payload = self.result(job_id, wait=max(0.0, hold))
             except ServeError as error:
                 if error.status != 0:
                     raise

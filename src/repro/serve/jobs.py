@@ -25,7 +25,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import decisions as obs_decisions
 
@@ -36,6 +36,11 @@ DONE = "done"
 FAILED = "failed"
 
 STATES = (QUEUED, RUNNING, DONE, FAILED)
+TERMINAL = (DONE, FAILED)
+
+#: longest ``GET /v1/jobs/<id>/result?wait=`` holds a request open: the
+#: daemon caps what a client asks for, and the client never asks for more
+MAX_RESULT_WAIT = 30.0
 
 
 class RequestError(ValueError):
@@ -178,6 +183,7 @@ def run_tune_job(payload: Dict[str, Any],
     arch = arch_by_name(request.arch)
     configs = _configs(request.max_factor)
     log = obs_decisions.DecisionLog()
+    outcomes: Dict[str, Any] = {}
     start = time.perf_counter()
     with obs_decisions.logging_decisions(log):
         if request.benchmark is not None:
@@ -185,7 +191,7 @@ def run_tune_job(payload: Dict[str, Any],
             seconds = simulate_composite(
                 request.benchmark, arch, tier=request.tier,
                 autotune_configs=configs, size=request.size,
-                engine=engine)
+                engine=engine, outcomes=outcomes)
         else:
             from ..pipeline import Program
             program = Program(request.source, arch=arch,
@@ -200,16 +206,14 @@ def run_tune_job(payload: Dict[str, Any],
             timing = program.model_launch(kernel, request.grid,
                                           request.block)
             seconds = timing.time_seconds
+            outcomes = program.tuning_outcomes
     wall = time.perf_counter() - start
     cache_stats = engine.cache.stats()
-    decisions = log.as_dict()["decisions"]
-    winners = [
-        {"wrapper": decision["wrapper"],
-         "desc": alternative["desc"],
-         "time_seconds": alternative["time_seconds"]}
-        for decision in decisions
-        for alternative in decision["alternatives"]
-        if alternative["selected"]]
+    # from the outcomes, not the decision log: a cache replay logs no
+    # decisions, and warm results must name the same winners as cold ones
+    winners = [{"wrapper": wrapper, "desc": outcome.selected_desc,
+                "time_seconds": outcome.selected_time}
+               for wrapper, outcome in outcomes.items()]
     return {
         "request": request.as_payload(),
         "target": request.describe(),
@@ -227,7 +231,7 @@ def run_tune_job(payload: Dict[str, Any],
         "cache_hit": cache_stats["misses"] == 0 and cache_stats["hits"] > 0,
         "stages": engine.stats.stage_seconds,
         "counters": engine.stats.counters,
-        "decisions": decisions,
+        "decisions": log.as_dict()["decisions"],
         "winners": winners,
     }
 
@@ -262,38 +266,74 @@ class JobRecord:
     #: live stage registry (thread isolation only): lets the status
     #: endpoint report per-stage progress while the job runs
     live_stats: Optional[object] = None
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+    #: guards the fields above; notified when the job turns terminal and
+    #: by :meth:`wake`, so long-polling result requests block on it
+    _changed: threading.Condition = field(
+        default_factory=threading.Condition, repr=False)
 
     def mark_running(self) -> None:
-        with self._lock:
+        with self._changed:
             self.state = RUNNING
             self.started_at = time.time()
             self._started_mono = time.monotonic()
 
     def finish(self, job_result) -> None:
         """Absorb the scheduler's :class:`JobResult`."""
-        with self._lock:
-            self.finished_at = time.time()
-            self._finished_mono = time.monotonic()
+        with self._changed:
+            self._stamp_finished()
             self.attempts = job_result.attempts
             self.timeouts = job_result.timeouts
-            self.live_stats = None
             if job_result.ok:
                 self.state = DONE
                 self.result = job_result.value
             else:
                 self.state = FAILED
                 self.error = job_result.error
+            self._changed.notify_all()
+
+    def fail(self, error: str) -> None:
+        """Fail a job the scheduler never reported on (a dispatcher
+        crash); a job that is already terminal keeps its outcome."""
+        with self._changed:
+            if self.state in TERMINAL:
+                return
+            self._stamp_finished()
+            self.state = FAILED
+            self.error = error
+            self._changed.notify_all()
+
+    def _stamp_finished(self) -> None:
+        # callers hold self._changed
+        self.finished_at = time.time()
+        self._finished_mono = time.monotonic()
+        self.live_stats = None
+
+    def wake(self) -> None:
+        """Make every :meth:`wait_finished` caller re-check its
+        ``released`` condition (the daemon calls this when it stops)."""
+        with self._changed:
+            self._changed.notify_all()
+
+    def wait_finished(self, timeout: float,
+                      released: Callable[[], bool] = lambda: False) -> None:
+        """Block until the job is terminal, ``released()`` holds, or
+        ``timeout`` seconds pass.
+
+        ``released`` is evaluated under the record's lock, so a caller
+        that sets its condition and then calls :meth:`wake` cannot miss a
+        waiter that is about to block."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self.state in TERMINAL or released(), timeout)
 
     @property
     def finished(self) -> bool:
-        with self._lock:
-            return self.state in (DONE, FAILED)
+        with self._changed:
+            return self.state in TERMINAL
 
     def status_dict(self) -> Dict[str, Any]:
         """The ``GET /v1/jobs/<id>`` payload."""
-        with self._lock:
+        with self._changed:
             now = time.monotonic()
             payload: Dict[str, Any] = {
                 "job": self.id,
@@ -328,7 +368,7 @@ class JobRecord:
 
     def result_dict(self) -> Optional[Dict[str, Any]]:
         """The ``GET /v1/jobs/<id>/result`` payload (None unless done)."""
-        with self._lock:
+        with self._changed:
             if self.state != DONE or self.result is None:
                 return None
             payload = dict(self.result)

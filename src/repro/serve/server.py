@@ -18,7 +18,10 @@ API surface (all JSON):
 * ``GET /v1/jobs/<id>``        — job status incl. per-stage progress;
 * ``GET /v1/jobs/<id>/result`` — the full result: composite seconds,
   cache accounting, per-stage seconds, and the TDO decision log
-  (202 while the job is still queued/running);
+  (202 while the job is still queued/running); ``?wait=<seconds>``
+  holds the request until the job finishes, up to
+  :data:`~repro.serve.jobs.MAX_RESULT_WAIT`, so a client needs one
+  request per job instead of a poll loop;
 * ``GET /v1/cache/stats``      — shared-cache hit/miss/evict/quarantine
   counters, hit rate, and disk occupancy against the configured budget;
 * ``GET /v1/ledger``           — durable job-ledger occupancy and the
@@ -49,6 +52,7 @@ import signal
 import tempfile
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
@@ -59,8 +63,8 @@ from ..engine.cache import default_cache_path, parse_cache_budget
 from ..engine.scheduler import Job, SweepScheduler
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
-from .jobs import DONE, FAILED, JobRecord, RequestError, TuneRequest, \
-    run_tune_job
+from .jobs import DONE, FAILED, MAX_RESULT_WAIT, JobRecord, RequestError, \
+    TuneRequest, run_tune_job
 from .ledger import JobLedger
 from .queue import JobQueue, QueueClosed, QueueFull
 
@@ -288,6 +292,10 @@ class TuneServer:
         if self.ledger is not None:
             self.ledger.close()
         self._stopped.set()
+        # release long-polling result requests: the listener is about to
+        # stop, and their jobs will not finish in this daemon
+        for record in self.queue.jobs():
+            record.wake()
         # shutdown() blocks until serve_forever's loop exits, so it must
         # only run when that loop is (or is about to be) running — the
         # _serving/_stopped handshake covers a drain that races startup
@@ -368,10 +376,7 @@ class TuneServer:
                 self._execute(scheduler, record)
             except BaseException:  # never lose a dispatcher thread
                 logger.exception("dispatcher crashed on job %s", record.id)
-                if not record.finished:
-                    record.state = FAILED
-                    record.error = "internal dispatcher error"
-                    record.finished_at = time.time()
+                record.fail("internal dispatcher error")
                 # keep the ledger truthful: what the client saw as failed
                 # must not silently re-run after a restart
                 if self.ledger is not None and record.state == FAILED:
@@ -517,6 +522,19 @@ class TuneServer:
 # -- HTTP plumbing -----------------------------------------------------------
 
 
+def _result_wait(query: str) -> float:
+    """The ``wait`` seconds of a result request's query string, capped at
+    :data:`MAX_RESULT_WAIT`; 0 when absent. Raises ``ValueError`` on a
+    value that is not a non-negative number."""
+    values = urllib.parse.parse_qs(query).get("wait")
+    if not values:
+        return 0.0
+    wait = float(values[-1])
+    if not wait >= 0.0:  # also rejects NaN
+        raise ValueError(values[-1])
+    return min(wait, MAX_RESULT_WAIT)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests into the owning :class:`TuneServer`."""
 
@@ -543,7 +561,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         try:
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
+            path, _, query = self.path.partition("?")
+            path = path.rstrip("/") or "/"
             if path == "/healthz":
                 return self._json(200, self.app.health())
             if path == "/v1/cache/stats":
@@ -553,7 +572,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/v1/faults":
                 return self._json(200, self.app.fault_stats())
             if path.startswith("/v1/jobs/"):
-                return self._job_route(path[len("/v1/jobs/"):])
+                return self._job_route(path[len("/v1/jobs/"):], query)
             return self._json(404, {"error": "no route %s" % path})
         except Exception as error:  # noqa: BLE001 - last-resort 500
             self._internal_error("GET", error)
@@ -566,7 +585,7 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             pass  # response already underway or the client is gone
 
-    def _job_route(self, rest: str) -> None:
+    def _job_route(self, rest: str, query: str) -> None:
         parts = rest.split("/")
         record = self.app.queue.get(parts[0])
         if record is None:
@@ -574,13 +593,20 @@ class _Handler(BaseHTTPRequestHandler):
         if len(parts) == 1:
             return self._json(200, record.status_dict())
         if len(parts) == 2 and parts[1] == "result":
+            try:
+                wait = _result_wait(query)
+            except ValueError:
+                return self._json(400, {"error": "wait must be a "
+                                        "non-negative number of seconds"})
+            if wait > 0:
+                record.wait_finished(wait, self.app._stopped.is_set)
             result = record.result_dict()
             if result is not None:
                 return self._json(200, result)
             status = record.status_dict()
             if status["state"] == FAILED:
                 return self._json(200, status)
-            return self._json(202, status)  # not finished yet: poll on
+            return self._json(202, status)  # not finished yet: ask again
         return self._json(404, {"error": "no route under job %s"
                                 % parts[0]})
 

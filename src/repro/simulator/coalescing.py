@@ -11,7 +11,7 @@ stride — the distinction at the heart of Fig. 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.affine import AffineForm, affine_of
 from ..analysis.uniformity import DependenceMemo
@@ -123,6 +123,46 @@ def bank_conflict_factor(stride_elements: Optional[int],
     return float(math.gcd(word_stride, banks))
 
 
+def _for_trips(op: Operation, symbolic_trips: float) -> float:
+    """Trip count of an ``scf.for``; ``symbolic_trips`` when unknown."""
+    lb = arith.constant_value(op.operand(0))
+    ub = arith.constant_value(op.operand(1))
+    step = arith.constant_value(op.operand(2))
+    if None in (lb, ub, step) or step <= 0:
+        return symbolic_trips
+    return max(0.0, (ub - lb + step - 1) // step)
+
+
+def _weighted_ops(block: Block, names: Tuple[str, ...], factor: float,
+                  symbolic_trips: float) -> Iterator[Tuple[Operation, float]]:
+    """Every op named in ``names`` under ``block``, in program order, with
+    its executions per thread (loop trip products; 0.5 per enclosing if).
+
+    A module-level generator, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep the access memo and
+    everything it reached alive until a full garbage collection."""
+    for op in block.ops:
+        name = op.name
+        if name == "scf.for":
+            yield from _weighted_ops(op.body_block(), names,
+                                     factor * _for_trips(op, symbolic_trips),
+                                     symbolic_trips)
+        elif name == "scf.while":
+            for index in (0, 1):
+                yield from _weighted_ops(op.body_block(index), names,
+                                         factor * symbolic_trips,
+                                         symbolic_trips)
+        elif name == "scf.if":
+            for index in (0, 1):
+                yield from _weighted_ops(op.body_block(index), names,
+                                         factor * 0.5, symbolic_trips)
+        elif name in ("scf.parallel", "polygeist.alternatives"):
+            yield from _weighted_ops(op.body_block(), names, factor,
+                                     symbolic_trips)
+        elif name in names:
+            yield op, factor
+
+
 def analyze_shared_conflicts(thread_parallel: Operation,
                              banks: int = 32,
                              symbolic_trips: float = 16.0,
@@ -133,40 +173,19 @@ def analyze_shared_conflicts(thread_parallel: Operation,
         memo = AccessMemo(thread_parallel)
     total_weight = 0.0
     weighted = 0.0
-
-    def visit(block: Block, factor: float) -> None:
-        nonlocal total_weight, weighted
-        for op in block.ops:
-            name = op.name
-            if name == "scf.for":
-                lb = arith.constant_value(op.operand(0))
-                ub = arith.constant_value(op.operand(1))
-                step = arith.constant_value(op.operand(2))
-                trips = symbolic_trips if None in (lb, ub, step) or \
-                    step <= 0 else max(0.0, (ub - lb + step - 1) // step)
-                visit(op.body_block(), factor * trips)
-            elif name == "scf.if":
-                visit(op.body_block(0), factor * 0.5)
-                visit(op.body_block(1), factor * 0.5)
-            elif name in ("scf.while",):
-                visit(op.body_block(0), factor * symbolic_trips)
-                visit(op.body_block(1), factor * symbolic_trips)
-            elif name in ("scf.parallel", "polygeist.alternatives"):
-                visit(op.body_block(), factor)
-            elif name in ("memref.load", "memref.store"):
-                ref = memref_d.load_op_ref(op)
-                if not isinstance(ref.type, MemRefType) or \
-                        ref.type.memory_space != "shared":
-                    continue
-                element_bytes = byte_width(ref.type.element)
-                form = _flat_affine(op, memo)
-                stride = None if form is None else _stride_of(form, memo)
-                conflict = bank_conflict_factor(stride, element_bytes,
-                                                banks)
-                weighted += factor * conflict
-                total_weight += factor
-
-    visit(thread_parallel.body_block(), 1.0)
+    for op, factor in _weighted_ops(thread_parallel.body_block(),
+                                    ("memref.load", "memref.store"), 1.0,
+                                    symbolic_trips):
+        ref = memref_d.load_op_ref(op)
+        if not isinstance(ref.type, MemRefType) or \
+                ref.type.memory_space != "shared":
+            continue
+        element_bytes = byte_width(ref.type.element)
+        form = _flat_affine(op, memo)
+        stride = None if form is None else _stride_of(form, memo)
+        conflict = bank_conflict_factor(stride, element_bytes, banks)
+        weighted += factor * conflict
+        total_weight += factor
     return weighted / total_weight if total_weight else 1.0
 
 
@@ -180,53 +199,29 @@ def analyze_coalescing(thread_parallel: Operation,
     if memo is None:
         memo = AccessMemo(thread_parallel)
     accesses: List[GlobalAccess] = []
-
-    def visit(block: Block, factor: float) -> None:
-        for op in block.ops:
-            name = op.name
-            if name == "scf.for":
-                lb = arith.constant_value(op.operand(0))
-                ub = arith.constant_value(op.operand(1))
-                step = arith.constant_value(op.operand(2))
-                if None in (lb, ub, step) or step <= 0:
-                    trips = symbolic_trips
-                else:
-                    trips = max(0.0, (ub - lb + step - 1) // step)
-                visit(op.body_block(), factor * trips)
-            elif name == "scf.while":
-                visit(op.body_block(0), factor * symbolic_trips)
-                visit(op.body_block(1), factor * symbolic_trips)
-            elif name == "scf.if":
-                visit(op.body_block(0), factor * 0.5)
-                visit(op.body_block(1), factor * 0.5)
-            elif name == "scf.parallel":
-                visit(op.body_block(), factor)
-            elif name == "polygeist.alternatives":
-                visit(op.body_block(0), factor)
-            elif name in ("memref.load", "memref.store",
-                          "memref.atomic_rmw"):
-                ref = memref_d.load_op_ref(op)
-                if not isinstance(ref.type, MemRefType):
-                    continue
-                space = ref.type.memory_space
-                if space not in ("global", "constant"):
-                    continue
-                element_bytes = byte_width(ref.type.element)
-                form = _flat_affine(op, memo)
-                stride = None if form is None else _stride_of(form, memo)
-                transactions = transactions_for_stride(
-                    stride, element_bytes, warp_size, transaction_bytes)
-                useful = warp_size * element_bytes
-                efficiency = min(1.0, useful /
-                                 (transactions * transaction_bytes))
-                accesses.append(GlobalAccess(
-                    op=op,
-                    is_store=(name == "memref.store"),
-                    element_bytes=element_bytes,
-                    executions=factor,
-                    stride_x=stride,
-                    transactions_per_warp=transactions,
-                    efficiency=efficiency))
-
-    visit(thread_parallel.body_block(), 1.0)
+    for op, factor in _weighted_ops(
+            thread_parallel.body_block(),
+            ("memref.load", "memref.store", "memref.atomic_rmw"), 1.0,
+            symbolic_trips):
+        ref = memref_d.load_op_ref(op)
+        if not isinstance(ref.type, MemRefType):
+            continue
+        space = ref.type.memory_space
+        if space not in ("global", "constant"):
+            continue
+        element_bytes = byte_width(ref.type.element)
+        form = _flat_affine(op, memo)
+        stride = None if form is None else _stride_of(form, memo)
+        transactions = transactions_for_stride(
+            stride, element_bytes, warp_size, transaction_bytes)
+        useful = warp_size * element_bytes
+        efficiency = min(1.0, useful / (transactions * transaction_bytes))
+        accesses.append(GlobalAccess(
+            op=op,
+            is_store=(op.name == "memref.store"),
+            element_bytes=element_bytes,
+            executions=factor,
+            stride_x=stride,
+            transactions_per_warp=transactions,
+            efficiency=efficiency))
     return accesses

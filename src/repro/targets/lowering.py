@@ -90,66 +90,70 @@ def _value_registers(value: Value) -> int:
     return 1
 
 
+def _note_use(lin: Linearized, value: Value, index: int) -> None:
+    if value in lin.last_use:
+        lin.last_use[value] = max(lin.last_use[value], index)
+    else:
+        lin.last_use[value] = index
+
+
+def _emit(lin: Linearized, op: Operation, kind: str, depth: int) -> None:
+    index = len(lin.instrs)
+    lin.instrs.append(LinearInstr(index, op, kind, depth))
+    for operand in op.operands:
+        _note_use(lin, operand, index)
+    for result in op.results:
+        lin.def_index[result] = index
+
+
+def _walk_block(lin: Linearized, block: Block, depth: int) -> None:
+    # module level, not a closure: a self-referencing nested function is
+    # a reference cycle that keeps the whole stream alive until a full GC
+    for op in block.ops:
+        name = op.name
+        if name in ("scf.yield", "scf.condition"):
+            index = len(lin.instrs)
+            for operand in op.operands:
+                _note_use(lin, operand, index)
+            continue
+        if name in ("scf.for", "scf.while", "scf.parallel"):
+            start = len(lin.instrs)
+            _emit(lin, op, "loop_begin", depth)
+            for arg_source in op.operands:
+                _note_use(lin, arg_source, start)
+            for region in op.regions:
+                for nested in region.blocks:
+                    for arg in nested.args:
+                        lin.def_index[arg] = start
+                    _walk_block(lin, nested, depth + 1)
+            end = len(lin.instrs)
+            lin.instrs.append(LinearInstr(end, op, "loop_end", depth))
+            lin.loop_spans.append((start, end))
+            for result in op.results:
+                lin.def_index[result] = end
+            continue
+        if name == "scf.if":
+            _emit(lin, op, "branch", depth)
+            for region in op.regions:
+                for nested in region.blocks:
+                    _walk_block(lin, nested, depth)
+            end = len(lin.instrs)
+            for result in op.results:
+                lin.def_index[result] = end
+            continue
+        if name == "polygeist.alternatives":
+            _walk_block(lin, op.body_block(0), depth)
+            continue
+        kind = _kind_of(op)
+        if kind is None:
+            kind = "alu"
+        _emit(lin, op, kind, depth)
+
+
 def linearize_thread_body(thread_parallel: Operation) -> Linearized:
     """Flatten the body of a GPU thread loop into :class:`Linearized`."""
     lin = Linearized()
-
-    def note_use(value: Value, index: int) -> None:
-        if value in lin.last_use:
-            lin.last_use[value] = max(lin.last_use[value], index)
-        else:
-            lin.last_use[value] = index
-
-    def emit(op: Operation, kind: str, depth: int) -> None:
-        index = len(lin.instrs)
-        lin.instrs.append(LinearInstr(index, op, kind, depth))
-        for operand in op.operands:
-            note_use(operand, index)
-        for result in op.results:
-            lin.def_index[result] = index
-
-    def walk_block(block: Block, depth: int) -> None:
-        for op in block.ops:
-            name = op.name
-            if name in ("scf.yield", "scf.condition"):
-                index = len(lin.instrs)
-                for operand in op.operands:
-                    note_use(operand, index)
-                continue
-            if name in ("scf.for", "scf.while", "scf.parallel"):
-                start = len(lin.instrs)
-                emit(op, "loop_begin", depth)
-                for arg_source in op.operands:
-                    note_use(arg_source, start)
-                for region in op.regions:
-                    for nested in region.blocks:
-                        for arg in nested.args:
-                            lin.def_index[arg] = start
-                        walk_block(nested, depth + 1)
-                end = len(lin.instrs)
-                lin.instrs.append(LinearInstr(end, op, "loop_end", depth))
-                lin.loop_spans.append((start, end))
-                for result in op.results:
-                    lin.def_index[result] = end
-                continue
-            if name == "scf.if":
-                emit(op, "branch", depth)
-                for region in op.regions:
-                    for nested in region.blocks:
-                        walk_block(nested, depth)
-                end = len(lin.instrs)
-                for result in op.results:
-                    lin.def_index[result] = end
-                continue
-            if name == "polygeist.alternatives":
-                walk_block(op.body_block(0), depth)
-                continue
-            kind = _kind_of(op)
-            if kind is None:
-                kind = "alu"
-            emit(op, kind, depth)
-
-    walk_block(thread_parallel.body_block(), 0)
+    _walk_block(lin, thread_parallel.body_block(), 0)
 
     # extend lifetimes across loop back-edges: any value defined before a
     # loop and used inside it stays live until the loop's end. Values are

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import shared_allocas
 from ..dialects import polygeist
-from ..ir import Operation, Region
+from ..ir import Operation, Region, unlink_subtree
 from .coarsen import (CoarsenError, CoarsenResult, block_parallels,
                       coarsen_wrapper, plan_coarsening, thread_parallel)
 
@@ -148,9 +148,12 @@ def prune_alternatives(alt: Operation, keep: Sequence[int]) -> None:
     if not keep_set:
         raise ValueError("cannot prune every alternative")
     descs = polygeist.alternative_descs(alt)
-    alt.regions = [alt.regions[i] for i in keep_set]
-    for region in alt.regions:
-        region.parent = alt
+    kept = [alt.regions[i] for i in keep_set]
+    # a dropped region's ops still sit in the use lists of the values
+    # they read; unlink them as erasing the region would
+    unlink_subtree([op for region in alt.regions if region not in kept
+                    for block in region.blocks for op in block.ops])
+    alt.regions = kept
     alt.attributes[polygeist.DESCS_ATTR] = [descs[i] for i in keep_set]
 
 

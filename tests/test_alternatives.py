@@ -57,6 +57,32 @@ def generate(wrapper, configs=CONFIGS):
     return planned, planned.materialize(range(len(planned.alternatives)))
 
 
+def _ops_in(regions):
+    ops = set()
+    for region in regions:
+        for block in region.blocks:
+            for op in block.ops:
+                op.walk(ops.add)
+    return ops
+
+
+def _dangling_uses(module):
+    """Uses, of any value reachable from ``module``, whose owner is not an
+    op of ``module`` (a dropped op the use lists still remember)."""
+    live, values = set(), {}
+    def visit(op):
+        live.add(op)
+        for value in op.results + op.operands:
+            values[id(value)] = value
+        for region in op.regions:
+            for block in region.blocks:
+                for arg in block.args:
+                    values[id(arg)] = arg
+    module.op.walk(visit)
+    return [(value, use.owner.name) for value in values.values()
+            for use in value.uses if use.owner not in live]
+
+
 class TestGeneration:
     def test_regions_created(self):
         module, name, wrapper = build()
@@ -132,6 +158,50 @@ class TestSelection:
         assert len(alt.regions) == 2
         descs = polygeist.alternative_descs(alt)
         assert len(descs) == 2
+
+    def test_prune_unlinks_dropped_regions(self):
+        module, name, wrapper = build()
+        _, alt = generate(wrapper)
+        dropped = [alt.regions[1], alt.regions[3]]
+        # the dropped regions do read values defined outside them
+        inside = _ops_in(dropped)
+        assert any(use.owner in inside
+                   for arg in module.func(name).body_block().args
+                   for use in arg.uses)
+        prune_alternatives(alt, [0, 2])
+        assert _dangling_uses(module) == []
+        select_alternative(alt, 1)
+        assert _dangling_uses(module) == []
+
+    def test_register_filter_prune_unlinks(self, monkeypatch):
+        from repro.autotune import filters
+        from repro.targets import A100
+        module, name, wrapper = build()
+        _, alt = generate(wrapper)
+        monkeypatch.setattr(filters, "_region_max_registers",
+                            lambda alt, index, arch: 0 if index == 2 else 8)
+        report = filters.prune_by_registers(alt, A100)
+        assert report.survivors == [2] and len(alt.regions) == 1
+        assert _dangling_uses(module) == []
+
+    def test_validation_gate_prune_unlinks(self, monkeypatch):
+        import repro.validate
+        from repro.autotune.tdo import _validation_gate
+        from repro.validate.differential import (DIVERGED, OK,
+                                                 AlternativeVerdict,
+                                                 ValidationReport)
+        module, name, wrapper = build()
+        _, alt = generate(wrapper)
+        descs = polygeist.alternative_descs(alt)
+        report = ValidationReport(verdicts=[
+            AlternativeVerdict(desc, OK if index % 2 else DIVERGED,
+                               "forced")
+            for index, desc in enumerate(descs)])
+        monkeypatch.setattr(repro.validate, "validate_alternatives",
+                            lambda *args: report)
+        _, keep = _validation_gate(alt, None, None, {}, None)
+        assert keep == [1, 3] and len(alt.regions) == 2
+        assert _dangling_uses(module) == []
 
     def test_prune_all_rejected(self):
         module, name, wrapper = build()

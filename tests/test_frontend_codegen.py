@@ -345,3 +345,32 @@ class TestCodegenErrors:
         source = "void run() { ghost<<<1, 8>>>(); }"
         with pytest.raises(CodegenError):
             compile_host(source, "run")
+
+
+def test_name_walkers_leave_no_cyclic_garbage():
+    # module-level walkers, not self-calling closures: those are cycles
+    # through their closure cells that outlive the call
+    import gc
+    from repro.frontend import c_ast as ast
+    from repro.frontend.codegen import _free_names, assigned_names
+
+    source = """
+    __global__ void k(float *x, int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) { if (i > 2) s += x[i] * 2; }
+        x[0] = s > 0 ? s : -s;
+    }
+    """
+    body = parse_translation_unit(source).kernels()[0].body
+    loop = next(stmt for stmt in body.stmts if isinstance(stmt, ast.For))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert assigned_names(body) == {"s", "i"}
+        assert assigned_names(loop, declared={"i"}) == {"s"}
+        assert _free_names(loop.cond) == {"i", "n"}
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

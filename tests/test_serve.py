@@ -21,7 +21,7 @@ from repro.obs import metrics as obs_metrics
 from repro.serve import (JobQueue, QueueClosed, QueueFull, RequestError,
                          ServeClient, ServeError, ServerConfig,
                          TuneRequest, TuneServer, run_tune_job)
-from repro.serve.jobs import JobRecord
+from repro.serve.jobs import MAX_RESULT_WAIT, JobRecord
 
 SOURCE = """
 __global__ void scale(float *x, float a, int n) {
@@ -278,6 +278,26 @@ class TestRunTuneJob:
         assert warm["cache_hit"]
         assert warm["cache"]["misses"] == 0
         assert warm["seconds"] == pytest.approx(cold["seconds"])
+
+    def test_warm_winners_equal_cold_winners(self, tmp_path):
+        payload = dict(TuneRequest.from_payload(
+            {"benchmark": "gaussian", "arch": "a100", "max_factor": 4}
+        ).as_payload(), cache_dir=str(tmp_path))
+        cold = run_tune_job(payload)
+        warm = run_tune_job(payload)
+        # cold winners are what TDO selected, as the decision log says
+        logged = [{"wrapper": decision["wrapper"],
+                   "desc": alternative["desc"],
+                   "time_seconds": alternative["time_seconds"]}
+                  for decision in cold["decisions"]
+                  for alternative in decision["alternatives"]
+                  if alternative["selected"]]
+        assert cold["winners"] == logged
+        assert [w["wrapper"] for w in cold["winners"]] == \
+            ["Fan1__g1b16", "Fan2__g2b4x4"]
+        # a replay logs no decisions, yet names the same winners
+        assert warm["cache_hit"] and warm["decisions"] == []
+        assert warm["winners"] == cold["winners"]
 
     def test_source_without_kernels_fails(self, tmp_path):
         payload = dict(TuneRequest.from_payload(
@@ -619,6 +639,164 @@ class TestWaitFailFast:
         finally:
             release.set()
             server.drain(grace=20.0)
+
+
+# -- long-polled results -----------------------------------------------------
+
+
+def _stall_jobs(monkeypatch):
+    """Make every job wait for the returned event before it runs."""
+    import repro.serve.server as server_module
+    release = threading.Event()
+
+    def stalled_job(payload, engine=None):
+        release.wait(30)
+        return run_tune_job(payload, engine=engine)
+
+    monkeypatch.setattr(server_module, "run_tune_job", stalled_job)
+    return release
+
+
+def _requested_waits(paths):
+    return [float(path.split("?wait=")[1]) for path in paths
+            if "?wait=" in path]
+
+
+class TestLongPoll:
+    def test_wait_answers_when_the_job_finishes(self, tmp_path,
+                                                monkeypatch):
+        release = _stall_jobs(monkeypatch)
+        server, client = _start_server(cache_dir=str(tmp_path / "cache"),
+                                       workers=1)
+        calls = []
+        result_call = client.result
+
+        def counted(job_id, wait=0.0):
+            calls.append(wait)
+            return result_call(job_id, wait=wait)
+
+        monkeypatch.setattr(client, "result", counted)
+        try:
+            job = client.submit(SOURCE_REQUEST)["job"]
+            threading.Timer(0.5, release.set).start()
+            # poll=30: a sleep-poll loop would answer 30 s late
+            result = client.wait(job, timeout=60.0, poll=30.0)
+            returned = time.monotonic()
+            assert result["state"] == "done"
+            finished = server.queue.get(job)._finished_mono
+            assert 0.0 <= returned - finished < 0.5
+            assert len(calls) == 1
+            assert 0.0 < calls[0] <= MAX_RESULT_WAIT
+        finally:
+            release.set()
+            server.drain(grace=20.0)
+
+    def test_replayed_finished_job_answers_at_once(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        server, client = _start_server(cache_dir=cache_dir)
+        try:
+            result = client.wait(client.submit(SOURCE_REQUEST)["job"],
+                                 timeout=60.0)
+        finally:
+            server.drain(grace=20.0)
+        again, client2 = _start_server(cache_dir=cache_dir)
+        try:
+            start = time.monotonic()
+            replay = client2.result(result["job"], wait=30.0)
+            assert time.monotonic() - start < 2.0
+            assert replay["_status"] == 200
+            assert replay["seconds"] == result["seconds"]
+        finally:
+            again.drain(grace=20.0)
+
+    def test_drain_releases_a_blocked_waiter(self, tmp_path, monkeypatch):
+        release = _stall_jobs(monkeypatch)
+        parked = threading.Event()
+        wait_finished = JobRecord.wait_finished
+
+        def spied(record, timeout, released=lambda: False):
+            parked.set()
+            return wait_finished(record, timeout, released)
+
+        monkeypatch.setattr(JobRecord, "wait_finished", spied)
+        server, client = _start_server(cache_dir=str(tmp_path / "cache"),
+                                       workers=1, ledger=False)
+        answers = []
+        try:
+            job = client.submit(SOURCE_REQUEST)["job"]
+            waiter = threading.Thread(
+                target=lambda: answers.append(client.result(job,
+                                                            wait=30.0)))
+            waiter.start()
+            assert parked.wait(10)
+            start = time.monotonic()
+            server.drain(grace=0.5)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            assert time.monotonic() - start < 5.0  # the cap is 30 s
+            assert answers[0]["_status"] == 202
+            assert answers[0]["state"] == "running"
+        finally:
+            release.set()
+            if not server._stopped.is_set():
+                server.drain(grace=20.0)
+
+    def test_wait_is_capped_on_the_server(self, tmp_path, monkeypatch):
+        import repro.serve.server as server_module
+        release = _stall_jobs(monkeypatch)
+        monkeypatch.setattr(server_module, "MAX_RESULT_WAIT", 0.3)
+        server, client = _start_server(cache_dir=str(tmp_path / "cache"),
+                                       workers=1)
+        try:
+            job = client.submit(SOURCE_REQUEST)["job"]
+            start = time.monotonic()
+            answer = client.result(job, wait=5.0)
+            elapsed = time.monotonic() - start
+            assert answer["_status"] == 202
+            assert 0.3 <= elapsed < 3.0
+        finally:
+            release.set()
+            server.drain(grace=20.0)
+
+    def test_bad_wait_is_400(self, daemon):
+        server, client = daemon
+        job = client.submit(SOURCE_REQUEST)["job"]
+        for value in ("soon", "-1", "nan"):
+            with pytest.raises(ServeError) as excinfo:
+                client._call("/v1/jobs/%s/result?wait=%s" % (job, value))
+            assert excinfo.value.status == 400
+        client.wait(job, timeout=60.0)
+
+    def test_daemon_ignoring_wait_is_polled(self):
+        running = (202, {}, {"job": "j000001", "state": "running"})
+        stub = _ScriptedServer([running, running, (200, {}, {
+            "job": "j000001", "state": "done", "seconds": 1.5})])
+        try:
+            client = ServeClient(stub.url, timeout=5.0)
+            result = client.wait("j000001", timeout=30.0, poll=0.05)
+            assert result["seconds"] == 1.5
+            assert len(stub.requests) == 3
+            assert len(_requested_waits(stub.requests)) == 3
+        finally:
+            stub.close()
+
+    @pytest.mark.parametrize("http_timeout,deadline", [
+        (0.4, 30.0), (5.0, 30.0), (60.0, 2.0), (300.0, 100.0)])
+    def test_requested_wait_stays_below_http_timeout(self, http_timeout,
+                                                     deadline):
+        running = (202, {}, {"job": "j000001", "state": "running"})
+        stub = _ScriptedServer([running] * 3 + [(200, {}, {
+            "job": "j000001", "state": "done", "seconds": 1.0})])
+        try:
+            client = ServeClient(stub.url, timeout=http_timeout)
+            client.wait("j000001", timeout=deadline, poll=0.01)
+            waits = _requested_waits(stub.requests)
+            assert len(waits) == 4
+            assert all(0.0 < wait < http_timeout for wait in waits)
+            assert all(wait <= min(deadline, MAX_RESULT_WAIT)
+                       for wait in waits)
+        finally:
+            stub.close()
 
 
 # -- thread-isolation deadline ----------------------------------------------

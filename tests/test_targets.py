@@ -95,6 +95,42 @@ class TestLinearize:
         start, end = lin.loop_spans[0]
         assert end > start
 
+    def test_analyses_leave_no_cyclic_garbage(self):
+        # the recursive walkers are module-level functions: a nested
+        # function that calls itself is a cycle through its closure cell,
+        # which would keep the stream and the access memo alive until a
+        # full collection
+        import gc
+        from repro.simulator.coalescing import (analyze_coalescing,
+                                                analyze_shared_conflicts)
+        source = """
+        __global__ void k(float *a) {
+            __shared__ float t[64];
+            float acc = 0.0f;
+            for (int j = 0; j < 8; j++) {
+                if (j > threadIdx.x) acc += a[j * 64 + threadIdx.x];
+            }
+            t[threadIdx.x] = acc;
+            __syncthreads();
+            a[threadIdx.x] = t[63 - threadIdx.x];
+        }
+        """
+        threads = kernel_threads(source)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lin = linearize_thread_body(threads)
+            accesses = analyze_coalescing(threads, warp_size=32)
+            conflicts = analyze_shared_conflicts(threads)
+            assert lin.loop_spans and len(accesses) == 2
+            assert conflicts >= 1.0
+            del lin, accesses
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestRegisters:
     def test_more_values_more_registers(self):
