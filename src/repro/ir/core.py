@@ -47,8 +47,13 @@ class Value:
         """Rewrite every use of ``self`` to use ``other`` instead."""
         if other is self:
             return
-        for use in list(self.uses):
-            use.owner.set_operand(use.index, other)
+        # the use records move over as they are: each still names the
+        # same (owner, operand index) slot, now holding ``other``
+        uses = self.uses
+        self.uses = []
+        for use in uses:
+            use.owner._operands[use.index] = other
+        other.uses.extend(uses)
 
     def __repr__(self) -> str:
         hint = self.name_hint or "v"
@@ -239,13 +244,20 @@ class Operation:
             self.parent = None
 
     def erase(self) -> None:
-        """Detach and drop all operand uses. Results must be unused."""
+        """Detach and drop all operand uses. Results must be unused.
+
+        Afterwards the op has no operands, results or regions, and
+        everything nested in it is unlinked the same way (see
+        :func:`unlink_subtree`), so the erased IR holds no reference cycle
+        and dies by refcount.
+        """
         for result in self.results:
             if result.has_uses():
                 raise ValueError(
                     "erasing %s whose result still has uses" % self.name)
         if not self.regions:
             self.drop_all_operand_uses()
+            self.results = []
         else:
             unlink_subtree([self])
         self.detach()
@@ -359,16 +371,20 @@ class Operation:
 
 
 def unlink_subtree(roots: Iterable[Operation]) -> None:
-    """Drop every use held by ``roots`` and the ops nested in them.
+    """Unlink ``roots`` and every op nested in them from the rest of the IR.
 
     Values defined inside the subtree die with it, so only uses of values
     defined *outside* need unlinking, and each such value's use list is
     rebuilt once instead of scanned once per dropped use (quadratic for
     high-fan-out values like constants feeding a large dropped nest).
-    The ops are left with no operands; detaching them is the caller's job.
+    The same walk takes the subtree apart: afterwards every op in it has
+    no operands, results or regions, its blocks hold no ops or arguments,
+    and the values defined inside have empty use lists. Nothing in the
+    subtree then points back at its parent, so it holds no reference
+    cycle and dies by refcount once the caller drops it. Detaching the
+    roots from their blocks is the caller's job.
     """
     dead_ops = set()
-    internal = set()
     ops = []
     stack = list(roots)
     while stack:
@@ -376,18 +392,24 @@ def unlink_subtree(roots: Iterable[Operation]) -> None:
         dead_ops.add(id(op))
         ops.append(op)
         for result in op.results:
-            internal.add(id(result))
+            result.uses = []
+        op.results = []
         for region in op.regions:
             for block in region.blocks:
                 for arg in block.args:
-                    internal.add(id(arg))
+                    arg.uses = []
+                block.args = []
                 stack.extend(block.ops)
+                block.ops = []
+            region.blocks = []
+        op.regions = []
+    # values defined inside now have empty use lists, while a value
+    # defined outside still lists the use each dead op holds of it
     touched = {}
     for op in ops:
         for operand in op._operands:
-            key = id(operand)
-            if key not in internal and key not in touched:
-                touched[key] = operand
+            if operand.uses:
+                touched[id(operand)] = operand
         op._operands = []
     for operand in touched.values():
         operand.uses = [use for use in operand.uses

@@ -3,8 +3,10 @@
 Checks the invariants every transform relies on:
 
 * parent links of blocks/regions/ops are consistent;
-* use-def chains are consistent (every operand slot is registered in the
-  value's use list and vice versa);
+* use-def chains are consistent: every operand slot is registered in the
+  value's use list exactly once, every use record names a slot that holds
+  the value, and no value defined inside the verified op is used by an op
+  outside its tree (the dangling use a wrong move or erase leaves behind);
 * block terminators: a terminator op may only appear in the last position,
   and ops whose regions require one (per-dialect table) must actually *end*
   with an allowed terminator — a truncated ``scf``/``func`` region is a
@@ -84,12 +86,30 @@ def _check_terminators(op: Operation) -> None:
 
 def _check_use_def(op: Operation) -> None:
     for i, operand in enumerate(op.operands):
-        if not any(u.owner is op and u.index == i for u in operand.uses):
+        records = sum(1 for u in operand.uses
+                      if u.owner is op and u.index == i)
+        if records == 0:
             _fail(op, "operand %d missing from use list of %r" % (i, operand))
+        if records > 1:
+            _fail(op, "operand %d has %d use records in the use list of %r"
+                  % (i, records, operand))
     for result in op.results:
         for use in result.uses:
-            if use.owner.operand(use.index) is not result:
+            owner = use.owner
+            # an erased owner has no operands left to index
+            if use.index >= owner.num_operands or \
+                    owner.operand(use.index) is not result:
                 _fail(op, "stale use record on result")
+
+
+def _check_dangling_uses(op: Operation, tree: Set[int],
+                         defined: List[Value]) -> None:
+    """Values defined inside ``op`` may only be used inside its tree."""
+    for value in defined:
+        for use in value.uses:
+            if id(use.owner) not in tree:
+                _fail(op, "%r is used by %s outside the op that defines it "
+                      "(a dangling use)" % (value, use.owner.name))
 
 
 def _visible_values(op: Operation) -> Set[Value]:
@@ -117,8 +137,14 @@ def _visible_values(op: Operation) -> Set[Value]:
 
 
 def _verify_tree(op: Operation, visible: Set[Value],
-                 check_dominance: bool) -> None:
-    """Verify ``op`` and its nested ops against the running visible set."""
+                 check_dominance: bool, tree: Set[int],
+                 defined: List[Value]) -> None:
+    """Verify ``op`` and its nested ops against the running visible set.
+
+    Adds the id of every op passed to ``tree`` and every value defined
+    inside ``op`` (block arguments and nested results) to ``defined``.
+    """
+    tree.add(id(op))
     for region in op.regions:
         if region.parent is not op:
             _fail(op, "region parent link broken")
@@ -149,12 +175,14 @@ def _verify_tree(op: Operation, visible: Set[Value],
     for region in op.regions:
         for block in region.blocks:
             added: List[Value] = []
+            defined.extend(block.args)
             for arg in block.args:
                 if arg not in visible:
                     visible.add(arg)
                     added.append(arg)
             for child in block.ops:
-                _verify_tree(child, visible, check_dominance)
+                _verify_tree(child, visible, check_dominance, tree, defined)
+                defined.extend(child.results)
                 for result in child.results:
                     if result not in visible:
                         visible.add(result)
@@ -169,7 +197,10 @@ def verify_op(op: Operation, check_dominance: bool = True) -> None:
     visible: Set[Value] = set()
     if check_dominance and op.parent is not None:
         visible = _visible_values(op)
-    _verify_tree(op, visible, check_dominance)
+    tree: Set[int] = set()
+    defined: List[Value] = []
+    _verify_tree(op, visible, check_dominance, tree, defined)
+    _check_dangling_uses(op, tree, defined)
 
 
 def verify_module(module: Module) -> None:

@@ -149,10 +149,16 @@ def prune_alternatives(alt: Operation, keep: Sequence[int]) -> None:
         raise ValueError("cannot prune every alternative")
     descs = polygeist.alternative_descs(alt)
     kept = [alt.regions[i] for i in keep_set]
+    dropped = [region for region in alt.regions if region not in kept]
     # a dropped region's ops still sit in the use lists of the values
-    # they read; unlink them as erasing the region would
-    unlink_subtree([op for region in alt.regions if region not in kept
+    # they read; unlink them as erasing the region would, and empty the
+    # region so it holds no cycle back to them
+    unlink_subtree([op for region in dropped
                     for block in region.blocks for op in block.ops])
+    for region in dropped:
+        for block in region.blocks:
+            block.ops = []
+        region.blocks = []
     alt.regions = kept
     alt.attributes[polygeist.DESCS_ATTR] = [descs[i] for i in keep_set]
 

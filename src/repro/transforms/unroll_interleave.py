@@ -99,8 +99,14 @@ def unroll_and_interleave(parallel_op: Operation, dim: int, factor: int,
                                                Optional[Operation]]:
     """Unroll dimension ``dim`` of ``parallel_op`` by ``factor``.
 
-    Returns ``(main_loop, epilogue_loop_or_None)``. The original op is
-    erased. ``style`` is ``"thread"`` or ``"block"`` (see module docstring).
+    Returns ``(main_loop, epilogue_loop_or_None)``. ``style`` is
+    ``"thread"``, ``"thread_naive"`` or ``"block"`` (see module
+    docstring).
+
+    Copy 0 of every statement is the source op itself, moved into the new
+    loop; copies 1..f-1 are clones. Only the emptied shell of the source
+    is erased: the old parallel op with the yields, merged barriers and
+    jammed ``for``/``if``/``parallel`` shells still inside it.
     """
     if style not in ("thread", "block", "thread_naive"):
         raise ValueError(
@@ -204,9 +210,7 @@ def unroll_and_interleave(parallel_op: Operation, dim: int, factor: int,
                 copy_map[old_iv] = arith.addi(body_builder, scaled, offset)
         maps.append(copy_map)
 
-    _interleave_block(old_block, body_builder, maps, iv_substitution)
-
-    # -- epilogue ---------------------------------------------------------------
+    # -- epilogue: cloned while the source body is still whole -----------------
     epilogue: Optional[Operation] = None
     if style == "block" and need_epilogue:
         epilogue_builder = Builder(parent, parent.index_of(new_par) + 1)
@@ -217,20 +221,39 @@ def unroll_and_interleave(parallel_op: Operation, dim: int, factor: int,
         epilogue.attributes["coarsen.epilogue"] = True
         epilogue_builder.insert(epilogue)
 
+    renames: Dict[Value, Value] = {}
+    _interleave_block(old_block, body_builder, maps, iv_substitution,
+                      renames)
+    # the moved copy-0 ops still read the source's values; redirect them
+    # only now, because every clone above looked its operands up in its
+    # own copy map by those very values
+    for old, new in renames.items():
+        old.replace_all_uses_with(new)
     parallel_op.erase()
     return new_par, epilogue
 
 
 def _interleave_block(old_block: Block, builder: Builder,
                       maps: List[Dict[Value, Value]],
-                      iv_substitution: Dict[Value, Value]) -> None:
-    """Emit interleaved copies of ``old_block``'s ops via ``builder``."""
-    factor = len(maps)
-    for op in old_block.ops:
+                      iv_substitution: Dict[Value, Value],
+                      renames: Dict[Value, Value]) -> None:
+    """Emit interleaved copies of ``old_block``'s ops via ``builder``.
+
+    Copy 0 of a replicated op is the op itself, moved; the others are
+    clones. ``old_block`` keeps only what is not moved: terminators,
+    merged barriers and the shells of jammed ops. ``maps[0]`` never gains
+    clone entries, so it holds exactly the copy-0 values that replace
+    source values; they are collected into ``renames``.
+    """
+    ops = old_block.ops
+    shell: List[Operation] = []
+    old_block.ops = shell
+    for op in ops:
         name = op.name
         if name in (scf.YIELD, scf.CONDITION):
-            operands = [m.get(v, v) for m in maps for v in op.operands]
+            operands = [m.get(v, v) for m in maps for v in op._operands]
             builder.create(name, operands, [])
+            shell.append(op)
             continue
         if name == polygeist.BARRIER:
             operands = []
@@ -240,6 +263,7 @@ def _interleave_block(old_block: Block, builder: Builder,
                     mapped = maps[0].get(operand, operand)
                 operands.append(mapped)
             builder.create(polygeist.BARRIER, operands, [])
+            shell.append(op)
             continue
         has_barrier = contains_barrier(op)
         if has_barrier or _jammable_across_copies(op, maps):
@@ -247,14 +271,10 @@ def _interleave_block(old_block: Block, builder: Builder,
             # interleaves all copies. Mandatory around barriers; applied to
             # any nested control flow with copy-uniform shape, which is
             # what lets redundant-load elimination find cross-copy reuse.
-            if name == scf.FOR:
-                _jam_for(op, builder, maps, iv_substitution)
-                continue
-            if name == scf.IF:
-                _jam_if(op, builder, maps, iv_substitution)
-                continue
-            if name == scf.PARALLEL:
-                _jam_parallel(op, builder, maps, iv_substitution)
+            jam = _JAMS.get(name)
+            if jam is not None:
+                jam(op, builder, maps, iv_substitution, renames)
+                shell.append(op)
                 continue
             if has_barrier:
                 raise IllegalUnroll(
@@ -262,8 +282,11 @@ def _interleave_block(old_block: Block, builder: Builder,
         # variable-shape control flow without barriers, or plain
         # statements: replicate once per copy, grouped together
         # (Fig. 7 / Fig. 9)
-        for copy_map in maps:
+        op.parent = None
+        builder.insert(op)
+        for copy_map in maps[1:]:
             builder.insert(op.clone(copy_map))
+    renames.update(maps[0])
 
 
 def _jammable_across_copies(op: Operation,
@@ -295,7 +318,8 @@ def _jammable_across_copies(op: Operation,
 
 def _jam_for(old_for: Operation, builder: Builder,
              maps: List[Dict[Value, Value]],
-             iv_substitution: Dict[Value, Value]) -> None:
+             iv_substitution: Dict[Value, Value],
+             renames: Dict[Value, Value]) -> None:
     factor = len(maps)
     n_iter = old_for.num_operands - 3
     bounds = [maps[0].get(v, v) for v in old_for.operands[:3]]
@@ -319,7 +343,7 @@ def _jam_for(old_for: Operation, builder: Builder,
             inner_maps[k][old_body.args[1 + i]] = \
                 new_body.args[1 + k * n_iter + i]
     _interleave_block(old_body, Builder(new_body), inner_maps,
-                      iv_substitution)
+                      iv_substitution, renames)
     for k in range(factor):
         for i in range(n_iter):
             maps[k][old_for.results[i]] = new_for.results[k * n_iter + i]
@@ -327,7 +351,8 @@ def _jam_for(old_for: Operation, builder: Builder,
 
 def _jam_if(old_if: Operation, builder: Builder,
             maps: List[Dict[Value, Value]],
-            iv_substitution: Dict[Value, Value]) -> None:
+            iv_substitution: Dict[Value, Value],
+            renames: Dict[Value, Value]) -> None:
     factor = len(maps)
     n_results = old_if.num_results
     cond = maps[0].get(old_if.operand(0), old_if.operand(0))
@@ -340,7 +365,7 @@ def _jam_if(old_if: Operation, builder: Builder,
         branch_maps = [dict(m) for m in maps]
         _interleave_block(old_if.body_block(region_index),
                           Builder(new_if.body_block(region_index)),
-                          branch_maps, iv_substitution)
+                          branch_maps, iv_substitution, renames)
     for k in range(factor):
         for i in range(n_results):
             maps[k][old_if.results[i]] = new_if.results[k * n_results + i]
@@ -348,7 +373,8 @@ def _jam_if(old_if: Operation, builder: Builder,
 
 def _jam_parallel(old_par: Operation, builder: Builder,
                   maps: List[Dict[Value, Value]],
-                  iv_substitution: Dict[Value, Value]) -> None:
+                  iv_substitution: Dict[Value, Value],
+                  renames: Dict[Value, Value]) -> None:
     """Jam a nested parallel loop (e.g. the thread loop during block
     coarsening): a single nested loop whose body holds all copies."""
     operands = [maps[0].get(v, v) for v in old_par.operands]
@@ -365,4 +391,8 @@ def _jam_parallel(old_par: Operation, builder: Builder,
         inner_subst[old_arg] = new_arg
         for inner_map in inner_maps:
             inner_map[old_arg] = new_arg
-    _interleave_block(old_body, Builder(new_body), inner_maps, inner_subst)
+    _interleave_block(old_body, Builder(new_body), inner_maps, inner_subst,
+                      renames)
+
+
+_JAMS = {scf.FOR: _jam_for, scf.IF: _jam_if, scf.PARALLEL: _jam_parallel}

@@ -275,6 +275,59 @@ class TestCombinedCoarsening:
             assert arith.constant_value(ub) == 4
 
 
+def _statements(block):
+    """The ops of ``block`` that unroll-and-interleave replicates: all
+    but terminators, barriers and (jammed) nested control flow."""
+    return [op for op in block.ops
+            if op.name not in ("scf.yield", "polygeist.barrier")
+            and not op.regions]
+
+
+def _contains(ops, op):
+    return any(candidate is op for candidate in ops)
+
+
+class TestCopyZeroIsMoved:
+    """Copy 0 of every statement is the source op itself, moved into the
+    new loop; only copies 1..f-1 are clones. A revert to
+    clone-everything-then-erase fails here, not only in the bench."""
+
+    def test_thread_unroll_moves_source_statements(self):
+        module, _, wrapper = compile_wrapper(LOOP_BARRIER_KERNEL, "k")
+        threads = thread_parallel(block_parallels(wrapper)[0])
+        top = _statements(threads.body_block())
+        old_for, = [op for op in threads.body_block().ops
+                    if op.name == "scf.for"]
+        inner = _statements(old_for.body_block())
+        new_threads, _ = unroll_and_interleave(threads, 0, 2, "thread")
+        new_body = new_threads.body_block()
+        for op in top:
+            assert op.parent is new_body and _contains(new_body.ops, op)
+        new_for, = [op for op in new_body.ops if op.name == "scf.for"]
+        assert new_for is not old_for
+        for op in inner:
+            assert op.parent is new_for.body_block()
+        # one clone per statement beside the moved original
+        names = [op.name for op in _statements(new_for.body_block())]
+        assert sorted(names) == sorted([op.name for op in inner] * 2)
+        # the erased shell is empty and nothing still uses it
+        assert threads.regions == [] and old_for.regions == []
+        assert old_for.results == [] and old_for.num_operands == 0
+        verify_module(module)
+
+    def test_block_unroll_epilogue_is_a_clone(self):
+        module, _, wrapper = compile_wrapper(SHARED_KERNEL, "k")
+        main, = block_parallels(wrapper)
+        source = _statements(main.body_block())
+        new_main, epilogue = unroll_and_interleave(main, 0, 3, "block")
+        assert epilogue is not None
+        for op in source:
+            assert op.parent is new_main.body_block()
+            assert not _contains(epilogue.body_block().ops, op)
+        assert len(_statements(epilogue.body_block())) == len(source)
+        verify_module(module)
+
+
 class TestBalanceFactors:
     def test_paper_footnote_examples(self):
         # "for a total factor of 16, we will coarsen the 3 dimensions with

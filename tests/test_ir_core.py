@@ -81,6 +81,29 @@ class TestStructure:
         assert not c.has_uses()
         assert use not in f.body_block().ops
 
+    def test_erase_leaves_no_operands_results_or_regions(self):
+        module, f, builder = make_func()
+        c0 = arith.index_constant(builder, 0)
+        c1 = arith.index_constant(builder, 1)
+        loop = scf.for_(builder, c0, c1, c1)
+        inner = Builder(loop.body_block())
+        hidden = arith.index_constant(inner, 42)
+        user = inner.create("test.use", [hidden, c1], [])
+        scf.yield_(inner)
+        func.return_(builder)
+        body = loop.body_block()
+        loop.erase()
+        assert loop.regions == [] and loop.results == []
+        assert loop.num_operands == 0 and user.num_operands == 0
+        assert hidden.owner.results == [] and not hidden.has_uses()
+        assert body.ops == [] and body.args == []
+        # the surviving constants no longer list the dead ops as users
+        assert not c0.has_uses() and not c1.has_uses()
+        leaf = c0.owner
+        leaf.erase()
+        assert leaf.results == [] and leaf.parent is None
+        verify_module(module)
+
     def test_erase_with_live_uses_raises(self):
         _, _, builder = make_func()
         c = arith.index_constant(builder, 3)
@@ -241,6 +264,35 @@ class TestVerifier:
         func.return_(builder)
         c.uses.clear()  # corrupt
         with pytest.raises(VerificationError):
+            verify_module(module)
+
+    def test_duplicate_use_record_detected(self):
+        from repro.ir import Use
+        module, f, builder = make_func()
+        c = arith.index_constant(builder, 1)
+        use = builder.create("test.use", [c], [])
+        func.return_(builder)
+        c.uses.append(Use(use, 0))  # corrupt: the slot is listed twice
+        with pytest.raises(VerificationError, match="2 use records"):
+            verify_module(module)
+
+    def test_dangling_use_of_inner_value_detected(self):
+        # a user detached without dropping its uses still sits in the use
+        # list of a value defined inside the verified op
+        module, f, builder = make_func()
+        c0 = arith.index_constant(builder, 0)
+        c1 = arith.index_constant(builder, 1)
+        loop = scf.for_(builder, c0, c1, c1)
+        inner = Builder(loop.body_block())
+        hidden = arith.index_constant(inner, 42)
+        user = inner.create("test.use", [hidden], [])
+        scf.yield_(inner)
+        func.return_(builder)
+        verify_op(loop)
+        user.detach()
+        with pytest.raises(VerificationError, match="dangling"):
+            verify_op(loop)
+        with pytest.raises(VerificationError, match="dangling"):
             verify_module(module)
 
     def test_func_missing_trailing_return_rejected(self):
