@@ -15,8 +15,9 @@ import numpy as np
 from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.simulator import analyze_coalescing
+from repro.simulator.coalescing import AccessMemo
 from repro.simulator.model import KernelModel
-from repro.targets import A100
+from repro.targets import A100, linearize_thread_body
 from repro.transforms import run_cleanup, unroll_and_interleave
 from repro.transforms.coarsen import block_parallels, thread_parallel
 from repro.transforms.pipeline import default_cleanup_pipeline
@@ -58,7 +59,9 @@ def test_ablation_indexing_style(benchmark, report):
                              ("coalescing-friendly", "thread"),
                              ("naive strided", "thread_naive")):
             module, main, threads = _thread_loop(style)
-            accesses = analyze_coalescing(threads, A100.warp_size)
+            accesses = analyze_coalescing(linearize_thread_body(threads),
+                                          AccessMemo(threads),
+                                          A100.warp_size)
             model = KernelModel(main, A100)
             timing = model.time_launch(1 << 14)
             results[label] = {

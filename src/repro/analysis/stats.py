@@ -1,20 +1,17 @@
 """Closed-form kernel statistics (§VI "Kernel Statistics").
 
-Counts operations executed by one thread of a kernel, multiplying nested
-loop bodies by their trip counts — exactly when bounds are compile-time
-constants, and with a configurable symbolic estimate otherwise.
+Counts operations executed by one thread of a kernel, weighting each by
+its executions in the linearized thread body: the product of the enclosing
+trip counts, exact when bounds are compile-time constants and
+``SYMBOLIC_TRIPS`` otherwise (see :mod:`repro.targets.lowering`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
-from ..dialects import arith
 from ..ir import FloatType, MemRefType, Operation
-
-#: assumed trip count for loops whose bounds are not compile-time constants
-DEFAULT_SYMBOLIC_TRIPS = 16.0
+from ..targets.lowering import Linearized
 
 
 @dataclass
@@ -73,16 +70,6 @@ _FLOAT_ARITH = {"arith.addf", "arith.subf", "arith.mulf", "arith.divf",
                 "arith.cmpf", "arith.select"}
 
 
-def _trip_count(op: Operation) -> Optional[float]:
-    """Static trip count of an scf.for, or None."""
-    lb = arith.constant_value(op.operand(0))
-    ub = arith.constant_value(op.operand(1))
-    step = arith.constant_value(op.operand(2))
-    if lb is None or ub is None or step is None or step <= 0:
-        return None
-    return max(0.0, float((ub - lb + step - 1) // step))
-
-
 def _classify_access(stats: KernelStats, op: Operation, factor: float,
                      is_load: bool) -> None:
     from ..dialects import memref as memref_d
@@ -97,46 +84,23 @@ def _classify_access(stats: KernelStats, op: Operation, factor: float,
     setattr(stats, name, getattr(stats, name) + factor)
 
 
-def _count_block(stats: KernelStats, block, factor: float,
-                 symbolic_trips: float) -> None:
-    for op in block.ops:
+def kernel_statistics(lin: Linearized) -> KernelStats:
+    """Per-thread statistics of a linearized GPU thread loop body."""
+    stats = KernelStats(symbolic=lin.symbolic)
+    for instr in lin.instrs:
+        kind = instr.kind
+        if kind == "loop_end":
+            continue
+        op = instr.op
         name = op.name
-        if name == "scf.for":
-            trips = _trip_count(op)
-            if trips is None:
-                trips = symbolic_trips
-                stats.symbolic = True
-            stats.int_ops += factor * trips  # induction increment
-            _count_block(stats, op.body_block(), factor * trips,
-                         symbolic_trips)
-        elif name == "scf.while":
-            stats.symbolic = True
-            stats.branches += factor * symbolic_trips
-            _count_block(stats, op.body_block(0), factor * symbolic_trips,
-                         symbolic_trips)
-            _count_block(stats, op.body_block(1), factor * symbolic_trips,
-                         symbolic_trips)
-        elif name == "scf.if":
+        factor = instr.executions
+        if kind == "loop_begin":
+            if name == "scf.for":
+                stats.int_ops += factor  # induction increment
+            elif name == "scf.while":
+                stats.branches += factor
+        elif kind == "branch":
             stats.branches += factor
-            # both sides counted at half weight (unknown probability)
-            _count_block(stats, op.body_block(0), factor * 0.5,
-                         symbolic_trips)
-            _count_block(stats, op.body_block(1), factor * 0.5,
-                         symbolic_trips)
-        elif name == "scf.parallel":
-            # nested (non-GPU) parallel treated as a loop
-            trips = 1.0
-            n = op.attr("num_dims")
-            for d in range(n):
-                ub = arith.constant_value(op.operands[n + d])
-                lb = arith.constant_value(op.operands[d])
-                if ub is None or lb is None:
-                    stats.symbolic = True
-                    trips *= symbolic_trips
-                else:
-                    trips *= max(0, ub - lb)
-            _count_block(stats, op.body_block(), factor * trips,
-                         symbolic_trips)
         elif name == "memref.load":
             _classify_access(stats, op, factor, is_load=True)
         elif name == "memref.store":
@@ -160,18 +124,4 @@ def _count_block(stats: KernelStats, block, factor: float,
             stats.special_ops += factor
         elif name.startswith("arith.") and name != "arith.constant":
             stats.int_ops += factor
-        elif name == "polygeist.alternatives":
-            _count_block(stats, op.body_block(0), factor, symbolic_trips)
-        elif op.regions:
-            for region in op.regions:
-                for nested in region.blocks:
-                    _count_block(stats, nested, factor, symbolic_trips)
-
-
-def kernel_statistics(thread_parallel: Operation,
-                      symbolic_trips: float = DEFAULT_SYMBOLIC_TRIPS
-                      ) -> KernelStats:
-    """Per-thread statistics for the body of a GPU thread loop."""
-    stats = KernelStats()
-    _count_block(stats, thread_parallel.body_block(), 1.0, symbolic_trips)
     return stats

@@ -22,7 +22,8 @@ from ..ir import Operation
 from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
-from ..targets import GPUArchitecture, estimate_registers
+from ..targets import (GPUArchitecture, estimate_registers,
+                       linearize_thread_body)
 from ..transforms.alternatives import prune_alternatives
 from ..transforms.coarsen import block_parallels_in_region, thread_parallel
 
@@ -48,7 +49,8 @@ def _region_max_registers(alt: Operation, index: int,
                           arch: GPUArchitecture) -> int:
     spilled = 0
     for loop in block_parallels_in_region(alt.region(index)):
-        estimate = estimate_registers(thread_parallel(loop), arch)
+        estimate = estimate_registers(
+            linearize_thread_body(thread_parallel(loop)), arch)
         spilled = max(spilled, estimate.spilled_registers)
     return spilled
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional
 from ..analysis import kernel_statistics, shared_bytes_per_block
 from ..ir import Operation
 from ..targets import (GPUArchitecture, LANE_WARP_WIDTH, compute_occupancy,
-                       estimate_registers)
+                       estimate_registers, linearize_thread_body)
 from ..transforms.coarsen import parallel_extents, thread_parallel
 
 #: never propose more combined coarsening than this
@@ -67,8 +67,9 @@ def choose_factors(block_parallel: Operation,
     threads_per_block = 1
     for extent in extents:
         threads_per_block *= extent
-    stats = kernel_statistics(threads)
-    registers = estimate_registers(threads, arch)
+    lin = linearize_thread_body(threads)
+    stats = kernel_statistics(lin)
+    registers = estimate_registers(lin, arch)
     shared = shared_bytes_per_block(block_parallel)
     occupancy = compute_occupancy(arch, threads_per_block,
                                   registers.registers_per_thread, shared)

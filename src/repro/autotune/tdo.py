@@ -20,7 +20,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.log import get_logger
 from ..simulator.model import InvalidLaunch, block_count
-from ..targets import GPUArchitecture, register_estimate_cache
+from ..targets import GPUArchitecture, linearized_cache
 from ..transforms.alternatives import select_alternative
 from ..transforms.coarsen import block_parallels_in_region
 from .filters import FilterReport, run_planned_filters
@@ -339,9 +339,9 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
         return alt
 
     # the IR is stable from materialization until selection, so the spill
-    # filter and the timing models may share one register-estimate memo
+    # filter and the timing models may share one linearized thread body
     # per loop
-    with register_estimate_cache():
+    with linearized_cache():
         filters, alt = run_planned_filters(report.alternatives, arch,
                                            materialize, stage=stage)
         validation = validation_keep = None

@@ -1,22 +1,24 @@
 """Static coalescing analysis (§II-A2, Fig. 11 of the paper).
 
-For every global-memory access in a thread body, compute the affine stride
-of its flattened address with respect to ``threadIdx.x`` and derive how many
-memory transactions one warp's execution of the access needs. Thread
-coarsening with the coalescing-friendly ``iv + k·new_ub`` indexing keeps
-stride 1 for every copy; naive ``iv·f + k`` indexing would double the
-stride — the distinction at the heart of Fig. 11.
+For every global-memory access in a linearized thread body (see
+:mod:`repro.targets.lowering`), compute the affine stride of its flattened
+address with respect to ``threadIdx.x`` and derive how many memory
+transactions one warp's execution of the access needs. Thread coarsening
+with the coalescing-friendly ``iv + k·new_ub`` indexing keeps stride 1
+for every copy; naive ``iv·f + k`` indexing would double the stride — the
+distinction at the heart of Fig. 11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.affine import AffineForm, affine_of
 from ..analysis.uniformity import DependenceMemo
-from ..dialects import arith, memref as memref_d, scf
-from ..ir import Block, MemRefType, Operation, Value, byte_width
+from ..dialects import memref as memref_d
+from ..ir import MemRefType, Operation, Value, byte_width
+from ..targets.lowering import Linearized
 
 
 @dataclass
@@ -123,59 +125,16 @@ def bank_conflict_factor(stride_elements: Optional[int],
     return float(math.gcd(word_stride, banks))
 
 
-def _for_trips(op: Operation, symbolic_trips: float) -> float:
-    """Trip count of an ``scf.for``; ``symbolic_trips`` when unknown."""
-    lb = arith.constant_value(op.operand(0))
-    ub = arith.constant_value(op.operand(1))
-    step = arith.constant_value(op.operand(2))
-    if None in (lb, ub, step) or step <= 0:
-        return symbolic_trips
-    return max(0.0, (ub - lb + step - 1) // step)
-
-
-def _weighted_ops(block: Block, names: Tuple[str, ...], factor: float,
-                  symbolic_trips: float) -> Iterator[Tuple[Operation, float]]:
-    """Every op named in ``names`` under ``block``, in program order, with
-    its executions per thread (loop trip products; 0.5 per enclosing if).
-
-    A module-level generator, not a closure: a nested function that calls
-    itself is a reference cycle, which would keep the access memo and
-    everything it reached alive until a full garbage collection."""
-    for op in block.ops:
-        name = op.name
-        if name == "scf.for":
-            yield from _weighted_ops(op.body_block(), names,
-                                     factor * _for_trips(op, symbolic_trips),
-                                     symbolic_trips)
-        elif name == "scf.while":
-            for index in (0, 1):
-                yield from _weighted_ops(op.body_block(index), names,
-                                         factor * symbolic_trips,
-                                         symbolic_trips)
-        elif name == "scf.if":
-            for index in (0, 1):
-                yield from _weighted_ops(op.body_block(index), names,
-                                         factor * 0.5, symbolic_trips)
-        elif name in ("scf.parallel", "polygeist.alternatives"):
-            yield from _weighted_ops(op.body_block(), names, factor,
-                                     symbolic_trips)
-        elif name in names:
-            yield op, factor
-
-
-def analyze_shared_conflicts(thread_parallel: Operation,
-                             banks: int = 32,
-                             symbolic_trips: float = 16.0,
-                             memo: Optional[AccessMemo] = None) -> float:
+def analyze_shared_conflicts(lin: Linearized, memo: AccessMemo,
+                             banks: int = 32) -> float:
     """Execution-weighted average bank-conflict factor over all shared
-    accesses of a thread body (1.0 = conflict free)."""
-    if memo is None:
-        memo = AccessMemo(thread_parallel)
+    accesses of a linearized thread body (1.0 = conflict free)."""
     total_weight = 0.0
     weighted = 0.0
-    for op, factor in _weighted_ops(thread_parallel.body_block(),
-                                    ("memref.load", "memref.store"), 1.0,
-                                    symbolic_trips):
+    for instr in lin.instrs:
+        op = instr.op
+        if op.name != "memref.load" and op.name != "memref.store":
+            continue
         ref = memref_d.load_op_ref(op)
         if not isinstance(ref.type, MemRefType) or \
                 ref.type.memory_space != "shared":
@@ -184,25 +143,20 @@ def analyze_shared_conflicts(thread_parallel: Operation,
         form = _flat_affine(op, memo)
         stride = None if form is None else _stride_of(form, memo)
         conflict = bank_conflict_factor(stride, element_bytes, banks)
-        weighted += factor * conflict
-        total_weight += factor
+        weighted += instr.executions * conflict
+        total_weight += instr.executions
     return weighted / total_weight if total_weight else 1.0
 
 
-def analyze_coalescing(thread_parallel: Operation,
-                       warp_size: int,
-                       transaction_bytes: int = 32,
-                       symbolic_trips: float = 16.0,
-                       memo: Optional[AccessMemo] = None
-                       ) -> List[GlobalAccess]:
-    """Analyze every global access reachable from a thread loop body."""
-    if memo is None:
-        memo = AccessMemo(thread_parallel)
+def analyze_coalescing(lin: Linearized, memo: AccessMemo, warp_size: int,
+                       transaction_bytes: int = 32) -> List[GlobalAccess]:
+    """Analyze every global access of a linearized thread body."""
     accesses: List[GlobalAccess] = []
-    for op, factor in _weighted_ops(
-            thread_parallel.body_block(),
-            ("memref.load", "memref.store", "memref.atomic_rmw"), 1.0,
-            symbolic_trips):
+    for instr in lin.instrs:
+        op = instr.op
+        if op.name not in ("memref.load", "memref.store",
+                           "memref.atomic_rmw"):
+            continue
         ref = memref_d.load_op_ref(op)
         if not isinstance(ref.type, MemRefType):
             continue
@@ -220,7 +174,7 @@ def analyze_coalescing(thread_parallel: Operation,
             op=op,
             is_store=(op.name == "memref.store"),
             element_bytes=element_bytes,
-            executions=factor,
+            executions=instr.executions,
             stride_x=stride,
             transactions_per_warp=transactions,
             efficiency=efficiency))

@@ -33,12 +33,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis import kernel_statistics, shared_bytes_per_block
-from ..analysis.uniformity import depends_on_values
+from ..analysis.uniformity import DependenceMemo
 from ..dialects import arith, scf
 from ..ir import Operation, OpResult, Value
 from ..obs import tracer as obs_tracer
 from ..targets import (GPUArchitecture, LANE_WARP_WIDTH, Occupancy,
-                       compute_occupancy, estimate_registers)
+                       compute_occupancy, estimate_registers,
+                       linearize_thread_body)
 from .coalescing import (AccessMemo, analyze_coalescing,
                          analyze_shared_conflicts)
 from .metrics import KernelMetrics
@@ -216,22 +217,6 @@ def _thread_extents(thread_parallel: Operation) -> List[int]:
     return extents
 
 
-def _divergent_branches(thread_parallel: Operation) -> int:
-    """Count scf.if ops whose condition varies across threads."""
-    ivs = set(thread_parallel.body_block().args)
-    count = 0
-    stack = [thread_parallel.body_block()]
-    while stack:
-        block = stack.pop()
-        for op in block.ops:
-            if op.name == scf.IF and \
-                    depends_on_values(op.operand(0), ivs):
-                count += 1
-            for region in op.regions:
-                stack.extend(region.blocks)
-    return count
-
-
 class KernelModel:
     """Static performance characterization of one block-level loop."""
 
@@ -244,19 +229,24 @@ class KernelModel:
         self.threads_per_block = 1
         for extent in extents:
             self.threads_per_block *= max(1, extent)
-        self.stats = kernel_statistics(self.threads)
+        # one walk of the thread body feeds every analysis below
+        lin = linearize_thread_body(self.threads)
+        self.stats = kernel_statistics(lin)
         memo = AccessMemo(self.threads)
         self.accesses = analyze_coalescing(
-            self.threads, arch.warp_size, arch.transaction_bytes,
-            memo=memo)
-        self.registers = estimate_registers(self.threads, arch)
+            lin, memo, arch.warp_size, arch.transaction_bytes)
+        self.registers = estimate_registers(lin, arch)
         self.bank_conflicts = analyze_shared_conflicts(
-            self.threads, arch.shared_banks, memo=memo)
+            lin, memo, arch.shared_banks)
         self.shared_per_block = shared_bytes_per_block(block_parallel)
         self.block_factor = _coarsen_totals(block_parallel)
         self.thread_factor = _coarsen_totals(self.threads)
         self.coarsen_total = self.block_factor * self.thread_factor
-        self.divergent_branches = _divergent_branches(self.threads)
+        varies = DependenceMemo(self.threads.body_block().args)
+        #: scf.if ops whose condition varies across threads
+        self.divergent_branches = sum(
+            1 for instr in lin.instrs
+            if instr.kind == "branch" and varies(instr.op.operand(0)))
 
         # AMD LDS offload: extreme shared/thread ratios are demoted to
         # global memory by the backend (§VII-D2)

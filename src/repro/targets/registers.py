@@ -5,7 +5,8 @@ back register counts and spill reports; alternatives that start spilling are
 discarded because GPU spills go to local memory that is "several orders of
 magnitude slower than registers". Here the backend is a live-interval
 analysis over the linearized thread body: the register count is the maximum
-number of simultaneously-live 32-bit register units plus a fixed overhead.
+number of simultaneously-live 32-bit register units
+(:attr:`~repro.targets.lowering.Linearized.max_live`) plus a fixed overhead.
 It is deliberately simple but preserves the property the pipeline relies
 on: coarsening multiplies live values, so the estimate grows with the
 factor and eventually crosses the spill threshold.
@@ -13,45 +14,13 @@ factor and eventually crosses the spill threshold.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
-from ..ir import Operation
 from .arch import GPUArchitecture
-from .lowering import Linearized, _value_registers, linearize_thread_body
+from .lowering import Linearized
 
 #: registers every thread needs regardless of the kernel body
 BASE_REGISTERS = 10
-
-#: active memo for :func:`estimate_registers`, keyed by (op, arch name);
-#: ``None`` outside :func:`register_estimate_cache` scopes
-_ESTIMATE_CACHE: Optional[Dict[Tuple[Operation, str],
-                               "RegisterEstimate"]] = None
-
-
-@contextmanager
-def register_estimate_cache():
-    """Memoize :func:`estimate_registers` by operation identity.
-
-    Linearizing a thread body dominates the estimate's cost, and one
-    tuning run asks the same question twice per alternative: once in the
-    spill filter, once when the timing model characterizes the survivor.
-    The cache is only sound while the analyzed IR is not mutated, so it
-    is scoped: entries live for the dynamic extent of the ``with`` block
-    (keys hold strong references, so operation identity cannot be
-    recycled underneath the cache). Nested scopes share the outermost
-    cache.
-    """
-    global _ESTIMATE_CACHE
-    outer = _ESTIMATE_CACHE
-    if outer is None:
-        _ESTIMATE_CACHE = {}
-    try:
-        yield
-    finally:
-        if outer is None:
-            _ESTIMATE_CACHE = None
 
 
 @dataclass
@@ -67,40 +36,13 @@ class RegisterEstimate:
         return self.spilled_registers > 0
 
 
-def estimate_registers(thread_parallel: Operation,
-                       arch: GPUArchitecture,
-                       linearized: Optional[Linearized] = None
-                       ) -> RegisterEstimate:
-    """Estimate registers/thread for a thread loop on ``arch``."""
-    cache = _ESTIMATE_CACHE if linearized is None else None
-    if cache is not None:
-        key = (thread_parallel, arch.name)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    lin = linearized or linearize_thread_body(thread_parallel)
-    events = []  # (index, +units) and (index, -units)
-    for value, definition in lin.def_index.items():
-        last = lin.last_use.get(value)
-        if last is None or last < definition:
-            continue
-        units = _value_registers(value)
-        if units == 0:
-            continue
-        events.append((definition, units))
-        events.append((last + 1, -units))
-    events.sort()
-    live = 0
-    max_live = 0
-    for _, delta in events:
-        live += delta
-        max_live = max(max_live, live)
+def estimate_registers(lin: Linearized,
+                       arch: GPUArchitecture) -> RegisterEstimate:
+    """Estimate registers/thread of a linearized thread loop on ``arch``."""
+    max_live = lin.max_live
     registers = max_live + BASE_REGISTERS
     limit = arch.max_registers_per_thread
     spilled = max(0, registers - limit)
-    estimate = RegisterEstimate(registers_per_thread=min(registers, limit),
-                                spilled_registers=spilled,
-                                max_live=max_live)
-    if cache is not None:
-        cache[key] = estimate
-    return estimate
+    return RegisterEstimate(registers_per_thread=min(registers, limit),
+                            spilled_registers=spilled,
+                            max_live=max_live)

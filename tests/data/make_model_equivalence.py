@@ -76,7 +76,7 @@ def collect_group(bench, kernel: str, block: tuple, grids: List[tuple]
     from repro.autotune import paper_sweep_configs
     from repro.dialects import polygeist
     from repro.frontend import ModuleGenerator, parse_translation_unit
-    from repro.targets import arch_by_name, register_estimate_cache
+    from repro.targets import arch_by_name, linearized_cache
     from repro.transforms import cleanup_regions, run_cleanup
     from repro.transforms.alternatives import plan_coarsening_alternatives
     from repro.transforms.coarsen import (block_parallels,
@@ -89,9 +89,9 @@ def collect_group(bench, kernel: str, block: tuple, grids: List[tuple]
     wrapper = polygeist.find_gpu_wrappers(module.func(name))[0]
     archs = [arch_by_name(arch) for arch in ARCHS]
     record: Dict[str, object] = {}
-    # the tuning path builds its models inside one register-estimate
-    # scope, so the record does too
-    with register_estimate_cache():
+    # the tuning path builds its models inside one cache scope, so the
+    # record does too
+    with linearized_cache():
         for position, loop in enumerate(block_parallels(wrapper)):
             for arch in archs:
                 record["heuristic/loop%d/%s" % (position, arch.name)] = \
@@ -102,7 +102,7 @@ def collect_group(bench, kernel: str, block: tuple, grids: List[tuple]
         return record
     alt = planned.materialize(range(len(planned.alternatives)))
     cleanup_regions(list(alt.regions))
-    with register_estimate_cache():
+    with linearized_cache():
         for index, region in enumerate(alt.regions):
             loops = block_parallels_in_region(region)
             for position, loop in enumerate(loops):

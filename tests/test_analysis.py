@@ -10,6 +10,8 @@ from repro.dialects import arith, func, memref, polygeist, scf
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import (Builder, F32, FunctionType, INDEX, MemRefType, Module,
                       verify_module)
+from repro.targets import linearize_thread_body
+from repro.targets.lowering import SYMBOLIC_TRIPS
 from repro.transforms.coarsen import block_parallels, thread_parallel
 
 
@@ -180,7 +182,7 @@ class TestKernelStats:
         }
         """
         _, _, threads = kernel_ir(source)
-        stats = kernel_statistics(threads)
+        stats = kernel_statistics(linearize_thread_body(threads))
         assert stats.flops_f32 == 2  # mul + add
         assert stats.loads_global == 1
         assert stats.stores_global == 1
@@ -195,7 +197,7 @@ class TestKernelStats:
         }
         """
         _, _, threads = kernel_ir(source)
-        stats = kernel_statistics(threads)
+        stats = kernel_statistics(linearize_thread_body(threads))
         assert stats.loads_global == 10
         assert stats.flops_f32 == 10
 
@@ -208,9 +210,9 @@ class TestKernelStats:
         }
         """
         _, _, threads = kernel_ir(source)
-        stats = kernel_statistics(threads, symbolic_trips=32)
+        stats = kernel_statistics(linearize_thread_body(threads))
         assert stats.symbolic
-        assert stats.loads_global == 32
+        assert stats.loads_global == SYMBOLIC_TRIPS
 
     def test_shared_accesses_classified(self):
         source = """
@@ -222,7 +224,7 @@ class TestKernelStats:
         }
         """
         _, _, threads = kernel_ir(source)
-        stats = kernel_statistics(threads)
+        stats = kernel_statistics(linearize_thread_body(threads))
         assert stats.loads_shared == 1
         assert stats.stores_shared == 1
         assert stats.loads_global == 1
@@ -237,7 +239,7 @@ class TestKernelStats:
         }
         """
         _, _, threads = kernel_ir(source)
-        stats = kernel_statistics(threads)
+        stats = kernel_statistics(linearize_thread_body(threads))
         assert stats.branches == 1
         # each side at half weight
         assert stats.stores_global == 1

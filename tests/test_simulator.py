@@ -9,10 +9,10 @@ from repro.interpreter import MemoryBuffer
 from repro.ir import F32, verify_module
 from repro.simulator import analyze_coalescing, trace_kernel
 from repro.simulator.cache import Cache
-from repro.simulator.coalescing import transactions_for_stride
+from repro.simulator.coalescing import AccessMemo, transactions_for_stride
 from repro.simulator.model import (InvalidLaunch, KernelModel,
                                    model_wrapper_launch)
-from repro.targets import A100, A4000, RX6800
+from repro.targets import A100, A4000, RX6800, linearize_thread_body
 from repro.transforms import block_coarsen, coarsen_wrapper, thread_coarsen
 from repro.transforms.coarsen import block_parallels, thread_parallel
 
@@ -65,7 +65,8 @@ class TestCoalescingAnalysis:
     def test_unit_stride_detected(self):
         module, name, wrapper = build(COALESCED)
         threads = thread_parallel(block_parallels(wrapper)[0])
-        accesses = analyze_coalescing(threads, warp_size=32)
+        accesses = analyze_coalescing(linearize_thread_body(threads),
+                                      AccessMemo(threads), warp_size=32)
         assert len(accesses) == 2
         for access in accesses:
             assert access.stride_x == 1
@@ -75,7 +76,8 @@ class TestCoalescingAnalysis:
     def test_large_stride_detected(self):
         module, name, wrapper = build(STRIDED)
         threads = thread_parallel(block_parallels(wrapper)[0])
-        accesses = analyze_coalescing(threads, warp_size=32)
+        accesses = analyze_coalescing(linearize_thread_body(threads),
+                                      AccessMemo(threads), warp_size=32)
         load = [a for a in accesses if not a.is_store][0]
         assert load.stride_x == 32
         assert load.transactions_per_warp == 32.0
@@ -94,7 +96,8 @@ class TestCoalescingAnalysis:
         module, name, wrapper = build(
             COALESCED, coarsen=lambda w: thread_coarsen(w, (4,)))
         threads = thread_parallel(block_parallels(wrapper)[0])
-        accesses = analyze_coalescing(threads, warp_size=32)
+        accesses = analyze_coalescing(linearize_thread_body(threads),
+                                      AccessMemo(threads), warp_size=32)
         assert len(accesses) == 8  # 4 copies x (load + store)
         for access in accesses:
             assert access.stride_x == 1, "coarsening broke coalescing"
@@ -102,7 +105,8 @@ class TestCoalescingAnalysis:
     def test_loop_multiplies_executions(self):
         module, name, wrapper = build(SHARED_HEAVY)
         threads = thread_parallel(block_parallels(wrapper)[0])
-        accesses = analyze_coalescing(threads, warp_size=32)
+        accesses = analyze_coalescing(linearize_thread_body(threads),
+                                      AccessMemo(threads), warp_size=32)
         # only the two global accesses count (tile is shared)
         assert len(accesses) == 2
 
@@ -332,7 +336,8 @@ class TestBankConflicts:
         """
         module, name, wrapper = build(source, block=(32,))
         threads = thread_parallel(block_parallels(wrapper)[0])
-        factor = analyze_shared_conflicts(threads)
+        factor = analyze_shared_conflicts(linearize_thread_body(threads),
+                                          AccessMemo(threads))
         assert factor == 32.0
 
     def test_row_access_clean(self):
@@ -348,7 +353,8 @@ class TestBankConflicts:
         """
         module, name, wrapper = build(source, block=(32,))
         threads = thread_parallel(block_parallels(wrapper)[0])
-        assert analyze_shared_conflicts(threads) == 1.0
+        assert analyze_shared_conflicts(linearize_thread_body(threads),
+                                        AccessMemo(threads)) == 1.0
 
     def test_padding_trick_removes_conflicts(self):
         """The classic [TS][TS+1] padding from hec-transpose."""
@@ -366,7 +372,8 @@ class TestBankConflicts:
             """ % cols
             module, name, wrapper = build(source, block=(32,))
             threads = thread_parallel(block_parallels(wrapper)[0])
-            return analyze_shared_conflicts(threads)
+            return analyze_shared_conflicts(
+                linearize_thread_body(threads), AccessMemo(threads))
 
         assert factor_for(32) == 32.0   # power-of-two row: worst case
         assert factor_for(33) == 1.0    # +1 padding: conflict free
@@ -460,8 +467,6 @@ class TestAccessMemo:
         from repro.analysis.affine import _MAX_DEPTH
         from repro.dialects import arith
         from repro.ir import Builder
-        from repro.simulator.coalescing import AccessMemo
-
         module, name, wrapper = build(COALESCED)
         threads = thread_parallel(block_parallels(wrapper)[0])
         builder = Builder(threads.body_block())
@@ -479,8 +484,7 @@ class TestAccessMemo:
     def test_shared_memo_matches_separate_analyses(self):
         from repro.benchsuite import get_benchmark
         from repro.pipeline import Program
-        from repro.simulator.coalescing import (AccessMemo,
-                                                analyze_shared_conflicts)
+        from repro.simulator.coalescing import analyze_shared_conflicts
 
         checked = 0
         for name in ("lud", "hotspot", "nw"):
@@ -493,10 +497,11 @@ class TestAccessMemo:
             for wrapper in polygeist.find_gpu_wrappers(program.module.op):
                 for loop in block_parallels(wrapper):
                     threads = thread_parallel(loop)
+                    lin = linearize_thread_body(threads)
                     memo = AccessMemo(threads)
-                    assert analyze_coalescing(threads, 32, memo=memo) == \
-                        analyze_coalescing(threads, 32)
-                    assert analyze_shared_conflicts(threads, memo=memo) \
-                        == analyze_shared_conflicts(threads)
+                    assert analyze_coalescing(lin, memo, 32) == \
+                        analyze_coalescing(lin, AccessMemo(threads), 32)
+                    assert analyze_shared_conflicts(lin, memo) == \
+                        analyze_shared_conflicts(lin, AccessMemo(threads))
                     checked += 1
         assert checked >= 3

@@ -9,7 +9,9 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.targets import (A100, A4000, ALL_ARCHS, MI210, RX6800,
                            arch_by_name, compute_occupancy,
-                           estimate_registers, linearize_thread_body)
+                           estimate_registers, linearize_thread_body,
+                           linearized_cache)
+from repro.targets.lowering import SYMBOLIC_TRIPS
 from repro.transforms import thread_coarsen, block_coarsen
 from repro.transforms.coarsen import block_parallels, thread_parallel
 
@@ -35,6 +37,30 @@ __global__ void k(float *a, float *b) {
     b[i] = z / (x + 1.0f);
 }
 """
+
+#: a loop, a thread-dependent branch and a shared array
+BRANCHY_SHARED_KERNEL = """
+__global__ void k(float *a) {
+    __shared__ float t[64];
+    float acc = 0.0f;
+    for (int j = 0; j < 8; j++) {
+        if (j > threadIdx.x) acc += a[j * 64 + threadIdx.x];
+    }
+    t[threadIdx.x] = acc;
+    __syncthreads();
+    a[threadIdx.x] = t[63 - threadIdx.x];
+}
+"""
+
+
+class _CountingOps(list):
+    """A block's op list that counts the walks over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
 
 
 class TestArch:
@@ -95,37 +121,85 @@ class TestLinearize:
         start, end = lin.loop_spans[0]
         assert end > start
 
+    def test_executions_weight_loops_and_branches(self):
+        source = """
+        __global__ void k(float *a) {
+            float acc = 0.0f;
+            for (int j = 0; j < 10; j++) {
+                if (j > threadIdx.x) acc += a[j];
+            }
+            a[threadIdx.x] = acc;
+        }
+        """
+        lin = linearize_thread_body(kernel_threads(source))
+        weights = {(i.kind, i.op.name): i.executions for i in lin.instrs
+                   if i.kind in ("load", "store", "loop_begin", "branch")}
+        assert weights == {("loop_begin", "scf.for"): 10.0,
+                           ("branch", "scf.if"): 10.0,
+                           ("load", "memref.load"): 5.0,
+                           ("store", "memref.store"): 1.0}
+        assert not lin.symbolic
+
+    def test_dynamic_bound_is_symbolic(self):
+        source = """
+        __global__ void k(float *a, int n) {
+            float acc = 0.0f;
+            for (int j = 0; j < n; j++) acc += a[j];
+            a[threadIdx.x] = acc;
+        }
+        """
+        lin = linearize_thread_body(kernel_threads(source))
+        assert lin.symbolic
+        loads = [i.executions for i in lin.instrs if i.kind == "load"]
+        assert loads == [SYMBOLIC_TRIPS]
+
+    def test_model_walks_the_thread_body_once(self):
+        # the one other walk is shared_bytes_per_block's alloca walk,
+        # which starts from the block loop
+        from repro.simulator.model import KernelModel
+        threads = kernel_threads(BRANCHY_SHARED_KERNEL)
+        loop = threads.parent_op
+        body = threads.body_block()
+        body.ops = ops = _CountingOps(body.ops)
+        KernelModel(loop, A100)
+        assert ops.iterations <= 2
+        with linearized_cache():
+            # the spill filter's question, answered before the model's
+            estimate_registers(linearize_thread_body(threads), A100)
+            for arch in (A100, MI210):
+                ops.iterations = 0
+                KernelModel(loop, arch)
+                assert ops.iterations <= 1
+
     def test_analyses_leave_no_cyclic_garbage(self):
-        # the recursive walkers are module-level functions: a nested
+        # the recursive walker is a module-level function: a nested
         # function that calls itself is a cycle through its closure cell,
         # which would keep the stream and the access memo alive until a
         # full collection
         import gc
-        from repro.simulator.coalescing import (analyze_coalescing,
+        from repro.autotune.heuristic import choose_factors
+        from repro.simulator.coalescing import (AccessMemo,
+                                                analyze_coalescing,
                                                 analyze_shared_conflicts)
-        source = """
-        __global__ void k(float *a) {
-            __shared__ float t[64];
-            float acc = 0.0f;
-            for (int j = 0; j < 8; j++) {
-                if (j > threadIdx.x) acc += a[j * 64 + threadIdx.x];
-            }
-            t[threadIdx.x] = acc;
-            __syncthreads();
-            a[threadIdx.x] = t[63 - threadIdx.x];
-        }
-        """
-        threads = kernel_threads(source)
+        from repro.simulator.model import KernelModel
+        threads = kernel_threads(BRANCHY_SHARED_KERNEL)
+        loop = threads.parent_op
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         try:
             lin = linearize_thread_body(threads)
-            accesses = analyze_coalescing(threads, warp_size=32)
-            conflicts = analyze_shared_conflicts(threads)
+            memo = AccessMemo(threads)
+            accesses = analyze_coalescing(lin, memo, warp_size=32)
+            conflicts = analyze_shared_conflicts(lin, memo)
             assert lin.loop_spans and len(accesses) == 2
             assert conflicts >= 1.0
-            del lin, accesses
+            assert estimate_registers(lin, A100).max_live > 0
+            model = KernelModel(loop, A100)
+            assert model.divergent_branches == 1
+            choice = choose_factors(loop, MI210)
+            assert choice.reasons
+            del lin, memo, accesses, model, choice
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -140,8 +214,8 @@ class TestRegisters:
         }
         """)
         many = kernel_threads(COMPUTE_KERNEL)
-        est_few = estimate_registers(few, A100)
-        est_many = estimate_registers(many, A100)
+        est_few = estimate_registers(linearize_thread_body(few), A100)
+        est_many = estimate_registers(linearize_thread_body(many), A100)
         assert est_many.registers_per_thread >= est_few.registers_per_thread
 
     def test_coarsening_increases_registers(self):
@@ -149,16 +223,16 @@ class TestRegisters:
         coarse = kernel_threads(
             COMPUTE_KERNEL,
             coarsen=lambda w: thread_coarsen(w, (8,)))
-        est_base = estimate_registers(base, A100)
-        est_coarse = estimate_registers(coarse, A100)
+        est_base = estimate_registers(linearize_thread_body(base), A100)
+        est_coarse = estimate_registers(linearize_thread_body(coarse), A100)
         assert est_coarse.registers_per_thread > \
             est_base.registers_per_thread
 
     def test_f64_counts_double(self):
         f32 = kernel_threads(COMPUTE_KERNEL)
         f64 = kernel_threads(COMPUTE_KERNEL.replace("float", "double"))
-        est32 = estimate_registers(f32, A100)
-        est64 = estimate_registers(f64, A100)
+        est32 = estimate_registers(linearize_thread_body(f32), A100)
+        est64 = estimate_registers(linearize_thread_body(f64), A100)
         assert est64.registers_per_thread > est32.registers_per_thread
 
     def test_extreme_coarsening_spills(self):
@@ -173,7 +247,7 @@ class TestRegisters:
         """
         threads = kernel_threads(
             source, coarsen=lambda w: thread_coarsen(w, (16,)))
-        est = estimate_registers(threads, A100)
+        est = estimate_registers(linearize_thread_body(threads), A100)
         # 16 copies x ~17 live floats each approaches/exceeds 255
         assert est.registers_per_thread > 100
 

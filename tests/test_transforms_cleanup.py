@@ -399,6 +399,8 @@ class TestDivModRecompose:
         }
         """
         from repro.simulator import analyze_coalescing
+        from repro.simulator.coalescing import AccessMemo
+        from repro.targets import linearize_thread_body
         from repro.transforms.coarsen import block_parallels, \
             thread_parallel
         module, wrapper = compile_kernel(source, "k", block=(256,))
@@ -406,6 +408,7 @@ class TestDivModRecompose:
         from repro.dialects import polygeist as pg
         w = pg.find_gpu_wrappers(module.op)[0]
         threads = thread_parallel(block_parallels(w)[0])
-        accesses = analyze_coalescing(threads, warp_size=32)
+        accesses = analyze_coalescing(linearize_thread_body(threads),
+                                      AccessMemo(threads), warp_size=32)
         load = [a for a in accesses if not a.is_store][0]
         assert load.stride_x == 1, "div/mod recomposition must fire"
