@@ -7,7 +7,6 @@ from .module import Module
 from .parser import ParseError, parse_module, parse_op, parse_type
 from .pass_manager import Pass, PassManager, PassRecord, count_ops
 from .printer import format_attr, print_module, print_op
-from .scoped import RegionModule
 from .types import (DYNAMIC, F32, F64, I1, I8, I16, I32, I64, INDEX,
                     FloatType, FunctionType, IndexType, IntegerType,
                     MemRefType, Type, byte_width, is_scalar)
@@ -19,7 +18,7 @@ __all__ = [
     "FloatType", "FunctionType", "I1", "I16", "I32", "I64", "I8", "INDEX",
     "IndexType", "IntegerType", "MemRefType", "Module", "Operation",
     "OpResult", "ParseError", "Pass", "PassManager", "PassRecord",
-    "Region", "RegionModule", "Type",
+    "Region", "Type",
     "Use", "Value", "VerificationError", "byte_width", "count_ops",
     "format_attr",
     "is_scalar", "parse_module", "parse_op", "parse_type", "print_module",

@@ -148,33 +148,3 @@ class PassManager:
         for _ in range(max_iterations):
             if not self.run(module):
                 return
-
-    def run_modules_until_fixpoint(self, modules: Iterable[Module],
-                                   max_iterations: int = 16) -> None:
-        """Drive each module to its own pipeline fixpoint, round-robin.
-
-        Per module, passes run cyclically with per-pass change tracking:
-        the loop stops as soon as ``len(passes)`` *consecutive* pass runs
-        report no change. A no-change run leaves the IR untouched, so the
-        sequence of mutating pass applications — and therefore the final
-        IR — is identical to :meth:`run_until_fixpoint`; an already-clean
-        module exits after exactly one sweep instead of re-running the
-        whole pipeline to confirm the fixpoint.
-        """
-        num_passes = len(self.passes)
-        self.changed_passes = []
-        self.records = []
-        if num_passes == 0:
-            return
-        for module in modules:
-            clean_streak = 0
-            budget = max_iterations * num_passes
-            while clean_streak < num_passes and budget > 0:
-                for pass_ in self.passes:
-                    if self._run_one(pass_, module):
-                        clean_streak = 0
-                    else:
-                        clean_streak += 1
-                    budget -= 1
-                    if clean_streak >= num_passes or budget <= 0:
-                        break

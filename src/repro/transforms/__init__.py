@@ -19,7 +19,7 @@ from .dce import DCE
 from .licm import LICM
 from .load_elim import RedundantLoadElimination
 from .outline import outline_gpu_wrappers
-from .pipeline import cleanup_regions, default_cleanup_pipeline, run_cleanup
+from .pipeline import cleanup_regions, run_cleanup
 from .unroll_interleave import IllegalUnroll, check_unroll_legality, \
     unroll_and_interleave
 
@@ -27,7 +27,7 @@ __all__ = [
     "AlternativeInfo", "BarrierElimination", "CSE", "Canonicalize",
     "CoarsenError", "CoarsenResult", "DCE", "IllegalUnroll", "LICM",
     "balance_factors", "block_coarsen", "check_unroll_legality",
-    "cleanup_regions", "coarsen_wrapper", "default_cleanup_pipeline",
+    "cleanup_regions", "coarsen_wrapper",
     "outline_gpu_wrappers",
     "PlannedAlternatives", "plan_coarsening_alternatives",
     "RedundantLoadElimination",

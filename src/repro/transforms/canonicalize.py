@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..dialects import arith
-from ..ir import (Builder, FloatType, IndexType, IntegerType, Module,
-                  Operation, OpResult, Pass, Value)
+from ..ir import (IndexType, IntegerType, Module, Operation, OpResult, Pass,
+                  Value)
 
 _INT_FOLDS = {
     "arith.addi": lambda a, b: a + b,
@@ -27,9 +27,9 @@ _CMP = {
     "gt": lambda a, b: a > b, "ge": lambda a, b: a >= b,
 }
 
-#: every op name :meth:`Canonicalize._simplify_op` can act on — anything
-#: else exits before the dispatch cascade
-_CANON_NAMES = frozenset(_INT_FOLDS) | {
+#: every op name :func:`fold` can act on — anything else exits before the
+#: dispatch cascade
+FOLDABLE = frozenset(_INT_FOLDS) | {
     "arith.divsi", "arith.remsi", "arith.cmpi", "arith.select",
     "arith.index_cast", "scf.if",
 }
@@ -70,151 +70,115 @@ def _match_divmod_recompose(add_op: Operation) -> Optional[Value]:
     return None
 
 
+def fold(op: Operation) -> Optional[Tuple[str, object]]:
+    """The canonicalization that applies to ``op``, or None.
+
+    One of ``("constant", python_value)`` (replace the single result with
+    a new constant of its type), ``("value", value)`` (replace it with an
+    existing value) or ``("inline", take_then)`` (an ``scf.if`` whose
+    condition is constant). The cleanup driver applies it.
+    """
+    name = op.name
+    if name not in FOLDABLE:
+        return None
+    if name in _INT_FOLDS:
+        operands = op._operands
+        lhs, rhs = _const(operands[0]), _const(operands[1])
+        if lhs is not None and rhs is not None:
+            return "constant", _INT_FOLDS[name](lhs, rhs)
+        if name == "arith.addi":
+            reconstructed = _match_divmod_recompose(op)
+            if reconstructed is not None:
+                return "value", reconstructed
+        return _int_identity(op, lhs, rhs)
+    if name in ("arith.divsi", "arith.remsi"):
+        lhs, rhs = _const(op._operands[0]), _const(op._operands[1])
+        if lhs is not None and rhs not in (None, 0):
+            q = abs(lhs) // abs(rhs)
+            if (lhs >= 0) != (rhs >= 0):
+                q = -q
+            return "constant", q if name == "arith.divsi" else lhs - q * rhs
+        if rhs == 1:
+            if name == "arith.divsi":
+                return "value", op._operands[0]
+            return "constant", 0
+        return None
+    if name == "arith.cmpi":
+        lhs, rhs = _const(op._operands[0]), _const(op._operands[1])
+        if lhs is not None and rhs is not None:
+            return "constant", _CMP[op.attr("predicate")](lhs, rhs)
+        return None
+    if name == "arith.select":
+        operands = op._operands
+        cond = _const(operands[0])
+        if cond is not None:
+            return "value", operands[1] if cond else operands[2]
+        if operands[1] is operands[2]:
+            return "value", operands[1]
+        return None
+    if name == "arith.index_cast":
+        source = op._operands[0]
+        if source.type == op.result().type:
+            return "value", source
+        folded = _const(source)
+        if folded is not None and isinstance(
+                op.result().type, (IndexType, IntegerType)):
+            return "constant", folded
+        return None
+    # scf.if
+    cond = _const(op._operands[0])
+    if cond is not None:
+        return "inline", bool(cond)
+    return None
+
+
+def _int_identity(op: Operation, lhs, rhs) -> Optional[Tuple[str, object]]:
+    name = op.name
+    if name == "arith.addi":
+        if rhs == 0:
+            return "value", op._operands[0]
+        if lhs == 0:
+            return "value", op._operands[1]
+    elif name == "arith.subi":
+        if rhs == 0:
+            return "value", op._operands[0]
+    elif name == "arith.muli":
+        if rhs == 1:
+            return "value", op._operands[0]
+        if lhs == 1:
+            return "value", op._operands[1]
+        if rhs == 0 or lhs == 0:
+            return "constant", 0
+    return None
+
+
+def inline_if_branch(op: Operation, take_then: bool
+                     ) -> Tuple[List[Operation], List[Value]]:
+    """Move the taken branch of ``op`` in front of it.
+
+    Returns the moved ops and the values the branch yields, which replace
+    ``op``'s results; the caller forwards them and erases ``op`` (and
+    with it the other branch).
+    """
+    block = op.body_block(0 if take_then else 1)
+    parent = op.parent
+    index = parent.ops.index(op)
+    terminator = block.ops[-1] if block.ops and \
+        block.ops[-1].name == "scf.yield" else None
+    moved = [child for child in block.ops if child is not terminator]
+    for child in moved:
+        child.parent = None
+    block.ops = [terminator] if terminator else []
+    for offset, child in enumerate(moved):
+        parent.insert(index + offset, child)
+    return moved, terminator.operands if terminator is not None else []
+
+
 class Canonicalize(Pass):
     """Folds constants and applies identities like x+0, x*1, x*0."""
 
     name = "canonicalize"
 
     def run(self, module: Module) -> bool:
-        self.changed = False
-        # iterate to propagate folds
-        for _ in range(8):
-            before = self.changed
-            for op in self._candidates(module.op):
-                self._simplify_op(op)
-            if self.changed == before:
-                break
-        return self.changed
-
-    @staticmethod
-    def _candidates(root: Operation) -> List[Operation]:
-        """Canonicalizable ops, in exactly ``walk()``'s post-order.
-
-        Snapshotting candidates before rewriting visits the same ops in
-        the same order as walking with ``_simplify_op`` as the callback:
-        the rewrites only erase the visited op (and its already-visited
-        subtree), and ops they create or move land in block positions a
-        walk's per-block snapshot would not revisit mid-sweep either.
-        Collecting first skips the per-op Python call for the ~90% of ops
-        no canonicalization pattern matches.
-        """
-        post: List[Operation] = []
-        stack = [root]
-        while stack:
-            op = stack.pop()
-            post.append(op)
-            for region in op.regions:
-                for block in region.blocks:
-                    stack.extend(block.ops)
-        names = _CANON_NAMES
-        # reversed preorder-with-reversed-children == post-order
-        return [op for op in reversed(post) if op.name in names]
-
-    def _replace_with_constant(self, op: Operation, value) -> None:
-        builder = Builder(op.parent, op.parent.index_of(op))
-        new_value = arith.constant(builder, value, op.result().type)
-        op.replace_all_uses_with([new_value])
-        op.erase()
-        self.changed = True
-
-    def _replace_with_value(self, op: Operation, value: Value) -> None:
-        op.replace_all_uses_with([value])
-        op.erase()
-        self.changed = True
-
-    def _simplify_op(self, op: Operation) -> None:
-        name = op.name
-        if name not in _CANON_NAMES or op.parent is None:
-            return
-        if name in _INT_FOLDS:
-            operands = op._operands
-            lhs, rhs = _const(operands[0]), _const(operands[1])
-            if lhs is not None and rhs is not None:
-                self._replace_with_constant(op, _INT_FOLDS[name](lhs, rhs))
-                return
-            if name == "arith.addi":
-                reconstructed = _match_divmod_recompose(op)
-                if reconstructed is not None:
-                    self._replace_with_value(op, reconstructed)
-                    return
-            self._int_identities(op, lhs, rhs)
-            return
-        if name in ("arith.divsi", "arith.remsi"):
-            lhs, rhs = _const(op._operands[0]), _const(op._operands[1])
-            if lhs is not None and rhs not in (None, 0):
-                q = abs(lhs) // abs(rhs)
-                if (lhs >= 0) != (rhs >= 0):
-                    q = -q
-                value = q if name == "arith.divsi" else lhs - q * rhs
-                self._replace_with_constant(op, value)
-            elif rhs == 1:
-                if name == "arith.divsi":
-                    self._replace_with_value(op, op._operands[0])
-                else:
-                    self._replace_with_constant(op, 0)
-            return
-        if name == "arith.cmpi":
-            lhs, rhs = _const(op._operands[0]), _const(op._operands[1])
-            if lhs is not None and rhs is not None:
-                predicate = op.attr("predicate")
-                self._replace_with_constant(op, _CMP[predicate](lhs, rhs))
-            return
-        if name == "arith.select":
-            operands = op._operands
-            cond = _const(operands[0])
-            if cond is not None:
-                self._replace_with_value(
-                    op, operands[1] if cond else operands[2])
-            elif operands[1] is operands[2]:
-                self._replace_with_value(op, operands[1])
-            return
-        if name == "arith.index_cast":
-            source = op._operands[0]
-            if source.type == op.result().type:
-                self._replace_with_value(op, source)
-            else:
-                folded = _const(source)
-                if folded is not None and isinstance(
-                        op.result().type, (IndexType, IntegerType)):
-                    self._replace_with_constant(op, folded)
-            return
-        if name == "scf.if":
-            cond = _const(op._operands[0])
-            if cond is not None:
-                self._inline_if_branch(op, bool(cond))
-            return
-
-    def _int_identities(self, op: Operation, lhs, rhs) -> None:
-        name = op.name
-        if name == "arith.addi":
-            if rhs == 0:
-                self._replace_with_value(op, op._operands[0])
-            elif lhs == 0:
-                self._replace_with_value(op, op._operands[1])
-        elif name == "arith.subi":
-            if rhs == 0:
-                self._replace_with_value(op, op._operands[0])
-        elif name == "arith.muli":
-            if rhs == 1:
-                self._replace_with_value(op, op._operands[0])
-            elif lhs == 1:
-                self._replace_with_value(op, op._operands[1])
-            elif rhs == 0 or lhs == 0:
-                self._replace_with_constant(op, 0)
-
-    def _inline_if_branch(self, op: Operation, take_then: bool) -> None:
-        block = op.body_block(0 if take_then else 1)
-        parent = op.parent
-        index = parent.index_of(op)
-        terminator = block.ops[-1] if block.ops and \
-            block.ops[-1].name == "scf.yield" else None
-        moved = [child for child in block.ops if child is not terminator]
-        for child in moved:
-            child.parent = None
-        block.ops = [terminator] if terminator else []
-        for offset, child in enumerate(moved):
-            parent.insert(index + offset, child)
-        if terminator is not None:
-            op.replace_all_uses_with(terminator.operands)
-        op.erase()
-        self.changed = True
+        from .cleanup import run_rewrites
+        return run_rewrites(module, (self.name,))

@@ -1,11 +1,15 @@
-"""Common subexpression elimination for pure ops, scoped by region nesting."""
+"""Common subexpression elimination for pure ops, scoped by region nesting.
+
+:func:`key` is what makes two ops equal; the cleanup driver keeps one op
+per key among those that dominate each other.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..dialects import effects
-from ..ir import Block, Module, Operation, Pass
+from ..ir import Module, Operation, Pass
 from ..ir.types import Type
 
 #: memoized ``str(type)`` per distinct type object — types are immutable
@@ -21,14 +25,18 @@ def _type_str(type_: Type) -> str:
     return text
 
 
-def _key(op: Operation) -> Optional[Tuple]:
+def key(op: Operation) -> Optional[Tuple]:
+    """What makes ``op`` equal to another op, or None if it is not
+    eligible (impure, or owning regions)."""
     if op.regions or not effects.is_pure(op):
         return None
     attributes = op.attributes
     attrs = tuple(sorted((k, _hashable(v)) for k, v in attributes.items())) \
         if attributes else ()
-    return (op.name, tuple(map(id, op._operands)), attrs,
-            tuple(_type_str(r.type) for r in op.results))
+    results = op.results
+    types = (_type_str(results[0].type),) if len(results) == 1 else \
+        tuple(_type_str(r.type) for r in results)
+    return (op.name, tuple(map(id, op._operands)), attrs, types)
 
 
 def _hashable(value):
@@ -37,70 +45,13 @@ def _hashable(value):
     return value
 
 
-class _Scope:
-    def __init__(self, parent: Optional["_Scope"] = None):
-        self.parent = parent
-        self.table: Dict[Tuple, Operation] = {}
-
-    def lookup(self, key: Tuple) -> Optional[Operation]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if key in scope.table:
-                return scope.table[key]
-            scope = scope.parent
-        return None
-
-
 class CSE(Pass):
-    """Deduplicates pure operations; outer-scope values are reused inside
-    nested regions (valid in our structured, single-block IR)."""
+    """Deduplicates pure operations; an op dominated by an equal one (the
+    earlier op of its block or of an enclosing block) is replaced by it.
+    Valid in our structured, single-block IR."""
 
     name = "cse"
 
     def run(self, module: Module) -> bool:
-        self.changed = False
-        self._run_block(module.body, self._root_scope(module))
-        return self.changed
-
-    @staticmethod
-    def _root_scope(module: Module) -> _Scope:
-        """The starting scope chain for ``module``.
-
-        A plain :class:`~repro.ir.Module` starts empty. A region-scoped
-        facade (:class:`~repro.ir.scoped.RegionModule`) exposes
-        ``enclosing_scope_blocks``; the chain is then seeded, outermost
-        first, with the pure ops preceding the nesting path in each
-        enclosing block — exactly the visibility a whole-module run would
-        have established by the time it descends into the region. The
-        seeds are read-only: the enclosing IR is already at fixpoint, so a
-        whole-module run would not have mutated it either.
-        """
-        scope = _Scope()
-        enclosing = getattr(module, "enclosing_scope_blocks", None)
-        if enclosing is None:
-            return scope
-        for block, stop in enclosing():
-            scope = _Scope(scope)
-            table = scope.table
-            for op in block.ops:
-                if op is stop:
-                    break
-                key = _key(op)
-                if key is not None and key not in table:
-                    table[key] = op
-        return _Scope(scope)
-
-    def _run_block(self, block: Block, scope: _Scope) -> None:
-        for op in list(block.ops):
-            key = _key(op)
-            if key is not None:
-                existing = scope.lookup(key)
-                if existing is not None:
-                    op.replace_all_uses_with(existing.results)
-                    op.erase()
-                    self.changed = True
-                    continue
-                scope.table[key] = op
-            for region in op.regions:
-                for nested in region.blocks:
-                    self._run_block(nested, _Scope(scope))
+        from .cleanup import run_rewrites
+        return run_rewrites(module, (self.name,))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..dialects import effects
-from ..ir import Block, Module, Operation, Pass
+from ..ir import Module, Operation, Pass
 
 
 #: per-name deadness verdict for region-free ops (their terminator and
@@ -11,7 +11,9 @@ from ..ir import Block, Module, Operation, Pass
 _DEAD_BY_NAME: dict = {}
 
 
-def _is_dead(op: Operation) -> bool:
+def is_dead(op: Operation) -> bool:
+    """Unused and removable: no result has a use and the op has no side
+    effect."""
     for result in op.results:
         if result.uses:
             return False
@@ -35,24 +37,5 @@ class DCE(Pass):
     name = "dce"
 
     def run(self, module: Module) -> bool:
-        self.changed = False
-        # iterate: removing a user may make its operands dead
-        while self._sweep(module.body):
-            self.changed = True
-        return self.changed
-
-    def _sweep(self, block: Block) -> bool:
-        removed = False
-        # bottom-up: users die before their operands' defining ops are
-        # inspected, so a whole dead chain disappears in one sweep instead
-        # of one op per sweep (the fixpoint reached is the same — DCE only
-        # ever shrinks the same dead set)
-        for op in reversed(list(block.ops)):
-            for region in op.regions:
-                for nested in region.blocks:
-                    if self._sweep(nested):
-                        removed = True
-            if _is_dead(op):
-                op.erase()
-                removed = True
-        return removed
+        from .cleanup import run_rewrites
+        return run_rewrites(module, (self.name,))

@@ -11,26 +11,28 @@ every iteration of a loop with a known positive trip count.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional, Set
 
 from ..dialects import arith, effects, memref as memref_d
-from ..ir import Module, Operation, Pass, Value
+from ..ir import Module, Operation, OpResult, Pass, Value
 
 
-def _values_defined_inside(op: Operation) -> Set[Value]:
-    inside: Set[Value] = set()
-
-    def collect(child: Operation) -> None:
-        inside.update(child.results)
-        for region in child.regions:
-            for block in region.blocks:
-                inside.update(block.args)
-
-    op.walk_preorder(collect, include_self=False)
-    for region in op.regions:
-        for block in region.blocks:
-            inside.update(block.args)
-    return inside
+def _defined_inside(value: Value, loop: Operation) -> bool:
+    """True if ``value`` is a result or block argument nested in ``loop``."""
+    block = value.owner.parent if value.__class__ is OpResult \
+        else value.owner
+    outside = loop.parent
+    while block is not None and block is not outside:
+        region = block.parent
+        if region is None:
+            return False
+        op = region.parent
+        if op is loop:
+            return True
+        if op is None:
+            return False
+        block = op.parent
+    return False
 
 
 def _written_buffers(op: Operation) -> Set[int]:
@@ -64,40 +66,36 @@ def _is_speculatable(op: Operation) -> bool:
     return True
 
 
+def hoist_invariants(loop: Operation) -> List[Operation]:
+    """Move ``loop``'s invariant ops in front of it, in body order.
+
+    Returns the hoisted ops. An op is invariant when none of its operands
+    is defined inside the loop (ops hoisted earlier in the same walk count
+    as outside).
+    """
+    written: Optional[Set[int]] = None
+    guarded_trip = _has_positive_trip_count(loop)
+    parent = loop.parent
+    hoisted: List[Operation] = []
+    for op in list(loop.body_block().ops):
+        if any(_defined_inside(operand, loop) for operand in op._operands):
+            continue
+        if not _is_speculatable(op):
+            if op.name != "memref.load" or not guarded_trip:
+                continue
+            if written is None:
+                written = _written_buffers(loop)
+            if id(memref_d.load_op_ref(op)) in written or -1 in written:
+                continue
+        op.detach()
+        parent.insert(parent.ops.index(loop), op)
+        hoisted.append(op)
+    return hoisted
+
+
 class LICM(Pass):
     name = "licm"
 
     def run(self, module: Module) -> bool:
-        self.changed = False
-        loops = []
-        module.op.walk(lambda op: loops.append(op)
-                       if op.name == "scf.for" else None)
-        # post-order walk already yields innermost loops first
-        for loop in loops:
-            if loop.parent is not None:
-                self._hoist_from(loop)
-        return self.changed
-
-    def _hoist_from(self, loop: Operation) -> None:
-        inside = _values_defined_inside(loop)
-        written = _written_buffers(loop)
-        guarded_trip = _has_positive_trip_count(loop)
-        body = loop.body_block()
-        parent = loop.parent
-        for op in list(body.ops):
-            if any(operand in inside for operand in op.operands):
-                continue
-            hoist = False
-            if _is_speculatable(op):
-                hoist = True
-            elif op.name == "memref.load" and guarded_trip:
-                base = memref_d.load_op_ref(op)
-                if id(base) not in written and -1 not in written:
-                    hoist = True
-            if not hoist:
-                continue
-            op.detach()
-            parent.insert(parent.index_of(loop), op)
-            for result in op.results:
-                inside.discard(result)
-            self.changed = True
+        from .cleanup import run_rewrites
+        return run_rewrites(module, (self.name,))

@@ -17,87 +17,92 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ir import Block, Module, Operation, Pass
+from ..ir import Module, Operation, Pass, Value
+
+#: ops that may write memory or synchronize: a region op holding one of
+#: them (at any depth) invalidates everything known in its block
+EFFECTFUL = frozenset(("memref.store", "memref.atomic_rmw",
+                       "polygeist.barrier", "func.call",
+                       "gpu.launch_func"))
+
+#: region-free ops :meth:`Forwarding.step` reads or invalidates on
+TRACKED = frozenset(("memref.load", "memref.store", "memref.atomic_rmw",
+                     "polygeist.barrier"))
+
+
+class Forwarding:
+    """What one block knows about memory, in program order: the earliest
+    load of each (buffer, indices) cell and the value last stored there."""
+
+    __slots__ = ("available", "stored")
+
+    def __init__(self):
+        #: (id(base), index value ids) -> available load op
+        self.available: Dict[Tuple, Operation] = {}
+        #: (id(base), index value ids) -> last value stored there
+        self.stored: Dict[Tuple, Value] = {}
+
+    def step(self, op: Operation) -> Optional[Value]:
+        """Advance past region-free ``op``; for a redundant load, return
+        the value that replaces it."""
+        name = op.name
+        if name == "memref.load":
+            operands = op._operands
+            key = (id(operands[0]), tuple(map(id, operands[1:])))
+            forwarded = self.stored.get(key)
+            if forwarded is not None:
+                # store-to-load forwarding: the thread just wrote this
+                # cell and nothing synchronized in between
+                return forwarded
+            earlier = self.available.get(key)
+            if earlier is not None:
+                return earlier.result()
+            self.available[key] = op
+        elif name == "memref.store":
+            operands = op._operands
+            base = operands[1]
+            self._invalidate_base(base)
+            self.stored[(id(base), tuple(map(id, operands[2:])))] = \
+                operands[0]
+        elif name == "memref.atomic_rmw":
+            self._invalidate_base(op._operands[1])
+        elif name == "polygeist.barrier":
+            self.clear()
+        return None
+
+    def clear(self) -> None:
+        """Forget everything: a barrier, or a region op that may store or
+        synchronize."""
+        self.available.clear()
+        self.stored.clear()
+
+    def _invalidate_base(self, base: Value) -> None:
+        base_id = id(base)
+        for table in (self.available, self.stored):
+            for key in [k for k in table if k[0] == base_id]:
+                del table[key]
+
+
+def has_effects_inside(op: Operation) -> bool:
+    """True if anything nested in ``op`` is in :data:`EFFECTFUL`."""
+    # explicit stack so the walk stops at the first hit instead of
+    # visiting the whole subtree
+    stack = [op]
+    while stack:
+        current = stack.pop()
+        for region in current.regions:
+            for block in region.blocks:
+                for child in block.ops:
+                    if child.name in EFFECTFUL:
+                        return True
+                    if child.regions:
+                        stack.append(child)
+    return False
 
 
 class RedundantLoadElimination(Pass):
     name = "load-elim"
 
     def run(self, module: Module) -> bool:
-        self.changed = False
-        self._run_block(module.body)
-        return self.changed
-
-    def _run_block(self, block: Block) -> None:
-        #: (id(base), index value ids) -> available load op
-        available: Dict[Tuple, Operation] = {}
-        #: (id(base), index value ids) -> last value stored there
-        stored: Dict[Tuple, object] = {}
-        for op in list(block.ops):
-            name = op.name
-            if name == "memref.load":
-                base = op.operand(0)
-                key = (id(base), tuple(id(v) for v in op.operands[1:]))
-                forwarded = stored.get(key)
-                if forwarded is not None:
-                    # store-to-load forwarding: the thread just wrote this
-                    # cell and nothing synchronized in between
-                    op.replace_all_uses_with([forwarded])
-                    op.erase()
-                    self.changed = True
-                    continue
-                earlier = available.get(key)
-                if earlier is not None:
-                    op.replace_all_uses_with([earlier.result()])
-                    op.erase()
-                    self.changed = True
-                    continue
-                available[key] = op
-            elif name == "memref.store":
-                base = op.operand(1)
-                self._invalidate_base(available, base)
-                self._invalidate_base(stored, base)
-                key = (id(base), tuple(id(v) for v in op.operands[2:]))
-                stored[key] = op.operand(0)
-            elif name == "memref.atomic_rmw":
-                base = op.operand(1)
-                self._invalidate_base(available, base)
-                self._invalidate_base(stored, base)
-            elif name == "polygeist.barrier":
-                available.clear()
-                stored.clear()
-            elif op.regions:
-                # region ops may store or synchronize: invalidate what they
-                # touch, then process their blocks independently
-                if self._has_side_effects_inside(op):
-                    available.clear()
-                    stored.clear()
-                for region in op.regions:
-                    for nested in region.blocks:
-                        self._run_block(nested)
-
-    @staticmethod
-    def _invalidate_base(available: Dict[Tuple, Operation], base) -> None:
-        for key in [k for k in available if k[0] == id(base)]:
-            del available[key]
-
-    _EFFECTFUL = frozenset(("memref.store", "memref.atomic_rmw",
-                            "polygeist.barrier", "func.call",
-                            "gpu.launch_func"))
-
-    @classmethod
-    def _has_side_effects_inside(cls, op: Operation) -> bool:
-        # explicit stack so the walk stops at the first hit instead of
-        # visiting the whole subtree
-        effectful = cls._EFFECTFUL
-        stack = [op]
-        while stack:
-            current = stack.pop()
-            for region in current.regions:
-                for block in region.blocks:
-                    for child in block.ops:
-                        if child.name in effectful:
-                            return True
-                        if child.regions:
-                            stack.append(child)
-        return False
+        from .cleanup import run_rewrites
+        return run_rewrites(module, (self.name,))

@@ -1,59 +1,37 @@
-"""Standard optimization pipelines."""
+"""The cleanup entry points run before and after coarsening."""
 
 from __future__ import annotations
 
-from ..ir import Module, PassManager
-from ..obs import tracer as obs_tracer
-from .barrier_elim import BarrierElimination
-from .canonicalize import Canonicalize
-from .cse import CSE
-from .dce import DCE
-from .licm import LICM
-from .load_elim import RedundantLoadElimination
+from typing import Sequence
+
+from ..ir import Module, Region
+from .cleanup import REWRITES, SCALAR_REWRITES, cleanup
 
 
-def default_cleanup_pipeline(parallel_optimizations: bool = True
-                             ) -> PassManager:
-    """The cleanup pipeline run before and after coarsening.
+def run_cleanup(module: Module, parallel_optimizations: bool = True) -> None:
+    """Clean the whole module until no rewrite applies.
 
     With ``parallel_optimizations`` disabled only the classical scalar
-    cleanups run — this models the paper's "Polygeist-GPU without
-    optimizations" configuration used as the clang-parity baseline in
-    Fig. 16.
+    cleanups run (no LICM, no barrier elimination) — this models the
+    paper's "Polygeist-GPU without optimizations" configuration used as
+    the clang-parity baseline in Fig. 16.
     """
-    passes = [Canonicalize(), CSE(), RedundantLoadElimination()]
-    if parallel_optimizations:
-        passes.append(LICM())
-        passes.append(BarrierElimination())
-    passes.append(DCE())
-    # transforms are verified by the test suite; verifying after every pass
-    # on every pipeline run is prohibitively slow for autotuning sweeps
-    return PassManager(passes, verify=False)
+    cleanup(module.op.regions,
+            REWRITES if parallel_optimizations else SCALAR_REWRITES,
+            whole=True, parallel=parallel_optimizations)
 
 
-def run_cleanup(module: Module, parallel_optimizations: bool = True,
-                max_iterations: int = 8) -> None:
-    pipeline = default_cleanup_pipeline(parallel_optimizations)
-    with obs_tracer.span("cleanup", category="transforms",
-                         parallel=parallel_optimizations):
-        pipeline.run_until_fixpoint(module, max_iterations)
+def cleanup_regions(regions: Sequence[Region],
+                    parallel_optimizations: bool = True) -> None:
+    """Clean just ``regions`` (the alternatives of one wrapper).
 
-
-def cleanup_regions(regions, parallel_optimizations: bool = True,
-                    max_iterations: int = 8) -> None:
-    """Run the cleanup pipeline to fixpoint over just ``regions``.
-
-    Each region is wrapped in a :class:`~repro.ir.scoped.RegionModule`
-    facade and driven to its own fixpoint; the enclosing module is never
-    walked. With the enclosing IR already at the pipeline's fixpoint (the
-    autotuning flow pre-cleans the whole module before generating
-    alternatives), the result is identical to a whole-module
-    :func:`run_cleanup` — proven by the benchsuite-wide equivalence test.
+    The enclosing module is never walked: the pure ops that dominate the
+    regions from outside are reused by CSE, and the rest of the module is
+    left as it is. With the enclosing IR already clean (the autotuning
+    flow pre-cleans the whole module before generating alternatives) the
+    result is identical to a whole-module :func:`run_cleanup` — proven by
+    the benchsuite-wide equivalence test.
     """
-    from ..ir.scoped import RegionModule
-    pipeline = default_cleanup_pipeline(parallel_optimizations)
-    with obs_tracer.span("cleanup", category="transforms",
-                         parallel=parallel_optimizations,
-                         regions=len(regions)):
-        pipeline.run_modules_until_fixpoint(
-            [RegionModule(region) for region in regions], max_iterations)
+    cleanup(regions, REWRITES if parallel_optimizations else SCALAR_REWRITES,
+            whole=False, parallel=parallel_optimizations,
+            regions=len(regions))
