@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import shared_allocas
 from ..dialects import polygeist
-from ..ir import Operation, Region, unlink_subtree
+from ..ir import Operation, Region, single_block_region, unlink_subtree
 from .coarsen import (CoarsenError, CoarsenResult, block_parallels,
                       coarsen_wrapper, plan_coarsening, thread_parallel)
 
@@ -66,43 +66,53 @@ class PlannedAlternatives:
     alternatives: List[AlternativeInfo] = field(default_factory=list)
     rejected: List[str] = field(default_factory=list)
     rejected_configs: List[tuple] = field(default_factory=list)
-    #: wrapper clones built so far (one per materialized alternative)
+    #: wrapper clones built so far: one per materialized alternative but
+    #: the last, which coarsens the wrapper's own body
     clones_materialized: int = 0
     _consumed: bool = field(default=False, repr=False)
 
     def materialize(self, indices: Iterable[int]) -> Operation:
         """Build the alternatives op holding exactly ``indices``' regions.
 
-        Clones and coarsens one region per index (in the given order),
-        replaces the wrapper's body with the resulting
-        ``polygeist.alternatives`` op, and returns it. One-shot: the
-        wrapper body is consumed.
+        Coarsens one region per index (in the given order): a clone of the
+        wrapper for each index but the last, and the wrapper's own body,
+        moved into the alternatives op, for the last. The wrapper's body
+        is then just that op, which is returned. One-shot: the wrapper
+        body is consumed.
         """
         if self._consumed:
             raise ValueError("alternatives were already materialized")
         self._consumed = True
         wrapper = self.wrapper
+        indices = list(indices)
         regions: List[Region] = []
         descs: List[str] = []
-        for index in indices:
+        for position, index in enumerate(indices):
             info = self.alternatives[index]
-            clone = wrapper.clone({})
-            self.clones_materialized += 1
-            result = coarsen_wrapper(clone, **info.config)
+            if position + 1 < len(indices):
+                target = wrapper.clone({})
+                self.clones_materialized += 1
+            else:
+                target = wrapper
+            result = coarsen_wrapper(target, **info.config)
             if result.describe() != info.desc:
                 raise AssertionError(
                     "coarsening plan promised %s but materialization "
                     "produced %s" % (info.desc, result.describe()))
             info.result = result
-            regions.append(clone.region(0))
+            regions.append(target.region(0))
             descs.append(info.desc)
+        if regions:
+            # the last region is the wrapper's own: give it a fresh body
+            wrapper.regions = []
+            wrapper.add_region(single_block_region())
+        else:
+            body = wrapper.body_block()
+            unlink_subtree(body.ops)
+            body.ops = []
         alt = Operation(polygeist.ALTERNATIVES, [], [],
                         {polygeist.DESCS_ATTR: descs}, regions)
-        body = wrapper.body_block()
-        # erase the original nest (in reverse, so defs outlive their uses)
-        for op in reversed(list(body.ops)):
-            op.erase()
-        body.append(alt)
+        wrapper.body_block().append(alt)
         return alt
 
 
