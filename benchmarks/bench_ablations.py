@@ -20,7 +20,6 @@ from repro.simulator.model import KernelModel
 from repro.targets import A100, linearize_thread_body
 from repro.transforms import run_cleanup, unroll_and_interleave
 from repro.transforms.coarsen import block_parallels, thread_parallel
-from repro.transforms.pipeline import default_cleanup_pipeline
 from repro.transforms import (Canonicalize, CSE, DCE)
 from repro.ir import PassManager
 

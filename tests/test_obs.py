@@ -433,7 +433,9 @@ class TestCLI:
             assert event["ts"] >= 0 and event["dur"] >= 0
         names = {e["name"] for e in events}
         assert "frontend.parse" in names
-        assert any(name.startswith("pass:") for name in names)
+        # cleanup reports one span per call, not one per pass run
+        assert "cleanup" in names
+        assert not any(name.startswith("pass:") for name in names)
         assert "filters.shared_memory" in names
         assert "filters.registers" in names
         assert "tdo.alternative" in names
@@ -441,6 +443,9 @@ class TestCLI:
         # metrics and the decision log ride along in the same file
         other = payload["otherData"]
         assert other["metrics"]["counters"]["filters.runs"] >= 1
+        counters = other["metrics"]["counters"]
+        assert counters["cleanup.visited"] > 0
+        assert counters["cleanup.rewrites.cse"] > 0
         decisions = other["decisions"]
         assert decisions and decisions[0]["alternatives"]
         # the global tracer/registry are uninstalled afterwards

@@ -17,6 +17,7 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.interpreter import MemoryBuffer, run_module
 from repro.ir import F32, verify_module
 from repro.transforms import (CoarsenError, coarsen_wrapper, run_cleanup)
+from repro.transforms.cleanup import REWRITES, cleanup
 
 BLOCK = 8
 GRID = 6
@@ -77,6 +78,12 @@ def random_kernel(draw):
     return "__global__ void k(float *in, float *out) {\n    %s\n}" % body
 
 
+def assert_at_fixpoint(module):
+    """A second cleanup driver run over cleaned IR applies no rewrite."""
+    counts = cleanup(module.op.regions, REWRITES, whole=True)
+    assert not any(counts.values()), counts
+
+
 def run_kernel(source, coarsen_config, data):
     unit = parse_translation_unit(source)
     generator = ModuleGenerator(unit)
@@ -87,6 +94,7 @@ def run_kernel(source, coarsen_config, data):
         coarsen_wrapper(wrapper, **coarsen_config)
         run_cleanup(generator.module)
     verify_module(generator.module)
+    assert_at_fixpoint(generator.module)
     src_buf = MemoryBuffer((N,), F32, data=data)
     out = MemoryBuffer((N,), F32)
     run_module(generator.module, name, [GRID, src_buf, out])
@@ -134,6 +142,7 @@ def test_property_cleanup_equivalence(source):
 
     run_cleanup(generator.module)
     verify_module(generator.module)
+    assert_at_fixpoint(generator.module)
     src2 = MemoryBuffer((N,), F32, data=data)
     out2 = MemoryBuffer((N,), F32)
     run_module(generator.module, name, [GRID, src2, out2])
