@@ -174,10 +174,13 @@ class Operation:
         # each (owner, index) pair occurs at most once in a use list (see
         # set_operand), so delete-first-match suffices; this runs once per
         # erased op per operand, and most SSA values have few uses, so the
-        # early exit beats rebuilding the list
+        # early exit beats rebuilding the list. The scan starts at the
+        # end: the op erased is most often the one that took its use last
+        # (a later copy, or the op a rewrite just created or forwarded)
         for i, operand in enumerate(self._operands):
             uses = operand.uses
-            for j, use in enumerate(uses):
+            for j in range(len(uses) - 1, -1, -1):
+                use = uses[j]
                 if use.owner is self and use.index == i:
                     del uses[j]
                     break

@@ -105,10 +105,10 @@ class _Driver:
         #: visited ops to visit again, because a rewrite changed them
         self.worklist: List[Operation] = []
         self.queued: Set[Operation] = set()
-        #: CSE: key -> every op registered under it, and each registered
-        #: op's key until a rewrite changes the op
-        self.registered: Dict[Tuple, List[Operation]] = {}
+        #: CSE: each registered op's key until a rewrite changes the op,
+        #: and, once a revisit needs it, key -> the ops registered under it
         self.keys: Dict[Operation, Tuple] = {}
+        self.registered: Optional[Dict[Tuple, List[Operation]]] = None
         #: during the sweep, key -> the registered op that dominates the
         #: sweep's position, and per open block the keys it added
         self.visible: Dict[Tuple, Operation] = {}
@@ -168,7 +168,6 @@ class _Driver:
                     k = cse_key(other)
                     if k is not None and k not in self.visible:
                         self.visible[k] = other
-                        self.registered[k] = [other]
                         self.keys[other] = k
 
     def _sweep(self, block: Block) -> bool:
@@ -178,51 +177,67 @@ class _Driver:
         effectful = False
         added: List[Tuple] = []
         self.opened.append(added)
-        for op in list(block.ops):
-            if op.parent is block and self._sweep_op(op, state):
+        seen = self.seen
+        candidates = self.candidates if self.dce else None
+        visit = self._visit
+        # a stack in program order: the ops a rewrite puts in place of
+        # the visited one are pushed to be visited next
+        pending = list(block.ops)
+        pending.reverse()
+        visits = 0
+        while pending:
+            op = pending.pop()
+            if op.parent is not block:
+                continue
+            seen.add(op)
+            visits += 1
+            if candidates is not None:
+                candidates.append(op)
+            replacement = visit(op)
+            if replacement is not None:
+                pending.extend(reversed(replacement))
+            elif op.regions:
+                if self._sweep_region_op(op, state):
+                    effectful = True
+            elif op.name in TRACKED and state is not None and \
+                    self._forward(op, state):
+                continue
+            elif op.name in EFFECTFUL:
                 effectful = True
+        self.visited += visits
         self.opened.pop()
         visible = self.visible
         for k in added:
             del visible[k]
         return effectful
 
-    def _sweep_op(self, op: Operation, state: Optional[Forwarding]) -> bool:
-        self.seen.add(op)
-        self.visited += 1
-        if self.dce:
-            self.candidates.append(op)
-        replacement = self._visit(op)
-        if replacement is not None:
-            # the op is gone; what took its place stands where it stood
-            effectful = False
-            for new in replacement:
-                if self._sweep_op(new, state):
+    def _sweep_region_op(self, op: Operation,
+                         state: Optional[Forwarding]) -> bool:
+        if self.whole:
+            # a whole-module run owes every loop and thread body a visit
+            if self.licm and op.name == "scf.for":
+                self.loops[op] = None
+            elif self.barriers and is_thread_loop(op):
+                self.threads[op] = None
+        effectful = False
+        for region in op.regions:
+            for nested in region.blocks:
+                if self._sweep(nested):
                     effectful = True
-            return effectful
-        if op.regions:
-            if self.whole:
-                # a whole-module run owes every loop and thread body a visit
-                if self.licm and op.name == "scf.for":
-                    self.loops[op] = None
-                elif self.barriers and is_thread_loop(op):
-                    self.threads[op] = None
-            effectful = False
-            for region in op.regions:
-                for nested in region.blocks:
-                    if self._sweep(nested):
-                        effectful = True
-            self.effects[op] = effectful
-            if effectful and state is not None:
-                state.clear()
-            return effectful
-        if state is not None and op.name in TRACKED:
-            value = state.step(op)
-            if value is not None:
-                self.counts["load-elim"] += 1
-                self._replace(op, [value])
-                return False
-        return op.name in EFFECTFUL
+        self.effects[op] = effectful
+        if effectful and state is not None:
+            state.clear()
+        return effectful
+
+    def _forward(self, op: Operation, state: Forwarding) -> bool:
+        """Step ``state`` past ``op``; True if ``op`` was a redundant load,
+        now replaced."""
+        value = state.step(op)
+        if value is None:
+            return False
+        self.counts["load-elim"] += 1
+        self._replace(op, [value])
+        return True
 
     def _drain(self) -> None:
         while self.worklist:
@@ -295,32 +310,42 @@ class _Driver:
             if survivor is None:
                 self.visible[k] = op
                 self.opened[-1].append(k)
-        else:
-            survivor = None
-            for other in self.registered.get(k, ()):
-                if other is not op and keys.get(other) == k and \
-                        _dominates(other, op) and (
-                            survivor is None or
-                            _dominates(other, survivor)):
-                    survivor = other
+                keys[op] = k
+                return False
+            self.counts["cse"] += 1
+            self._replace(op, survivor.results)
+            return True
+        registered = self._registered()
+        equals = registered.setdefault(k, [])
+        survivor = None
+        for other in equals:
+            if other is not op and keys.get(other) == k and \
+                    _dominates(other, op) and (
+                        survivor is None or _dominates(other, survivor)):
+                survivor = other
         if survivor is not None:
             self.counts["cse"] += 1
             self._replace(op, survivor.results)
             return True
-        everywhere = self.registered.setdefault(k, [])
-        if not self.sweeping and everywhere:
-            # a moved or rewritten op may now precede its equals
-            for other in everywhere:
-                if other is not op and keys.get(other) == k and \
-                        _dominates(op, other):
-                    self.counts["cse"] += 1
-                    self._replace(other, op.results)
-            everywhere[:] = [other for other in everywhere
-                             if keys.get(other) is not None and
-                             other is not op]
-        everywhere.append(op)
+        # a moved or rewritten op may now precede its equals
+        for other in equals:
+            if other is not op and keys.get(other) == k and \
+                    _dominates(op, other):
+                self.counts["cse"] += 1
+                self._replace(other, op.results)
+        equals[:] = [other for other in equals
+                     if keys.get(other) is not None and other is not op]
+        equals.append(op)
         keys[op] = k
         return False
+
+    def _registered(self) -> Dict[Tuple, List[Operation]]:
+        """key -> registered ops, in registration order."""
+        if self.registered is None:
+            self.registered = {}
+            for op, k in self.keys.items():
+                self.registered.setdefault(k, []).append(op)
+        return self.registered
 
     def _forward_blocks(self) -> None:
         """Redo load forwarding over the blocks whose memory ops changed."""
@@ -334,10 +359,7 @@ class _Driver:
                     if self._effectful(op):
                         state.clear()
                 elif op.name in TRACKED:
-                    value = state.step(op)
-                    if value is not None:
-                        self.counts["load-elim"] += 1
-                        self._replace(op, [value])
+                    self._forward(op, state)
 
     def _effectful(self, op: Operation) -> bool:
         flag = self.effects.get(op)

@@ -17,6 +17,10 @@ from ..ir.types import Type
 _TYPE_STRS: Dict[Type, str] = {}
 
 
+#: :func:`effects.is_pure` per op name, for region-free ops
+_PURE: Dict[str, bool] = {}
+
+
 def _type_str(type_: Type) -> str:
     text = _TYPE_STRS.get(type_)
     if text is None:
@@ -28,11 +32,22 @@ def _type_str(type_: Type) -> str:
 def key(op: Operation) -> Optional[Tuple]:
     """What makes ``op`` equal to another op, or None if it is not
     eligible (impure, or owning regions)."""
-    if op.regions or not effects.is_pure(op):
+    if op.regions:
+        return None
+    pure = _PURE.get(op.name)
+    if pure is None:
+        pure = _PURE[op.name] = effects.is_pure(op)
+    if not pure:
         return None
     attributes = op.attributes
-    attrs = tuple(sorted((k, _hashable(v)) for k, v in attributes.items())) \
-        if attributes else ()
+    if not attributes:
+        attrs = ()
+    elif len(attributes) == 1:
+        ((name, value),) = attributes.items()
+        attrs = ((name, _hashable(value)),)
+    else:
+        attrs = tuple(sorted((k, _hashable(v))
+                             for k, v in attributes.items()))
     results = op.results
     types = (_type_str(results[0].type),) if len(results) == 1 else \
         tuple(_type_str(r.type) for r in results)
