@@ -1,11 +1,12 @@
 """IR transformations.
 
-Cleanup passes (canonicalize/CSE/DCE/LICM/barrier elimination) mirror the
-pre-existing Polygeist/MLIR optimizations the paper builds on (§III); the
-paper's own contributions live in :mod:`unroll_interleave` (nested parallel
-loop unroll-and-interleave, §IV), :mod:`coarsen` (thread and block
-coarsening, §V), and :mod:`alternatives` (compile-time multi-versioning,
-§VI).
+Cleanup rewrites (canonicalize/CSE/load elimination/LICM/barrier
+elimination/DCE, applied by the one worklist driver in :mod:`cleanup`)
+mirror the pre-existing Polygeist/MLIR optimizations the paper builds on
+(§III); the paper's own contributions live in :mod:`unroll_interleave`
+(nested parallel loop unroll-and-interleave, §IV), :mod:`coarsen` (thread
+and block coarsening, §V), and :mod:`alternatives` (compile-time
+multi-versioning, §VI).
 """
 
 from .alternatives import (AlternativeInfo, PlannedAlternatives,

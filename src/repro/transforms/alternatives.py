@@ -1,8 +1,8 @@
 """Alternative code paths: compile-time multi-versioning (§VI, Fig. 12).
 
 Each coarsening configuration is applied to its own clone of the kernel's
-parallel nest; the clones become regions of one ``polygeist.alternatives``
-op. Later pipeline stages prune regions (shared-memory limits, register
+parallel nest (the last one to the nest itself); the coarsened nests
+become regions of one ``polygeist.alternatives`` op. Later pipeline stages prune regions (shared-memory limits, register
 spills) and finally TDO selects exactly one, which
 :func:`select_alternative` splices back in place.
 
