@@ -11,14 +11,10 @@ multi-versioning, §VI).
 
 from .alternatives import (AlternativeInfo, PlannedAlternatives,
                            plan_coarsening_alternatives, select_alternative)
-from .barrier_elim import BarrierElimination
-from .canonicalize import Canonicalize
+from .cleanup import (CSE, DCE, LICM, BarrierElimination, Canonicalize,
+                      RedundantLoadElimination)
 from .coarsen import (CoarsenError, CoarsenResult, balance_factors,
                       block_coarsen, coarsen_wrapper, thread_coarsen)
-from .cse import CSE
-from .dce import DCE
-from .licm import LICM
-from .load_elim import RedundantLoadElimination
 from .outline import outline_gpu_wrappers
 from .pipeline import cleanup_regions, run_cleanup
 from .unroll_interleave import IllegalUnroll, check_unroll_legality, \

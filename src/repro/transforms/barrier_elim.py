@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..dialects import effects
-from ..ir import Block, Module, Operation, Pass
+from ..ir import Block, Operation
 
 
 def _accesses_memory(op: Operation) -> bool:
@@ -64,11 +64,3 @@ def _trim(block: Block, erase, forward: bool) -> None:
 
 def is_thread_loop(op: Operation) -> bool:
     return op.name == "scf.parallel" and op.attr("gpu.kind") == "threads"
-
-
-class BarrierElimination(Pass):
-    name = "barrier-elim"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))

@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..dialects import arith
-from ..ir import (IndexType, IntegerType, Module, Operation, OpResult, Pass,
-                  Value)
+from ..ir import IndexType, IntegerType, Operation, OpResult, Value
 
 _INT_FOLDS = {
     "arith.addi": lambda a, b: a + b,
@@ -172,13 +171,3 @@ def inline_if_branch(op: Operation, take_then: bool
     for offset, child in enumerate(moved):
         parent.insert(index + offset, child)
     return moved, terminator.operands if terminator is not None else []
-
-
-class Canonicalize(Pass):
-    """Folds constants and applies identities like x+0, x*1, x*0."""
-
-    name = "canonicalize"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..dialects import effects
-from ..ir import Module, Operation, Pass
+from ..ir import Operation
 from ..ir.types import Type
 
 #: memoized ``str(type)`` per distinct type object — types are immutable
@@ -58,15 +58,3 @@ def _hashable(value):
     if isinstance(value, list):
         return tuple(_hashable(v) for v in value)
     return value
-
-
-class CSE(Pass):
-    """Deduplicates pure operations; an op dominated by an equal one (the
-    earlier op of its block or of an enclosing block) is replaced by it.
-    Valid in our structured, single-block IR."""
-
-    name = "cse"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))

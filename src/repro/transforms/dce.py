@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..dialects import effects
-from ..ir import Module, Operation, Pass
+from ..ir import Operation
 
 
 #: per-name deadness verdict for region-free ops (their terminator and
@@ -31,11 +31,3 @@ def is_dead(op: Operation) -> bool:
             not effects.has_side_effects(op)
         _DEAD_BY_NAME[name] = verdict
     return verdict
-
-
-class DCE(Pass):
-    name = "dce"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))

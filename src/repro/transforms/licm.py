@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..dialects import arith, effects, memref as memref_d
-from ..ir import Module, Operation, OpResult, Pass, Value
+from ..ir import Operation, OpResult, Value
 
 
 def _defined_inside(value: Value, loop: Operation) -> bool:
@@ -91,11 +91,3 @@ def hoist_invariants(loop: Operation) -> List[Operation]:
         parent.insert(parent.ops.index(loop), op)
         hoisted.append(op)
     return hoisted
-
-
-class LICM(Pass):
-    name = "licm"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..ir import Module, Operation, Pass, Value
+from ..ir import Operation, Value
 
 #: ops that may write memory or synchronize: a region op holding one of
 #: them (at any depth) invalidates everything known in its block
@@ -98,11 +98,3 @@ def has_effects_inside(op: Operation) -> bool:
                     if child.regions:
                         stack.append(child)
     return False
-
-
-class RedundantLoadElimination(Pass):
-    name = "load-elim"
-
-    def run(self, module: Module) -> bool:
-        from .cleanup import run_rewrites
-        return run_rewrites(module, (self.name,))
