@@ -19,10 +19,12 @@ worklist is empty. This module is that driver for our six rewrites:
   every op as changed; a region run counts only what it rewrites,
   because its regions come from coarsening IR that was already clean.
 
-One visit order gives the result the old round-robin of whole-region
-passes reached at its fixpoint: local rewrites to quiescence, then loop
-hoisting (innermost loops first), barrier elimination and dead-code
-removal, and again only if one of those changed something.
+The phase order is what keeps the output equal to applying the six
+rewrites as whole-region passes, in :data:`REWRITES` order, to their
+joint fixpoint (the recorded fixtures pin it): local rewrites to
+quiescence, then loop hoisting (innermost loops first), barrier
+elimination and dead-code removal, and again only if one of those
+changed something.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .dce import is_dead
 from .licm import hoist_invariants
 from .load_elim import EFFECTFUL, TRACKED, Forwarding, has_effects_inside
 
-#: every rewrite, in the order the old pass pipeline ran them
+#: every rewrite, in the order the driver's phases apply them
 REWRITES = ("canonicalize", "cse", "load-elim", "licm", "barrier-elim",
             "dce")
 #: the classical scalar cleanups: the clang-parity tier
