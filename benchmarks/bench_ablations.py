@@ -18,10 +18,8 @@ from repro.simulator import analyze_coalescing
 from repro.simulator.coalescing import AccessMemo
 from repro.simulator.model import KernelModel
 from repro.targets import A100, linearize_thread_body
-from repro.transforms import run_cleanup, unroll_and_interleave
+from repro.transforms import run_cleanup, run_rewrites, unroll_and_interleave
 from repro.transforms.coarsen import block_parallels, thread_parallel
-from repro.transforms import (Canonicalize, CSE, DCE)
-from repro.ir import PassManager
 
 COALESCED = """
 __global__ void copy(float *a, float *b) {
@@ -109,8 +107,7 @@ def test_ablation_redundant_load_elimination(benchmark, report):
         if with_rle:
             run_cleanup(generator.module)
         else:
-            PassManager([Canonicalize(), CSE(), DCE()],
-                        verify=False).run_until_fixpoint(generator.module)
+            run_rewrites(generator.module, ("canonicalize", "cse", "dce"))
         main = block_parallels(wrapper, include_epilogues=False)[0]
         return KernelModel(main, A100)
 

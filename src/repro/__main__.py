@@ -101,12 +101,12 @@ def _run_full_tune(source: str, kernel: str, block, grids, arch, configs,
     from .frontend import ModuleGenerator, parse_translation_unit
     from .transforms import run_cleanup
 
-    with engine.stats.stage("parse"):
+    with engine.stage("parse"):
         unit = parse_translation_unit(source)
         generator = ModuleGenerator(unit)
     wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
                                                 block)
-    with engine.stats.stage("cleanup"):
+    with engine.stage("cleanup"):
         run_cleanup(generator.module)
     f = generator.module.func(wrapper_name)
     wrapper = polygeist.find_gpu_wrappers(f)[0]
@@ -115,10 +115,32 @@ def _run_full_tune(source: str, kernel: str, block, grids, arch, configs,
     return tune_wrapper(wrapper, arch, envs, configs, engine=engine)
 
 
+#: engine stages in pipeline order, for the ``tune --stats`` table
+STAGE_ORDER = ("parse", "cleanup", "alternatives", "filters", "tdo",
+               "replay")
+
+
+def _stage_table(engine) -> str:
+    """The engine's per-stage seconds and calls, then its counters."""
+    stages = engine.stages()
+    counters = engine.registry.counter_values()
+    lines = ["%-16s %10s %8s" % ("stage", "seconds", "calls"), "-" * 36]
+    names = [name for name in STAGE_ORDER if name in stages]
+    names += sorted(set(stages) - set(STAGE_ORDER))
+    for name in names:
+        lines.append("%-16s %10.3f %8d" % (name, stages[name]["total"],
+                                           stages[name]["count"]))
+    if counters:
+        lines.append("")
+        for name in sorted(counters):
+            lines.append("%-28s %8d" % (name, counters[name]))
+    return "\n".join(lines)
+
+
 def cmd_tune(args) -> int:
     from .autotune import paper_sweep_configs
     from .benchsuite.experiments import sweep_kernel_configs
-    from .engine import EngineStats, TuningEngine
+    from .engine import TuningEngine
     from .obs import decisions as obs_decisions
     from .obs import metrics as obs_metrics
     from .obs import tracer as obs_tracer
@@ -130,18 +152,13 @@ def cmd_tune(args) -> int:
     grid = _parse_dims(args.grid)
     configs = paper_sweep_configs(max_product=args.max_factor)
     tracer = None
-    registry = None
     log = None
-    validate = args.validate or None
+    engine = TuningEngine(validate=args.validate or None)
     if args.trace:
-        # one registry backs both the engine's stage stats and the
-        # engine-less instrumentation sites (passes, filters, model)
-        registry = obs_metrics.install(obs_metrics.MetricsRegistry())
+        # the engine's registry also takes the engine-less
+        # instrumentation sites (cleanup, filters, model)
+        obs_metrics.install(engine.registry)
         tracer = obs_tracer.install(obs_tracer.Tracer())
-        engine = TuningEngine(stats=EngineStats(registry=registry),
-                              validate=validate)
-    else:
-        engine = TuningEngine(validate=validate)
     try:
         sweep = sweep_kernel_configs(
             _load_source(args.file), args.kernel, block, [grid], arch,
@@ -189,12 +206,12 @@ def cmd_tune(args) -> int:
         if args.stats:
             print()
             print("engine stages:")
-            print(engine.stats.report())
+            print(_stage_table(engine))
     finally:
         if tracer is not None:
             obs_tracer.uninstall()
             obs_metrics.uninstall()
-            write_chrome_trace(args.trace, tracer, metrics=registry,
+            write_chrome_trace(args.trace, tracer, metrics=engine.registry,
                                decisions=log)
             print("wrote %d spans to %s" % (len(tracer), args.trace),
                   file=sys.stderr)

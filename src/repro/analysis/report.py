@@ -463,10 +463,9 @@ def _group_models(program, wrapper_name: str, arch):
     wrappers = polygeist.find_gpu_wrappers(f)
     if not wrappers:
         return f, []
-    cache = getattr(program, "_model_cache", {})
     models = []
     for loop in block_parallels(wrappers[0]):
-        model = cache.get(loop.stable_uid())
+        model = program._model_cache.get(loop.stable_uid())
         if model is None:
             model = KernelModel(loop, arch)
         models.append((loop, model))
@@ -651,7 +650,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
         benchmark=name, arch=arch.name, tier=tier, size=size,
         composite_seconds=composite + pcie, pcie_seconds=pcie,
         kernels=reports,
-        stages=dict(engine.stats.stage_seconds),
+        stages=engine.stage_seconds(),
         spans=[(row[0], row[1], row[3]) for row in aggregated[:5]],
         provenance={
             "schema": REPORT_SCHEMA,

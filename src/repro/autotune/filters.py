@@ -13,9 +13,8 @@ Mirrors the paper's progressive filtering of alternative code paths:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, ContextManager, List, Sequence, Tuple
 
 from ..dialects import polygeist
 from ..ir import Operation
@@ -134,7 +133,8 @@ def prune_planned_by_shared_memory(plans: Sequence,
 
 def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
                         materialize: Callable[[List[int]], Operation],
-                        stage=None) -> Tuple[FilterReport, Operation]:
+                        stage: Callable[[str], ContextManager]
+                        ) -> Tuple[FilterReport, Operation]:
     """Run all static pruning stages over planned alternatives.
 
     Runs the shared-memory stage on plan metadata, calls
@@ -143,12 +143,10 @@ def run_planned_filters(plans: Sequence, arch: GPUArchitecture,
     it prunes in place. Returns ``(merged report, alternatives op)``; the
     merged report composes the two stages' index mappings, so its
     ``survivors`` (and ``survivor_descs``) index the original planned
-    list. ``stage`` wraps the filter evaluations in an engine accounting
-    stage (materialization does its own accounting inside the callback).
+    list. ``stage`` (a :meth:`~repro.engine.TuningEngine.stage`) times
+    the filter evaluations; materialization does its own accounting
+    inside the callback.
     """
-    if stage is None:
-        def stage(_name):
-            return nullcontext()
     total = len(plans)
     with obs_tracer.span("filters", category="filters",
                          alternatives=total) as span:

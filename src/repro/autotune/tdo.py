@@ -278,28 +278,23 @@ def _validation_gate(alt: Operation, baseline_func: Operation,
 def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                  env,
                  configs: Sequence[Dict[str, object]],
-                 engine=None) -> TuneOutcome:
+                 engine) -> TuneOutcome:
     """Full §VI flow for one gpu_wrapper: alternatives → filters → TDO.
 
-    ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    per-stage stats and validation switch; tuning decisions are cached at
-    the :class:`~repro.pipeline.Program` level, not here.
+    ``engine`` (a :class:`repro.engine.TuningEngine`) times each stage
+    into its registry and supplies the validation switch; tuning
+    decisions are cached at the :class:`~repro.pipeline.Program` level,
+    not here.
     """
-    from contextlib import nullcontext
     from ..transforms import cleanup_regions
     from ..transforms.alternatives import plan_coarsening_alternatives
 
-    stats = engine.stats if engine is not None else None
-    validate = engine is not None and getattr(engine, "validate", False)
-
-    def stage(name):
-        return stats.stage(name) if stats is not None else nullcontext()
-
+    stage = engine.stage
     log = obs_decisions.current()
     decision = log.begin(_wrapper_label(wrapper), arch.name) \
         if log is not None else None
     baseline_func = sizing_wrapper = None
-    if validate:
+    if engine.validate:
         # the baseline must be cloned before materialization erases the body
         baseline_func, sizing_wrapper = _clone_baseline(wrapper)
         if baseline_func is None and decision is not None:
@@ -308,10 +303,9 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     with stage("alternatives"), \
             obs_tracer.span("tune.alternatives", category="tune"):
         report = plan_coarsening_alternatives(wrapper, configs)
-    if stats is not None:
-        stats.count("alternative_generations")
-        stats.count("alternatives_generated", len(report.alternatives))
-    obs_metrics.inc("alternatives_generated", len(report.alternatives))
+    engine.registry.counter("alternative_generations").inc()
+    engine.registry.counter("alternatives_generated").inc(
+        len(report.alternatives))
     if decision is not None:
         for info in report.alternatives:
             decision.add(info.desc, config=dict(info.config))
@@ -343,9 +337,9 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     # per loop
     with linearized_cache():
         filters, alt = run_planned_filters(report.alternatives, arch,
-                                           materialize, stage=stage)
+                                           materialize, stage)
         validation = validation_keep = None
-        if validate and baseline_func is not None:
+        if engine.validate and baseline_func is not None:
             # gate after the cheap static filters, before the timing race:
             # a fast-but-miscompiled alternative must never win
             with stage("validate"), \

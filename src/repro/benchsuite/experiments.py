@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..autotune import paper_sweep_configs
 from ..autotune.tdo import timing_driven_optimization
 from ..dialects import polygeist
+from ..engine import TuningEngine
 from ..frontend import ModuleGenerator, parse_translation_unit
 from ..simulator.model import InvalidLaunch
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
@@ -85,19 +86,13 @@ def sweep_kernel_configs(source: str, kernel: str,
                          arch: GPUArchitecture,
                          configs: Optional[Sequence[Dict]] = None,
                          benchmark_name: str = "",
-                         engine=None) -> KernelSweep:
+                         *, engine: TuningEngine) -> KernelSweep:
     """Model every coarsening config of one kernel over a set of grids.
 
-    ``engine`` (a :class:`repro.engine.TuningEngine`) contributes its
-    per-stage instrumentation to the sweep.
+    ``engine`` times each stage of the sweep into its registry.
     """
-    from contextlib import nullcontext
     from ..transforms import cleanup_regions
-    stats = engine.stats if engine is not None else None
-
-    def stage(name):
-        return stats.stage(name) if stats is not None else nullcontext()
-
+    stage = engine.stage
     configs = list(configs) if configs is not None \
         else paper_sweep_configs()
     with stage("parse"):
@@ -111,9 +106,9 @@ def sweep_kernel_configs(source: str, kernel: str,
     wrapper = polygeist.find_gpu_wrappers(f)[0]
     with stage("alternatives"):
         report = plan_coarsening_alternatives(wrapper, configs)
-    if stats is not None:
-        stats.count("alternative_generations")
-        stats.count("alternatives_generated", len(report.alternatives))
+    engine.registry.counter("alternative_generations").inc()
+    engine.registry.counter("alternatives_generated").inc(
+        len(report.alternatives))
     sweep = KernelSweep(benchmark_name, kernel, tuple(block))
     if not report.alternatives:
         return sweep
@@ -212,12 +207,15 @@ def fig13_data(arch: GPUArchitecture = A100,
                benchmarks: Optional[Sequence[str]] = None,
                configs: Optional[Sequence[Dict]] = None,
                include_hecbench: bool = False,
-               engine=None) -> List[KernelSweep]:
+               engine: Optional[TuningEngine] = None) -> List[KernelSweep]:
     """Per-kernel sweeps across the suite (the Fig. 13 scatter).
 
     ``include_hecbench`` adds the HeCBench-style extras, mirroring the
-    paper's wider 181-kernel population.
+    paper's wider 181-kernel population. ``engine`` times the sweeps'
+    stages; a throwaway one does when it is omitted.
     """
+    if engine is None:
+        engine = TuningEngine(validate=False)
     population = fig13_population(benchmarks, include_hecbench)
     sweeps: List[KernelSweep] = []
     for name in sorted(population):
@@ -263,7 +261,8 @@ def fig14_heatmap(arch: GPUArchitecture = A100,
     configs = [{"block_total": b, "thread_total": t}
                for b in totals for t in totals]
     sweep = sweep_kernel_configs(bench.source, kernel_name, block, grids,
-                                 arch, configs, "lud")
+                                 arch, configs, "lud",
+                                 engine=TuningEngine(validate=False))
     baseline = sweep.baseline()
     heatmap: Dict[Tuple[int, int], Optional[float]] = {}
     for result in sweep.results:

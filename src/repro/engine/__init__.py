@@ -5,8 +5,9 @@ Ties together the two pieces the hot compilation path needs:
 * :class:`~repro.engine.cache.TuningCache` — content-addressed memoization
   of tuning decisions keyed by (source hash, arch, tier, configs, launch
   geometry), in memory and optionally on disk;
-* :class:`~repro.engine.stats.EngineStats` — per-stage wall time and
-  cache-hit counters, surfaced through :meth:`Program.stats` and the CLI.
+* a :class:`~repro.obs.metrics.MetricsRegistry` — per-stage wall time
+  (the ``stage.<name>`` histograms :meth:`TuningEngine.stage` observes)
+  and event counters, surfaced through :meth:`Program.stats` and the CLI.
 
 One tune runs on one thread; scale-out happens at job granularity, over
 worker processes, in :class:`~repro.engine.scheduler.SweepScheduler`.
@@ -19,20 +20,26 @@ benchmark source share one cache.
 from __future__ import annotations
 
 import os
-from typing import Optional
+import time
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
+from ..obs import tracer as obs_tracer
+from ..obs.metrics import MetricsRegistry
 from .cache import (CacheEntry, TuningCache, default_cache_path,
                     source_hash, tuning_key)
 from .scheduler import (Job, JobResult, SWEEP_WORKERS_ENV, SweepScheduler,
                         sweep_workers)
-from .stats import EngineStats
 
 __all__ = [
-    "CacheEntry", "EngineStats", "Job", "JobResult", "SWEEP_WORKERS_ENV",
+    "CacheEntry", "Job", "JobResult", "SWEEP_WORKERS_ENV",
     "SweepScheduler", "TuningCache", "TuningEngine", "VALIDATE_ENV",
     "default_cache_path", "default_engine", "set_default_engine",
     "source_hash", "sweep_workers", "tuning_key",
 ]
+
+#: registry namespace of the stage-timing histograms
+STAGE_PREFIX = "stage."
 
 #: set to a truthy value ("1", "true", "yes", "on") to turn the
 #: differential validation gate on for every tuning run
@@ -45,22 +52,47 @@ def _validate_from_env() -> bool:
 
 
 class TuningEngine:
-    """One cache + one stats accumulator.
+    """One cache + one metrics registry.
 
-    ``validate`` turns on the differential equivalence gate in
+    Every stage the engine drives is timed into ``registry`` by
+    :meth:`stage`; event counts (cache hits and misses, alternative
+    generations) are counters on the same registry. ``validate`` turns on
+    the differential equivalence gate in
     :func:`~repro.autotune.tdo.tune_wrapper`: every surviving alternative
     is interpreted against the uncoarsened baseline and diverging ones are
     eliminated before timing. Defaults to ``$REPRO_VALIDATE``.
     """
 
     def __init__(self, cache: Optional[TuningCache] = None,
-                 stats: Optional[EngineStats] = None,
                  validate: Optional[bool] = None):
         self.cache = cache if cache is not None \
             else TuningCache(default_cache_path())
-        self.stats = stats if stats is not None else EngineStats()
+        self.registry = MetricsRegistry()
         self.validate = _validate_from_env() if validate is None \
             else bool(validate)
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Charge the wall time of the enclosed block to stage ``name``:
+        a ``stage:<name>`` span and the ``stage.<name>`` histogram."""
+        with obs_tracer.span("stage:%s" % name, category="stage"):
+            start = time.perf_counter()
+            try:
+                yield
+            finally:
+                self.registry.histogram(STAGE_PREFIX + name).observe(
+                    time.perf_counter() - start)
+
+    def stages(self) -> Dict[str, Dict[str, float]]:
+        """Each stage's histogram summary (``count``, ``total``, ...)."""
+        return {name[len(STAGE_PREFIX):]: summary for name, summary
+                in self.registry.histogram_summaries().items()
+                if name.startswith(STAGE_PREFIX)}
+
+    def stage_seconds(self) -> Dict[str, float]:
+        """Wall seconds charged to each stage so far."""
+        return {name: summary["total"]
+                for name, summary in self.stages().items()}
 
     def __repr__(self) -> str:
         return "TuningEngine(cache=%d entries%s)" % (

@@ -5,7 +5,6 @@ from .core import (Block, BlockArgument, Operation, OpResult, Region, Use,
                    Value, single_block_region, unlink_subtree)
 from .module import Module
 from .parser import ParseError, parse_module, parse_op, parse_type
-from .pass_manager import Pass, PassManager, PassRecord, count_ops
 from .printer import format_attr, print_module, print_op
 from .types import (DYNAMIC, F32, F64, I1, I8, I16, I32, I64, INDEX,
                     FloatType, FunctionType, IndexType, IntegerType,
@@ -17,10 +16,8 @@ __all__ = [
     "Block", "BlockArgument", "Builder", "DYNAMIC", "F32", "F64",
     "FloatType", "FunctionType", "I1", "I16", "I32", "I64", "I8", "INDEX",
     "IndexType", "IntegerType", "MemRefType", "Module", "Operation",
-    "OpResult", "ParseError", "Pass", "PassManager", "PassRecord",
-    "Region", "Type",
-    "Use", "Value", "VerificationError", "byte_width", "count_ops",
-    "format_attr",
+    "OpResult", "ParseError", "Region", "Type",
+    "Use", "Value", "VerificationError", "byte_width", "format_attr",
     "is_scalar", "parse_module", "parse_op", "parse_type", "print_module",
     "print_op", "register_op_verifier", "single_block_region",
     "unlink_subtree", "verify_module", "verify_op",

@@ -10,10 +10,10 @@ a first-class artifact:
   :func:`~repro.obs.tracer.span`, which costs one global read when no
   tracer is installed;
 * :mod:`~repro.obs.metrics` — a registry of counters / gauges /
-  histograms (per-pass op-count deltas, cache traffic, filter survivor
-  counts, per-alternative modeled times). The tuning engine's
-  :class:`~repro.engine.stats.EngineStats` is a facade over the same
-  registry class, so there is exactly one metrics path;
+  histograms (cleanup rewrite counts, cache traffic, filter survivor
+  counts, per-alternative modeled times). The tuning engine records its
+  stage times and event counts into its own registry of the same class,
+  so there is exactly one metrics path;
 * :mod:`~repro.obs.decisions` — a structured log of why each coarsening
   alternative was eliminated (and by which stage) or selected;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (loadable in

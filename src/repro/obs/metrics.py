@@ -1,11 +1,13 @@
 """A registry of counters, gauges, and histograms.
 
-One :class:`MetricsRegistry` instance backs the tuning engine's
-:class:`~repro.engine.stats.EngineStats` (stage wall times are histograms,
-cache traffic is counters), and the same instance can be installed
-process-wide so instrumentation sites without engine access — the pass
-manager's op-count deltas, the filters' survivor counts, the simulator's
-per-alternative times — record into it too. The module-level helpers
+Each :class:`~repro.engine.TuningEngine` owns one :class:`MetricsRegistry`
+(stage wall times are ``stage.<name>`` histograms, cache traffic and
+alternative generations are counters), and the same instance can be
+installed process-wide so instrumentation sites without engine access —
+the cleanup driver's rewrite counts, the filters' survivor counts, the
+simulator's per-alternative times — record into it too. The engine
+records its own events only into its registry, so installing it counts
+nothing twice. The module-level helpers
 (:func:`inc`, :func:`observe`, :func:`set_gauge`) are no-ops when no
 registry is installed, mirroring the tracer's fast path.
 

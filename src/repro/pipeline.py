@@ -34,7 +34,7 @@ from .engine import TuningEngine, default_engine
 from .engine.cache import CacheEntry, source_hash, tuning_key
 from .frontend import ModuleGenerator, parse_translation_unit
 from .interpreter import Interpreter, MemoryBuffer
-from .ir import FloatType, IndexType, IntegerType, MemRefType
+from .ir import FloatType, MemRefType
 from .obs import decisions as obs_decisions
 from .obs import tracer as obs_tracer
 from .obs.log import get_logger
@@ -75,44 +75,58 @@ class Program:
             if autotune_configs is not None else default_configs()
         self.engine = engine if engine is not None else default_engine()
         self._source_hash = source_hash(source, defines)
-        with self.engine.stats.stage("parse"):
+        with self.engine.stage("parse"):
             self.unit = parse_translation_unit(source, defines)
             self.generator = ModuleGenerator(self.unit)
         self.module = self.generator.module
         self._interpreter = Interpreter(self.module)
         self._cleaned: Set[str] = set()
         self._tuned: Set[str] = set()
+        self._model_cache: Dict = {}
         self.tuning_outcomes: Dict[str, TuneOutcome] = {}
+        self.heuristic_choices: Dict[str, object] = {}
 
     def stats(self) -> Dict[str, object]:
         """Per-stage wall time and cache counters of this program's engine.
 
         The default engine is process-wide, so the numbers aggregate over
         every :class:`Program` sharing it. Everything comes from the
-        engine's single :class:`~repro.obs.metrics.MetricsRegistry`; the
-        ``gauges``/``histograms`` keys expose the raw instruments beyond
-        the classic stage/counter views, and ``cache`` (plus the
-        ``engine.cache.*`` counters) carries the tuning cache's
-        hit/miss/evict totals and occupancy.
+        engine's single :class:`~repro.obs.metrics.MetricsRegistry`:
+        ``stage_seconds``/``stage_calls`` are its ``stage.<name>``
+        histograms, ``gauges``/``histograms`` expose the raw instruments,
+        and ``cache`` (plus the ``engine.cache.*`` counters) carries the
+        tuning cache's hit/miss/evict totals and occupancy.
         """
-        payload = self.engine.stats.as_dict()
-        snapshot = self.engine.stats.registry.snapshot()
-        payload["gauges"] = snapshot["gauges"]
-        payload["histograms"] = snapshot["histograms"]
+        snapshot = self.engine.registry.snapshot()
+        stages = self.engine.stages()
         cache_stats = self.engine.cache.stats()
-        payload["cache"] = cache_stats
-        payload["counters"].update(
-            {"engine.cache.%s" % name: cache_stats[name]
-             for name in ("hits", "misses", "stores", "evictions",
-                          "dump_errors")})
-        return payload
+        counters = snapshot["counters"]
+        counters.update({"engine.cache.%s" % name: cache_stats[name]
+                         for name in ("hits", "misses", "stores",
+                                      "evictions", "dump_errors")})
+        return {
+            "stage_seconds": {name: summary["total"]
+                              for name, summary in stages.items()},
+            "stage_calls": {name: int(summary["count"])
+                            for name, summary in stages.items()},
+            "counters": counters,
+            "gauges": snapshot["gauges"],
+            "histograms": snapshot["histograms"],
+            "cache": cache_stats,
+        }
 
     def _run_cleanup(self, parallel: bool) -> None:
-        with self.engine.stats.stage("cleanup"):
+        with self.engine.stage("cleanup"):
             run_cleanup(self.module, parallel_optimizations=parallel)
         # every IR rewrite ends in a cleanup: blocks the interpreter
         # compiled before it may have changed
         self._interpreter.forget_plans()
+
+    def _clean_once(self, func_name: str, parallel: bool) -> None:
+        """Clean the module the first time ``func_name`` is used."""
+        if func_name not in self._cleaned:
+            self._run_cleanup(parallel)
+            self._cleaned.add(func_name)
 
     # -- kernel launches ---------------------------------------------------------
 
@@ -127,30 +141,27 @@ class Program:
         block = _as_dims(block)
         if runtime is None:
             runtime = GPURuntime(self.arch)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        tuning = None
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            tuning = self._tune(wrapper_name, grid)
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        wrapper_name = self._prepare(kernel, grid, block)
         coerced, writeback = self._coerce_args(wrapper_name, grid, args)
-        saved_tracer = self._interpreter.tracer
-        self._interpreter.tracer = runtime.tracer
         before = runtime.kernel_seconds
-        try:
-            self._interpreter.run_func(wrapper_name, coerced)
-        finally:
-            self._interpreter.tracer = saved_tracer
-        for array, buffer in writeback:
-            array[...] = buffer.array.reshape(array.shape)
+        self._execute(wrapper_name, coerced, writeback, runtime)
         return LaunchResult(kernel, grid, block,
                             runtime.kernel_seconds - before,
-                            tuning or self.tuning_outcomes.get(wrapper_name))
+                            self.tuning_outcomes.get(wrapper_name))
+
+    def _prepare(self, kernel: str, grid: Tuple[int, ...],
+                 block: Tuple[int, ...]) -> str:
+        """The launch wrapper of ``kernel`` over ``block``, cleaned and
+        (per the tier) tuned for ``grid`` on first use."""
+        wrapper_name = self.generator.get_launch_wrapper(
+            kernel, len(grid), block)
+        self._clean_once(wrapper_name, self.tier != "clang")
+        if wrapper_name not in self._tuned:
+            if self.tier == "polygeist":
+                self._tune(wrapper_name, grid)
+            elif self.tier == "polygeist-heuristic":
+                self._tune_heuristic(wrapper_name)
+        return wrapper_name
 
     def profile_launch(self, kernel: str, grid, block,
                        args: Sequence[object],
@@ -178,20 +189,19 @@ class Program:
             runtime = GPURuntime(self.arch)
         wrapper_name = self.generator.get_launch_wrapper(
             kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(True)
-            self._cleaned.add(wrapper_name)
+        self._clean_once(wrapper_name, True)
         f = self.module.func(wrapper_name)
         if wrapper_name not in self._tuned:
             self._tuned.add(wrapper_name)
             wrappers = polygeist.find_gpu_wrappers(f)
             if wrappers:
-                with self.engine.stats.stage("alternatives"):
+                with self.engine.stage("alternatives"):
                     report = plan_coarsening_alternatives(
                         wrappers[0], self.autotune_configs)
-                self.engine.stats.count("alternative_generations")
-                self.engine.stats.count("alternatives_generated",
-                                        len(report.alternatives))
+                counter = self.engine.registry.counter
+                counter("alternative_generations").inc()
+                counter("alternatives_generated").inc(
+                    len(report.alternatives))
                 if report.alternatives:
                     log = obs_decisions.current()
                     decision = log.begin(wrapper_name, self.arch.name) \
@@ -202,14 +212,15 @@ class Program:
                                          config=dict(info.config))
 
                     def materialize(indices):
-                        with self.engine.stats.stage("alternatives"):
+                        with self.engine.stage("alternatives"):
                             alt = report.materialize(indices)
-                        with self.engine.stats.stage("cleanup"):
+                        with self.engine.stage("cleanup"):
                             cleanup_regions(list(alt.regions))
                         return alt
 
                     _, alt = run_planned_filters(report.alternatives,
-                                                 self.arch, materialize)
+                                                 self.arch, materialize,
+                                                 self.engine.stage)
                     coerced, _ = self._coerce_args(wrapper_name, grid, args)
                     # snapshot device state: profiling runs are discarded
                     snapshots = [(value, np.array(value.array))
@@ -281,9 +292,7 @@ class Program:
             return
         wrapper_name = self.generator.get_launch_wrapper(
             kernel, len(grids[0]), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
+        self._clean_once(wrapper_name, self.tier != "clang")
         if self.tier != "polygeist" or wrapper_name in self._tuned:
             return
         f = self.module.func(wrapper_name)
@@ -309,23 +318,12 @@ class Program:
         from .simulator.model import model_wrapper_launch
         grid = _as_dims(grid)
         block = _as_dims(block)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            self._tune(wrapper_name, grid)
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        wrapper_name = self._prepare(kernel, grid, block)
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if not wrappers:
             raise InvalidLaunch("no GPU wrapper in %s" % wrapper_name)
         env = dict(zip(f.body_block().args[:len(grid)], grid))
-        if not hasattr(self, "_model_cache"):
-            self._model_cache = {}
         timing = model_wrapper_launch(wrappers[0], self.arch, env,
                                       self._model_cache)
         if runtime is not None:
@@ -351,22 +349,11 @@ class Program:
         grids = [_as_dims(g) for g in grids]
         if not grids:
             return []
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grids[0]), block)
-        if wrapper_name not in self._cleaned:
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(wrapper_name)
-        if self.tier == "polygeist" and wrapper_name not in self._tuned:
-            self._tune(wrapper_name, grids[0])
-        elif self.tier == "polygeist-heuristic" and \
-                wrapper_name not in self._tuned:
-            self._tune_heuristic(wrapper_name)
+        wrapper_name = self._prepare(kernel, grids[0], block)
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if not wrappers:
             raise InvalidLaunch("no GPU wrapper in %s" % wrapper_name)
-        if not hasattr(self, "_model_cache"):
-            self._model_cache = {}
         envs = [dict(zip(f.body_block().args[:len(grid)], grid))
                 for grid in grids]
         with obs_tracer.span("model.launch_group", category="simulator",
@@ -390,7 +377,6 @@ class Program:
             return
         choice = heuristic_tune(wrappers[0], self.arch)
         self._run_cleanup(True)
-        self.heuristic_choices = getattr(self, "heuristic_choices", {})
         self.heuristic_choices[wrapper_name] = choice
 
     def _tune(self, wrapper_name: str, grid: Tuple[int, ...]
@@ -425,14 +411,14 @@ class Program:
         retried either.
         """
         cache = self.engine.cache
-        stats = self.engine.stats
+        counter = self.engine.registry.counter
         key = self._tuning_key(wrapper_name, grids)
         hit, entry = cache.lookup(key)
         if hit and (entry.outcome is None or
                     entry.selected_config is not None):
-            stats.count("cache_hits")
+            counter("cache_hits").inc()
             return self._replay_cached(wrapper, entry)
-        stats.count("cache_misses")
+        counter("cache_misses").inc()
         try:
             outcome = tune_wrapper(wrapper, self.arch, envs,
                                    self.autotune_configs,
@@ -452,7 +438,7 @@ class Program:
         from .transforms.coarsen import CoarsenError, coarsen_wrapper
         config = {key: tuple(value) if isinstance(value, list) else value
                   for key, value in entry.selected_config.items()}
-        with self.engine.stats.stage("replay"):
+        with self.engine.stage("replay"):
             try:
                 coarsen_wrapper(wrapper, **config)
             except CoarsenError:
@@ -462,38 +448,27 @@ class Program:
 
     def _coerce_args(self, wrapper_name: str, grid: Tuple[int, ...],
                      args: Sequence[object]):
-        f = self.module.func(wrapper_name)
-        params = f.body_block().args
+        params = self.module.func(wrapper_name).body_block().args
         expected = len(params) - len(grid)
         if len(args) != expected:
             raise TypeError("%s expects %d kernel arguments, got %d" %
                             (wrapper_name, expected, len(args)))
-        coerced: List[object] = list(grid)
-        writeback: List[Tuple[np.ndarray, MemoryBuffer]] = []
-        for param, value in zip(params[len(grid):], args):
-            type_ = param.type
-            if isinstance(type_, MemRefType):
-                if isinstance(value, DeviceBuffer):
-                    coerced.append(value.buffer)
-                elif isinstance(value, MemoryBuffer):
-                    coerced.append(value)
-                elif isinstance(value, np.ndarray):
-                    buffer = MemoryBuffer(value.shape,
-                                          _element_for(value.dtype),
-                                          "global", data=value)
-                    writeback.append((value, buffer))
-                    coerced.append(buffer)
-                else:
-                    raise TypeError("expected a buffer for %r" %
-                                    param.name_hint)
-            elif isinstance(type_, FloatType):
-                coerced.append(np.float32(value) if type_.width == 32
-                               else np.float64(value))
-            elif isinstance(type_, (IndexType, IntegerType)):
-                coerced.append(int(value))
-            else:
-                coerced.append(value)
-        return coerced, writeback
+        coerced, writeback = _coerce(params[len(grid):], args)
+        return list(grid) + coerced, writeback
+
+    def _execute(self, func_name: str, coerced: List[object],
+                 writeback, runtime: GPURuntime) -> List[object]:
+        """Interpret ``func_name``, charging kernel time to ``runtime``,
+        then copy the buffers back into the numpy arrays they wrap."""
+        saved = self._interpreter.tracer
+        self._interpreter.tracer = runtime.tracer
+        try:
+            results = self._interpreter.run_func(func_name, coerced)
+        finally:
+            self._interpreter.tracer = saved
+        for array, buffer in writeback:
+            array[...] = buffer.array.reshape(array.shape)
+        return results
 
     # -- host-driven execution ---------------------------------------------------
 
@@ -506,43 +481,12 @@ class Program:
         """
         if runtime is None:
             runtime = GPURuntime(self.arch)
-        if func_name not in self._cleaned:
-            if not self.module.has_func(func_name):
-                self.generator.emit_host_function(func_name)
-            self._run_cleanup(self.tier != "clang")
-            self._cleaned.add(func_name)
-        coerced: List[object] = []
-        writeback: List[Tuple[np.ndarray, MemoryBuffer]] = []
-        f = self.module.func(func_name)
-        for param, value in zip(f.body_block().args, args):
-            type_ = param.type
-            if isinstance(type_, MemRefType):
-                if isinstance(value, DeviceBuffer):
-                    coerced.append(value.buffer)
-                elif isinstance(value, MemoryBuffer):
-                    coerced.append(value)
-                elif isinstance(value, np.ndarray):
-                    buffer = MemoryBuffer(value.shape,
-                                          _element_for(value.dtype),
-                                          "global", data=value)
-                    writeback.append((value, buffer))
-                    coerced.append(buffer)
-                else:
-                    raise TypeError("expected a buffer argument")
-            elif isinstance(type_, FloatType):
-                coerced.append(np.float32(value) if type_.width == 32
-                               else np.float64(value))
-            else:
-                coerced.append(int(value))
-        saved = self._interpreter.tracer
-        self._interpreter.tracer = runtime.tracer
-        try:
-            results = self._interpreter.run_func(func_name, coerced)
-        finally:
-            self._interpreter.tracer = saved
-        for array, buffer in writeback:
-            array[...] = buffer.array.reshape(array.shape)
-        return results
+        if not self.module.has_func(func_name):
+            self.generator.emit_host_function(func_name)
+        self._clean_once(func_name, self.tier != "clang")
+        coerced, writeback = _coerce(
+            self.module.func(func_name).body_block().args, args)
+        return self._execute(func_name, coerced, writeback, runtime)
 
     def kernels(self) -> List[str]:
         return [f.name for f in self.unit.kernels()]
@@ -561,6 +505,34 @@ def _fixed_selector(index: int):
                 % (index, len(op.regions)))
         return index
     return select
+
+
+def _coerce(params: Sequence, args: Sequence[object]
+            ) -> Tuple[List[object], List[Tuple[np.ndarray, MemoryBuffer]]]:
+    """Interpreter values for ``args`` bound to ``params``, plus the
+    ``(array, buffer)`` pairs whose buffer must be copied back into a
+    numpy array after the run."""
+    coerced: List[object] = []
+    writeback: List[Tuple[np.ndarray, MemoryBuffer]] = []
+    for param, value in zip(params, args):
+        type_ = param.type
+        if isinstance(type_, MemRefType):
+            if isinstance(value, DeviceBuffer):
+                value = value.buffer
+            elif isinstance(value, np.ndarray):
+                buffer = MemoryBuffer(value.shape, _element_for(value.dtype),
+                                      "global", data=value)
+                writeback.append((value, buffer))
+                value = buffer
+            elif not isinstance(value, MemoryBuffer):
+                raise TypeError("expected a buffer for %r" % param.name_hint)
+            coerced.append(value)
+        elif isinstance(type_, FloatType):
+            coerced.append(np.float32(value) if type_.width == 32
+                           else np.float64(value))
+        else:  # index and integer parameters
+            coerced.append(int(value))
+    return coerced, writeback
 
 
 def _as_dims(value) -> Tuple[int, ...]:

@@ -170,7 +170,7 @@ def run_tune_job(payload: Dict[str, Any],
     (the thread-isolation dispatcher, which wants live stage progress)
     passes one in.
     """
-    from ..engine import EngineStats, TuningCache, TuningEngine
+    from ..engine import TuningCache, TuningEngine
     from ..targets import arch_by_name
 
     request = TuneRequest.from_payload(payload)
@@ -178,8 +178,7 @@ def run_tune_job(payload: Dict[str, Any],
         engine = TuningEngine(
             cache=TuningCache(payload.get("cache_dir"),
                               max_bytes=payload.get("cache_max_bytes"),
-                              max_entries=payload.get("cache_max_entries")),
-            stats=EngineStats())
+                              max_entries=payload.get("cache_max_entries")))
     arch = arch_by_name(request.arch)
     configs = _configs(request.max_factor)
     log = obs_decisions.DecisionLog()
@@ -229,8 +228,8 @@ def run_tune_job(payload: Dict[str, Any],
         },
         # fully warm: every tuning decision replayed from the shared cache
         "cache_hit": cache_stats["misses"] == 0 and cache_stats["hits"] > 0,
-        "stages": engine.stats.stage_seconds,
-        "counters": engine.stats.counters,
+        "stages": engine.stage_seconds(),
+        "counters": engine.registry.counter_values(),
         "decisions": log.as_dict()["decisions"],
         "winners": winners,
     }
@@ -263,9 +262,9 @@ class JobRecord:
     timeouts: int = 0
     #: True when a restart re-admitted this job from the durable ledger
     recovered: bool = False
-    #: live stage registry (thread isolation only): lets the status
+    #: the running job's engine (thread isolation only): lets the status
     #: endpoint report per-stage progress while the job runs
-    live_stats: Optional[object] = None
+    live_engine: Optional[object] = None
     #: guards the fields above; notified when the job turns terminal and
     #: by :meth:`wake`, so long-polling result requests block on it
     _changed: threading.Condition = field(
@@ -306,7 +305,7 @@ class JobRecord:
         # callers hold self._changed
         self.finished_at = time.time()
         self._finished_mono = time.monotonic()
-        self.live_stats = None
+        self.live_engine = None
 
     def wake(self) -> None:
         """Make every :meth:`wait_finished` caller re-check its
@@ -352,8 +351,8 @@ class JobRecord:
             elif self.state == RUNNING:
                 payload["running_seconds"] = \
                     now - (self._started_mono or now)
-                if self.live_stats is not None:
-                    payload["stages"] = dict(self.live_stats.stage_seconds)
+                if self.live_engine is not None:
+                    payload["stages"] = self.live_engine.stage_seconds()
             else:
                 payload["wall_seconds"] = \
                     (self._finished_mono or now) - \

@@ -58,7 +58,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from .. import faults
-from ..engine import EngineStats, TuningCache, TuningEngine
+from ..engine import TuningCache, TuningEngine
 from ..engine.cache import default_cache_path, parse_cache_budget
 from ..engine.scheduler import Job, SweepScheduler
 from ..obs import metrics as obs_metrics
@@ -399,9 +399,8 @@ class TuneServer:
                 engine = TuningEngine(
                     cache=TuningCache(self.cache_dir,
                                       max_bytes=self.cache.max_bytes,
-                                      max_entries=self.cache.max_entries),
-                    stats=EngineStats())
-                record.live_stats = engine.stats
+                                      max_entries=self.cache.max_entries))
+                record.live_engine = engine
                 runner = lambda payload: run_tune_job(payload,  # noqa: E731
                                                       engine=engine)
             else:

@@ -11,8 +11,7 @@ multi-versioning, §VI).
 
 from .alternatives import (AlternativeInfo, PlannedAlternatives,
                            plan_coarsening_alternatives, select_alternative)
-from .cleanup import (CSE, DCE, LICM, BarrierElimination, Canonicalize,
-                      RedundantLoadElimination)
+from .cleanup import run_rewrites
 from .coarsen import (CoarsenError, CoarsenResult, balance_factors,
                       block_coarsen, coarsen_wrapper, thread_coarsen)
 from .outline import outline_gpu_wrappers
@@ -21,13 +20,11 @@ from .unroll_interleave import IllegalUnroll, check_unroll_legality, \
     unroll_and_interleave
 
 __all__ = [
-    "AlternativeInfo", "BarrierElimination", "CSE", "Canonicalize",
-    "CoarsenError", "CoarsenResult", "DCE", "IllegalUnroll", "LICM",
+    "AlternativeInfo", "CoarsenError", "CoarsenResult", "IllegalUnroll",
     "balance_factors", "block_coarsen", "check_unroll_legality",
     "cleanup_regions", "coarsen_wrapper",
     "outline_gpu_wrappers",
     "PlannedAlternatives", "plan_coarsening_alternatives",
-    "RedundantLoadElimination",
-    "run_cleanup", "select_alternative", "thread_coarsen",
+    "run_cleanup", "run_rewrites", "select_alternative", "thread_coarsen",
     "unroll_and_interleave",
 ]

@@ -32,8 +32,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..dialects import arith, effects
-from ..ir import (Block, Builder, Module, Operation, OpResult, Pass, Region,
-                  Value)
+from ..ir import Block, Builder, Module, Operation, OpResult, Region, Value
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from .barrier_elim import eliminate_barriers, is_thread_loop
@@ -527,47 +526,3 @@ def run_rewrites(module: Module, rewrites: Iterable[str]) -> bool:
     """Run ``rewrites`` over the whole module; True if any fired."""
     counts = cleanup(module.op.regions, rewrites, whole=True)
     return any(counts.values())
-
-
-class _RewritePass(Pass):
-    """One rewrite as a pass: the driver with just that rewrite, over the
-    whole module, to its own fixpoint."""
-
-    def run(self, module: Module) -> bool:
-        return run_rewrites(module, (self.name,))
-
-
-class Canonicalize(_RewritePass):
-    """Folds constants and applies identities like x+0, x*1, x*0."""
-
-    name = "canonicalize"
-
-
-class CSE(_RewritePass):
-    """Replaces a pure op by an equal one that dominates it."""
-
-    name = "cse"
-
-
-class RedundantLoadElimination(_RewritePass):
-    """Forwards stored values and earlier loads to redundant loads."""
-
-    name = "load-elim"
-
-
-class LICM(_RewritePass):
-    """Hoists loop-invariant ops (and unwritten loads) out of loops."""
-
-    name = "licm"
-
-
-class BarrierElimination(_RewritePass):
-    """Removes barriers that order no memory access."""
-
-    name = "barrier-elim"
-
-
-class DCE(_RewritePass):
-    """Removes unused side-effect-free ops."""
-
-    name = "dce"

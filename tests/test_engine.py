@@ -12,8 +12,8 @@ from repro.autotune import (default_configs, run_planned_filters,
                             tune_wrapper)
 from repro.autotune.tdo import Candidate, TuneOutcome
 from repro.dialects import polygeist
-from repro.engine import (CacheEntry, EngineStats, TuningCache,
-                          TuningEngine, source_hash, tuning_key)
+from repro.engine import (CacheEntry, TuningCache, TuningEngine,
+                          source_hash, tuning_key)
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.pipeline import Program, _fixed_selector
@@ -65,16 +65,16 @@ class TestTuningCache:
         engine = fresh_engine()
         p1 = Program(SOURCE, arch=A100, engine=engine)
         p1.model_launch("scale", 256, 64)
-        assert engine.stats.get("cache_misses") == 1
-        assert engine.stats.get("cache_hits") == 0
-        gens = engine.stats.get("alternative_generations")
+        assert engine.registry.counter_value("cache_misses") == 1
+        assert engine.registry.counter_value("cache_hits") == 0
+        gens = engine.registry.counter_value("alternative_generations")
         assert gens == 1
 
         p2 = Program(SOURCE, arch=A100, engine=engine)
         p2.model_launch("scale", 256, 64)
-        assert engine.stats.get("cache_hits") == 1
+        assert engine.registry.counter_value("cache_hits") == 1
         # the headline guarantee: zero alternative generations on a hit
-        assert engine.stats.get("alternative_generations") == gens
+        assert engine.registry.counter_value("alternative_generations") == gens
 
         o1 = p1.tuning_outcomes[next(iter(p1.tuning_outcomes))]
         o2 = p2.tuning_outcomes[next(iter(p2.tuning_outcomes))]
@@ -98,8 +98,8 @@ class TestTuningCache:
             "scale", 256, 64)
         Program(SOURCE, arch=RX6800, engine=engine).model_launch(
             "scale", 256, 64)
-        assert engine.stats.get("cache_misses") == 2
-        assert engine.stats.get("cache_hits") == 0
+        assert engine.registry.counter_value("cache_misses") == 2
+        assert engine.registry.counter_value("cache_hits") == 0
 
     def test_different_configs_miss(self):
         engine = fresh_engine()
@@ -108,8 +108,8 @@ class TestTuningCache:
         Program(SOURCE, arch=A100, engine=engine,
                 autotune_configs=default_configs(max_total=2)
                 ).model_launch("scale", 256, 64)
-        assert engine.stats.get("cache_misses") == 2
-        assert engine.stats.get("cache_hits") == 0
+        assert engine.registry.counter_value("cache_misses") == 2
+        assert engine.registry.counter_value("cache_hits") == 0
 
     def test_different_geometry_misses(self):
         engine = fresh_engine()
@@ -117,7 +117,7 @@ class TestTuningCache:
             "scale", 256, 64)
         Program(SOURCE, arch=A100, engine=engine).model_launch(
             "scale", 512, 64)
-        assert engine.stats.get("cache_misses") == 2
+        assert engine.registry.counter_value("cache_misses") == 2
 
     def test_aggregate_tuning_cached(self):
         engine = fresh_engine()
@@ -125,7 +125,7 @@ class TestTuningCache:
         p1.tune_aggregate("scale", 64, [(256,), (128,)])
         p2 = Program(SOURCE, arch=A100, engine=engine)
         p2.tune_aggregate("scale", 64, [(256,), (128,)])
-        assert engine.stats.get("cache_hits") == 1
+        assert engine.registry.counter_value("cache_hits") == 1
         assert p1.tuning_outcomes.keys() == p2.tuning_outcomes.keys()
 
     def test_disk_round_trip(self, tmp_path):
@@ -139,8 +139,8 @@ class TestTuningCache:
         cold = TuningEngine(cache=TuningCache(str(tmp_path)))
         p2 = Program(SOURCE, arch=A100, engine=cold)
         p2.model_launch("scale", 256, 64)
-        assert cold.stats.get("cache_hits") == 1
-        assert cold.stats.get("alternative_generations", ) == 0
+        assert cold.registry.counter_value("cache_hits") == 1
+        assert cold.registry.counter_value("alternative_generations") == 0
         o1 = next(iter(p1.tuning_outcomes.values()))
         o2 = next(iter(p2.tuning_outcomes.values()))
         assert o1.selected_desc == o2.selected_desc
@@ -185,21 +185,42 @@ class TestTuningCache:
 
 class TestEngineStats:
     def test_stage_accumulation(self):
-        stats = EngineStats()
-        with stats.stage("parse"):
+        from repro.__main__ import _stage_table
+        engine = fresh_engine()
+        with engine.stage("parse"):
             pass
-        with stats.stage("parse"):
+        with engine.stage("parse"):
             pass
-        assert stats.stage_calls["parse"] == 2
-        assert stats.stage_seconds["parse"] >= 0.0
-        stats.count("cache_hits")
-        stats.count("cache_hits", 2)
-        assert stats.get("cache_hits") == 3
-        report = stats.report()
-        assert "parse" in report and "cache_hits" in report
-        stats.reset()
-        assert stats.as_dict() == {"stage_seconds": {}, "stage_calls": {},
-                                   "counters": {}}
+        assert engine.stages()["parse"]["count"] == 2
+        assert engine.stage_seconds()["parse"] >= 0.0
+        engine.registry.counter("cache_hits").inc()
+        engine.registry.counter("cache_hits").inc(2)
+        assert engine.registry.counter_value("cache_hits") == 3
+        table = _stage_table(engine)
+        assert "parse" in table and "cache_hits" in table
+        engine.registry.reset()
+        assert engine.stages() == {}
+        assert engine.registry.counter_values() == {}
+
+    def test_generations_counted_once_with_registry_installed(self):
+        from contextlib import nullcontext
+        from repro.obs import metrics as obs_metrics
+        configs = default_configs(max_total=4)
+        per_plan = len(plan_alts(configs=configs)[3].alternatives)
+
+        def tune_twice(installed):
+            engine = fresh_engine(validate=False)
+            with obs_metrics.collecting(engine.registry) if installed \
+                    else nullcontext():
+                for _ in range(2):
+                    module, name, wrapper, _ = plan_alts(configs=configs)
+                    env = {module.func(name).body_block().arg(0): 512}
+                    tune_wrapper(wrapper, A100, env, configs, engine=engine)
+            registry = engine.registry
+            return (registry.counter_value("alternative_generations"),
+                    registry.counter_value("alternatives_generated"))
+
+        assert tune_twice(False) == tune_twice(True) == (2, 2 * per_plan)
 
     def test_program_stats_api(self):
         engine = fresh_engine()
@@ -255,7 +276,8 @@ class TestFilterReportRemap:
                                                    configs)
         descs = [info.desc for info in planned.alternatives]
         merged, alt = run_planned_filters(planned.alternatives, A100,
-                                          planned.materialize)
+                                          planned.materialize,
+                                          fresh_engine().stage)
         # survivors index the ORIGINAL planned list (1x and 2x live at
         # original positions 2 and 3), not the materialized op
         assert merged.survivors == [2, 3]
@@ -272,7 +294,8 @@ class TestFilterReportRemap:
         module, name, wrapper, planned = plan_alts()
         total = len(planned.alternatives)
         merged, alt = run_planned_filters(planned.alternatives, A100,
-                                          planned.materialize)
+                                          planned.materialize,
+                                          fresh_engine().stage)
         assert not merged.dropped_shared
         assert planned.clones_materialized == total - 1
         assert all(0 <= index < total for index in merged.survivors)
@@ -290,7 +313,8 @@ class TestFilterReportRemap:
         f = gen.module.func(wname)
         env = {f.body_block().arg(0): 512}
         outcome = tune_wrapper(wrapper, A100, env,
-                               default_configs(max_total=4))
+                               default_configs(max_total=4),
+                               engine=fresh_engine(validate=False))
         assert outcome.selected_config is not None
         block = int(outcome.selected_config.get("block_total", 1))
         thread = int(outcome.selected_config.get("thread_total", 1))

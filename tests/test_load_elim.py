@@ -8,7 +8,7 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.interpreter import MemoryBuffer, run_module
 from repro.ir import (Builder, F32, FunctionType, INDEX, MemRefType, Module,
                       verify_module)
-from repro.transforms import RedundantLoadElimination
+from repro.transforms import run_rewrites
 
 
 def count_loads(root):
@@ -33,7 +33,7 @@ class TestRLE:
         s = arith.addf(b, v1, v2)
         memref.store(b, s, buf, [i])
         func.return_(b)
-        assert RedundantLoadElimination().run(module)
+        assert run_rewrites(module, ("load-elim",))
         verify_module(module)
         assert count_loads(module.op) == 1
 
@@ -45,7 +45,7 @@ class TestRLE:
         v2 = memref.load(b, buf, [i1])
         memref.store(b, arith.addf(b, v1, v2), buf, [i0])
         func.return_(b)
-        RedundantLoadElimination().run(module)
+        run_rewrites(module, ("load-elim",))
         assert count_loads(module.op) == 2
 
     def test_intervening_store_blocks_reuse(self, ctx):
@@ -57,7 +57,7 @@ class TestRLE:
         v2 = memref.load(b, buf, [i])
         memref.store(b, arith.addf(b, v1, v2), buf, [j])
         func.return_(b)
-        RedundantLoadElimination().run(module)
+        run_rewrites(module, ("load-elim",))
         # load of [i] after store to same buffer must be kept
         assert count_loads(module.op) == 2
 
@@ -76,7 +76,7 @@ class TestRLE:
         gen = ModuleGenerator(unit)
         gen.get_launch_wrapper("k", 1, (8,))
         module = gen.module
-        RedundantLoadElimination().run(module)
+        run_rewrites(module, ("load-elim",))
         # both s[0] loads must survive: the barrier fences them
         assert count_loads(module.op) == 2
 
@@ -96,10 +96,9 @@ class TestRLE:
         out1 = MemoryBuffer((8,), F32)
         run_module(gen.module, name, [1, out1, src_buf])
         # CSE first: the two loads' index chains are clones until then
-        from repro.transforms import CSE, Canonicalize
-        Canonicalize().run(gen.module)
-        CSE().run(gen.module)
-        changed = RedundantLoadElimination().run(gen.module)
+        run_rewrites(gen.module, ("canonicalize",))
+        run_rewrites(gen.module, ("cse",))
+        changed = run_rewrites(gen.module, ("load-elim",))
         assert changed
         out2 = MemoryBuffer((8,), F32)
         src_buf2 = MemoryBuffer((8,), F32, data=data)
@@ -116,7 +115,7 @@ class TestStoreToLoadForwarding:
         loaded = memref.load(b, buf, [i])
         memref.store(b, arith.addf(b, loaded, loaded), buf, [i])
         func.return_(b)
-        RedundantLoadElimination().run(module)
+        run_rewrites(module, ("load-elim",))
         verify_module(module)
         assert count_loads(module.op) == 0
 
@@ -132,7 +131,7 @@ class TestStoreToLoadForwarding:
         unit = parse_translation_unit(source)
         gen = ModuleGenerator(unit)
         name = gen.get_launch_wrapper("k", 1, (8,))
-        RedundantLoadElimination().run(gen.module)
+        run_rewrites(gen.module, ("load-elim",))
         assert count_loads(gen.module.op) == 1  # the post-barrier load
 
     def test_forwarding_preserves_execution(self):
@@ -147,7 +146,7 @@ class TestStoreToLoadForwarding:
         unit = parse_translation_unit(source)
         gen = ModuleGenerator(unit)
         name = gen.get_launch_wrapper("k", 1, (4,))
-        RedundantLoadElimination().run(gen.module)
+        run_rewrites(gen.module, ("load-elim",))
         verify_module(gen.module)
         out = MemoryBuffer((4,), F32)
         run_module(gen.module, name, [1, out])

@@ -1,5 +1,5 @@
-"""Coverage for smaller components: pass manager, metrics formatting,
-device buffers, interpreter op corners, printer attributes."""
+"""Coverage for smaller components: metrics formatting, device buffers,
+interpreter op corners, printer attributes."""
 
 import numpy as np
 import pytest
@@ -7,58 +7,11 @@ import pytest
 from repro.dialects import arith, func, math, memref, scf
 from repro.interpreter import MemoryBuffer, run_module
 from repro.ir import (Builder, F32, F64, FunctionType, I1, INDEX,
-                      MemRefType, Module, Pass, PassManager, format_attr,
+                      MemRefType, Module, format_attr,
                       parse_op, print_op, verify_module)
 from repro.runtime import DeviceBuffer, GPURuntime
 from repro.simulator.metrics import KernelMetrics, _fmt_bytes, _fmt_count
 from repro.targets import A100
-
-
-class TestPassManager:
-    class CountingPass(Pass):
-        name = "counting"
-
-        def __init__(self, changes=1):
-            self.remaining = changes
-            self.runs = 0
-
-        def run(self, module):
-            self.runs += 1
-            if self.remaining > 0:
-                self.remaining -= 1
-                return True
-            return False
-
-    def test_changed_passes_recorded(self):
-        module = Module()
-        p1 = self.CountingPass(changes=1)
-        p2 = self.CountingPass(changes=0)
-        manager = PassManager([p1, p2], verify=False)
-        assert manager.run(module)
-        assert manager.changed_passes == ["counting"]
-
-    def test_fixpoint_stops(self):
-        module = Module()
-        p = self.CountingPass(changes=3)
-        manager = PassManager([p], verify=False)
-        manager.run_until_fixpoint(module, max_iterations=10)
-        assert p.runs == 4  # 3 changing runs + 1 clean run
-
-    def test_verification_between_passes(self):
-        class Corrupting(Pass):
-            name = "corrupting"
-
-            def run(self, module):
-                builder = Builder(module.body)
-                use = builder.create("test.use", [], [])
-                c = arith.index_constant(builder, 1)
-                use._append_operand(c)  # dominance violation
-                return True
-
-        from repro.ir import VerificationError
-        manager = PassManager([Corrupting()], verify=True)
-        with pytest.raises(VerificationError):
-            manager.run(Module())
 
 
 class TestMetricsFormatting:

@@ -1,8 +1,8 @@
 """Tests for the ``repro.obs`` observability layer: tracer spans (incl.
 per-thread nesting), Chrome trace-event export,
-metrics registry and the EngineStats facade, the TDO decision log, the
-``tune --trace`` / ``--explain`` / ``trace summarize`` CLI, pass-failure
-records, logging flags, and the disabled-path overhead guard."""
+metrics registry and the engine's stage/counter views of it, the TDO
+decision log, the ``tune --trace`` / ``--explain`` / ``trace summarize``
+CLI, logging flags, and the disabled-path overhead guard."""
 
 import json
 import logging
@@ -14,8 +14,7 @@ import pytest
 from repro.__main__ import main
 from repro.autotune import paper_sweep_configs
 from repro.benchsuite import get_benchmark
-from repro.engine import EngineStats, TuningEngine
-from repro.ir import Builder, Module, Pass, PassManager, count_ops
+from repro.engine import TuningCache, TuningEngine
 from repro.obs import decisions as obs_decisions
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
@@ -256,29 +255,36 @@ class TestMetrics:
 
 
 class TestEngineStatsFacade:
+    """The engine's stage and counter views, read off its registry."""
+
     def test_stage_records_into_shared_registry(self):
-        registry = MetricsRegistry()
-        stats = EngineStats(registry=registry)
-        with stats.stage("parse"):
-            pass
-        with stats.stage("parse"):
-            pass
+        engine = TuningEngine(cache=TuningCache(), validate=False)
+        # installed process-wide, the registry still sees each stage once
+        with obs_metrics.collecting(engine.registry):
+            with engine.stage("parse"):
+                pass
+            with engine.stage("parse"):
+                pass
+        registry = engine.registry
         assert registry.histogram_summaries()["stage.parse"]["count"] == 2
-        assert stats.stage_calls == {"parse": 2}
-        assert stats.stage_seconds["parse"] >= 0.0
-        stats.count("cache_hits", 2)
+        assert {name: summary["count"] for name, summary
+                in engine.stages().items()} == {"parse": 2}
+        assert engine.stage_seconds()["parse"] >= 0.0
+        registry.counter("cache_hits").inc(2)
         assert registry.counter_value("cache_hits") == 2
-        assert stats.get("cache_hits") == 2
 
     def test_as_dict_shape_is_stable(self):
-        stats = EngineStats()
-        assert set(stats.as_dict()) == {"stage_seconds", "stage_calls",
-                                        "counters"}
+        from repro.pipeline import Program
+        engine = TuningEngine(cache=TuningCache(), validate=False)
+        stats = Program(SOURCE, arch=A100, engine=engine).stats()
+        assert set(stats) == {"stage_seconds", "stage_calls", "counters",
+                              "gauges", "histograms", "cache"}
+        assert stats["stage_calls"] == {"parse": 1}
 
     def test_stage_opens_tracer_span(self):
-        stats = EngineStats()
+        engine = TuningEngine(cache=TuningCache(), validate=False)
         with tracing() as tracer:
-            with stats.stage("filters"):
+            with engine.stage("filters"):
                 pass
         assert [s.name for s in tracer.finished()] == ["stage:filters"]
 
@@ -342,66 +348,6 @@ class TestFilterStageDecisions:
                                              REGISTERS, TIMING)
 
 
-class TestPassObservability:
-    class AddOp(Pass):
-        name = "add-op"
-
-        def run(self, module):
-            Builder(module.body).create("test.added", [], [])
-            return True
-
-    class Failing(Pass):
-        name = "failing"
-
-        def run(self, module):
-            time.sleep(0.001)
-            raise RuntimeError("pass exploded")
-
-    def test_op_delta_collected_while_observing(self):
-        manager = PassManager([self.AddOp()], verify=False)
-        with obs_metrics.collecting() as registry:
-            manager.run(Module())
-        (record,) = manager.records
-        assert record.op_delta == 1
-        assert record.ops_after == record.ops_before + 1
-        delta = registry.histogram_summaries()["pass.add-op.op_delta"]
-        assert delta["count"] == 1 and delta["total"] == 1.0
-        assert "pass.add-op.seconds" in registry.histogram_summaries()
-
-    def test_op_counts_skipped_when_unobserved(self):
-        manager = PassManager([self.AddOp()], verify=False)
-        manager.run(Module())
-        (record,) = manager.records
-        assert record.ops_before is None
-        assert record.op_delta is None
-        assert record.seconds >= 0.0
-
-    def test_failure_keeps_record_and_names_pass(self):
-        manager = PassManager([self.AddOp(), self.Failing()], verify=False)
-        with pytest.raises(RuntimeError) as info:
-            manager.run(Module())
-        assert info.value.failing_pass == "failing"
-        assert [r.name for r in manager.records] == ["add-op", "failing"]
-        failed = manager.records[-1]
-        assert failed.failed
-        assert failed.seconds >= 0.001
-        assert manager.pass_seconds["failing"] >= 0.001
-
-    def test_pass_spans_emitted_under_tracer(self):
-        manager = PassManager([self.AddOp()], verify=False)
-        with tracing() as tracer:
-            manager.run(Module())
-        (span,) = tracer.finished()
-        assert span.name == "pass:add-op"
-        assert span.args["op_delta"] == 1
-
-    def test_count_ops_walks_nested_regions(self):
-        module = Module()
-        baseline = count_ops(module)
-        Builder(module.body).create("test.one", [], [])
-        assert count_ops(module) == baseline + 1
-
-
 @pytest.fixture
 def lud_file(tmp_path):
     path = tmp_path / "lud.cu"
@@ -451,6 +397,26 @@ class TestCLI:
         # the global tracer/registry are uninstalled afterwards
         assert obs_tracer.current() is None
         assert obs_metrics.current() is None
+
+    def test_tune_stats_count_generations_once_under_trace(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "scale.cu"
+        path.write_text(SOURCE)
+        command = ["tune", str(path), "scale", "--grid", "64", "--block",
+                   "256", "--max-factor", "8", "--stats", "--explain"]
+
+        def counters(extra):
+            assert main(command + extra) == 0
+            rows = [line.split() for line in
+                    capsys.readouterr().out.splitlines()]
+            return {row[0]: int(row[1]) for row in rows
+                    if len(row) == 2 and row[0].startswith("alternative")}
+
+        plain = counters([])
+        traced = counters(["--trace", str(tmp_path / "t.json")])
+        # the sweep and the full tune each generate alternatives once
+        assert plain["alternative_generations"] == 2
+        assert traced == plain
 
     def test_tune_explain_names_stage_on_lud(self, lud_file, capsys):
         assert main(["tune", lud_file, "lud_internal", "--grid", "31,31",

@@ -11,6 +11,7 @@ from repro.autotune import (default_configs, paper_sweep_configs,
 from repro.benchsuite.base import get_benchmark
 from repro.benchsuite.lud import make_diagonally_dominant
 from repro.dialects import polygeist
+from repro.engine import TuningEngine
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
 from repro.pipeline import Program, compile_cuda
@@ -99,7 +100,8 @@ class TestFilters:
         assert result.survivors == [0, 1]
         # the full filter pass never materializes the dropped plan
         merged, alt = run_planned_filters(planned.alternatives, A100,
-                                          planned.materialize)
+                                          planned.materialize,
+                                          TuningEngine(validate=False).stage)
         assert merged.dropped_shared == result.dropped_shared
         assert len(alt.regions) == 2
         # one clone; the second region is the wrapper's own body
@@ -108,7 +110,8 @@ class TestFilters:
     def test_register_pruning_keeps_least_bad(self):
         module, name, wrapper, planned = plan_alts()
         result, _ = run_planned_filters(planned.alternatives, A100,
-                                        planned.materialize)
+                                        planned.materialize,
+                                        TuningEngine(validate=False).stage)
         assert result.survivors
         verify_module(module)
 
@@ -134,7 +137,8 @@ class TestTDO:
         f = gen.module.func(name)
         env = {f.body_block().arg(0): 1024}
         outcome = tune_wrapper(wrapper, A100, env,
-                               default_configs(max_total=4))
+                               default_configs(max_total=4),
+                               engine=TuningEngine(validate=False))
         verify_module(gen.module)
         assert outcome.filters is not None
         baseline = [c for c in outcome.candidates
@@ -357,7 +361,7 @@ class TestProfileMode:
         f = gen.module.func(name)
         env = dict(zip(f.body_block().args[:len(grid)], grid))
         tuned = tune_wrapper(polygeist.find_gpu_wrappers(f)[0], A100, env,
-                             configs)
+                             configs, engine=TuningEngine(validate=False))
         assert tuned.filters.dropped_shared
         assert [c.desc for c in profiled.candidates] == \
             tuned.filters.survivor_descs

@@ -17,6 +17,7 @@ import pytest
 from repro.autotune import paper_sweep_configs
 from repro.analysis import shared_bytes_per_block
 from repro.autotune.tdo import timing_driven_optimization, tune_wrapper
+from repro.engine import TuningEngine
 from repro.benchsuite.base import BENCHMARKS, get_benchmark
 from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
@@ -163,7 +164,8 @@ def test_clones_built_only_for_filter_survivors(monkeypatch):
     env = {func_op.body_block().args[0]: 4}
     configs = [{"thread_total": 1}, {"thread_total": 2},
                {"block_total": 2}, {"block_total": 4}]
-    outcome = tune_wrapper(wrapper, A100, env, configs)
+    outcome = tune_wrapper(wrapper, A100, env, configs,
+                           engine=TuningEngine(validate=False))
     planned = captured[0]
     total = len(planned.alternatives)
     dropped = len(outcome.filters.dropped_shared)
@@ -184,7 +186,8 @@ def test_clones_built_for_all_when_nothing_filtered(monkeypatch):
     env = {func_op.body_block().args[0]: 4}
     configs = [{"thread_total": 1}, {"thread_total": 2},
                {"block_total": 2}]
-    outcome = tune_wrapper(wrapper, A100, env, configs)
+    outcome = tune_wrapper(wrapper, A100, env, configs,
+                           engine=TuningEngine(validate=False))
     planned = captured[0]
     assert not outcome.filters.dropped_shared
     assert planned.clones_materialized == len(planned.alternatives) - 1

@@ -8,8 +8,7 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.interpreter import MemoryBuffer, run_module
 from repro.ir import (Builder, F32, FunctionType, INDEX, MemRefType, Module,
                       verify_module)
-from repro.transforms import (BarrierElimination, CSE, Canonicalize, DCE,
-                              LICM, run_cleanup)
+from repro.transforms import run_cleanup, run_rewrites
 
 
 def count_ops(root, name):
@@ -41,7 +40,7 @@ class TestCanonicalize:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, product, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         verify_module(module)
         store = module.op.ops_matching("memref.store")[0]
         assert arith.constant_value(store.operand(0)) == 42
@@ -56,8 +55,8 @@ class TestCanonicalize:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, v2, buf, [zero])
         func.return_(b)
-        Canonicalize().run(module)
-        DCE().run(module)
+        run_rewrites(module, ("canonicalize",))
+        run_rewrites(module, ("dce",))
         verify_module(module)
         store = module.op.ops_matching("memref.store")[0]
         assert store.operand(0) is n
@@ -74,7 +73,7 @@ class TestCanonicalize:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, if_op.result(), buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         verify_module(module)
         assert count_ops(module.op, "scf.if") == 0
         store = module.op.ops_matching("memref.store")[0]
@@ -88,7 +87,7 @@ class TestCanonicalize:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, q, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         store = module.op.ops_matching("memref.store")[0]
         assert arith.constant_value(store.operand(0)) == -3  # C semantics
 
@@ -102,8 +101,8 @@ class TestCSE:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, s, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        CSE().run(module)
-        DCE().run(module)
+        run_rewrites(module, ("cse",))
+        run_rewrites(module, ("dce",))
         constants = [op for op in module.op.ops_matching("arith.constant")
                      if op.attr("value") == 5]
         assert len(constants) == 1
@@ -122,7 +121,7 @@ class TestCSE:
         scf.yield_(lb)
         func.return_(b)
         verify_module(module)
-        CSE().run(module)
+        run_rewrites(module, ("cse",))
         verify_module(module)
         store = module.op.ops_matching("memref.store")[0]
         assert store.operand(0) is outer
@@ -136,7 +135,7 @@ class TestCSE:
         s = arith.addf(b, v1, v2)
         memref.store(b, s, buf, [c0])
         func.return_(b)
-        CSE().run(module)
+        run_rewrites(module, ("cse",))
         assert count_ops(module.op, "memref.load") == 2
 
 
@@ -146,7 +145,7 @@ class TestDCE:
         n = f.body_block().arg(0)
         arith.addi(b, n, n)  # dead
         func.return_(b)
-        assert DCE().run(module)
+        assert run_rewrites(module, ("dce",))
         assert count_ops(module.op, "arith.addi") == 0
 
     def test_dead_chain_removed(self, simple_func):
@@ -155,7 +154,7 @@ class TestDCE:
         a = arith.addi(b, n, n)
         arith.muli(b, a, a)  # dead; makes `a` dead too
         func.return_(b)
-        DCE().run(module)
+        run_rewrites(module, ("dce",))
         assert count_ops(module.op, "arith.addi") == 0
         assert count_ops(module.op, "arith.muli") == 0
 
@@ -165,7 +164,7 @@ class TestDCE:
         memref.store(b, f.body_block().arg(0), buf,
                      [arith.index_constant(b, 0)])
         func.return_(b)
-        DCE().run(module)
+        run_rewrites(module, ("dce",))
         assert count_ops(module.op, "memref.store") == 1
 
     def test_unused_load_removed(self, simple_func):
@@ -175,7 +174,7 @@ class TestDCE:
                      [arith.index_constant(b, 0)])
         memref.load(b, buf, [arith.index_constant(b, 0)])  # dead
         func.return_(b)
-        DCE().run(module)
+        run_rewrites(module, ("dce",))
         assert count_ops(module.op, "memref.load") == 0
 
 
@@ -194,7 +193,7 @@ class TestLICM:
         memref.store(lb, invariant, buf, [iv])
         scf.yield_(lb)
         func.return_(b)
-        assert LICM().run(module)
+        assert run_rewrites(module, ("licm",))
         verify_module(module)
         assert invariant.owner.parent is f.body_block()
 
@@ -237,7 +236,7 @@ class TestLICM:
         memref.store(lb, v, buf, [iv])
         scf.yield_(lb)
         func.return_(b)
-        LICM().run(module)
+        run_rewrites(module, ("licm",))
         assert v.owner.parent is loop.body_block()
 
     def test_division_not_speculated(self, simple_func):
@@ -254,7 +253,7 @@ class TestLICM:
         memref.store(lb, q, buf, [loop.body_block().arg(0)])
         scf.yield_(lb)
         func.return_(b)
-        LICM().run(module)
+        run_rewrites(module, ("licm",))
         assert q.owner.parent is loop.body_block()
 
 
@@ -271,7 +270,7 @@ class TestBarrierElimination:
         """
         module, wrapper = compile_kernel(source, "k")
         assert len(module.op.ops_matching("polygeist.barrier")) == 2
-        BarrierElimination().run(module)
+        run_rewrites(module, ("barrier-elim",))
         verify_module(module)
         assert len(module.op.ops_matching("polygeist.barrier")) == 1
         out = MemoryBuffer((8,), F32)
@@ -287,7 +286,7 @@ class TestBarrierElimination:
         }
         """
         module, wrapper = compile_kernel(source, "k")
-        BarrierElimination().run(module)
+        run_rewrites(module, ("barrier-elim",))
         assert len(module.op.ops_matching("polygeist.barrier")) == 0
 
     def test_needed_barrier_kept(self):
@@ -300,7 +299,7 @@ class TestBarrierElimination:
         }
         """
         module, wrapper = compile_kernel(source, "k")
-        BarrierElimination().run(module)
+        run_rewrites(module, ("barrier-elim",))
         assert len(module.op.ops_matching("polygeist.barrier")) == 1
 
 
@@ -354,7 +353,7 @@ class TestDivModRecompose:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, recomposed, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         store = module.op.ops_matching("memref.store")[0]
         assert store.operand(0) is x
 
@@ -368,7 +367,7 @@ class TestDivModRecompose:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, recomposed, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         store = module.op.ops_matching("memref.store")[0]
         assert store.operand(0) is x
 
@@ -383,7 +382,7 @@ class TestDivModRecompose:
         buf = memref.alloc(b, MemRefType((1,), INDEX))
         memref.store(b, v, buf, [arith.index_constant(b, 0)])
         func.return_(b)
-        Canonicalize().run(module)
+        run_rewrites(module, ("canonicalize",))
         store = module.op.ops_matching("memref.store")[0]
         assert store.operand(0) is v
 
