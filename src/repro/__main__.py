@@ -154,10 +154,11 @@ def cmd_tune(args) -> int:
     tracer = None
     log = None
     engine = TuningEngine(validate=args.validate or None)
+    # the engine's registry also takes the engine-less instrumentation
+    # sites (cleanup, filters, TDO), so --stats prints the same rows with
+    # and without --trace
+    obs_metrics.install(engine.registry)
     if args.trace:
-        # the engine's registry also takes the engine-less
-        # instrumentation sites (cleanup, filters, model)
-        obs_metrics.install(engine.registry)
         tracer = obs_tracer.install(obs_tracer.Tracer())
     try:
         sweep = sweep_kernel_configs(
@@ -208,9 +209,9 @@ def cmd_tune(args) -> int:
             print("engine stages:")
             print(_stage_table(engine))
     finally:
+        obs_metrics.uninstall()
         if tracer is not None:
             obs_tracer.uninstall()
-            obs_metrics.uninstall()
             write_chrome_trace(args.trace, tracer, metrics=engine.registry,
                                decisions=log)
             print("wrote %d spans to %s" % (len(tracer), args.trace),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import polygeist
-from ..ir import Module, Operation, Value
+from ..ir import Operation, Value, collector_paused, unlink_subtree
 from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
@@ -285,6 +285,12 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     into its registry and supplies the validation switch; tuning
     decisions are cached at the :class:`~repro.pipeline.Program` level,
     not here.
+
+    The tune runs with the cycle collector paused: it builds tens of
+    thousands of IR objects, all reference cycles while live, and takes
+    apart everything it drops, so an automatic collection here would walk
+    live IR and free nothing (``tests/test_cyclic_garbage.py`` checks that
+    a tune leaves no cyclic garbage).
     """
     from ..transforms import cleanup_regions
     from ..transforms.alternatives import plan_coarsening_alternatives
@@ -293,61 +299,68 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     log = obs_decisions.current()
     decision = log.begin(_wrapper_label(wrapper), arch.name) \
         if log is not None else None
-    baseline_func = sizing_wrapper = None
-    if engine.validate:
-        # the baseline must be cloned before materialization erases the body
-        baseline_func, sizing_wrapper = _clone_baseline(wrapper)
-        if baseline_func is None and decision is not None:
-            decision.note("validation skipped: wrapper not nested in a "
-                          "function")
-    with stage("alternatives"), \
-            obs_tracer.span("tune.alternatives", category="tune"):
-        report = plan_coarsening_alternatives(wrapper, configs)
-    engine.registry.counter("alternative_generations").inc()
-    engine.registry.counter("alternatives_generated").inc(
-        len(report.alternatives))
-    if decision is not None:
-        for info in report.alternatives:
-            decision.add(info.desc, config=dict(info.config))
-        for config, reason in report.rejected_configs:
-            decision.add(repr(config), config=config)
-            decision.eliminate(repr(config), obs_decisions.GENERATION,
-                               "illegal coarsening: %s" % reason)
-    if not report.alternatives:
-        raise ValueError("no legal coarsening configuration: %s" %
-                         "; ".join(report.rejected))
-
-    def materialize(indices):
-        # clones are built only for the plans that survived the early
-        # metadata filter; cost scales with survivors, not candidates
+    with collector_paused():
+        baseline_func = sizing_wrapper = None
+        if engine.validate:
+            # the baseline must be cloned before materialization erases
+            # the body
+            baseline_func, sizing_wrapper = _clone_baseline(wrapper)
+            if baseline_func is None and decision is not None:
+                decision.note("validation skipped: wrapper not nested in "
+                              "a function")
         with stage("alternatives"), \
-                obs_tracer.span("tune.materialize", category="tune",
-                                alternatives=len(indices)):
-            alt = report.materialize(indices)
-        with stage("cleanup"):
-            # scoped to the clones: the pipeline pre-cleaned the rest of
-            # the module to a fixpoint, so this equals a whole-module
-            # cleanup (tests/test_scoped_cleanup.py asserts printed-IR
-            # equality benchsuite-wide)
-            cleanup_regions(list(alt.regions))
-        return alt
+                obs_tracer.span("tune.alternatives", category="tune"):
+            report = plan_coarsening_alternatives(wrapper, configs)
+        engine.registry.counter("alternative_generations").inc()
+        engine.registry.counter("alternatives_generated").inc(
+            len(report.alternatives))
+        if decision is not None:
+            for info in report.alternatives:
+                decision.add(info.desc, config=dict(info.config))
+            for config, reason in report.rejected_configs:
+                decision.add(repr(config), config=config)
+                decision.eliminate(repr(config), obs_decisions.GENERATION,
+                                   "illegal coarsening: %s" % reason)
+        if not report.alternatives:
+            raise ValueError("no legal coarsening configuration: %s" %
+                             "; ".join(report.rejected))
 
-    # the IR is stable from materialization until selection, so the spill
-    # filter and the timing models may share one linearized thread body
-    # per loop
-    with linearized_cache():
-        filters, alt = run_planned_filters(report.alternatives, arch,
-                                           materialize, stage)
-        validation = validation_keep = None
-        if engine.validate and baseline_func is not None:
-            # gate after the cheap static filters, before the timing race:
-            # a fast-but-miscompiled alternative must never win
-            with stage("validate"), \
-                    obs_tracer.span("tune.validate", category="tune"):
-                validation, validation_keep = _validation_gate(
-                    alt, baseline_func, sizing_wrapper, env, decision)
-        with stage("tdo"):
-            outcome = timing_driven_optimization(alt, arch, env)
+        def materialize(indices):
+            # clones are built only for the plans that survived the early
+            # metadata filter; cost scales with survivors, not candidates
+            with stage("alternatives"), \
+                    obs_tracer.span("tune.materialize", category="tune",
+                                    alternatives=len(indices)):
+                alt = report.materialize(indices)
+            with stage("cleanup"):
+                # scoped to the clones: the pipeline pre-cleaned the rest
+                # of the module to a fixpoint, so this equals a
+                # whole-module cleanup (tests/test_scoped_cleanup.py
+                # asserts printed-IR equality benchsuite-wide)
+                cleanup_regions(list(alt.regions))
+            return alt
+
+        # the IR is stable from materialization until selection, so the
+        # spill filter and the timing models may share one linearized
+        # thread body per loop
+        with linearized_cache():
+            filters, alt = run_planned_filters(report.alternatives, arch,
+                                               materialize, stage)
+            validation = validation_keep = None
+            if engine.validate and baseline_func is not None:
+                # gate after the cheap static filters, before the timing
+                # race: a fast-but-miscompiled alternative must never win
+                with stage("validate"), \
+                        obs_tracer.span("tune.validate", category="tune"):
+                    try:
+                        validation, validation_keep = _validation_gate(
+                            alt, baseline_func, sizing_wrapper, env,
+                            decision)
+                    finally:
+                        # the detached baseline is dropped whole here
+                        unlink_subtree([baseline_func])
+            with stage("tdo"):
+                outcome = timing_driven_optimization(alt, arch, env)
     outcome.filters = filters
     outcome.validation = validation
     # map the winning region back through the validation prune and the

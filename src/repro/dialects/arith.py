@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir import (Builder, F32, F64, I1, INDEX, FloatType, IndexType,
-                  IntegerType, Operation, OpResult, Type, Value,
-                  register_op_verifier)
+from ..ir import (Builder, F32, I1, INDEX, FloatType, IndexType, IntegerType,
+                  Operation, OpResult, Type, Value, register_op_verifier)
 
 CONSTANT = "arith.constant"
 SELECT = "arith.select"

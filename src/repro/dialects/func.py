@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..ir import (Builder, FunctionType, Module, Operation, Type, Value,
+from ..ir import (Builder, FunctionType, Operation, Type, Value,
                   register_op_verifier, single_block_region)
 
 FUNC = "func.func"

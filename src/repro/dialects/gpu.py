@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..ir import (Builder, FunctionType, Operation, Type, Value,
+from ..ir import (Builder, FunctionType, Operation, Value,
                   register_op_verifier, single_block_region)
 
 FUNC = "gpu.func"

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..ir import (Builder, DYNAMIC, INDEX, MemRefType, Operation, Type, Value,
+from ..ir import (Builder, DYNAMIC, INDEX, MemRefType, Operation, Value,
                   register_op_verifier)
 
 ALLOC = "memref.alloc"

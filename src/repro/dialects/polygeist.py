@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..ir import (Block, Builder, Operation, Region, Value,
                   register_op_verifier, single_block_region)

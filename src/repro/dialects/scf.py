@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..ir import (Block, Builder, INDEX, Operation, Region, Type, Value,
+from ..ir import (Block, Builder, INDEX, Operation, Type, Value,
                   register_op_verifier, single_block_region)
 
 FOR = "scf.for"

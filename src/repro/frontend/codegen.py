@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..dialects import arith, func, math as math_d, memref, polygeist, scf
 from ..ir import (Builder, DYNAMIC, F32, F64, I1, INDEX, FloatType,
-                  FunctionType, IndexType, IntegerType, MemRefType, Module,
-                  Operation, Type, Value)
+                  FunctionType, IntegerType, MemRefType, Module, Operation,
+                  Type, Value)
 from . import c_ast as ast
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 KEYWORDS = {
     "void", "int", "unsigned", "signed", "long", "short", "char", "float",

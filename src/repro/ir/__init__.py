@@ -2,7 +2,8 @@
 
 from .builder import Builder
 from .core import (Block, BlockArgument, Operation, OpResult, Region, Use,
-                   Value, single_block_region, unlink_subtree)
+                   Value, collector_paused, single_block_region,
+                   unlink_subtree)
 from .module import Module
 from .parser import ParseError, parse_module, parse_op, parse_type
 from .printer import format_attr, print_module, print_op
@@ -17,7 +18,8 @@ __all__ = [
     "FloatType", "FunctionType", "I1", "I16", "I32", "I64", "I8", "INDEX",
     "IndexType", "IntegerType", "MemRefType", "Module", "Operation",
     "OpResult", "ParseError", "Region", "Type",
-    "Use", "Value", "VerificationError", "byte_width", "format_attr",
+    "Use", "Value", "VerificationError", "byte_width", "collector_paused",
+    "format_attr",
     "is_scalar", "parse_module", "parse_op", "parse_type", "print_module",
     "print_op", "register_op_verifier", "single_block_region",
     "unlink_subtree", "verify_module", "verify_op",

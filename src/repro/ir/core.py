@@ -23,7 +23,10 @@ instances silently grow a ``__dict__`` again.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import threading
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .types import Type
@@ -417,6 +420,37 @@ def unlink_subtree(roots: Iterable[Operation]) -> None:
     for operand in touched.values():
         operand.uses = [use for use in operand.uses
                         if id(use.owner) not in dead_ops]
+
+
+_collector_lock = threading.Lock()
+_collector_depth = 0
+_collector_was_enabled = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Turn off automatic cyclic garbage collection inside the block.
+
+    Live IR is all reference cycles (parent and use links), so every
+    automatic pass walks it and frees nothing: IR dropped inside the
+    block must be taken apart with :func:`unlink_subtree` and dies by
+    refcount. Scopes nest and may overlap across threads; only the
+    outermost exit restores the state the first entrant found, so a
+    caller that had already turned the collector off finds it off.
+    """
+    global _collector_depth, _collector_was_enabled
+    with _collector_lock:
+        if _collector_depth == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_depth += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_depth -= 1
+            if _collector_depth == 0 and _collector_was_enabled:
+                gc.enable()
 
 
 class Block:

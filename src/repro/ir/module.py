@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .core import Block, Operation, Region, single_block_region
+from .core import Block, Operation, single_block_region
 
 
 class Module:

@@ -9,7 +9,7 @@ can be parsed in-place without a separate lexer mode.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .core import Block, Operation, Region, Value
 from .module import Module

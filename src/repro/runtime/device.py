@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from ..interpreter import MemoryBuffer
-from ..ir import F32, F64, FloatType, INDEX, IndexType, IntegerType, Type
+from ..ir import F32, F64, INDEX, Type
 
 _DTYPE_TO_TYPE = {
     np.dtype(np.float32): F32,

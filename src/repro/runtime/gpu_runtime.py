@@ -10,8 +10,8 @@ seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 

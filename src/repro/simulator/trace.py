@@ -12,7 +12,7 @@ reduced L2→L1 traffic on lud.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interpreter import Interpreter, MemoryBuffer, Tracer

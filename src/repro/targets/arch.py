@@ -9,7 +9,7 @@ with extreme shared-memory-per-thread ratios (§VII-D2, the ``nw`` anomaly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Latency-hiding parallelism is measured in 32-thread warp EQUIVALENTS

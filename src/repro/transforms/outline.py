@@ -8,7 +8,7 @@ from host code, and replaces the wrapper with a ``func.call``.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..analysis.uniformity import _external_operands
 from ..dialects import func as func_d

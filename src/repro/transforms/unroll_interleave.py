@@ -25,12 +25,11 @@ so any factor is accepted (§V-C).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.uniformity import contains_barrier, is_uniform_in
 from ..dialects import arith, polygeist, scf
-from ..ir import (Block, BlockArgument, Builder, INDEX, Operation, Region,
-                  Value, single_block_region)
+from ..ir import Block, Builder, INDEX, Operation, Value, single_block_region
 
 
 class IllegalUnroll(ValueError):

@@ -4,33 +4,57 @@ Every IR object links back to its parent (``OpResult.owner``,
 ``Use.owner``, block and region parent links), so IR that is dropped
 while still wired together is a reference cycle only the cycle collector
 can free. Unrolling erases the source loop's shell, materialization
-erases the original nest, pruning drops regions and selection erases the
-alternatives op; each of them takes the dropped IR apart first
+erases the original nest, pruning drops regions, selection erases the
+alternatives op and the validation gate drops its baseline clone; each
+of them takes the dropped IR apart first
 (:func:`repro.ir.unlink_subtree`), so none of it is left for the
 collector. These tests run with the collector off and
 ``gc.DEBUG_SAVEALL`` on, which keeps every object the collector would
 have had to free in ``gc.garbage`` where it can be counted.
+
+That is what makes :func:`repro.ir.collector_paused` sound around
+``tune_wrapper``: a tune that leaves no cyclic garbage loses nothing when
+the collector does not run inside it. The last tests pin the pause's
+scoping rules.
 """
 
 import gc
+import threading
 from contextlib import contextmanager
 
-from repro.autotune import paper_sweep_configs
+import pytest
+
+import repro.pipeline
+import repro.transforms
+import repro.transforms.alternatives
+from repro.autotune import default_configs, paper_sweep_configs, tdo
 from repro.benchsuite import simulate_composite
-from repro.benchsuite.base import get_benchmark
+from repro.benchsuite.base import BENCHMARKS, get_benchmark
 from repro.dialects import polygeist
 from repro.engine import TuningCache, TuningEngine
 from repro.frontend import ModuleGenerator, parse_translation_unit
-from repro.ir import Block, Operation, Region, Value
+from repro.ir import Block, Operation, Region, Value, collector_paused
+from repro.targets import A100
 from repro.transforms import run_cleanup
 from repro.transforms.alternatives import (plan_coarsening_alternatives,
                                            prune_alternatives,
                                            select_alternative)
 
-#: objects one cold gaussian+lud tune on A100 and MI210 left for the
-#: cycle collector while unrolling cloned copy 0 and erased IR kept its
-#: internal links (measured with this file's method)
-CLONE_AND_ERASE_GARBAGE = 357050
+#: objects one cold gaussian+lud job each on A100 and MI210 leaves for
+#: the cycle collector: the Program's module, which the job drops whole
+#: at its end (measured with this file's method)
+DROPPED_MODULE_GARBAGE = 9908
+
+#: the programs perfbench's validated_tune workload tunes with the gate on
+VALIDATED_PROGRAMS = ("myocyte", "gaussian", "nw")
+
+SOURCE = """
+__global__ void scale(float *x, float a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) return;
+    x[i] = x[i] * a;
+}
+"""
 
 
 @contextmanager
@@ -56,16 +80,61 @@ def _ir_objects(objects):
             if isinstance(o, (Operation, Block, Region, Value))]
 
 
-def test_cold_tune_leaves_a_quarter_of_the_clone_and_erase_garbage():
+def _root_op(op):
+    while op.parent_op is not None:
+        op = op.parent_op
+    return op
+
+
+def test_cold_job_leaves_only_the_programs_module():
     configs = paper_sweep_configs(max_product=8)
+    jobs = [(program, arch) for program in ("gaussian", "lud")
+            for arch in ("a100", "mi210")]
     with _saved_garbage() as garbage:
-        for program in ("gaussian", "lud"):
-            for arch in ("a100", "mi210"):
-                simulate_composite(
-                    program, arch, autotune_configs=configs,
-                    engine=TuningEngine(cache=TuningCache(None)))
-    assert len(garbage) <= CLONE_AND_ERASE_GARBAGE // 4, \
+        for program, arch in jobs:
+            simulate_composite(
+                program, arch, autotune_configs=configs,
+                engine=TuningEngine(cache=TuningCache(None)))
+    assert len(garbage) <= DROPPED_MODULE_GARBAGE, \
         "%d cyclic objects left by one cold tune" % len(garbage)
+    roots = {id(root): root for root in map(
+        _root_op, (o for o in garbage if isinstance(o, Operation)))}
+    assert [root.name for root in roots.values()] == \
+        ["builtin.module"] * len(jobs)
+
+
+def _tune_garbage(monkeypatch, program, validate):
+    """Cyclic objects left by each ``tune_wrapper`` call of one cold job
+    per arch, counted around the call itself."""
+    real = repro.pipeline.tune_wrapper
+    counts = []
+
+    def counted(*args, **kwargs):
+        with _saved_garbage() as garbage:
+            outcome = real(*args, **kwargs)
+        counts.append(len(garbage))
+        return outcome
+
+    monkeypatch.setattr(repro.pipeline, "tune_wrapper", counted)
+    for arch in ("a100", "mi210"):
+        simulate_composite(
+            program, arch,
+            autotune_configs=paper_sweep_configs(max_product=8),
+            engine=TuningEngine(cache=TuningCache(None), validate=validate))
+    return counts
+
+
+@pytest.mark.parametrize("program", sorted(BENCHMARKS))
+def test_cold_tune_wrapper_leaves_no_cyclic_garbage(monkeypatch, program):
+    counts = _tune_garbage(monkeypatch, program, validate=False)
+    assert counts and counts == [0] * len(counts)
+
+
+@pytest.mark.parametrize("program", VALIDATED_PROGRAMS)
+def test_validated_tune_wrapper_leaves_no_cyclic_garbage(monkeypatch,
+                                                         program):
+    counts = _tune_garbage(monkeypatch, program, validate=True)
+    assert counts and counts == [0] * len(counts)
 
 
 def test_pruned_and_unselected_regions_die_by_refcount():
@@ -86,3 +155,107 @@ def test_pruned_and_unselected_regions_die_by_refcount():
     # the module is still referenced here: only dropped IR can be garbage
     assert _ir_objects(garbage) == []
     assert module.op.ops_matching(polygeist.ALTERNATIVES) == []
+
+
+# -- the pause ---------------------------------------------------------------
+
+
+@pytest.fixture
+def collector_on():
+    """Start each scope test with the collector on, and leave it on."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def _scale_tune():
+    """A ``tune_wrapper`` call on a fresh one-kernel module."""
+    generator = ModuleGenerator(parse_translation_unit(SOURCE))
+    name = generator.get_launch_wrapper("scale", 1, (256,))
+    run_cleanup(generator.module)
+    wrapper = polygeist.find_gpu_wrappers(generator.module.op)[0]
+    env = {generator.module.func(name).body_block().arg(0): 64}
+    return lambda: tdo.tune_wrapper(wrapper, A100, env,
+                                    default_configs(max_total=4),
+                                    engine=TuningEngine(validate=False))
+
+
+def test_nested_scopes_restore_only_at_the_outermost_exit(collector_on):
+    with collector_paused():
+        assert not gc.isenabled()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_exception_inside_restores_the_collector(collector_on):
+    with pytest.raises(RuntimeError):
+        with collector_paused():
+            raise RuntimeError("boom")
+    assert gc.isenabled()
+
+
+def test_collector_already_off_stays_off(collector_on):
+    gc.disable()
+    with collector_paused():
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_tune_wrapper_runs_with_the_collector_paused(collector_on,
+                                                     monkeypatch):
+    seen = {}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen[name] = gc.isenabled()
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    recording(repro.transforms.alternatives, "plan_coarsening_alternatives")
+    recording(repro.transforms, "cleanup_regions")
+    recording(tdo, "run_planned_filters")
+    recording(tdo, "timing_driven_optimization")
+    _scale_tune()()
+    assert seen == {"plan_coarsening_alternatives": False,
+                    "cleanup_regions": False,
+                    "run_planned_filters": False,
+                    "timing_driven_optimization": False}
+    assert gc.isenabled()
+
+
+def test_overlapping_tunes_in_threads_restore_after_both(collector_on,
+                                                         monkeypatch):
+    first, second = _scale_tune(), _scale_tune()
+    first_inside = threading.Event()
+    second_done = threading.Event()
+    seen = {}
+    real_tdo = tdo.timing_driven_optimization
+
+    def pausing_tdo(*args, **kwargs):
+        if threading.current_thread().name == "first":
+            first_inside.set()
+            # the second tune starts and finishes while this one waits
+            assert second_done.wait(60)
+            seen["first after second exits"] = gc.isenabled()
+        return real_tdo(*args, **kwargs)
+
+    def run_second():
+        assert first_inside.wait(60)
+        second()
+        seen["second exited"] = gc.isenabled()
+        second_done.set()
+
+    monkeypatch.setattr(tdo, "timing_driven_optimization", pausing_tdo)
+    threads = [threading.Thread(target=first, name="first"),
+               threading.Thread(target=run_second, name="second")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert seen == {"first after second exits": False,
+                    "second exited": False}
+    assert gc.isenabled()

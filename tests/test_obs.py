@@ -418,6 +418,31 @@ class TestCLI:
         assert plain["alternative_generations"] == 2
         assert traced == plain
 
+    def test_tune_stats_prints_the_same_counters_under_trace(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "scale.cu"
+        path.write_text(SOURCE)
+        command = ["tune", str(path), "scale", "--grid", "64", "--block",
+                   "256", "--max-factor", "8", "--stats", "--explain"]
+
+        def counter_block(extra):
+            assert main(command + extra) == 0
+            out = capsys.readouterr().out
+            table = out[out.index("engine stages:"):]
+            # the stage rows carry seconds; the counters follow a blank
+            return table[table.index("\n\n"):].split()
+
+        plain = counter_block([])
+        traced = counter_block(["--trace", str(tmp_path / "t.json")])
+        # the cleanup driver, the filters and TDO record through the
+        # installed registry, which the plain run installs too
+        for name in ("cleanup.visited", "cleanup.rewrites.cse",
+                     "filters.runs", "filters.survivors",
+                     "tdo.evaluations"):
+            assert name in plain
+        assert traced == plain
+        assert obs_metrics.current() is None
+
     def test_tune_explain_names_stage_on_lud(self, lud_file, capsys):
         assert main(["tune", lud_file, "lud_internal", "--grid", "31,31",
                      "--block", "16,16", "--max-factor", "32",
