@@ -4,9 +4,10 @@ Commands mirror the Polygeist-GPU driver workflow:
 
 * ``emit-ir``   — compile a .cu file and print the parallel IR for a kernel
   (optionally after coarsening), the Fig. 2/5 representation;
-* ``tune``      — sweep coarsening factors for a kernel and print the
-  TDO candidate table (``--validate`` turns on the differential
-  equivalence gate);
+* ``tune``      — tune a kernel once (alternatives, pruning filters, TDO)
+  and print every config's fate: modeled time and speedup for the
+  survivors, the filter or legality reason for the rest
+  (``--validate`` turns on the differential equivalence gate);
 * ``validate``  — differentially validate every coarsening alternative of
   a benchmark or kernel against the untransformed baseline, and run the
   static barrier-legality lint;
@@ -58,61 +59,29 @@ def _parse_dims(text: str):
 
 
 def cmd_emit_ir(args) -> int:
-    from .dialects import polygeist
-    from .frontend import ModuleGenerator, parse_translation_unit
+    from .frontend import CodegenError
     from .ir import print_op
+    from .pipeline import build_launch_wrapper
     from .transforms import coarsen_wrapper, run_cleanup
 
-    unit = parse_translation_unit(_load_source(args.file))
-    generator = ModuleGenerator(unit)
-    kernels = [f.name for f in unit.kernels()]
-    if not kernels:
-        print("no __global__ kernels found", file=sys.stderr)
+    try:
+        built = build_launch_wrapper(_load_source(args.file),
+                                     args.kernel or None, args.grid_rank,
+                                     _parse_dims(args.block))
+    except CodegenError as error:
+        print(error, file=sys.stderr)
         return 1
-    kernel = args.kernel or kernels[0]
-    block = _parse_dims(args.block)
-    name = generator.get_launch_wrapper(kernel, args.grid_rank, block)
-    run_cleanup(generator.module)
-    wrapper = polygeist.find_gpu_wrappers(generator.module.func(name))[0]
     if args.block_factor > 1 or args.thread_factor > 1:
         result = coarsen_wrapper(
-            wrapper,
+            built.wrapper,
             block_total=args.block_factor if args.block_factor > 1
             else None,
             thread_total=args.thread_factor if args.thread_factor > 1
             else None)
-        run_cleanup(generator.module)
+        run_cleanup(built.module)
         print("// coarsened: %s" % result.describe())
-    print(print_op(generator.module.func(name)))
+    print(print_op(built.module.func(built.name)))
     return 0
-
-
-def _run_full_tune(source: str, kernel: str, block, grids, arch, configs,
-                   engine):
-    """The full §VI flow (alternatives → filters → TDO) for one kernel.
-
-    This is what ``tune --trace`` / ``tune --explain`` observe: unlike
-    the sweep table (which models *every* configuration unfiltered), it
-    runs the pruning filters, so the trace contains the filter stages and
-    the decision log names an eliminating stage per alternative.
-    """
-    from .autotune import tune_wrapper
-    from .dialects import polygeist
-    from .frontend import ModuleGenerator, parse_translation_unit
-    from .transforms import run_cleanup
-
-    with engine.stage("parse"):
-        unit = parse_translation_unit(source)
-        generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    with engine.stage("cleanup"):
-        run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    return tune_wrapper(wrapper, arch, envs, configs, engine=engine)
 
 
 #: engine stages in pipeline order, for the ``tune --stats`` table
@@ -137,20 +106,54 @@ def _stage_table(engine) -> str:
     return "\n".join(lines)
 
 
+def _tune_table(outcome, arch) -> str:
+    """``repro tune``'s table: the surviving configs, fastest first, with
+    their modeled time and speedup over the uncoarsened config, then
+    every other config with the reason it did not race."""
+    baseline = next((c for c in outcome.candidates if c.valid and
+                     int(c.config.get("block_total", 1)) == 1 and
+                     int(c.config.get("thread_total", 1)) == 1), None)
+    if baseline is None:
+        raise ValueError("baseline configuration failed to model")
+    lines = ["%-26s %14s %10s" % ("configuration", "modeled time",
+                                  "speedup"), "-" * 54]
+    for candidate in sorted((c for c in outcome.candidates if c.valid),
+                            key=lambda c: c.time_seconds):
+        lines.append("%-26s %13.3es %9.2fx" % (
+            candidate.desc, candidate.time_seconds,
+            baseline.time_seconds / candidate.time_seconds))
+    others = [(c.desc, "invalid", c.reason)
+              for c in outcome.candidates if not c.valid]
+    for name, dropped in (("shared memory", outcome.filters.dropped_shared),
+                          ("registers", outcome.filters.dropped_spills)):
+        for entry in dropped:  # "<desc> (<detail>)"
+            desc, _, detail = entry.partition(" (")
+            others.append((desc, "pruned", "%s: %s" % (name, detail[:-1])))
+    if outcome.validation is not None:
+        others += [(v.desc, "rejected", v.detail or v.status)
+                   for v in outcome.validation.verdicts if not v.passed]
+    # an illegal config is named by its legality error
+    others += [(rejected, "invalid", "illegal coarsening")
+               for rejected in outcome.rejected]
+    lines += ["%-26s %14s  (%s)" % row for row in others]
+    lines += ["-" * 54, "best: %s (%.2fx) on %s" % (
+        outcome.selected_desc,
+        baseline.time_seconds / outcome.selected_time, arch.name)]
+    return "\n".join(lines)
+
+
 def cmd_tune(args) -> int:
-    from .autotune import paper_sweep_configs
-    from .benchsuite.experiments import sweep_kernel_configs
+    from .autotune import paper_sweep_configs, tune_wrapper
     from .engine import TuningEngine
     from .obs import decisions as obs_decisions
     from .obs import metrics as obs_metrics
     from .obs import tracer as obs_tracer
     from .obs.export import write_chrome_trace
+    from .pipeline import build_launch_wrapper
     from .targets import arch_by_name
 
     arch = arch_by_name(args.arch)
-    block = _parse_dims(args.block)
     grid = _parse_dims(args.grid)
-    configs = paper_sweep_configs(max_product=args.max_factor)
     tracer = None
     log = None
     engine = TuningEngine(validate=args.validate or None)
@@ -160,48 +163,26 @@ def cmd_tune(args) -> int:
     obs_metrics.install(engine.registry)
     if args.trace:
         tracer = obs_tracer.install(obs_tracer.Tracer())
+    if args.explain or args.trace:
+        log = obs_decisions.install(obs_decisions.DecisionLog())
     try:
-        sweep = sweep_kernel_configs(
-            _load_source(args.file), args.kernel, block, [grid], arch,
-            configs, engine=engine)
-        baseline = sweep.baseline()
-        if baseline is None:
-            print("baseline configuration failed to model",
-                  file=sys.stderr)
+        built = build_launch_wrapper(_load_source(args.file), args.kernel,
+                                     len(grid), _parse_dims(args.block),
+                                     engine)
+        try:
+            outcome = tune_wrapper(
+                built.wrapper, arch, [built.env(grid)],
+                paper_sweep_configs(max_product=args.max_factor),
+                engine=engine)
+            table = _tune_table(outcome, arch)
+        except ValueError as error:  # InvalidLaunch included
+            print("tune failed: %s" % error, file=sys.stderr)
             return 1
-        print("%-26s %14s %10s" % ("configuration", "modeled time",
-                                   "speedup"))
-        print("-" * 54)
-        for result in sorted(sweep.results, key=lambda r: r.seconds):
-            if result.valid:
-                print("%-26s %13.3es %9.2fx" %
-                      (result.desc, result.seconds,
-                       baseline.seconds / result.seconds))
-            else:
-                print("%-26s %14s  (%s)" % (result.desc, "invalid",
-                                            result.reason))
-        best = sweep.best()
-        print("-" * 54)
-        print("best: %s (%.2fx) on %s" %
-              (best.desc, baseline.seconds / best.seconds, arch.name))
-        outcome = None
-        if args.explain or args.trace or engine.validate:
-            log = obs_decisions.install(obs_decisions.DecisionLog())
-            try:
-                outcome = _run_full_tune(_load_source(args.file),
-                                         args.kernel, block, [grid], arch,
-                                         configs, engine)
-            except ValueError as error:
-                print("full tune failed: %s" % error, file=sys.stderr)
-                if engine.validate:
-                    return 1
-            finally:
-                obs_decisions.uninstall()
-        if engine.validate and outcome is not None \
-                and outcome.validation is not None:
+        print(table)
+        if outcome.validation is not None:
             print()
             print(outcome.validation.summary())
-        if args.explain and log is not None and len(log):
+        if log is not None and args.explain and len(log):
             print()
             print(log.explain())
         if args.stats:
@@ -209,6 +190,8 @@ def cmd_tune(args) -> int:
             print("engine stages:")
             print(_stage_table(engine))
     finally:
+        if log is not None:
+            obs_decisions.uninstall()
         obs_metrics.uninstall()
         if tracer is not None:
             obs_tracer.uninstall()
@@ -562,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="apply thread coarsening by this total factor")
     emit.set_defaults(fn=cmd_emit_ir)
 
-    tune = sub.add_parser("tune", help="sweep coarsening factors")
+    tune = sub.add_parser("tune", help="tune a kernel's coarsening")
     tune.add_argument("file")
     tune.add_argument("kernel")
     tune.add_argument("--arch", default="a100")
@@ -570,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--block", default="256")
     tune.add_argument("--max-factor", type=int, default=32)
     tune.add_argument("--stats", action="store_true",
-                      help="print per-stage engine timings after the sweep")
+                      help="print per-stage engine timings after the tune")
     tune.add_argument("--trace", metavar="FILE",
                       help="record a Chrome trace-event JSON of the whole "
                            "pipeline (open in Perfetto)")

@@ -11,7 +11,7 @@ actual launch geometry, and the fastest is selected into place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import polygeist
 from ..ir import Operation, Value, collector_paused, unlink_subtree
@@ -38,6 +38,8 @@ class Candidate:
     time_seconds: float
     valid: bool
     reason: str = ""
+    #: coarsening kwargs of the planned alternative this region came from
+    config: Optional[Dict[str, object]] = None
 
 
 @dataclass
@@ -54,6 +56,8 @@ class TuneOutcome:
     selected_config: Optional[Dict[str, object]] = None
     #: differential-validation report, when the gate ran
     validation: Optional[object] = None
+    #: configs whose coarsening is illegal, each with the legality error
+    rejected: List[str] = field(default_factory=list)
 
     def speedup_over(self, baseline_desc: str) -> float:
         """Speedup of the selection relative to ``baseline_desc``.
@@ -159,7 +163,7 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     :class:`~repro.simulator.batch.LaunchScorer` batch (each one's
     launches × loops block-count matrix, its first failure found in the
     scalar visit order, one vectorized timing pass over every launching
-    entry).
+    entry). This is :func:`tune_wrapper`'s default ranking step.
     """
     envs = env if isinstance(env, (list, tuple)) else [env]
     with obs_tracer.span("tdo", category="tdo",
@@ -167,10 +171,20 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                          launches=len(envs)):
         candidates = score_alternatives(alt, arch, envs)
     obs_metrics.inc("tdo.evaluations", len(candidates))
-    valid = [c for c in candidates if c.valid]
-    if not valid:
+    if not any(c.valid for c in candidates):
         raise InvalidLaunch("no alternative can launch on %s" % arch.name)
-    best = min(valid, key=lambda c: c.time_seconds)
+    return select_fastest(alt, candidates, "modeled", select)
+
+
+def select_fastest(alt: Operation, candidates: List[Candidate],
+                   measure: str, select: bool = True) -> TuneOutcome:
+    """Pick the fastest valid candidate, the last step of every ranking.
+
+    Records each loser's time in the active decision log, described as
+    ``measure`` ("modeled" or "profiled"), and with ``select`` splices
+    the winner into place."""
+    best = min((c for c in candidates if c.valid),
+               key=lambda c: c.time_seconds)
     decision = obs_decisions.active_decision()
     if decision is not None:
         for candidate in candidates:
@@ -183,16 +197,16 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                 decision.set_time(candidate.desc, candidate.time_seconds)
                 if best.time_seconds > 0.0:
                     margin = candidate.time_seconds / best.time_seconds
-                    reason = "%.3es modeled, %.2fx slower than the " \
-                             "winner" % (candidate.time_seconds, margin)
+                    reason = "%.3es %s, %.2fx slower than the winner" % (
+                        candidate.time_seconds, measure, margin)
                 else:
-                    reason = "%.3es modeled, slower than the winner" \
-                             % candidate.time_seconds
+                    reason = "%.3es %s, slower than the winner" % (
+                        candidate.time_seconds, measure)
                 decision.eliminate(candidate.desc, obs_decisions.TIMING,
                                    reason)
         decision.select(best.desc, best.time_seconds)
-    logger.info("TDO selected %s (%.3es) out of %d alternatives",
-                best.desc, best.time_seconds, len(candidates))
+    logger.info("selected %s (%.3es %s) out of %d alternatives",
+                best.desc, best.time_seconds, measure, len(candidates))
     if select:
         select_alternative(alt, best.index)
     return TuneOutcome(best.desc, best.time_seconds, candidates,
@@ -209,8 +223,8 @@ def _wrapper_label(wrapper: Operation) -> str:
     return "gpu_wrapper"
 
 
-def _clone_baseline(wrapper: Operation
-                    ) -> Tuple[Optional[Operation], Optional[Operation]]:
+def clone_baseline(wrapper: Operation
+                   ) -> Tuple[Optional[Operation], Optional[Operation]]:
     """A detached clone of the enclosing func, taken *before* alternative
     generation erases the wrapper body, plus the cloned wrapper matching
     ``wrapper`` (for launch-shape sizing). ``(None, None)`` when the
@@ -275,16 +289,62 @@ def _validation_gate(alt: Operation, baseline_func: Operation,
     return validation, None
 
 
+def _count_generation(engine, report) -> None:
+    engine.registry.counter("alternative_generations").inc()
+    engine.registry.counter("alternatives_generated").inc(
+        len(report.alternatives))
+
+
+def _clean(alt: Operation, stage) -> Operation:
+    from ..transforms import cleanup_regions
+    with stage("cleanup"):
+        # scoped to the regions: the rest of the module was pre-cleaned
+        # to a fixpoint, so this equals a whole-module cleanup
+        # (tests/test_scoped_cleanup.py asserts printed-IR equality
+        # benchsuite-wide)
+        cleanup_regions(list(alt.regions))
+    return alt
+
+
+def materialize_every_plan(wrapper: Operation,
+                           configs: Sequence[Dict[str, object]],
+                           engine) -> Tuple[object, Optional[Operation]]:
+    """:func:`tune_wrapper`'s plan, materialize and cleanup steps over
+    every legal config, with no filter: ``(plans, alternatives op)``, the
+    op ``None`` when no config is legal. For the callers that need every
+    region, the Fig. 13-15 sweeps and source-mode validation."""
+    from ..transforms.alternatives import plan_coarsening_alternatives
+    stage = engine.stage
+    with stage("alternatives"):
+        report = plan_coarsening_alternatives(wrapper, configs)
+    _count_generation(engine, report)
+    if not report.alternatives:
+        return report, None
+    with stage("alternatives"):
+        alt = report.materialize(range(len(report.alternatives)))
+    return report, _clean(alt, stage)
+
+
 def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                  env,
                  configs: Sequence[Dict[str, object]],
-                 engine) -> TuneOutcome:
-    """Full §VI flow for one gpu_wrapper: alternatives → filters → TDO.
+                 engine,
+                 rank: Optional[Callable[..., TuneOutcome]] = None
+                 ) -> TuneOutcome:
+    """Full §VI flow for one gpu_wrapper: alternatives → filters →
+    validation → ranking.
 
     ``engine`` (a :class:`repro.engine.TuningEngine`) times each stage
     into its registry and supplies the validation switch; tuning
     decisions are cached at the :class:`~repro.pipeline.Program` level,
     not here.
+
+    ``rank(alt, arch, env)`` is the last step: it picks the winner among
+    the surviving regions, splices it into place and returns the
+    :class:`TuneOutcome`. The default is
+    :func:`timing_driven_optimization`;
+    :meth:`~repro.pipeline.Program.profile_launch` executes each region
+    instead (the paper's profiling mode).
 
     The tune runs with the cycle collector paused: it builds tens of
     thousands of IR objects, all reference cycles while live, and takes
@@ -292,9 +352,10 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     live IR and free nothing (``tests/test_cyclic_garbage.py`` checks that
     a tune leaves no cyclic garbage).
     """
-    from ..transforms import cleanup_regions
     from ..transforms.alternatives import plan_coarsening_alternatives
 
+    if rank is None:
+        rank = timing_driven_optimization
     stage = engine.stage
     log = obs_decisions.current()
     decision = log.begin(_wrapper_label(wrapper), arch.name) \
@@ -304,16 +365,14 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
         if engine.validate:
             # the baseline must be cloned before materialization erases
             # the body
-            baseline_func, sizing_wrapper = _clone_baseline(wrapper)
+            baseline_func, sizing_wrapper = clone_baseline(wrapper)
             if baseline_func is None and decision is not None:
                 decision.note("validation skipped: wrapper not nested in "
                               "a function")
         with stage("alternatives"), \
                 obs_tracer.span("tune.alternatives", category="tune"):
             report = plan_coarsening_alternatives(wrapper, configs)
-        engine.registry.counter("alternative_generations").inc()
-        engine.registry.counter("alternatives_generated").inc(
-            len(report.alternatives))
+        _count_generation(engine, report)
         if decision is not None:
             for info in report.alternatives:
                 decision.add(info.desc, config=dict(info.config))
@@ -332,13 +391,7 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                     obs_tracer.span("tune.materialize", category="tune",
                                     alternatives=len(indices)):
                 alt = report.materialize(indices)
-            with stage("cleanup"):
-                # scoped to the clones: the pipeline pre-cleaned the rest
-                # of the module to a fixpoint, so this equals a
-                # whole-module cleanup (tests/test_scoped_cleanup.py
-                # asserts printed-IR equality benchsuite-wide)
-                cleanup_regions(list(alt.regions))
-            return alt
+            return _clean(alt, stage)
 
         # the IR is stable from materialization until selection, so the
         # spill filter and the timing models may share one linearized
@@ -346,33 +399,33 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
         with linearized_cache():
             filters, alt = run_planned_filters(report.alternatives, arch,
                                                materialize, stage)
-            validation = validation_keep = None
+            survivors = filters.survivors
+            validation = None
             if engine.validate and baseline_func is not None:
-                # gate after the cheap static filters, before the timing
-                # race: a fast-but-miscompiled alternative must never win
+                # gate after the cheap static filters, before the ranking:
+                # a fast-but-miscompiled alternative must never win
                 with stage("validate"), \
                         obs_tracer.span("tune.validate", category="tune"):
                     try:
-                        validation, validation_keep = _validation_gate(
+                        validation, keep = _validation_gate(
                             alt, baseline_func, sizing_wrapper, env,
                             decision)
                     finally:
                         # the detached baseline is dropped whole here
                         unlink_subtree([baseline_func])
+                if keep is not None:
+                    survivors = [survivors[i] for i in keep]
             with stage("tdo"):
-                outcome = timing_driven_optimization(alt, arch, env)
+                outcome = rank(alt, arch, env)
     outcome.filters = filters
     outcome.validation = validation
-    # map the winning region back through the validation prune and the
-    # filter prune to the original alternative so the winner's coarsening
-    # config can be replayed from cache without regenerating alternatives
-    index = outcome.selected_index
-    if validation_keep is not None and 0 <= index < len(validation_keep):
-        index = validation_keep[index]
-    survivors = filters.survivors
-    original = survivors[index] if 0 <= index < len(survivors) else index
-    for info in report.alternatives:
-        if info.index == original:
-            outcome.selected_config = dict(info.config)
-            break
+    outcome.rejected = report.rejected
+    # every region maps back through the validation and filter prunes to
+    # its plan, so the winner's coarsening config can be replayed from
+    # cache without regenerating alternatives
+    for candidate in outcome.candidates:
+        candidate.config = report.alternatives[
+            survivors[candidate.index]].config
+    outcome.selected_config = dict(
+        outcome.candidates[outcome.selected_index].config)
     return outcome

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..autotune import paper_sweep_configs
-from ..autotune.tdo import timing_driven_optimization
-from ..dialects import polygeist
+from ..autotune.tdo import materialize_every_plan, timing_driven_optimization
 from ..engine import TuningEngine
-from ..frontend import ModuleGenerator, parse_translation_unit
+from ..pipeline import build_launch_wrapper
 from ..simulator.model import InvalidLaunch
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
 from ..transforms import run_cleanup
-from ..transforms.alternatives import plan_coarsening_alternatives
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark
 
@@ -45,6 +43,8 @@ class ConfigTime:
     seconds: float
     valid: bool
     reason: str = ""
+    #: the coarsening kwargs this row was planned from
+    config: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -89,52 +89,37 @@ def sweep_kernel_configs(source: str, kernel: str,
                          *, engine: TuningEngine) -> KernelSweep:
     """Model every coarsening config of one kernel over a set of grids.
 
-    ``engine`` times each stage of the sweep into its registry.
+    Unlike a tune, nothing is filtered: every legal config is
+    materialized and timed. ``engine`` times each stage of the sweep into
+    its registry.
     """
-    from ..transforms import cleanup_regions
-    stage = engine.stage
     configs = list(configs) if configs is not None \
         else paper_sweep_configs()
-    with stage("parse"):
-        unit = parse_translation_unit(source)
-        generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    with stage("cleanup"):
-        run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    with stage("alternatives"):
-        report = plan_coarsening_alternatives(wrapper, configs)
-    engine.registry.counter("alternative_generations").inc()
-    engine.registry.counter("alternatives_generated").inc(
-        len(report.alternatives))
+    built = build_launch_wrapper(source, kernel, len(grids[0]), block,
+                                 engine)
+    report, alt = materialize_every_plan(built.wrapper, configs, engine)
     sweep = KernelSweep(benchmark_name, kernel, tuple(block))
-    if not report.alternatives:
+    if alt is None:
         return sweep
-    with stage("alternatives"):
-        alt = report.materialize(range(len(report.alternatives)))
-    with stage("cleanup"):
-        cleanup_regions(list(alt.regions))
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report.alternatives, alt, arch, envs)
-    with stage("tdo"):
+    envs = _apply_measurement_cutoff(report.alternatives, alt, arch,
+                                     [built.env(grid) for grid in grids])
+    with engine.stage("tdo"):
         outcome = timing_driven_optimization(alt, arch, envs, select=False)
-    by_index = {info.index: info for info in report.alternatives}
     for candidate in outcome.candidates:
-        info = by_index.get(candidate.index)
-        config = info.config if info else {}
+        config = report.alternatives[candidate.index].config
         sweep.results.append(ConfigTime(
             block_total=int(config.get("block_total", 1)),
             thread_total=int(config.get("thread_total", 1)),
             desc=candidate.desc,
             seconds=candidate.time_seconds,
             valid=candidate.valid,
-            reason=candidate.reason))
-    for rejected in report.rejected:
+            reason=candidate.reason,
+            config=config))
+    for rejected, (config, _) in zip(report.rejected,
+                                     report.rejected_configs):
         sweep.results.append(ConfigTime(0, 0, rejected, float("inf"),
-                                        False, "illegal coarsening"))
+                                        False, "illegal coarsening",
+                                        config))
     return sweep
 
 
@@ -279,45 +264,24 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
                           thread_x: Sequence[int] = (1, 2, 4, 8)
                           ) -> Dict[Tuple[int, int], Optional[float]]:
     """lud_internal: block coarsening along x × thread coarsening."""
-    from ..transforms import cleanup_regions
     bench = get_benchmark("lud")
     groups = _launch_groups(bench)
     (kernel, block), grids = next(
         ((k, g) for k, g in groups.items() if k[0] == "lud_internal"))
     configs = [{"block_factors": (bx, 1), "thread_factors": (tx, 1)}
                for bx in block_x for tx in thread_x]
-    unit = parse_translation_unit(bench.source)
-    generator = ModuleGenerator(unit)
-    wrapper_name = generator.get_launch_wrapper(kernel, len(grids[0]),
-                                                block)
-    run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    report = plan_coarsening_alternatives(wrapper, configs)
-    alt = report.materialize(range(len(report.alternatives)))
-    cleanup_regions(list(alt.regions))
-    grid_args = f.body_block().args[:len(grids[0])]
-    envs = [dict(zip(grid_args, grid)) for grid in grids]
-    envs = _apply_measurement_cutoff(report.alternatives, alt, arch, envs)
-    outcome = timing_driven_optimization(alt, arch, envs, select=False)
-    by_index = {info.index: info for info in report.alternatives}
-    results: Dict[Tuple[int, int], Optional[float]] = {}
-    baseline = None
-    for candidate in outcome.candidates:
-        info = by_index[candidate.index]
-        bx = info.config.get("block_factors", (1, 1))[0]
-        tx = info.config.get("thread_factors", (1, 1))[0]
-        if (bx, tx) == (1, 1) and candidate.valid:
-            baseline = candidate.time_seconds
-    for candidate in outcome.candidates:
-        info = by_index[candidate.index]
-        bx = info.config.get("block_factors", (1, 1))[0]
-        tx = info.config.get("thread_factors", (1, 1))[0]
-        if candidate.valid and baseline:
-            results[(bx, tx)] = baseline / candidate.time_seconds
-        else:
-            results[(bx, tx)] = None
-    return results
+    sweep = sweep_kernel_configs(bench.source, kernel, block, grids, arch,
+                                 configs, "lud",
+                                 engine=TuningEngine(validate=False))
+
+    def x_factors(result):
+        return (result.config["block_factors"][0],
+                result.config["thread_factors"][0])
+
+    baseline = next((r.seconds for r in sweep.results
+                     if r.valid and x_factors(r) == (1, 1)), None)
+    return {x_factors(r): baseline / r.seconds
+            if r.valid and baseline else None for r in sweep.results}
 
 
 #: the three (block, thread) factor points Table II profiles
@@ -338,44 +302,34 @@ def table2_profile_row(config: Dict[str, int],
     ``model_size``. Each row is independent, which is what lets the
     sharded sweep run them as separate jobs.
     """
+    from ..interpreter import MemoryBuffer
+    from ..ir import F32
     from ..simulator import trace_kernel
+    from ..simulator.model import model_wrapper_launch
     from ..transforms import coarsen_wrapper
     from .lud import make_diagonally_dominant, B
 
     bench = get_benchmark("lud")
-    unit = parse_translation_unit(bench.source)
-    generator = ModuleGenerator(unit)
-    tiles = size // B
-    remaining = tiles - 1
-    wrapper_name = generator.get_launch_wrapper("lud_internal", 2,
-                                                (B, B))
-    run_cleanup(generator.module)
-    f = generator.module.func(wrapper_name)
-    wrapper = polygeist.find_gpu_wrappers(f)[0]
-    if config:
-        coarsen_wrapper(wrapper, **config)
-        run_cleanup(generator.module)
-    from ..interpreter import MemoryBuffer
-    from ..ir import F32
+
+    def coarsened():
+        built = build_launch_wrapper(bench.source, "lud_internal", 2,
+                                     (B, B))
+        if config:
+            coarsen_wrapper(built.wrapper, **config)
+            run_cleanup(built.module)
+        return built
+
+    traced = coarsened()
+    remaining = size // B - 1
     matrix = MemoryBuffer((size * size,), F32,
                           data=make_diagonally_dominant(size, 0).ravel())
-    trace = trace_kernel(generator.module, wrapper_name,
+    trace = trace_kernel(traced.module, traced.name,
                          [remaining, remaining, matrix, size, 0], arch)
     # runtime from the analytical model at paper-ish scale
     model_grid = bench.model_size // B - 1
-    unit2 = parse_translation_unit(bench.source)
-    gen2 = ModuleGenerator(unit2)
-    wname2 = gen2.get_launch_wrapper("lud_internal", 2, (B, B))
-    run_cleanup(gen2.module)
-    f2 = gen2.module.func(wname2)
-    wrapper2 = polygeist.find_gpu_wrappers(f2)[0]
-    if config:
-        coarsen_wrapper(wrapper2, **config)
-        run_cleanup(gen2.module)
-    from ..simulator.model import model_wrapper_launch
-    env = dict(zip(f2.body_block().args[:2],
-                   (model_grid, model_grid)))
-    timing = model_wrapper_launch(wrapper2, arch, env)
+    modeled = coarsened()
+    timing = model_wrapper_launch(modeled.wrapper, arch,
+                                  modeled.env((model_grid, model_grid)))
     metrics = trace.metrics
     metrics.time_seconds = timing.time_seconds
     # unit utilizations come from the analytical model (the trace only

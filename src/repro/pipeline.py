@@ -22,30 +22,27 @@ before the winner is compiled in.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .autotune import default_configs, tune_wrapper
-from .autotune.tdo import TuneOutcome
+from .autotune.tdo import Candidate, TuneOutcome, select_fastest
 from .dialects import polygeist
 from .engine import TuningEngine, default_engine
 from .engine.cache import CacheEntry, source_hash, tuning_key
-from .frontend import ModuleGenerator, parse_translation_unit
+from .frontend import CodegenError, ModuleGenerator, parse_translation_unit
 from .interpreter import Interpreter, MemoryBuffer
-from .ir import FloatType, MemRefType
-from .obs import decisions as obs_decisions
+from .ir import FloatType, MemRefType, Module, Operation, Value
 from .obs import tracer as obs_tracer
-from .obs.log import get_logger
 from .runtime import DeviceBuffer, GPURuntime
 from .simulator.model import InvalidLaunch
 from .targets import A100, GPUArchitecture
 from .transforms import run_cleanup
 
 TIERS = ("clang", "polygeist-noopt", "polygeist", "polygeist-heuristic")
-
-logger = get_logger("pipeline")
 
 
 @dataclass
@@ -169,115 +166,78 @@ class Program:
                        runs_per_alternative: int = 1) -> LaunchResult:
         """The paper's profiling mode (§VI, Fig. 12), end to end.
 
-        Instead of ranking alternatives analytically, the surviving
-        alternatives are kept in the IR with dispatch logic (the
-        ``polygeist.alternatives`` op), each one is *executed* on the
-        simulated device and timed, and the fastest is then selected into
-        place — exactly the "execute each alternative one or more times,
-        select the best, call the compiler again to remove the others"
-        flow. Subsequent :meth:`launch` calls run the winner.
+        The first launch of a wrapper tunes it through
+        :func:`~repro.autotune.tdo.tune_wrapper`, so the alternatives are
+        planned, pruned and (with ``engine.validate``) validated exactly
+        as for TDO; only the ranking step differs: each surviving
+        alternative is *executed* on the simulated device and timed, and
+        the fastest is then selected into place — the "execute each
+        alternative one or more times, select the best, call the compiler
+        again to remove the others" flow. Subsequent :meth:`launch` calls
+        run the winner.
         """
-        from .autotune.filters import run_planned_filters
-        from .autotune.tdo import Candidate, TuneOutcome
-        from .transforms import cleanup_regions
-        from .transforms.alternatives import (plan_coarsening_alternatives,
-                                              select_alternative)
-
         grid = _as_dims(grid)
         block = _as_dims(block)
-        if runtime is None:
-            runtime = GPURuntime(self.arch)
         wrapper_name = self.generator.get_launch_wrapper(
             kernel, len(grid), block)
         self._clean_once(wrapper_name, True)
-        f = self.module.func(wrapper_name)
         if wrapper_name not in self._tuned:
             self._tuned.add(wrapper_name)
+            f = self.module.func(wrapper_name)
             wrappers = polygeist.find_gpu_wrappers(f)
             if wrappers:
-                with self.engine.stage("alternatives"):
-                    report = plan_coarsening_alternatives(
-                        wrappers[0], self.autotune_configs)
-                counter = self.engine.registry.counter
-                counter("alternative_generations").inc()
-                counter("alternatives_generated").inc(
-                    len(report.alternatives))
-                if report.alternatives:
-                    log = obs_decisions.current()
-                    decision = log.begin(wrapper_name, self.arch.name) \
-                        if log is not None else None
-                    if decision is not None:
-                        for info in report.alternatives:
-                            decision.add(info.desc,
-                                         config=dict(info.config))
-
-                    def materialize(indices):
-                        with self.engine.stage("alternatives"):
-                            alt = report.materialize(indices)
-                        with self.engine.stage("cleanup"):
-                            cleanup_regions(list(alt.regions))
-                        return alt
-
-                    _, alt = run_planned_filters(report.alternatives,
-                                                 self.arch, materialize,
-                                                 self.engine.stage)
-                    coerced, _ = self._coerce_args(wrapper_name, grid, args)
-                    # snapshot device state: profiling runs are discarded
-                    snapshots = [(value, np.array(value.array))
-                                 for value in coerced
-                                 if isinstance(value, MemoryBuffer)]
-                    descs = list(alt.attr("alternatives.descs"))
-                    candidates = []
-                    saved_tracer = self._interpreter.tracer
-                    saved_selector = self._interpreter.alternative_selector
-                    try:
-                        for index in range(len(alt.regions)):
-                            self._interpreter.alternative_selector = \
-                                _fixed_selector(index)
-                            probe = GPURuntime(self.arch)
-                            self._interpreter.tracer = probe.tracer
-                            with obs_tracer.span(
-                                    "profile.alternative",
-                                    category="profile",
-                                    desc=descs[index],
-                                    runs=runs_per_alternative):
-                                for _ in range(runs_per_alternative):
-                                    self._interpreter.run_func(
-                                        wrapper_name, list(coerced))
-                                    # restore device state after EVERY
-                                    # run: non-idempotent kernels
-                                    # (accumulators) would otherwise time
-                                    # runs 2..N on already-mutated inputs
-                                    for buffer, snapshot in snapshots:
-                                        buffer.array[...] = snapshot
-                            candidates.append(Candidate(
-                                index, descs[index],
-                                probe.kernel_seconds /
-                                runs_per_alternative, True))
-                    finally:
-                        self._interpreter.tracer = saved_tracer
-                        self._interpreter.alternative_selector = \
-                            saved_selector
-                    best = min(candidates, key=lambda c: c.time_seconds)
-                    if decision is not None:
-                        for candidate in candidates:
-                            if candidate is best:
-                                continue
-                            decision.set_time(candidate.desc,
-                                              candidate.time_seconds)
-                            decision.eliminate(
-                                candidate.desc, obs_decisions.TIMING,
-                                "%.3es profiled, slower than the winner"
-                                % candidate.time_seconds)
-                        decision.select(best.desc, best.time_seconds)
-                    logger.info("profiling selected %s (%.3es) for %s",
-                                best.desc, best.time_seconds,
-                                wrapper_name)
-                    select_alternative(alt, best.index)
+                coerced, _ = self._coerce_args(wrapper_name, grid, args)
+                env = dict(zip(f.body_block().args[:len(grid)], grid))
+                try:
+                    outcome = tune_wrapper(
+                        wrappers[0], self.arch, env, self.autotune_configs,
+                        engine=self.engine,
+                        rank=self._profiling_rank(wrapper_name, coerced,
+                                                  runs_per_alternative))
+                except (ValueError, InvalidLaunch):
+                    outcome = None  # keep the untransformed kernel
+                if outcome is not None:
                     self._run_cleanup(True)
-                    self.tuning_outcomes[wrapper_name] = TuneOutcome(
-                        best.desc, best.time_seconds, candidates)
+                    self.tuning_outcomes[wrapper_name] = outcome
         return self.launch(kernel, grid, block, args, runtime=runtime)
+
+    def _profiling_rank(self, wrapper_name: str, coerced: List[object],
+                        runs: int):
+        """:func:`~repro.autotune.tdo.tune_wrapper`'s ranking step for
+        :meth:`profile_launch`: run the wrapper ``runs`` times per region
+        on ``coerced`` and rank the regions by their mean kernel time."""
+        def rank(alt, arch, env) -> TuneOutcome:
+            # snapshot device state: profiling runs are discarded
+            snapshots = [(value, np.array(value.array)) for value in coerced
+                         if isinstance(value, MemoryBuffer)]
+            candidates = []
+            saved_tracer = self._interpreter.tracer
+            saved_selector = self._interpreter.alternative_selector
+            try:
+                for index, desc in enumerate(
+                        polygeist.alternative_descs(alt)):
+                    self._interpreter.alternative_selector = \
+                        _fixed_selector(index)
+                    probe = GPURuntime(arch)
+                    self._interpreter.tracer = probe.tracer
+                    with obs_tracer.span("profile.alternative",
+                                         category="profile", desc=desc,
+                                         runs=runs):
+                        for _ in range(runs):
+                            self._interpreter.run_func(wrapper_name,
+                                                       list(coerced))
+                            # restore device state after EVERY run:
+                            # non-idempotent kernels (accumulators) would
+                            # otherwise time runs 2..N on mutated inputs
+                            for buffer, snapshot in snapshots:
+                                buffer.array[...] = snapshot
+                    candidates.append(Candidate(
+                        index, desc, probe.kernel_seconds / runs, True))
+            finally:
+                self._interpreter.tracer = saved_tracer
+                self._interpreter.alternative_selector = saved_selector
+            return select_fastest(alt, candidates, "profiled")
+        return rank
 
     def tune_aggregate(self, kernel: str, block, grids) -> None:
         """Tune a kernel's wrapper over a whole set of launch geometries.
@@ -554,6 +514,49 @@ def _element_for(dtype):
     if dtype in (np.dtype(np.int32), np.dtype(np.int64)):
         return INDEX
     raise TypeError("unsupported array dtype %s" % dtype)
+
+
+@dataclass
+class LaunchWrapper:
+    """One kernel's launch wrapper, generated from source and cleaned."""
+
+    module: Module
+    name: str
+    #: the ``polygeist.gpu_wrapper`` op inside function ``name``
+    wrapper: Operation
+
+    def env(self, grid: Sequence[int]) -> Dict[Value, int]:
+        """The launch environment binding the grid arguments to ``grid``."""
+        args = self.module.func(self.name).body_block().args
+        return dict(zip(args[:len(grid)], grid))
+
+
+def build_launch_wrapper(source: str, kernel: Optional[str],
+                         grid_rank: int, block: Sequence[int],
+                         engine: Optional[TuningEngine] = None
+                         ) -> LaunchWrapper:
+    """Parse ``source``, generate ``kernel``'s launch wrapper over
+    ``block`` and clean the module: where every tool that transforms a
+    single kernel outside a :class:`Program` starts.
+
+    ``kernel=None`` picks the source's first kernel. ``engine`` times the
+    parse and cleanup stages into its registry.
+    """
+    # nullcontext(name) is an untimed stage
+    stage = engine.stage if engine is not None else nullcontext
+    with stage("parse"):
+        unit = parse_translation_unit(source)
+        generator = ModuleGenerator(unit)
+    if kernel is None:
+        kernels = unit.kernels()
+        if not kernels:
+            raise CodegenError("no __global__ kernels found")
+        kernel = kernels[0].name
+    name = generator.get_launch_wrapper(kernel, grid_rank, tuple(block))
+    with stage("cleanup"):
+        run_cleanup(generator.module)
+    wrapper = polygeist.find_gpu_wrappers(generator.module.func(name))[0]
+    return LaunchWrapper(generator.module, name, wrapper)
 
 
 def compile_cuda(source: str, arch: Optional[GPUArchitecture] = None,

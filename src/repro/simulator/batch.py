@@ -34,6 +34,7 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from ..ir import Operation, Value
+from ..obs import tracer as obs_tracer
 from ..targets import GPUArchitecture
 from .model import (LAUNCH_OVERHEAD, OVERLAP_LEAK, InvalidLaunch,
                     KernelModel, block_counts, env_columns)
@@ -252,9 +253,10 @@ class LaunchScorer:
             masks.append(mask)
             model_rows.append(np.broadcast_to(rows, counts.shape)[mask])
             model_counts.append(counts[mask])
-        times = self._batch.times(
-            np.concatenate(model_rows) if model_rows else [],
-            np.concatenate(model_counts) if model_counts else [])
+        with obs_tracer.span("model.compute", category="simulator"):
+            times = self._batch.times(
+                np.concatenate(model_rows) if model_rows else [],
+                np.concatenate(model_counts) if model_counts else [])
         results: List[Union[List[float], InvalidLaunch]] = []
         start = 0
         valid = iter(masks)

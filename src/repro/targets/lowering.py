@@ -11,6 +11,7 @@ bank-conflict analyses, the divergence count and the register estimator
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,9 +24,14 @@ from ..ir import (Block, FloatType, IndexType, IntegerType, MemRefType,
 #: assumed trip count for loops whose bounds are not compile-time constants
 SYMBOLIC_TRIPS = 16.0
 
-#: active memo of :func:`linearize_thread_body`, keyed by thread loop;
-#: ``None`` outside :func:`linearized_cache` scopes
-_STREAM_CACHE: Optional[Dict[Operation, "Linearized"]] = None
+
+class _Scope(threading.local):
+    #: this thread's memo of :func:`linearize_thread_body`, keyed by
+    #: thread loop; ``None`` outside :func:`linearized_cache` scopes
+    cache: Optional[Dict[Operation, "Linearized"]] = None
+
+
+_SCOPE = _Scope()
 
 
 @contextmanager
@@ -39,17 +45,18 @@ def linearized_cache():
     mutated, so it is scoped: entries live for the dynamic extent of the
     ``with`` block (keys hold strong references, so operation identity
     cannot be recycled underneath the cache). Nested scopes share the
-    outermost cache.
+    outermost cache. Scopes are per thread: tunes overlapping in threads
+    (``repro serve --isolation thread``) neither share entries nor end
+    each other's scope.
     """
-    global _STREAM_CACHE
-    outer = _STREAM_CACHE
+    outer = _SCOPE.cache
     if outer is None:
-        _STREAM_CACHE = {}
+        _SCOPE.cache = {}
     try:
         yield
     finally:
         if outer is None:
-            _STREAM_CACHE = None
+            _SCOPE.cache = None
 
 
 @dataclass
@@ -244,7 +251,7 @@ def linearize_thread_body(thread_parallel: Operation) -> Linearized:
     its extents, an ``scf.while`` as ``SYMBOLIC_TRIPS`` iterations. Inside
     a :func:`linearized_cache` scope the stream is built once per loop.
     """
-    cache = _STREAM_CACHE
+    cache = _SCOPE.cache
     if cache is not None:
         hit = cache.get(thread_parallel)
         if hit is not None:

@@ -194,6 +194,50 @@ def block_coarsen(wrapper: Operation,
     return result
 
 
+def _resolve_factors(wrapper: Operation,
+                     block_factors: Optional[Sequence[int]],
+                     thread_factors: Optional[Sequence[int]],
+                     block_total: Optional[int],
+                     thread_total: Optional[int]):
+    """Check a coarsening request against ``wrapper`` and turn totals
+    into per-dimension factors (footnote 4).
+
+    Returns ``(main block loop, result)``; the result holds the factors
+    and the notes on totals that balancing reduced. The one place
+    :func:`coarsen_wrapper` and :func:`plan_coarsening` decide factors,
+    so a plan and its materialization agree.
+    """
+    if wrapper.name != polygeist.GPU_WRAPPER:
+        raise CoarsenError("coarsen_wrapper expects a polygeist.gpu_wrapper")
+    mains = block_parallels(wrapper, include_epilogues=False)
+    if len(mains) != 1:
+        raise CoarsenError("wrapper must hold exactly one block loop")
+    main = mains[0]
+    result = CoarsenResult()
+    if block_total is not None:
+        if block_factors is not None:
+            raise CoarsenError("give block_factors or block_total, not both")
+        block_factors = balance_factors(block_total, parallel_extents(main))
+        if _product(block_factors) != block_total:
+            result.notes.append(
+                "block total %d reduced to %d by dimension limits" %
+                (block_total, _product(block_factors)))
+    if thread_total is not None:
+        if thread_factors is not None:
+            raise CoarsenError(
+                "give thread_factors or thread_total, not both")
+        thread_factors = balance_factors(
+            thread_total, parallel_extents(thread_parallel(main)),
+            require_divisors=True)
+        if _product(thread_factors) != thread_total:
+            result.notes.append(
+                "thread total %d reduced to %d by divisibility" %
+                (thread_total, _product(thread_factors)))
+    result.block_factors = tuple(block_factors or ())
+    result.thread_factors = tuple(thread_factors or ())
+    return main, result
+
+
 def coarsen_wrapper(wrapper: Operation,
                     block_factors: Optional[Sequence[int]] = None,
                     thread_factors: Optional[Sequence[int]] = None,
@@ -206,45 +250,13 @@ def coarsen_wrapper(wrapper: Operation,
     coarsening runs first (outer loop), then thread coarsening is applied
     inside every resulting block loop including epilogues.
     """
-    if wrapper.name != polygeist.GPU_WRAPPER:
-        raise CoarsenError("coarsen_wrapper expects a polygeist.gpu_wrapper")
-    mains = block_parallels(wrapper, include_epilogues=False)
-    if len(mains) != 1:
-        raise CoarsenError("wrapper must hold exactly one block loop")
-    result = CoarsenResult()
-
-    if block_total is not None:
-        if block_factors is not None:
-            raise CoarsenError("give block_factors or block_total, not both")
-        extents = parallel_extents(mains[0])
-        block_factors = balance_factors(block_total, extents)
-        if _product(block_factors) != block_total:
-            result.notes.append(
-                "block total %d reduced to %d by dimension limits" %
-                (block_total, _product(block_factors)))
-    if thread_total is not None:
-        if thread_factors is not None:
-            raise CoarsenError(
-                "give thread_factors or thread_total, not both")
-        extents = parallel_extents(thread_parallel(mains[0]))
-        thread_factors = balance_factors(thread_total, extents,
-                                         require_divisors=True)
-        if _product(thread_factors) != thread_total:
-            result.notes.append(
-                "thread total %d reduced to %d by divisibility" %
-                (thread_total, _product(thread_factors)))
-
-    if block_factors and _product(block_factors) > 1:
-        block_result = block_coarsen(wrapper, block_factors)
-        result.block_factors = block_result.block_factors
-        result.epilogues = block_result.epilogues
-    else:
-        result.block_factors = tuple(block_factors or ())
-    if thread_factors and _product(thread_factors) > 1:
-        thread_result = thread_coarsen(wrapper, thread_factors)
-        result.thread_factors = thread_result.thread_factors
-    else:
-        result.thread_factors = tuple(thread_factors or ())
+    _, result = _resolve_factors(wrapper, block_factors, thread_factors,
+                                 block_total, thread_total)
+    if result.total_block > 1:
+        result.epilogues = block_coarsen(
+            wrapper, result.block_factors).epilogues
+    if result.total_thread > 1:
+        thread_coarsen(wrapper, result.thread_factors)
     return result
 
 
@@ -329,47 +341,16 @@ def plan_coarsening(wrapper: Operation,
     legality-check every candidate config before materializing a single
     clone (§VI: filter configs, then compile survivors).
     """
-    if wrapper.name != polygeist.GPU_WRAPPER:
-        raise CoarsenError("coarsen_wrapper expects a polygeist.gpu_wrapper")
-    mains = block_parallels(wrapper, include_epilogues=False)
-    if len(mains) != 1:
-        raise CoarsenError("wrapper must hold exactly one block loop")
-    main = mains[0]
-    result = CoarsenResult()
-
-    if block_total is not None:
-        if block_factors is not None:
-            raise CoarsenError("give block_factors or block_total, not both")
-        extents = parallel_extents(main)
-        block_factors = balance_factors(block_total, extents)
-        if _product(block_factors) != block_total:
-            result.notes.append(
-                "block total %d reduced to %d by dimension limits" %
-                (block_total, _product(block_factors)))
-    if thread_total is not None:
-        if thread_factors is not None:
-            raise CoarsenError(
-                "give thread_factors or thread_total, not both")
-        extents = parallel_extents(thread_parallel(main))
-        thread_factors = balance_factors(thread_total, extents,
-                                         require_divisors=True)
-        if _product(thread_factors) != thread_total:
-            result.notes.append(
-                "thread total %d reduced to %d by divisibility" %
-                (thread_total, _product(thread_factors)))
-
-    if block_factors and _product(block_factors) > 1:
-        result.epilogues = _plan_unrolls(main, block_factors, "block")
-        result.block_factors = tuple(block_factors)
-    else:
-        result.block_factors = tuple(block_factors or ())
-    if thread_factors and _product(thread_factors) > 1:
+    main, result = _resolve_factors(wrapper, block_factors, thread_factors,
+                                    block_total, thread_total)
+    if result.total_block > 1:
+        result.epilogues = _plan_unrolls(main, result.block_factors,
+                                         "block")
+    if result.total_thread > 1:
         # the eager path coarsens threads inside the (by now
         # block-coarsened) main loop and its epilogues; the jammed main
         # thread loop keeps copy-0 bounds and the epilogues are clones,
         # so checking the original thread loop decides all of them
-        _plan_unrolls(thread_parallel(main), thread_factors, "thread")
-        result.thread_factors = tuple(thread_factors)
-    else:
-        result.thread_factors = tuple(thread_factors or ())
+        _plan_unrolls(thread_parallel(main), result.thread_factors,
+                      "thread")
     return result

@@ -429,30 +429,23 @@ def validate_source(source: str, kernel: str, grid: Sequence[int],
     """Compile ``kernel``, generate all coarsening alternatives, and
     validate each against the untransformed baseline."""
     from ..autotune.search import default_configs
-    from ..frontend import ModuleGenerator, parse_translation_unit
-    from ..transforms import cleanup_regions, run_cleanup
-    from ..transforms.alternatives import plan_coarsening_alternatives
+    from ..autotune.tdo import clone_baseline, materialize_every_plan
+    from ..engine import TuningCache, TuningEngine
+    from ..pipeline import build_launch_wrapper
 
     if configs is None:
         configs = default_configs()
-    unit = parse_translation_unit(source)
-    generator = ModuleGenerator(unit)
-    name = generator.get_launch_wrapper(kernel, len(grid), tuple(block))
-    run_cleanup(generator.module)
-    func_op = generator.module.func(name)
-    baseline_func = func_op.clone({})
-    wrapper = polygeist.find_gpu_wrappers(func_op)[0]
-    sizing_wrapper = polygeist.find_gpu_wrappers(baseline_func)[0]
-    grid_env = dict(zip(func_op.body_block().args, grid))
-    planned = plan_coarsening_alternatives(wrapper, configs)
-    if not planned.alternatives:
-        report = ValidationReport(label=name)
+    built = build_launch_wrapper(source, kernel, len(grid), block)
+    baseline_func, sizing_wrapper = clone_baseline(built.wrapper)
+    planned, alt = materialize_every_plan(
+        built.wrapper, configs,
+        TuningEngine(cache=TuningCache(None), validate=False))
+    if alt is None:
+        report = ValidationReport(label=built.name)
         report.baseline_note = "no legal coarsening configuration: %s" % \
             "; ".join(planned.rejected)
         return report
-    alt = planned.materialize(range(len(planned.alternatives)))
-    cleanup_regions(list(alt.regions))
-    return validate_alternatives(baseline_func, alt, grid_env,
+    return validate_alternatives(baseline_func, alt, built.env(grid),
                                  sizing_wrapper, seed=seed, rtol=rtol,
                                  atol=atol, max_steps=max_steps,
                                  grid_cap=grid_cap)

@@ -164,23 +164,19 @@ class FuzzOutcome:
 def run_fuzz_kernel(source: str, config: Optional[Dict[str, object]],
                     data: np.ndarray) -> np.ndarray:
     """Build, optionally coarsen, and interpret one fuzzed kernel."""
-    from ..dialects import polygeist
-    from ..frontend import ModuleGenerator, parse_translation_unit
     from ..interpreter import MemoryBuffer, run_module
     from ..ir import F32, verify_module
+    from ..pipeline import build_launch_wrapper
     from ..transforms import coarsen_wrapper, run_cleanup
 
-    generator = ModuleGenerator(parse_translation_unit(source))
-    name = generator.get_launch_wrapper("k", 1, (FUZZ_BLOCK,))
-    run_cleanup(generator.module)
+    built = build_launch_wrapper(source, "k", 1, (FUZZ_BLOCK,))
     if config:
-        wrapper = polygeist.find_gpu_wrappers(generator.module.op)[0]
-        coarsen_wrapper(wrapper, **config)
-        run_cleanup(generator.module)
-    verify_module(generator.module)
+        coarsen_wrapper(built.wrapper, **config)
+        run_cleanup(built.module)
+    verify_module(built.module)
     src = MemoryBuffer((FUZZ_N,), F32, data=data)
     out = MemoryBuffer((FUZZ_N,), F32)
-    run_module(generator.module, name, [FUZZ_GRID, src, out, FUZZ_N])
+    run_module(built.module, built.name, [FUZZ_GRID, src, out, FUZZ_N])
     return out.array
 
 

@@ -34,7 +34,7 @@ from repro.dialects import polygeist
 from repro.engine import TuningCache, TuningEngine
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import Block, Operation, Region, Value, collector_paused
-from repro.targets import A100
+from repro.targets import A100, arch_by_name
 from repro.transforms import run_cleanup
 from repro.transforms.alternatives import (plan_coarsening_alternatives,
                                            prune_alternatives,
@@ -103,9 +103,9 @@ def test_cold_job_leaves_only_the_programs_module():
         ["builtin.module"] * len(jobs)
 
 
-def _tune_garbage(monkeypatch, program, validate):
-    """Cyclic objects left by each ``tune_wrapper`` call of one cold job
-    per arch, counted around the call itself."""
+def _tune_garbage(monkeypatch, run):
+    """Cyclic objects left by each ``tune_wrapper`` call ``run()``
+    makes, counted around the call itself."""
     real = repro.pipeline.tune_wrapper
     counts = []
 
@@ -116,25 +116,53 @@ def _tune_garbage(monkeypatch, program, validate):
         return outcome
 
     monkeypatch.setattr(repro.pipeline, "tune_wrapper", counted)
-    for arch in ("a100", "mi210"):
-        simulate_composite(
-            program, arch,
-            autotune_configs=paper_sweep_configs(max_product=8),
-            engine=TuningEngine(cache=TuningCache(None), validate=validate))
+    run()
     return counts
+
+
+def _cold_jobs(program, validate):
+    """One cold job of ``program`` per arch."""
+    def run():
+        for arch in ("a100", "mi210"):
+            simulate_composite(
+                program, arch,
+                autotune_configs=paper_sweep_configs(max_product=8),
+                engine=TuningEngine(cache=TuningCache(None),
+                                    validate=validate))
+    return run
 
 
 @pytest.mark.parametrize("program", sorted(BENCHMARKS))
 def test_cold_tune_wrapper_leaves_no_cyclic_garbage(monkeypatch, program):
-    counts = _tune_garbage(monkeypatch, program, validate=False)
+    counts = _tune_garbage(monkeypatch, _cold_jobs(program, False))
     assert counts and counts == [0] * len(counts)
 
 
 @pytest.mark.parametrize("program", VALIDATED_PROGRAMS)
 def test_validated_tune_wrapper_leaves_no_cyclic_garbage(monkeypatch,
                                                          program):
-    counts = _tune_garbage(monkeypatch, program, validate=True)
+    counts = _tune_garbage(monkeypatch, _cold_jobs(program, True))
     assert counts and counts == [0] * len(counts)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_profiled_tune_leaves_no_cyclic_garbage(monkeypatch, validate):
+    # profile mode ranks by executing every region in the interpreter
+    from repro.benchsuite.lud import make_diagonally_dominant
+    from repro.pipeline import Program
+
+    def run():
+        for arch in ("a100", "mi210"):
+            program = Program(
+                get_benchmark("lud").source, arch=arch_by_name(arch),
+                autotune_configs=paper_sweep_configs(max_product=8),
+                engine=TuningEngine(cache=TuningCache(None),
+                                    validate=validate))
+            matrix = make_diagonally_dominant(32, 0).ravel()
+            program.profile_launch("lud_internal", (1, 1), (16, 16),
+                                   [matrix, 32, 0])
+    counts = _tune_garbage(monkeypatch, run)
+    assert counts == [0, 0]
 
 
 def test_pruned_and_unselected_regions_die_by_refcount():

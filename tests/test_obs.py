@@ -330,13 +330,15 @@ class TestDecisionLog:
 
 class TestFilterStageDecisions:
     def test_filters_record_eliminations(self):
-        from repro.__main__ import _run_full_tune
-        source = get_benchmark("lud").source
+        from repro.autotune import tune_wrapper
+        from repro.pipeline import build_launch_wrapper
         engine = TuningEngine()
+        built = build_launch_wrapper(get_benchmark("lud").source,
+                                     "lud_internal", 2, (16, 16), engine)
         configs = paper_sweep_configs(max_product=32)
         with obs_decisions.logging_decisions() as log:
-            _run_full_tune(source, "lud_internal", (16, 16), [(31, 31)],
-                           A100, configs, engine)
+            tune_wrapper(built.wrapper, A100, [built.env((31, 31))],
+                         configs, engine)
         (decision,) = log.decisions
         stages = {d.eliminated_by for d in decision.alternatives}
         assert SHARED_MEMORY in stages
@@ -414,9 +416,26 @@ class TestCLI:
 
         plain = counters([])
         traced = counters(["--trace", str(tmp_path / "t.json")])
-        # the sweep and the full tune each generate alternatives once
-        assert plain["alternative_generations"] == 2
+        # the table and the decision log come from one tune
+        assert plain["alternative_generations"] == 1
         assert traced == plain
+
+    def test_tune_stats_are_the_same_with_and_without_explain(self,
+                                                              tmp_path,
+                                                              capsys):
+        path = tmp_path / "scale.cu"
+        path.write_text(SOURCE)
+        command = ["tune", str(path), "scale", "--grid", "64", "--block",
+                   "256", "--max-factor", "8", "--stats"]
+
+        def counter_block(extra):
+            assert main(command + extra) == 0
+            out = capsys.readouterr().out
+            table = out[out.index("engine stages:"):]
+            return table[table.index("\n\n"):].split()
+
+        # explaining a tune must not tune the kernel again
+        assert counter_block(["--explain"]) == counter_block([])
 
     def test_tune_stats_prints_the_same_counters_under_trace(self, tmp_path,
                                                              capsys):

@@ -206,6 +206,82 @@ class TestLinearize:
                 gc.enable()
 
 
+SCALE_KERNEL = """
+__global__ void k(float *x, float a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) return;
+    x[i] = x[i] * a;
+}
+"""
+
+
+def _scale_tune():
+    """One ``tune_wrapper`` call on a fresh module."""
+    from repro.autotune import default_configs, tdo
+    from repro.engine import TuningEngine
+    from repro.transforms import run_cleanup
+    gen = ModuleGenerator(parse_translation_unit(SCALE_KERNEL))
+    name = gen.get_launch_wrapper("k", 1, (256,))
+    run_cleanup(gen.module)
+    wrapper = polygeist.find_gpu_wrappers(gen.module.op)[0]
+    env = {gen.module.func(name).body_block().arg(0): 64}
+    tdo.tune_wrapper(wrapper, A100, env, default_configs(max_total=4),
+                     engine=TuningEngine(validate=False))
+
+
+class TestLinearizedCacheScope:
+    def test_overlapping_tunes_in_threads_keep_their_own_scope(
+            self, monkeypatch):
+        # the first tune enters its scope, the second enters while the
+        # first is inside and is still ranking when the first exits: its
+        # timing models must still find the streams its spill filter made
+        import threading
+        from collections import Counter
+        from repro.autotune import tdo
+        from repro.targets import lowering
+        walks = Counter()
+
+        class Counting(lowering.Linearized):
+            def __init__(self):
+                super().__init__()
+                walks[threading.current_thread().name] += 1
+
+        monkeypatch.setattr(lowering, "Linearized", Counting)
+        _scale_tune()
+        alone = walks.pop(threading.current_thread().name)
+        first_inside = threading.Event()
+        second_inside = threading.Event()
+        first_done = threading.Event()
+        real_tdo = tdo.timing_driven_optimization
+
+        def pausing_tdo(*args, **kwargs):
+            if threading.current_thread().name == "first":
+                first_inside.set()
+                assert second_inside.wait(60)
+            else:
+                second_inside.set()
+                assert first_done.wait(60)
+            return real_tdo(*args, **kwargs)
+
+        def run_first():
+            _scale_tune()
+            first_done.set()
+
+        def run_second():
+            assert first_inside.wait(60)
+            _scale_tune()
+
+        monkeypatch.setattr(tdo, "timing_driven_optimization", pausing_tdo)
+        threads = [threading.Thread(target=run_first, name="first"),
+                   threading.Thread(target=run_second, name="second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        # each tune walks each of its thread loops once, as alone
+        assert walks == {"first": alone, "second": alone}
+
+
 class TestRegisters:
     def test_more_values_more_registers(self):
         few = kernel_threads("""
