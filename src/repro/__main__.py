@@ -106,13 +106,18 @@ def _stage_table(engine) -> str:
     return "\n".join(lines)
 
 
-def _tune_table(outcome, arch) -> str:
-    """``repro tune``'s table: the surviving configs, fastest first, with
+def _tune_table(outcome, decision, arch) -> str:
+    """``repro tune``'s table: the ranked configs, fastest first, with
     their modeled time and speedup over the uncoarsened config, then
-    every other config with the reason it did not race."""
+    every config the tune's ``decision`` log says was eliminated before
+    the ranking, with the stage and reason."""
+    from .obs.decisions import TIMING
+
+    configs = {d.desc: d.config for d in decision.alternatives}
     baseline = next((c for c in outcome.candidates if c.valid and
-                     int(c.config.get("block_total", 1)) == 1 and
-                     int(c.config.get("thread_total", 1)) == 1), None)
+                     int(configs[c.desc].get("block_total", 1)) == 1 and
+                     int(configs[c.desc].get("thread_total", 1)) == 1),
+                    None)
     if baseline is None:
         raise ValueError("baseline configuration failed to model")
     lines = ["%-26s %14s %10s" % ("configuration", "modeled time",
@@ -124,17 +129,9 @@ def _tune_table(outcome, arch) -> str:
             baseline.time_seconds / candidate.time_seconds))
     others = [(c.desc, "invalid", c.reason)
               for c in outcome.candidates if not c.valid]
-    for name, dropped in (("shared memory", outcome.filters.dropped_shared),
-                          ("registers", outcome.filters.dropped_spills)):
-        for entry in dropped:  # "<desc> (<detail>)"
-            desc, _, detail = entry.partition(" (")
-            others.append((desc, "pruned", "%s: %s" % (name, detail[:-1])))
-    if outcome.validation is not None:
-        others += [(v.desc, "rejected", v.detail or v.status)
-                   for v in outcome.validation.verdicts if not v.passed]
-    # an illegal config is named by its legality error
-    others += [(rejected, "invalid", "illegal coarsening")
-               for rejected in outcome.rejected]
+    others += [(d.desc, d.eliminated_by, d.reason)
+               for d in decision.alternatives
+               if d.eliminated_by not in (None, TIMING)]
     lines += ["%-26s %14s  (%s)" % row for row in others]
     lines += ["-" * 54, "best: %s (%.2fx) on %s" % (
         outcome.selected_desc,
@@ -155,7 +152,6 @@ def cmd_tune(args) -> int:
     arch = arch_by_name(args.arch)
     grid = _parse_dims(args.grid)
     tracer = None
-    log = None
     engine = TuningEngine(validate=args.validate or None)
     # the engine's registry also takes the engine-less instrumentation
     # sites (cleanup, filters, TDO), so --stats prints the same rows with
@@ -163,8 +159,8 @@ def cmd_tune(args) -> int:
     obs_metrics.install(engine.registry)
     if args.trace:
         tracer = obs_tracer.install(obs_tracer.Tracer())
-    if args.explain or args.trace:
-        log = obs_decisions.install(obs_decisions.DecisionLog())
+    # the table's eliminated rows come from the tune's decision record
+    log = obs_decisions.install(obs_decisions.DecisionLog())
     try:
         built = build_launch_wrapper(_load_source(args.file), args.kernel,
                                      len(grid), _parse_dims(args.block),
@@ -174,7 +170,7 @@ def cmd_tune(args) -> int:
                 built.wrapper, arch, [built.env(grid)],
                 paper_sweep_configs(max_product=args.max_factor),
                 engine=engine)
-            table = _tune_table(outcome, arch)
+            table = _tune_table(outcome, log.decisions[-1], arch)
         except ValueError as error:  # InvalidLaunch included
             print("tune failed: %s" % error, file=sys.stderr)
             return 1
@@ -182,7 +178,7 @@ def cmd_tune(args) -> int:
         if outcome.validation is not None:
             print()
             print(outcome.validation.summary())
-        if log is not None and args.explain and len(log):
+        if args.explain:
             print()
             print(log.explain())
         if args.stats:
@@ -190,8 +186,7 @@ def cmd_tune(args) -> int:
             print("engine stages:")
             print(_stage_table(engine))
     finally:
-        if log is not None:
-            obs_decisions.uninstall()
+        obs_decisions.uninstall()
         obs_metrics.uninstall()
         if tracer is not None:
             obs_tracer.uninstall()
@@ -222,33 +217,31 @@ def _lint_source(source: str, launches) -> list:
 
 def cmd_validate(args) -> int:
     from .benchsuite import BENCHMARKS, get_benchmark
-    from .frontend import parse_translation_unit
+    from .frontend import CodegenError
+    from .pipeline import build_launch_wrapper
     from .targets import arch_by_name
-    from .validate import validate_benchmark, validate_source
+    from .validate import lint_module, validate_benchmark, validate_source
 
     arch = arch_by_name(args.arch)
     if args.target in BENCHMARKS:
         bench = get_benchmark(args.target)
-        source = bench.source
-        launches = list(bench.iter_launches(args.size or
-                                            bench.verify_size))
+        lint_reports = _lint_source(bench.source, bench.iter_launches(
+            args.size or bench.verify_size))
         report = validate_benchmark(args.target, arch, size=args.size,
                                     seed=args.seed)
     else:
         source = _load_source(args.target)
-        kernels = [f.name for f in
-                   parse_translation_unit(source).kernels()]
-        if not kernels:
-            print("no __global__ kernels found", file=sys.stderr)
-            return 1
-        kernel = args.kernel or kernels[0]
         grid = _parse_dims(args.grid)
         block = _parse_dims(args.block)
-        launches = [(kernel, grid, block)]
-        report = validate_source(source, kernel, grid, block,
+        try:
+            lint_reports = lint_module(build_launch_wrapper(
+                source, args.kernel, len(grid), block).module)
+        except CodegenError as error:
+            print(error, file=sys.stderr)
+            return 1
+        report = validate_source(source, args.kernel, grid, block,
                                  seed=args.seed)
 
-    lint_reports = _lint_source(source, launches)
     findings = [f for r in lint_reports for f in r.findings]
     if findings:
         print("lint: %d finding(s)" % len(findings))

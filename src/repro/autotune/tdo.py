@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import polygeist
+from ..engine import stage_timer
 from ..ir import Operation, Value, collector_paused, unlink_subtree
 from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
@@ -38,8 +39,6 @@ class Candidate:
     time_seconds: float
     valid: bool
     reason: str = ""
-    #: coarsening kwargs of the planned alternative this region came from
-    config: Optional[Dict[str, object]] = None
 
 
 @dataclass
@@ -56,8 +55,6 @@ class TuneOutcome:
     selected_config: Optional[Dict[str, object]] = None
     #: differential-validation report, when the gate ran
     validation: Optional[object] = None
-    #: configs whose coarsening is illegal, each with the legality error
-    rejected: List[str] = field(default_factory=list)
 
     def speedup_over(self, baseline_desc: str) -> float:
         """Speedup of the selection relative to ``baseline_desc``.
@@ -289,6 +286,11 @@ def _validation_gate(alt: Operation, baseline_func: Operation,
     return validation, None
 
 
+class NoLegalConfiguration(ValueError):
+    """No config could be planned for the wrapper. Raised before anything
+    is materialized, so the wrapper still holds its untransformed body."""
+
+
 def _count_generation(engine, report) -> None:
     engine.registry.counter("alternative_generations").inc()
     engine.registry.counter("alternatives_generated").inc(
@@ -308,16 +310,20 @@ def _clean(alt: Operation, stage) -> Operation:
 
 def materialize_every_plan(wrapper: Operation,
                            configs: Sequence[Dict[str, object]],
-                           engine) -> Tuple[object, Optional[Operation]]:
+                           engine=None) -> Tuple[object, Optional[Operation]]:
     """:func:`tune_wrapper`'s plan, materialize and cleanup steps over
     every legal config, with no filter: ``(plans, alternatives op)``, the
     op ``None`` when no config is legal. For the callers that need every
-    region, the Fig. 13-15 sweeps and source-mode validation."""
+    region, the Fig. 13-15 sweeps and source-mode validation.
+
+    ``engine``, when given, times the stages and counts the generation
+    into its registry."""
     from ..transforms.alternatives import plan_coarsening_alternatives
-    stage = engine.stage
+    stage = stage_timer(engine)
     with stage("alternatives"):
         report = plan_coarsening_alternatives(wrapper, configs)
-    _count_generation(engine, report)
+    if engine is not None:
+        _count_generation(engine, report)
     if not report.alternatives:
         return report, None
     with stage("alternatives"):
@@ -381,8 +387,9 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                 decision.eliminate(repr(config), obs_decisions.GENERATION,
                                    "illegal coarsening: %s" % reason)
         if not report.alternatives:
-            raise ValueError("no legal coarsening configuration: %s" %
-                             "; ".join(report.rejected))
+            raise NoLegalConfiguration(
+                "no legal coarsening configuration: %s" %
+                "; ".join(report.rejected))
 
         def materialize(indices):
             # clones are built only for the plans that survived the early
@@ -419,13 +426,9 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                 outcome = rank(alt, arch, env)
     outcome.filters = filters
     outcome.validation = validation
-    outcome.rejected = report.rejected
-    # every region maps back through the validation and filter prunes to
-    # its plan, so the winner's coarsening config can be replayed from
+    # the winning region maps back through the validation and filter
+    # prunes to its plan, so its coarsening config can be replayed from
     # cache without regenerating alternatives
-    for candidate in outcome.candidates:
-        candidate.config = report.alternatives[
-            survivors[candidate.index]].config
     outcome.selected_config = dict(
-        outcome.candidates[outcome.selected_index].config)
+        report.alternatives[survivors[outcome.selected_index]].config)
     return outcome

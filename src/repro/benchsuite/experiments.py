@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..autotune import paper_sweep_configs
 from ..autotune.tdo import materialize_every_plan, timing_driven_optimization
-from ..engine import TuningEngine
+from ..engine import TuningEngine, stage_timer
 from ..pipeline import build_launch_wrapper
 from ..simulator.model import InvalidLaunch
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
@@ -86,12 +86,13 @@ def sweep_kernel_configs(source: str, kernel: str,
                          arch: GPUArchitecture,
                          configs: Optional[Sequence[Dict]] = None,
                          benchmark_name: str = "",
-                         *, engine: TuningEngine) -> KernelSweep:
+                         *, engine: Optional[TuningEngine] = None
+                         ) -> KernelSweep:
     """Model every coarsening config of one kernel over a set of grids.
 
     Unlike a tune, nothing is filtered: every legal config is
-    materialized and timed. ``engine`` times each stage of the sweep into
-    its registry.
+    materialized and timed. ``engine``, when given, times each stage of
+    the sweep into its registry.
     """
     configs = list(configs) if configs is not None \
         else paper_sweep_configs()
@@ -103,7 +104,7 @@ def sweep_kernel_configs(source: str, kernel: str,
         return sweep
     envs = _apply_measurement_cutoff(report.alternatives, alt, arch,
                                      [built.env(grid) for grid in grids])
-    with engine.stage("tdo"):
+    with stage_timer(engine)("tdo"):
         outcome = timing_driven_optimization(alt, arch, envs, select=False)
     for candidate in outcome.candidates:
         config = report.alternatives[candidate.index].config
@@ -196,11 +197,9 @@ def fig13_data(arch: GPUArchitecture = A100,
     """Per-kernel sweeps across the suite (the Fig. 13 scatter).
 
     ``include_hecbench`` adds the HeCBench-style extras, mirroring the
-    paper's wider 181-kernel population. ``engine`` times the sweeps'
-    stages; a throwaway one does when it is omitted.
+    paper's wider 181-kernel population. ``engine``, when given, times
+    the sweeps' stages.
     """
-    if engine is None:
-        engine = TuningEngine(validate=False)
     population = fig13_population(benchmarks, include_hecbench)
     sweeps: List[KernelSweep] = []
     for name in sorted(population):
@@ -246,8 +245,7 @@ def fig14_heatmap(arch: GPUArchitecture = A100,
     configs = [{"block_total": b, "thread_total": t}
                for b in totals for t in totals]
     sweep = sweep_kernel_configs(bench.source, kernel_name, block, grids,
-                                 arch, configs, "lud",
-                                 engine=TuningEngine(validate=False))
+                                 arch, configs, "lud")
     baseline = sweep.baseline()
     heatmap: Dict[Tuple[int, int], Optional[float]] = {}
     for result in sweep.results:
@@ -271,8 +269,7 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
     configs = [{"block_factors": (bx, 1), "thread_factors": (tx, 1)}
                for bx in block_x for tx in thread_x]
     sweep = sweep_kernel_configs(bench.source, kernel, block, grids, arch,
-                                 configs, "lud",
-                                 engine=TuningEngine(validate=False))
+                                 configs, "lud")
 
     def x_factors(result):
         return (result.config["block_factors"][0],

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Callable, ContextManager, Dict, Iterator, Optional
 
 from ..obs import tracer as obs_tracer
 from ..obs.metrics import MetricsRegistry
@@ -35,7 +35,7 @@ __all__ = [
     "CacheEntry", "Job", "JobResult", "SWEEP_WORKERS_ENV",
     "SweepScheduler", "TuningCache", "TuningEngine", "VALIDATE_ENV",
     "default_cache_path", "default_engine", "set_default_engine",
-    "source_hash", "sweep_workers", "tuning_key",
+    "source_hash", "stage_timer", "sweep_workers", "tuning_key",
 ]
 
 #: registry namespace of the stage-timing histograms
@@ -97,6 +97,13 @@ class TuningEngine:
     def __repr__(self) -> str:
         return "TuningEngine(cache=%d entries%s)" % (
             len(self.cache), ", validate" if self.validate else "")
+
+
+def stage_timer(engine: Optional[TuningEngine]
+                ) -> Callable[[str], ContextManager]:
+    """``engine.stage``, or an untimed stage when there is no engine."""
+    # nullcontext(name) enters as a no-op
+    return engine.stage if engine is not None else nullcontext
 
 
 _default_engine: Optional[TuningEngine] = None

@@ -179,8 +179,7 @@ def entry_from_dict(data: Dict[str, object]) -> CacheEntry:
             candidates=[Candidate(**c) for c in raw.get("candidates", [])],
             filters=filters,
             selected_index=raw.get("selected_index", -1),
-            selected_config=raw.get("selected_config"),
-            rejected=raw.get("rejected", []))
+            selected_config=raw.get("selected_config"))
     return CacheEntry(outcome, data.get("selected_config"))
 
 

@@ -22,16 +22,16 @@ before the winner is compiled in.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .autotune import default_configs, tune_wrapper
-from .autotune.tdo import Candidate, TuneOutcome, select_fastest
+from .autotune.tdo import (Candidate, NoLegalConfiguration, TuneOutcome,
+                          select_fastest)
 from .dialects import polygeist
-from .engine import TuningEngine, default_engine
+from .engine import TuningEngine, default_engine, stage_timer
 from .engine.cache import CacheEntry, source_hash, tuning_key
 from .frontend import CodegenError, ModuleGenerator, parse_translation_unit
 from .interpreter import Interpreter, MemoryBuffer
@@ -174,7 +174,9 @@ class Program:
         the fastest is then selected into place — the "execute each
         alternative one or more times, select the best, call the compiler
         again to remove the others" flow. Subsequent :meth:`launch` calls
-        run the winner.
+        run the winner. A wrapper with no legal coarsening config runs
+        untransformed; a tune that fails later (e.g. the validation gate
+        rejects every alternative) raises.
         """
         grid = _as_dims(grid)
         block = _as_dims(block)
@@ -194,8 +196,10 @@ class Program:
                         engine=self.engine,
                         rank=self._profiling_rank(wrapper_name, coerced,
                                                   runs_per_alternative))
-                except (ValueError, InvalidLaunch):
-                    outcome = None  # keep the untransformed kernel
+                except NoLegalConfiguration:
+                    # nothing was materialized: launch the untransformed
+                    # kernel; any later failure propagates
+                    outcome = None
                 if outcome is not None:
                     self._run_cleanup(True)
                     self.tuning_outcomes[wrapper_name] = outcome
@@ -542,8 +546,7 @@ def build_launch_wrapper(source: str, kernel: Optional[str],
     ``kernel=None`` picks the source's first kernel. ``engine`` times the
     parse and cleanup stages into its registry.
     """
-    # nullcontext(name) is an untimed stage
-    stage = engine.stage if engine is not None else nullcontext
+    stage = stage_timer(engine)
     with stage("parse"):
         unit = parse_translation_unit(source)
         generator = ModuleGenerator(unit)

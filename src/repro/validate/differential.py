@@ -418,7 +418,8 @@ def validate_alternatives(baseline_func: Operation, alt_op: Operation,
 # -- source-mode validation ----------------------------------------------------
 
 
-def validate_source(source: str, kernel: str, grid: Sequence[int],
+def validate_source(source: str, kernel: Optional[str],
+                    grid: Sequence[int],
                     block: Sequence[int],
                     configs: Optional[Sequence[Dict[str, object]]] = None,
                     seed: int = 0,
@@ -426,20 +427,18 @@ def validate_source(source: str, kernel: str, grid: Sequence[int],
                     atol: float = DEFAULT_ATOL,
                     max_steps: int = DEFAULT_MAX_STEPS,
                     grid_cap: int = DEFAULT_GRID_CAP) -> ValidationReport:
-    """Compile ``kernel``, generate all coarsening alternatives, and
-    validate each against the untransformed baseline."""
+    """Compile ``kernel`` (``None``: the source's first kernel), generate
+    all coarsening alternatives, and validate each against the
+    untransformed baseline."""
     from ..autotune.search import default_configs
     from ..autotune.tdo import clone_baseline, materialize_every_plan
-    from ..engine import TuningCache, TuningEngine
     from ..pipeline import build_launch_wrapper
 
     if configs is None:
         configs = default_configs()
     built = build_launch_wrapper(source, kernel, len(grid), block)
     baseline_func, sizing_wrapper = clone_baseline(built.wrapper)
-    planned, alt = materialize_every_plan(
-        built.wrapper, configs,
-        TuningEngine(cache=TuningCache(None), validate=False))
+    planned, alt = materialize_every_plan(built.wrapper, configs)
     if alt is None:
         report = ValidationReport(label=built.name)
         report.baseline_note = "no legal coarsening configuration: %s" % \

@@ -362,6 +362,54 @@ class TestValidationGate:
         with pytest.raises(ValueError, match="validation rejected every"):
             self.tune(engine, sabotage=sabotage)
 
+    @staticmethod
+    def profile(configs, data):
+        """profile_launch k over 8 blocks of 8 threads with the gate on:
+        ``(program, out)``."""
+        from repro.engine import TuningCache
+        from repro.pipeline import Program
+        from repro.runtime import GPURuntime
+
+        program = Program(SHARED_KERNEL, A100, autotune_configs=configs,
+                          engine=TuningEngine(cache=TuningCache(None),
+                                              validate=True))
+        rt = GPURuntime(A100)
+        src = rt.to_device(data)
+        dst = rt.malloc(data.size, np.float32)
+        try:
+            program.profile_launch("k", 8, 8, [src, dst, data.size],
+                                   runtime=rt)
+        finally:
+            out = rt.to_host(dst)
+        return program, out
+
+    def test_profile_launch_raises_when_the_gate_rejects_everything(
+            self, monkeypatch):
+        """Profile mode runs the gate too. When it rejects every region,
+        the tune fails after materialization and profile_launch raises
+        instead of launching a region the gate called miscompiled."""
+        real = alternatives_mod.PlannedAlternatives.materialize
+
+        def sabotaged(planned, indices):
+            alt = real(planned, indices)
+            for index in range(len(alt.regions)):
+                sabotage_first_addf(alt, index)
+            return alt
+
+        monkeypatch.setattr(alternatives_mod.PlannedAlternatives,
+                            "materialize", sabotaged)
+        data = np.arange(64, dtype=np.float32)
+        with pytest.raises(ValueError, match="validation rejected every"):
+            self.profile(CONFIGS, data)
+
+    def test_profile_launch_without_a_legal_config_runs_untransformed(self):
+        data = np.arange(64, dtype=np.float32)
+        program, out = self.profile([{"thread_factors": (3,)}], data)
+        expected = np.roll(data.reshape(8, 8), -1, axis=1).ravel() * 2 + 1.5
+        np.testing.assert_array_equal(out, expected)
+        assert not program.tuning_outcomes
+        assert not program.module.op.ops_matching("polygeist.alternatives")
+
 
 class TestBenchmarkValidation:
     def test_lud_end_to_end(self):
