@@ -8,8 +8,8 @@ headline geomeans (paper: combined 11.3%, block-only 8.9%, thread-only
 
 from conftest import tuning_configs
 
-from repro.benchsuite.experiments import fig13_summary
-from repro.benchsuite.sweeps import sharded_fig13_data
+from repro.benchsuite.experiments import fig13_data, fig13_summary
+from repro.engine.scheduler import sweep_workers
 from repro.targets import A100
 
 
@@ -18,9 +18,9 @@ def test_fig13_combined_vs_single_strategy(benchmark, report):
 
     def sweep():
         # HeCBench extras widen the kernel population, as in the paper;
-        # sharded per benchmark over worker processes (serial on 1 CPU)
-        return sharded_fig13_data(arch=A100, configs=tuning_configs(),
-                                  include_hecbench=True)
+        # one job per benchmark over $REPRO_SWEEP_WORKERS processes
+        return fig13_data(arch=A100, configs=tuning_configs(),
+                          include_hecbench=True, workers=sweep_workers())
 
     sweeps = benchmark.pedantic(sweep, rounds=1, iterations=1)
     summary = fig13_summary(sweeps)

@@ -9,8 +9,8 @@ the hipify+clang baseline.
 
 from conftest import tuning_configs
 
-from repro.benchsuite.experiments import fig16_geomeans, geomean
-from repro.benchsuite.sweeps import sharded_fig16_data
+from repro.benchsuite.experiments import fig16_data, fig16_geomeans
+from repro.engine.scheduler import sweep_workers
 from repro.targets import A100, A4000, MI210, RX6800
 
 TIERS = ("clang", "polygeist-noopt", "polygeist")
@@ -21,10 +21,10 @@ def test_fig16_composite_all_gpus(benchmark, report):
     archs = [A4000, A100, RX6800, MI210]
 
     def run():
-        # sharded over $REPRO_SWEEP_WORKERS processes; identical output
-        # to the serial fig16_data (and falls back to it on 1 CPU)
-        return sharded_fig16_data(archs=archs, tiers=TIERS,
-                                  configs=tuning_configs())
+        # one job per benchmark x arch x tier over $REPRO_SWEEP_WORKERS
+        # processes; the output does not depend on the worker count
+        return fig16_data(archs=archs, tiers=TIERS,
+                          configs=tuning_configs(), workers=sweep_workers())
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
 

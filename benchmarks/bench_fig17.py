@@ -10,17 +10,18 @@ the RX6800's stronger FP64.
 
 from conftest import tuning_configs
 
-from repro.benchsuite.experiments import geomean
-from repro.benchsuite.sweeps import sharded_fig17_data
+from repro.benchsuite.experiments import fig17_data, geomean
 from repro.benchsuite import get_benchmark
+from repro.engine.scheduler import sweep_workers
 
 
 def test_fig17_cross_vendor(benchmark, report):
     report.name = "fig17"
 
     def run():
-        # one job per (benchmark, column), sharded over worker processes
-        return sharded_fig17_data(configs=tuning_configs())
+        # one job per (benchmark, column) over $REPRO_SWEEP_WORKERS
+        # processes
+        return fig17_data(configs=tuning_configs(), workers=sweep_workers())
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     columns = ["A4000 (clang)", "A4000 (Polygeist-GPU)",

@@ -10,7 +10,8 @@ thread coarsening (1,4) keeps global traffic but REDUCES shared-memory
 read requests (copies share uniform tile reads).
 """
 
-from repro.benchsuite.sweeps import sharded_table2_profile
+from repro.benchsuite.experiments import table2_profile
+from repro.engine.scheduler import sweep_workers
 from repro.targets import A100
 
 
@@ -18,8 +19,9 @@ def test_table2_lud_profiling(benchmark, report):
     report.name = "table2"
 
     def profile():
-        # one job per (block, thread) config, sharded over processes
-        return sharded_table2_profile(arch=A100, size=64)
+        # one job per (block, thread) config over $REPRO_SWEEP_WORKERS
+        # processes
+        return table2_profile(arch=A100, size=64, workers=sweep_workers())
 
     rows = benchmark.pedantic(profile, rounds=1, iterations=1)
 

@@ -112,12 +112,11 @@ def _tune_table(outcome, decision, arch) -> str:
     every config the tune's ``decision`` log says was eliminated before
     the ranking, with the stage and reason."""
     from .obs.decisions import TIMING
+    from .transforms.coarsen import is_uncoarsened
 
     configs = {d.desc: d.config for d in decision.alternatives}
     baseline = next((c for c in outcome.candidates if c.valid and
-                     int(configs[c.desc].get("block_total", 1)) == 1 and
-                     int(configs[c.desc].get("thread_total", 1)) == 1),
-                    None)
+                     is_uncoarsened(configs[c.desc])), None)
     if baseline is None:
         raise ValueError("baseline configuration failed to model")
     lines = ["%-26s %14s %10s" % ("configuration", "modeled time",
@@ -411,8 +410,7 @@ def cmd_sweep(args) -> int:
 
     outcome = run_figure_sweep(
         args.figure, workers=args.workers, timeout=args.timeout,
-        retries=args.retries, resume_values=resume_values,
-        serial_fallback=False, **plan_kwargs)
+        retries=args.retries, resume_values=resume_values, **plan_kwargs)
 
     print("sweep %s: %d job(s) run, %d resumed, %d failed in %.1fs"
           % (args.figure, len(outcome.results), len(outcome.resumed),
@@ -612,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-factor", type=int, default=None,
                        help="bound the autotuning config sweep to "
                             "block*thread <= N (default: the paper set)")
-    sweep.add_argument("--size", type=int, default=64,
-                       help="table2 problem size (default 64)")
+    sweep.add_argument("--size", type=int, default=None,
+                       help="table2 problem size (default: the "
+                            "figure's, 64)")
     sweep.add_argument("--include-hecbench", action="store_true",
                        help="fig13: include the HeCBench ports")
     sweep.add_argument("--json", metavar="FILE",

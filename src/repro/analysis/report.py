@@ -349,6 +349,7 @@ def _decision_summary(decision, winner_occupancy: Dict[str, object],
                       coarsen_total: int) -> Dict[str, object]:
     """Condense one TuneDecision into counts, margins, and a narrative."""
     from ..obs.decisions import STAGES
+    from ..transforms.coarsen import is_uncoarsened
 
     alternatives = decision.alternatives
     eliminated: Dict[str, int] = {}
@@ -361,7 +362,8 @@ def _decision_summary(decision, winner_occupancy: Dict[str, object],
                     if alt.time_seconds is not None and not alt.selected]
     runner_up = min(timed_losers, key=lambda alt: alt.time_seconds) \
         if timed_losers else None
-    baseline = decision.find("block=1 thread=1")
+    baseline = next((alt for alt in alternatives if alt.config is not None
+                     and is_uncoarsened(alt.config)), None)
 
     parts: List[str] = []
     stage_bits = ", ".join("%d by %s" % (eliminated[s], s)

@@ -10,21 +10,31 @@ formats into the corresponding table or figure:
 * :func:`fig16_data`                               — Fig. 16;
 * :func:`fig17_data`                               — Fig. 17;
 * :func:`hipify_ease_data`                         — §VII-D1.
+
+Fig. 13, Fig. 16, Fig. 17 and Table II are matrices of independent jobs.
+Each is defined once, by its ``*_plan`` function, as a :class:`SweepPlan`:
+the jobs, the merge that builds the figure's data from their values, and
+the figure's defaults. The driver runs that plan through
+:func:`~repro.benchsuite.sweeps.run_plan`, in this process or, with
+``workers > 1``, over worker processes; ``repro sweep`` runs the same plan
+resumably.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..autotune import paper_sweep_configs
 from ..autotune.tdo import materialize_every_plan, timing_driven_optimization
 from ..engine import TuningEngine, stage_timer
+from ..engine.scheduler import Job
 from ..pipeline import build_launch_wrapper
 from ..simulator.model import InvalidLaunch
-from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800
-from ..transforms import run_cleanup
+from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800, \
+    arch_by_name
+from ..transforms import is_uncoarsened, run_cleanup
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark
 
@@ -57,11 +67,9 @@ class KernelSweep:
     results: List[ConfigTime] = field(default_factory=list)
 
     def baseline(self) -> Optional[ConfigTime]:
-        for result in self.results:
-            if result.block_total == 1 and result.thread_total == 1 and \
-                    result.valid:
-                return result
-        return None
+        return next((result for result in self.results
+                     if result.valid and is_uncoarsened(result.config)),
+                    None)
 
     def best(self, block_only=False, thread_only=False
              ) -> Optional[ConfigTime]:
@@ -78,6 +86,51 @@ class KernelSweep:
         if baseline is None or best is None or best.seconds <= 0:
             return 1.0
         return baseline.seconds / best.seconds
+
+
+# -- the figure matrix ------------------------------------------------------
+
+
+@dataclass
+class SweepPlan:
+    """One figure as independent jobs plus the merge that builds its data.
+
+    Job payloads are plain picklable data whose ``kind`` names what
+    :func:`run_figure_job` computes, so a plan runs the same in this
+    process or in worker processes. ``merge`` maps ``{job key: value}``
+    to the figure's data; the job keys are ``repro sweep``'s resume
+    format.
+    """
+
+    figure: str
+    jobs: List[Job]
+    merge: Callable[[Dict[str, Any]], Any]
+
+    @property
+    def keys(self) -> List[str]:
+        return [job.key for job in self.jobs]
+
+
+def _arch(arch) -> GPUArchitecture:
+    return arch_by_name(arch) if isinstance(arch, str) else arch
+
+
+def _by_benchmark(jobs: Sequence[Job], cells: Sequence[Tuple[str, Any]]
+                  ) -> Callable[[Dict[str, Any]], Any]:
+    """A merge building ``{benchmark: {column: job value}}`` in job order,
+    where ``cells[i]`` is job ``i``'s (benchmark, column)."""
+    def merge(values):
+        data: Dict[str, Dict[Any, Any]] = {}
+        for job, (name, column) in zip(jobs, cells):
+            data.setdefault(name, {})[column] = values[job.key]
+        return data
+    return merge
+
+
+def _run(plan: SweepPlan, workers: int,
+         engine: Optional[TuningEngine] = None) -> Any:
+    from .sweeps import run_plan  # sweeps imports this module
+    return run_plan(plan, workers, engine)
 
 
 def sweep_kernel_configs(source: str, kernel: str,
@@ -130,15 +183,8 @@ def _apply_measurement_cutoff(plans, alt, arch, envs):
     being dominated by launch-overhead tails (e.g. lud's shrinking grids).
     """
     from ..autotune.tdo import _time_region
-    baseline_index = None
-    for info in plans:
-        config = info.config
-        if int(config.get("block_total", 1)) == 1 and \
-                int(config.get("thread_total", 1)) == 1 and \
-                not config.get("block_factors") and \
-                not config.get("thread_factors"):
-            baseline_index = info.index
-            break
+    baseline_index = next((info.index for info in plans
+                           if is_uncoarsened(info.config)), None)
     if baseline_index is None:
         return envs
     cache = {}
@@ -189,30 +235,58 @@ def fig13_population(benchmarks: Optional[Sequence[str]] = None,
     return population
 
 
-def fig13_data(arch: GPUArchitecture = A100,
+def fig13_benchmark(name: str, arch: GPUArchitecture,
+                    configs: Optional[Sequence[Dict]] = None,
+                    engine: Optional[TuningEngine] = None
+                    ) -> List[KernelSweep]:
+    """One Fig. 13 job: the sweeps of one benchmark's launch groups that
+    pass the §VII-A cutoff (an uncoarsened baseline of at least
+    :data:`MIN_KERNEL_SECONDS`)."""
+    bench = resolve_benchmark(name)
+    sweeps: List[KernelSweep] = []
+    for (kernel, block), grids in _launch_groups(bench).items():
+        sweep = sweep_kernel_configs(bench.source, kernel, block, grids,
+                                     arch, configs, name, engine=engine)
+        baseline = sweep.baseline()
+        if baseline is not None and baseline.seconds >= MIN_KERNEL_SECONDS:
+            sweeps.append(sweep)
+    return sweeps
+
+
+def fig13_plan(arch=None, benchmarks: Optional[Sequence[str]] = None,
+               configs: Optional[Sequence[Dict]] = None,
+               include_hecbench: bool = False) -> SweepPlan:
+    """Fig. 13: one :func:`fig13_benchmark` job per benchmark on ``arch``
+    (default the A100), merged by concatenation in benchmark order."""
+    arch = _arch(arch or A100)
+    configs = list(configs) if configs is not None else None
+    jobs = [Job("fig13|%s|%s" % (name, arch.name),
+                {"kind": "fig13", "benchmark": name, "arch": arch.name,
+                 "configs": configs})
+            for name in sorted(fig13_population(benchmarks,
+                                                include_hecbench))]
+
+    def merge(values):
+        return [sweep for job in jobs for sweep in values[job.key]]
+
+    return SweepPlan("fig13", jobs, merge)
+
+
+def fig13_data(arch: Optional[GPUArchitecture] = None,
                benchmarks: Optional[Sequence[str]] = None,
                configs: Optional[Sequence[Dict]] = None,
                include_hecbench: bool = False,
-               engine: Optional[TuningEngine] = None) -> List[KernelSweep]:
+               engine: Optional[TuningEngine] = None,
+               workers: int = 1) -> List[KernelSweep]:
     """Per-kernel sweeps across the suite (the Fig. 13 scatter).
 
     ``include_hecbench`` adds the HeCBench-style extras, mirroring the
     paper's wider 181-kernel population. ``engine``, when given, times
-    the sweeps' stages.
+    the sweeps' stages; it needs ``workers=1``. ``workers > 1`` runs one
+    benchmark per worker process.
     """
-    population = fig13_population(benchmarks, include_hecbench)
-    sweeps: List[KernelSweep] = []
-    for name in sorted(population):
-        bench = population[name]
-        for (kernel, block), grids in _launch_groups(bench).items():
-            sweep = sweep_kernel_configs(bench.source, kernel, block,
-                                         grids, arch, configs, name,
-                                         engine=engine)
-            baseline = sweep.baseline()
-            if baseline is None or baseline.seconds < MIN_KERNEL_SECONDS:
-                continue  # §VII-A cutoff
-            sweeps.append(sweep)
-    return sweeps
+    return _run(fig13_plan(arch, benchmarks, configs, include_hecbench),
+                workers, engine)
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -275,9 +349,8 @@ def fig15_dimension_sweep(arch: GPUArchitecture = A100,
         return (result.config["block_factors"][0],
                 result.config["thread_factors"][0])
 
-    baseline = next((r.seconds for r in sweep.results
-                     if r.valid and x_factors(r) == (1, 1)), None)
-    return {x_factors(r): baseline / r.seconds
+    baseline = sweep.baseline()
+    return {x_factors(r): baseline.seconds / r.seconds
             if r.valid and baseline else None for r in sweep.results}
 
 
@@ -289,15 +362,14 @@ TABLE2_CONFIGS: Tuple[Tuple[str, Dict[str, int]], ...] = (
 )
 
 
-def table2_profile_row(config: Dict[str, int],
-                       arch: GPUArchitecture = A100,
-                       size: int = 64) -> Dict[str, object]:
+def table2_profile_row(config: Dict[str, int], arch: GPUArchitecture,
+                       size: int) -> Dict[str, object]:
     """One Table II row: lud profiling counters at one coarsening config.
 
     Counters come from trace-driven functional execution (real addresses
     through the cache model); runtimes from the analytical model at
-    ``model_size``. Each row is independent, which is what lets the
-    sharded sweep run them as separate jobs.
+    ``model_size``. Each row is independent: one job of
+    :func:`table2_plan`.
     """
     from ..interpreter import MemoryBuffer
     from ..ir import F32
@@ -336,34 +408,62 @@ def table2_profile_row(config: Dict[str, int],
     return metrics.table_row()
 
 
-def table2_profile(arch: GPUArchitecture = A100, size: int = 64
+def table2_plan(arch=None, size: Optional[int] = None) -> SweepPlan:
+    """Table II: one :func:`table2_profile_row` job per
+    :data:`TABLE2_CONFIGS` point on ``arch`` (default the A100), tracing
+    a ``size`` × ``size`` matrix (default 64)."""
+    arch = _arch(arch or A100)
+    size = size if size is not None else 64
+    jobs = [Job("table2|%s" % label,
+                {"kind": "table2", "config": config, "arch": arch.name,
+                 "size": size})
+            for label, config in TABLE2_CONFIGS]
+
+    def merge(values):
+        return {label: values[job.key]
+                for (label, _), job in zip(TABLE2_CONFIGS, jobs)}
+
+    return SweepPlan("table2", jobs, merge)
+
+
+def table2_profile(arch: Optional[GPUArchitecture] = None,
+                   size: Optional[int] = None, workers: int = 1
                    ) -> Dict[str, Dict[str, object]]:
     """lud profiling counters at (1,1), (4,1), (1,4) — Table II."""
-    rows: Dict[str, Dict[str, object]] = {}
-    for label, config in TABLE2_CONFIGS:
-        rows[label] = table2_profile_row(config, arch, size)
-    return rows
+    return _run(table2_plan(arch, size), workers)
+
+
+def fig16_plan(archs: Optional[Sequence] = None,
+               tiers: Optional[Sequence[str]] = None,
+               benchmarks: Optional[Sequence[str]] = None,
+               configs: Optional[Sequence[Dict]] = None) -> SweepPlan:
+    """Fig. 16: one composite job per benchmark × arch × tier. By default
+    all four GPU models and the tiers clang, Polygeist-GPU without the
+    parallel optimizations, and Polygeist-GPU."""
+    archs = [_arch(arch) for arch in archs] if archs is not None \
+        else [A4000, A100, RX6800, MI210]
+    tiers = tuple(tiers) if tiers is not None \
+        else ("clang", "polygeist-noopt", "polygeist")
+    configs = list(configs) if configs is not None else None
+    cells = [(name, arch.name, tier)
+             for name in sorted(benchmarks or BENCHMARKS)
+             for arch in archs for tier in tiers]
+    jobs = [Job("fig16|%s|%s|%s" % (name, arch, tier),
+                {"kind": "composite", "benchmark": name, "arch": arch,
+                 "tier": tier, "configs": configs})
+            for name, arch, tier in cells]
+    return SweepPlan("fig16", jobs, _by_benchmark(
+        jobs, [(name, (arch, tier)) for name, arch, tier in cells]))
 
 
 def fig16_data(archs: Optional[Sequence[GPUArchitecture]] = None,
-               tiers: Sequence[str] = ("clang", "polygeist-noopt",
-                                       "polygeist"),
+               tiers: Optional[Sequence[str]] = None,
                benchmarks: Optional[Sequence[str]] = None,
-               configs: Optional[Sequence[Dict]] = None
+               configs: Optional[Sequence[Dict]] = None,
+               workers: int = 1
                ) -> Dict[str, Dict[Tuple[str, str], float]]:
     """Composite times per benchmark × (arch, tier) — Fig. 16."""
-    from .base import simulate_composite
-    archs = list(archs) if archs is not None else [A4000, A100, RX6800,
-                                                   MI210]
-    data: Dict[str, Dict[Tuple[str, str], float]] = {}
-    for name in sorted(benchmarks or BENCHMARKS):
-        data[name] = {}
-        for arch in archs:
-            for tier in tiers:
-                seconds = simulate_composite(name, arch, tier=tier,
-                                             autotune_configs=configs)
-                data[name][(arch.name, tier)] = seconds
-    return data
+    return _run(fig16_plan(archs, tiers, benchmarks, configs), workers)
 
 
 def fig16_geomeans(data: Dict[str, Dict[Tuple[str, str], float]],
@@ -410,25 +510,71 @@ def fig16_geomeans(data: Dict[str, Dict[Tuple[str, str], float]],
     return result
 
 
+#: Fig. 17's columns: (label, arch, tier, tuned with the sweep's
+#: configs). The untuned RX6800 (clang) column isolates the hardware
+#: ratio (fp64 throughput, LDS offload) from per-platform tuning.
+FIG17_COLUMNS: Tuple[Tuple[str, GPUArchitecture, str, bool], ...] = (
+    ("A4000 (clang)", A4000, "clang", False),
+    ("A4000 (Polygeist-GPU)", A4000, "polygeist", True),
+    ("RX6800 (Polygeist-GPU)", RX6800, "polygeist", True),
+    ("RX6800 (clang)", RX6800, "clang", False),
+)
+
+
+def fig17_plan(benchmarks: Optional[Sequence[str]] = None,
+               configs: Optional[Sequence[Dict]] = None) -> SweepPlan:
+    """Fig. 17: one composite job per benchmark × :data:`FIG17_COLUMNS`
+    column."""
+    configs = list(configs) if configs is not None else None
+    cells = [(name, column) for name in sorted(benchmarks or BENCHMARKS)
+             for column in FIG17_COLUMNS]
+    jobs = [Job("fig17|%s|%s" % (name, label),
+                {"kind": "composite", "benchmark": name, "arch": arch.name,
+                 "tier": tier, "configs": configs if tuned else None})
+            for name, (label, arch, tier, tuned) in cells]
+    return SweepPlan("fig17", jobs, _by_benchmark(
+        jobs, [(name, column[0]) for name, column in cells]))
+
+
 def fig17_data(benchmarks: Optional[Sequence[str]] = None,
-               configs: Optional[Sequence[Dict]] = None
-               ) -> Dict[str, Dict[str, float]]:
-    """A4000 (clang), A4000 (Polygeist-GPU), RX6800 (Polygeist-GPU)."""
+               configs: Optional[Sequence[Dict]] = None,
+               workers: int = 1) -> Dict[str, Dict[str, float]]:
+    """Composite times per benchmark on the four :data:`FIG17_COLUMNS`:
+    A4000 (clang), A4000 (Polygeist-GPU), RX6800 (Polygeist-GPU) and the
+    untuned RX6800 (clang) — Fig. 17."""
+    return _run(fig17_plan(benchmarks, configs), workers)
+
+
+# -- running one job of the figure matrix ------------------------------------
+
+
+#: each multi-job figure's plan, by ``repro sweep`` figure name
+FIGURE_PLANS: Dict[str, Callable[..., SweepPlan]] = {
+    "fig13": fig13_plan,
+    "fig16": fig16_plan,
+    "fig17": fig17_plan,
+    "table2": table2_plan,
+}
+
+
+def run_figure_job(payload: Dict[str, Any],
+                   engine: Optional[TuningEngine] = None) -> Any:
+    """Compute one plan job's value. Module-level, so the scheduler can
+    ship it to worker processes under any start method."""
     from .base import simulate_composite
-    data: Dict[str, Dict[str, float]] = {}
-    for name in sorted(benchmarks or BENCHMARKS):
-        data[name] = {
-            "A4000 (clang)": simulate_composite(name, A4000, tier="clang"),
-            "A4000 (Polygeist-GPU)": simulate_composite(
-                name, A4000, tier="polygeist", autotune_configs=configs),
-            "RX6800 (Polygeist-GPU)": simulate_composite(
-                name, RX6800, tier="polygeist", autotune_configs=configs),
-            # untuned AMD run: isolates the hardware ratio (fp64 throughput,
-            # LDS offload) from per-platform tuning differences
-            "RX6800 (clang)": simulate_composite(name, RX6800,
-                                                 tier="clang"),
-        }
-    return data
+    kind = payload["kind"]
+    arch = arch_by_name(payload["arch"])
+    if kind == "fig13":
+        return fig13_benchmark(payload["benchmark"], arch,
+                               payload["configs"], engine)
+    if kind == "composite":
+        return simulate_composite(payload["benchmark"], arch,
+                                  tier=payload["tier"],
+                                  autotune_configs=payload["configs"],
+                                  engine=engine)
+    if kind == "table2":
+        return table2_profile_row(payload["config"], arch, payload["size"])
+    raise ValueError("unknown sweep job kind %r" % kind)
 
 
 def hipify_ease_data(benchmarks: Optional[Sequence[str]] = None):

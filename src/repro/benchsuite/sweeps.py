@@ -1,32 +1,28 @@
-"""Process-sharded experiment sweeps over the paper's evaluation matrix.
+"""Running the figure matrix: in this process, over worker processes, or
+resumably from the CLI.
 
-The figure drivers in :mod:`~repro.benchsuite.experiments` are serial
-nested loops over an embarrassingly-parallel job matrix (benchmark ×
-architecture × tier for Fig. 16, benchmark × launch-group for Fig. 13,
-…). This module decomposes each driver into independent *picklable* jobs,
-runs them over :class:`~repro.engine.scheduler.SweepScheduler` worker
-processes (per-job timeout, bounded retry, crash isolation,
-degrade-to-in-process), and merges the results deterministically so the
-output is **identical to the serial driver** — parallelism is a
-throughput knob, never a behavior change.
+Fig. 13, Fig. 16, Fig. 17 and Table II are each defined once in
+:mod:`~repro.benchsuite.experiments`, as a
+:class:`~repro.benchsuite.experiments.SweepPlan`: independent picklable
+jobs plus the merge that builds the figure's data from their values. This
+module runs those plans two ways:
 
-Workers share the on-disk tuning cache when ``$REPRO_TUNING_CACHE`` is
-set (safe since the per-writer temp-file fix in
-:mod:`repro.engine.cache`), so repeated sweeps replay tuning decisions
-across processes.
+* :func:`run_plan` — what the figure drivers call (``fig16_data(workers=4)``
+  and the like). With ``workers <= 1`` it runs the jobs in order in this
+  process, so they share its default engine and tracer; otherwise it runs
+  them over :class:`~repro.engine.scheduler.SweepScheduler` worker
+  processes (per-job timeout, bounded retry, crash isolation). The merged
+  data is the same either way, and a failed job raises an error naming it.
+* :func:`run_figure_sweep` — what ``repro sweep`` calls. It always goes
+  through the scheduler, reports failed jobs on the returned
+  :class:`SweepOutcome` instead of raising, and skips the jobs whose values
+  a previous run's JSON already holds (:func:`write_sweep_json` and
+  :func:`load_resume_values` write and read that JSON).
 
-Three layers:
-
-* :func:`plan_figure` — decompose a figure into ``Job``s plus a merge
-  function that rebuilds the serial driver's exact output structure;
-* :func:`run_figure_sweep` — plan + schedule + merge, with ``--resume``
-  support via previously-saved per-job values;
-* ``sharded_fig13_data`` / ``sharded_fig16_data`` / ``sharded_fig17_data``
-  / ``sharded_table2_profile`` — drop-in replacements for the serial
-  drivers (``workers<=1`` falls back to the serial path exactly).
-
-The ``repro sweep`` CLI subcommand fronts :func:`run_figure_sweep` and
-persists per-job values as JSON for resumption.
+Workers share the on-disk tuning cache when ``$REPRO_TUNING_CACHE`` is set,
+so repeated sweeps replay tuning decisions across processes. When the
+caller has a tracer installed, each scheduled job records its spans under
+a tracer of its own and the caller's tracer absorbs them.
 """
 
 from __future__ import annotations
@@ -34,88 +30,41 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..engine.scheduler import (Job, JobResult, SweepScheduler,
-                                sweep_workers)
+from ..engine import TuningEngine
+from ..engine.scheduler import Job, JobResult, SweepScheduler, sweep_workers
+from ..obs import tracer as obs_tracer
 from ..obs.log import get_logger
-from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800, \
-    arch_by_name
-from .base import BENCHMARKS, simulate_composite
-from .experiments import (ConfigTime, KernelSweep, TABLE2_CONFIGS,
-                          fig13_data, fig13_population, fig16_data,
-                          fig17_data, table2_profile, table2_profile_row)
+from .experiments import (ConfigTime, FIGURE_PLANS, KernelSweep, SweepPlan,
+                          run_figure_job)
 
 logger = get_logger("benchsuite.sweeps")
 
-#: the figures the sweep engine can shard
-FIGURES = ("fig13", "fig16", "fig17", "table2")
 
-#: Fig. 16 defaults, mirroring ``fig16_data``
-FIG16_ARCHS: Tuple[GPUArchitecture, ...] = (A4000, A100, RX6800, MI210)
-FIG16_TIERS: Tuple[str, ...] = ("clang", "polygeist-noopt", "polygeist")
-
-#: Fig. 17 columns: (label, arch name, tier, uses autotune configs) in the
-#: serial driver's insertion order
-FIG17_COLUMNS: Tuple[Tuple[str, str, str, bool], ...] = (
-    ("A4000 (clang)", "NVIDIA A4000", "clang", False),
-    ("A4000 (Polygeist-GPU)", "NVIDIA A4000", "polygeist", True),
-    ("RX6800 (Polygeist-GPU)", "AMD RX6800", "polygeist", True),
-    ("RX6800 (clang)", "AMD RX6800", "clang", False),
-)
-
-
-def _resolve_arch(arch) -> GPUArchitecture:
-    if isinstance(arch, str):
-        return arch_by_name(arch)
-    return arch
-
-
-# -- job runners (module-level: must pickle under any start method) ----------
-
-
-def _run_fig13_job(payload: Dict[str, Any]) -> List[KernelSweep]:
-    return fig13_data(arch=arch_by_name(payload["arch"]),
-                      benchmarks=[payload["benchmark"]],
-                      configs=payload["configs"])
-
-
-def _run_composite_job(payload: Dict[str, Any]) -> float:
-    return simulate_composite(payload["benchmark"], payload["arch"],
-                              tier=payload["tier"],
-                              autotune_configs=payload["configs"])
-
-
-def _run_table2_job(payload: Dict[str, Any]) -> Dict[str, object]:
-    return table2_profile_row(payload["config"],
-                              arch_by_name(payload["arch"]),
-                              payload["size"])
-
-
-_RUNNERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "fig13": _run_fig13_job,
-    "fig16": _run_composite_job,
-    "fig17": _run_composite_job,
-    "table2": _run_table2_job,
-}
+def plan_figure(figure: str, **kwargs) -> SweepPlan:
+    """``figure``'s plan; ``kwargs`` are its driver's arguments (without
+    ``workers``), and architectures may be given by name."""
+    if figure not in FIGURE_PLANS:
+        raise ValueError("unknown figure %r (expected one of %s)" %
+                         (figure, ", ".join(FIGURE_PLANS)))
+    return FIGURE_PLANS[figure](**kwargs)
 
 
 def run_sweep_job(payload: Dict[str, Any]) -> Any:
-    """Execute one sweep job; the scheduler ships this to workers.
+    """Execute one scheduled job; the scheduler ships this to workers.
 
-    When the payload carries ``trace: True`` (set by
-    :func:`run_figure_sweep` whenever the parent process has a tracer
-    installed), the job runs under a fresh worker-local tracer and
-    returns a wrapped value carrying the recorded spans (plus the worker
-    tracer's epoch), which the parent absorbs back into its own tracer.
+    When the payload carries ``trace: True`` (set whenever the parent
+    process has a tracer installed), the job runs under a fresh
+    worker-local tracer and returns a wrapped value carrying the recorded
+    spans (plus the worker tracer's epoch), which the parent absorbs back
+    into its own tracer.
     """
-    runner = _RUNNERS[payload["kind"]]
     if not payload.get("trace"):
-        return runner(payload)
-    from ..obs import tracer as obs_tracer
+        return run_figure_job(payload)
     worker_tracer = obs_tracer.Tracer()
     with obs_tracer.tracing(worker_tracer):
-        value = runner(payload)
+        value = run_figure_job(payload)
     return {"__traced__": True, "value": value,
             "epoch": worker_tracer.epoch,
             "spans": [s.as_dict() for s in worker_tracer.finished()]}
@@ -130,127 +79,6 @@ def _unwrap_traced(result, parent_tracer) -> Any:
                                  value.get("epoch"))
         result.value = value = value["value"]
     return value
-
-
-# -- figure decomposition ----------------------------------------------------
-
-
-@dataclass
-class SweepPlan:
-    """A figure decomposed into jobs plus its deterministic merge."""
-
-    figure: str
-    jobs: List[Job]
-    #: rebuilds the serial driver's output from ``{job key: value}``
-    merge: Callable[[Dict[str, Any]], Any]
-    #: the serial driver over the same parameters (workers<=1 fallback)
-    serial: Callable[[], Any]
-
-    @property
-    def keys(self) -> List[str]:
-        return [job.key for job in self.jobs]
-
-
-def plan_figure(figure: str,
-                benchmarks: Optional[Sequence[str]] = None,
-                archs: Optional[Sequence] = None,
-                tiers: Optional[Sequence[str]] = None,
-                configs: Optional[Sequence[Dict]] = None,
-                include_hecbench: bool = False,
-                arch=None,
-                size: int = 64) -> SweepPlan:
-    """Decompose one figure driver into independent jobs.
-
-    ``arch`` applies to the single-architecture figures (fig13, table2);
-    ``archs``/``tiers`` to fig16. The job list and the merge function
-    both follow the serial driver's iteration order, so the merged
-    output is identical to the serial path.
-    """
-    configs = list(configs) if configs is not None else None
-    if figure == "fig13":
-        one_arch = _resolve_arch(arch or A100)
-        names = sorted(fig13_population(benchmarks, include_hecbench))
-        jobs = [Job("fig13|%s|%s" % (name, one_arch.name),
-                    {"kind": "fig13", "benchmark": name,
-                     "arch": one_arch.name, "configs": configs})
-                for name in names]
-
-        def merge13(values):
-            sweeps: List[KernelSweep] = []
-            for job in jobs:
-                sweeps.extend(values[job.key])
-            return sweeps
-
-        return SweepPlan("fig13", jobs, merge13,
-                         lambda: fig13_data(
-                             arch=one_arch, benchmarks=benchmarks,
-                             configs=configs,
-                             include_hecbench=include_hecbench))
-
-    if figure == "fig16":
-        arch_list = [_resolve_arch(a) for a in archs] \
-            if archs is not None else list(FIG16_ARCHS)
-        tier_list = tuple(tiers) if tiers is not None else FIG16_TIERS
-        names = sorted(benchmarks or BENCHMARKS)
-        jobs = [Job("fig16|%s|%s|%s" % (name, one.name, tier),
-                    {"kind": "fig16", "benchmark": name, "arch": one.name,
-                     "tier": tier, "configs": configs})
-                for name in names for one in arch_list
-                for tier in tier_list]
-
-        def merge16(values):
-            data: Dict[str, Dict[Tuple[str, str], float]] = {}
-            for name in names:
-                data[name] = {}
-                for one in arch_list:
-                    for tier in tier_list:
-                        key = "fig16|%s|%s|%s" % (name, one.name, tier)
-                        data[name][(one.name, tier)] = values[key]
-            return data
-
-        return SweepPlan("fig16", jobs, merge16,
-                         lambda: fig16_data(
-                             archs=arch_list, tiers=tier_list,
-                             benchmarks=benchmarks, configs=configs))
-
-    if figure == "fig17":
-        names = sorted(benchmarks or BENCHMARKS)
-        jobs = [Job("fig17|%s|%s" % (name, label),
-                    {"kind": "fig17", "benchmark": name, "arch": arch_name,
-                     "tier": tier,
-                     "configs": configs if tuned else None})
-                for name in names
-                for label, arch_name, tier, tuned in FIG17_COLUMNS]
-
-        def merge17(values):
-            data: Dict[str, Dict[str, float]] = {}
-            for name in names:
-                data[name] = {}
-                for label, _, _, _ in FIG17_COLUMNS:
-                    data[name][label] = \
-                        values["fig17|%s|%s" % (name, label)]
-            return data
-
-        return SweepPlan("fig17", jobs, merge17,
-                         lambda: fig17_data(benchmarks=benchmarks,
-                                            configs=configs))
-
-    if figure == "table2":
-        one_arch = _resolve_arch(arch or A100)
-        jobs = [Job("table2|%s" % label,
-                    {"kind": "table2", "label": label, "config": config,
-                     "arch": one_arch.name, "size": size})
-                for label, config in TABLE2_CONFIGS]
-
-        def merge_t2(values):
-            return {label: values["table2|%s" % label]
-                    for label, _ in TABLE2_CONFIGS}
-
-        return SweepPlan("table2", jobs, merge_t2,
-                         lambda: table2_profile(arch=one_arch, size=size))
-
-    raise ValueError("unknown figure %r (expected one of %s)" %
-                     (figure, ", ".join(FIGURES)))
 
 
 # -- value (de)serialization for resume files --------------------------------
@@ -296,10 +124,10 @@ def encode_figure_data(figure: str, data: Any) -> Any:
 
 @dataclass
 class SweepOutcome:
-    """Everything one sharded sweep produced."""
+    """Everything one scheduled sweep produced."""
 
     figure: str
-    #: the serial driver's exact output, or None when jobs failed
+    #: the figure's merged data, or None when jobs failed
     data: Any
     #: per-job values, including resumed ones
     values: Dict[str, Any]
@@ -329,43 +157,17 @@ class SweepOutcome:
         return sum(1 for r in self.results.values() if r.degraded)
 
 
-def run_figure_sweep(figure: str,
-                     workers: Optional[int] = None,
-                     timeout: Optional[float] = None,
-                     retries: int = 2,
-                     backoff: float = 0.5,
-                     degrade: bool = True,
-                     mp_context: Optional[str] = None,
-                     resume_values: Optional[Dict[str, Any]] = None,
-                     serial_fallback: bool = True,
-                     **plan_kwargs) -> SweepOutcome:
-    """Plan, schedule, and merge one figure sweep.
-
-    ``resume_values`` maps job keys to already-computed values (decoded
-    from a previous run's JSON); those jobs are skipped. Job failures
-    never raise — they are reported on the outcome and ``data`` is
-    ``None`` until every job has a value. With ``serial_fallback`` off,
-    ``workers<=1`` still runs job-by-job through the scheduler (in
-    process), which keeps per-job values available for resume files.
-    """
-    plan = plan_figure(figure, **plan_kwargs)
-    plan_archs = sorted({str(job.payload["arch"]) for job in plan.jobs
-                         if job.payload.get("arch")})
+def _schedule(plan: SweepPlan, workers: int, timeout: Optional[float] = None,
+              retries: int = 2,
+              resume_values: Optional[Dict[str, Any]] = None
+              ) -> SweepOutcome:
+    """Run ``plan``'s jobs not in ``resume_values`` over the scheduler and
+    merge, when every job has a value."""
     wanted = set(plan.keys)
     resumed = {key: value for key, value in (resume_values or {}).items()
                if key in wanted}
     todo = [job for job in plan.jobs if job.key not in resumed]
     start = time.perf_counter()
-    workers = sweep_workers(workers)
-    if serial_fallback and workers <= 1 and not resumed and not timeout:
-        # pure serial path: run the driver itself so the fallback is
-        # exactly the code the sharded result is compared against
-        data = plan.serial()
-        values = dict(zip(plan.keys, [None] * len(plan.keys)))
-        return SweepOutcome(figure, data, values,
-                            elapsed=time.perf_counter() - start,
-                            archs=plan_archs)
-    from ..obs import tracer as obs_tracer
     parent_tracer = obs_tracer.current()
     if parent_tracer is not None:
         # ship spans back from the workers: each job runs under its own
@@ -374,9 +176,8 @@ def run_figure_sweep(figure: str,
         todo = [Job(job.key, dict(job.payload, trace=True))
                 for job in todo]
     scheduler = SweepScheduler(workers=workers, timeout=timeout,
-                               retries=retries, backoff=backoff,
-                               degrade=degrade, mp_context=mp_context)
-    logger.info("sweep %s: %d jobs (%d resumed) on %r", figure,
+                               retries=retries)
+    logger.info("sweep %s: %d jobs (%d resumed) on %r", plan.figure,
                 len(todo), len(resumed), scheduler)
     with scheduler:  # worker processes reaped even if a merge step throws
         results = scheduler.run(run_sweep_job, todo)
@@ -385,9 +186,60 @@ def run_figure_sweep(figure: str,
         if result.ok:
             values[key] = _unwrap_traced(result, parent_tracer)
     data = plan.merge(values) if len(values) == len(plan.jobs) else None
-    return SweepOutcome(figure, data, values, results,
+    return SweepOutcome(plan.figure, data, values, results,
                         sorted(resumed), time.perf_counter() - start,
-                        archs=plan_archs)
+                        archs=sorted({job.payload["arch"]
+                                      for job in plan.jobs}))
+
+
+def run_figure_sweep(figure: str,
+                     workers: Optional[int] = None,
+                     timeout: Optional[float] = None,
+                     retries: int = 2,
+                     resume_values: Optional[Dict[str, Any]] = None,
+                     **plan_kwargs) -> SweepOutcome:
+    """Plan, schedule and merge one figure sweep.
+
+    ``workers`` defaults to ``$REPRO_SWEEP_WORKERS`` or the CPU count; one
+    worker runs the jobs in this process, still under ``timeout``.
+    ``resume_values`` maps job keys to already-computed values (decoded
+    from a previous run's JSON); those jobs are skipped. Job failures
+    never raise: they are reported on the outcome, and ``data`` is
+    ``None`` until every job has a value.
+    """
+    return _schedule(plan_figure(figure, **plan_kwargs),
+                     sweep_workers(workers), timeout, retries,
+                     resume_values)
+
+
+def run_plan(plan: SweepPlan, workers: int = 1,
+             engine: Optional[TuningEngine] = None) -> Any:
+    """The figure data of ``plan``: its jobs run in order in this process
+    when ``workers <= 1`` (timed into ``engine`` when given), otherwise
+    over ``workers`` worker processes. A failed job raises a
+    ``RuntimeError`` that names it; partial data is never returned.
+    """
+    if workers <= 1:
+        values: Dict[str, Any] = {}
+        for job in plan.jobs:
+            try:
+                values[job.key] = run_figure_job(job.payload, engine)
+            except Exception as error:
+                raise RuntimeError("sweep %s failed for job %s (%s: %s)" % (
+                    plan.figure, job.key, type(error).__name__,
+                    error)) from error
+        return plan.merge(values)
+    if engine is not None:
+        raise ValueError("an engine times stages in this process only; "
+                         "run with workers=1 to pass one")
+    outcome = _schedule(plan, workers)
+    if outcome.data is None:
+        raise RuntimeError(
+            "sweep %s failed for %d job(s): %s" %
+            (plan.figure, len(outcome.failed),
+             "; ".join("%s (%s)" % item
+                       for item in sorted(outcome.failed.items()))))
+    return outcome.data
 
 
 # -- resume-file I/O ---------------------------------------------------------
@@ -429,58 +281,3 @@ def load_resume_values(path: str, figure: str) -> Dict[str, Any]:
                          (path, payload.get("figure"), figure))
     return {key: decode_value(figure, value)
             for key, value in payload.get("jobs", {}).items()}
-
-
-# -- drop-in sharded drivers -------------------------------------------------
-
-
-def _sharded(figure: str, workers: Optional[int], plan_kwargs: Dict,
-             **scheduler_kwargs) -> Any:
-    workers = sweep_workers(workers)
-    outcome = run_figure_sweep(figure, workers=workers, **scheduler_kwargs,
-                               **plan_kwargs)
-    if outcome.data is None:
-        raise RuntimeError(
-            "sweep %s failed for %d job(s): %s" %
-            (figure, len(outcome.failed),
-             "; ".join("%s (%s)" % item
-                       for item in sorted(outcome.failed.items()))))
-    return outcome.data
-
-
-def sharded_fig13_data(arch=None, benchmarks=None, configs=None,
-                       include_hecbench: bool = False,
-                       workers: Optional[int] = None,
-                       **scheduler_kwargs) -> List[KernelSweep]:
-    """Sharded drop-in for :func:`fig13_data` (identical results)."""
-    return _sharded("fig13", workers,
-                    dict(arch=arch, benchmarks=benchmarks, configs=configs,
-                         include_hecbench=include_hecbench),
-                    **scheduler_kwargs)
-
-
-def sharded_fig16_data(archs=None, tiers=None, benchmarks=None,
-                       configs=None, workers: Optional[int] = None,
-                       **scheduler_kwargs):
-    """Sharded drop-in for :func:`fig16_data` (identical results)."""
-    return _sharded("fig16", workers,
-                    dict(archs=archs, tiers=tiers, benchmarks=benchmarks,
-                         configs=configs),
-                    **scheduler_kwargs)
-
-
-def sharded_fig17_data(benchmarks=None, configs=None,
-                       workers: Optional[int] = None,
-                       **scheduler_kwargs):
-    """Sharded drop-in for :func:`fig17_data` (identical results)."""
-    return _sharded("fig17", workers,
-                    dict(benchmarks=benchmarks, configs=configs),
-                    **scheduler_kwargs)
-
-
-def sharded_table2_profile(arch=None, size: int = 64,
-                           workers: Optional[int] = None,
-                           **scheduler_kwargs):
-    """Sharded drop-in for :func:`table2_profile` (identical results)."""
-    return _sharded("table2", workers, dict(arch=arch, size=size),
-                    **scheduler_kwargs)

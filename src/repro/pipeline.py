@@ -535,6 +535,15 @@ class LaunchWrapper:
         return dict(zip(args[:len(grid)], grid))
 
 
+def first_kernel(unit) -> str:
+    """The name of the parsed ``unit``'s first ``__global__`` kernel: the
+    kernel every tool given source but no kernel name works on."""
+    kernels = unit.kernels()
+    if not kernels:
+        raise CodegenError("no __global__ kernels found")
+    return kernels[0].name
+
+
 def build_launch_wrapper(source: str, kernel: Optional[str],
                          grid_rank: int, block: Sequence[int],
                          engine: Optional[TuningEngine] = None
@@ -551,10 +560,7 @@ def build_launch_wrapper(source: str, kernel: Optional[str],
         unit = parse_translation_unit(source)
         generator = ModuleGenerator(unit)
     if kernel is None:
-        kernels = unit.kernels()
-        if not kernels:
-            raise CodegenError("no __global__ kernels found")
-        kernel = kernels[0].name
+        kernel = first_kernel(unit)
     name = generator.get_launch_wrapper(kernel, grid_rank, tuple(block))
     with stage("cleanup"):
         run_cleanup(generator.module)

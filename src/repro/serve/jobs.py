@@ -192,16 +192,13 @@ def run_tune_job(payload: Dict[str, Any],
                 autotune_configs=configs, size=request.size,
                 engine=engine, outcomes=outcomes)
         else:
-            from ..pipeline import Program
+            from ..pipeline import Program, first_kernel
             program = Program(request.source, arch=arch,
                               tier=request.tier,
                               autotune_configs=configs, engine=engine)
             kernel = request.kernel
             if kernel is None:
-                kernels = [f.name for f in program.unit.kernels()]
-                if not kernels:
-                    raise RequestError("no __global__ kernels in source")
-                kernel = kernels[0]
+                kernel = first_kernel(program.unit)
             timing = program.model_launch(kernel, request.grid,
                                           request.block)
             seconds = timing.time_seconds

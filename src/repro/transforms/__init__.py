@@ -13,7 +13,8 @@ from .alternatives import (AlternativeInfo, PlannedAlternatives,
                            plan_coarsening_alternatives, select_alternative)
 from .cleanup import run_rewrites
 from .coarsen import (CoarsenError, CoarsenResult, balance_factors,
-                      block_coarsen, coarsen_wrapper, thread_coarsen)
+                      block_coarsen, coarsen_wrapper, is_uncoarsened,
+                      thread_coarsen)
 from .outline import outline_gpu_wrappers
 from .pipeline import cleanup_regions, run_cleanup
 from .unroll_interleave import IllegalUnroll, check_unroll_legality, \
@@ -22,7 +23,7 @@ from .unroll_interleave import IllegalUnroll, check_unroll_legality, \
 __all__ = [
     "AlternativeInfo", "CoarsenError", "CoarsenResult", "IllegalUnroll",
     "balance_factors", "block_coarsen", "check_unroll_legality",
-    "cleanup_regions", "coarsen_wrapper",
+    "cleanup_regions", "coarsen_wrapper", "is_uncoarsened",
     "outline_gpu_wrappers",
     "PlannedAlternatives", "plan_coarsening_alternatives",
     "run_cleanup", "run_rewrites", "select_alternative", "thread_coarsen",

@@ -17,7 +17,7 @@ paper's strategy (footnote 4): 16 → (4, 2, 2), 6 → (3, 2, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, polygeist, scf
 from ..ir import Operation
@@ -236,6 +236,22 @@ def _resolve_factors(wrapper: Operation,
     result.block_factors = tuple(block_factors or ())
     result.thread_factors = tuple(thread_factors or ())
     return main, result
+
+
+def is_uncoarsened(config: Dict[str, object]) -> bool:
+    """Whether the coarsening kwargs ``config`` leave the kernel as it is.
+
+    True when every total and every per-dimension factor is 1, however
+    the config spells it: ``{}``, ``block_total=1 thread_total=1``, or
+    ``block_factors=(1, 1)``. The test every caller uses to find the
+    uncoarsened baseline among a sweep's configs, whatever the kernel's
+    rank (a 2-D kernel's baseline describes itself as ``block=1x1
+    thread=1x1``).
+    """
+    factors = [config.get("block_total"), config.get("thread_total")]
+    factors += list(config.get("block_factors") or ())
+    factors += list(config.get("thread_factors") or ())
+    return all(int(factor) == 1 for factor in factors if factor is not None)
 
 
 def coarsen_wrapper(wrapper: Operation,

@@ -128,6 +128,14 @@ class TestAnalyzeBenchmark:
         assert internal.speedup_vs_baseline == pytest.approx(
             internal.baseline_seconds / internal.modeled_seconds)
 
+    def test_uncoarsened_time_found_for_2d_kernels(self, lud_analysis):
+        # lud_internal launches 2-D blocks, so its uncoarsened config
+        # describes itself as "block=1x1 thread=1x1"
+        seconds = {report.kernel: report.decisions["baseline_desc_seconds"]
+                   for report in lud_analysis.kernels}
+        assert seconds["lud_internal"] is not None
+        assert all(value is not None for value in seconds.values()), seconds
+
     def test_modeled_baseline_has_no_note(self, lud_analysis):
         for report in lud_analysis.kernels:
             assert report.baseline_note is None
@@ -459,8 +467,7 @@ class TestProvenanceHeaders:
                                              write_sweep_json)
         outcome = run_figure_sweep(
             "fig16", workers=1, benchmarks=["nn"], archs=[A100],
-            tiers=("clang",), configs=default_configs(max_total=2),
-            serial_fallback=False)
+            tiers=("clang",), configs=default_configs(max_total=2))
         assert outcome.archs == [A100.name]
         path = str(tmp_path / "sweep.json")
         write_sweep_json(path, outcome, created="t1")
@@ -526,8 +533,7 @@ class TestWorkerSpanMerge:
             outcome = run_figure_sweep(
                 "fig16", workers=2, benchmarks=["gaussian", "nn"],
                 archs=[A100], tiers=("clang",),
-                configs=default_configs(max_total=2),
-                serial_fallback=False)
+                configs=default_configs(max_total=2))
         assert outcome.data is not None
         spans = tracer.finished()
         worker_pids = {s.pid for s in spans if s.pid != 0}
@@ -551,8 +557,7 @@ class TestWorkerSpanMerge:
         assert obs_tracer.current() is None
         outcome = run_figure_sweep(
             "fig16", workers=1, benchmarks=["nn"], archs=[A100],
-            tiers=("clang",), configs=default_configs(max_total=2),
-            serial_fallback=False)
+            tiers=("clang",), configs=default_configs(max_total=2))
         assert outcome.data is not None
 
 

@@ -95,6 +95,18 @@ class TestKernelSweep:
         assert sweep.speedup() >= sweep.speedup(block_only=True) - 1e-9
         assert sweep.speedup() >= sweep.speedup(thread_only=True) - 1e-9
 
+    def test_baseline_found_among_per_dimension_factors(self):
+        # configs spelled as factors carry no totals, so the uncoarsened
+        # row is only known by its factors all being 1
+        bench = get_benchmark("lud")
+        sweep = sweep_kernel_configs(
+            bench.source, "lud_internal", (16, 16), [(120, 120)], A100,
+            [{"block_factors": (2, 1), "thread_factors": (1, 1)},
+             {"block_factors": (1, 1), "thread_factors": (1, 1)}], "lud",
+            engine=TuningEngine(validate=False))
+        assert sweep.baseline().config["block_factors"] == (1, 1)
+        assert sweep.speedup() > 1.0
+
 
 class TestFig14Shapes:
     @pytest.fixture(scope="class")

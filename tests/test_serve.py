@@ -17,6 +17,7 @@ import pytest
 from repro.engine import TuningCache
 from repro.engine.cache import CACHE_MAX_ENV, CacheEntry, \
     parse_cache_budget
+from repro.frontend import CodegenError
 from repro.obs import metrics as obs_metrics
 from repro.serve import (JobQueue, QueueClosed, QueueFull, RequestError,
                          ServeClient, ServeError, ServerConfig,
@@ -303,7 +304,7 @@ class TestRunTuneJob:
         payload = dict(TuneRequest.from_payload(
             {"source": "int main() { return 0; }"}).as_payload(),
             cache_dir=str(tmp_path))
-        with pytest.raises(RequestError, match="__global__"):
+        with pytest.raises(CodegenError, match="no __global__ kernels"):
             run_tune_job(payload)
 
 
@@ -397,6 +398,15 @@ class TestDaemonHTTP:
             assert stats["jobs"]["warm"] == 4
         finally:
             server.drain(grace=20.0)
+
+    def test_source_without_kernels_fails_the_job(self, daemon):
+        # no kernel named and none in the source: accepted, then the job
+        # fails saying so
+        server, client = daemon
+        submitted = client.submit({"source": "int main() { return 0; }"})
+        with pytest.raises(ServeError, match="no __global__ kernels"):
+            client.wait(submitted["job"], timeout=60)
+        assert client.job(submitted["job"])["state"] == "failed"
 
     def test_bad_request_is_400(self, daemon):
         server, client = daemon

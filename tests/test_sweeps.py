@@ -6,8 +6,8 @@ Covers the three layers added for sharded figure sweeps:
   per-job timeout, bounded retry, degrade-to-in-process;
 * the on-disk :class:`~repro.engine.cache.TuningCache` under concurrent
   multi-process writers (the unique-temp-file fix);
-* :mod:`repro.benchsuite.sweeps` — plans, deterministic merge
-  (sharded == serial), resume files.
+* :mod:`repro.benchsuite.sweeps` — figure plans and their job keys, the
+  same data in process and over worker processes, resume files.
 """
 
 import json
@@ -439,6 +439,9 @@ class TestPlans:
             plan_figure("fig99")
 
     def test_fig16_plan_matches_serial_iteration(self):
+        # the job keys are the resume format: files written before the
+        # figures became plans must still load, so every figure's keys
+        # and their order are pinned here
         from repro.benchsuite.sweeps import plan_figure
         plan = plan_figure("fig16", benchmarks=["nn", "gaussian"],
                            archs=[A100], tiers=("clang", "polygeist"))
@@ -448,12 +451,31 @@ class TestPlans:
             "fig16|nn|NVIDIA A100|clang",
             "fig16|nn|NVIDIA A100|polygeist",
         ]
+        assert plan_figure("fig16", benchmarks=["nn"]).keys == [
+            "fig16|nn|%s|%s" % (arch, tier)
+            for arch in ("NVIDIA A4000", "NVIDIA A100", "AMD RX6800",
+                         "AMD MI210")
+            for tier in ("clang", "polygeist-noopt", "polygeist")]
+        assert plan_figure("fig17", benchmarks=["nn", "gaussian"]).keys == [
+            "fig17|%s|%s" % (name, label)
+            for name in ("gaussian", "nn")
+            for label in ("A4000 (clang)", "A4000 (Polygeist-GPU)",
+                          "RX6800 (Polygeist-GPU)", "RX6800 (clang)")]
+        assert plan_figure("fig13", benchmarks=["nn", "gaussian"]).keys == [
+            "fig13|gaussian|NVIDIA A100", "fig13|nn|NVIDIA A100"]
+        assert plan_figure("fig13", arch="mi210",
+                           benchmarks=["nn"]).keys == ["fig13|nn|AMD MI210"]
+        assert plan_figure("table2").keys == [
+            "table2|(1, 1)", "table2|(4, 1)", "table2|(1, 4)"]
 
     def test_payloads_are_picklable(self):
         import pickle
         from repro.benchsuite.sweeps import plan_figure
-        for figure in ("fig13", "fig16", "fig17", "table2"):
-            plan = plan_figure(figure, benchmarks=["nn"])
+        for figure, kwargs in (("fig13", {"benchmarks": ["nn"]}),
+                               ("fig16", {"benchmarks": ["nn"]}),
+                               ("fig17", {"benchmarks": ["nn"]}),
+                               ("table2", {})):
+            plan = plan_figure(figure, **kwargs)
             for job in plan.jobs:
                 pickle.dumps(job)
 
@@ -464,31 +486,81 @@ class TestPlans:
 
 
 class TestShardedDeterminism:
-    def test_fig16_sharded_equals_serial(self):
+    """Each figure driver returns the same data in this process as over
+    two worker processes."""
+
+    def test_fig16_in_process_equals_two_workers(self):
         from repro.autotune.search import default_configs
         from repro.benchsuite.experiments import fig16_data
-        from repro.benchsuite.sweeps import sharded_fig16_data
         kwargs = dict(benchmarks=["gaussian", "nn"], archs=[A100, MI210],
                       tiers=("clang", "polygeist"),
                       configs=default_configs(max_total=2))
-        serial = fig16_data(**kwargs)
-        sharded = sharded_fig16_data(workers=2, **kwargs)
-        assert sharded == serial
-        assert repr(sharded) == repr(serial)
+        in_process = fig16_data(**kwargs)
+        sharded = fig16_data(workers=2, **kwargs)
+        assert sharded == in_process
+        assert repr(sharded) == repr(in_process)
 
-    def test_table2_sharded_equals_serial(self):
+    def test_fig16_defaults_in_process_equals_two_workers(self):
+        from repro.autotune.search import default_configs
+        from repro.benchsuite.experiments import fig16_data
+        kwargs = dict(benchmarks=["nn"],
+                      configs=default_configs(max_total=2))
+        in_process = fig16_data(**kwargs)
+        assert list(in_process["nn"]) == [
+            (arch, tier)
+            for arch in ("NVIDIA A4000", "NVIDIA A100", "AMD RX6800",
+                         "AMD MI210")
+            for tier in ("clang", "polygeist-noopt", "polygeist")]
+        assert repr(fig16_data(workers=2, **kwargs)) == repr(in_process)
+
+    def test_fig17_in_process_equals_two_workers(self):
+        from repro.autotune.search import default_configs
+        from repro.benchsuite.experiments import fig17_data
+        kwargs = dict(benchmarks=["gaussian", "nn"],
+                      configs=default_configs(max_total=2))
+        in_process = fig17_data(**kwargs)
+        assert list(in_process) == ["gaussian", "nn"]
+        assert list(in_process["nn"]) == [
+            "A4000 (clang)", "A4000 (Polygeist-GPU)",
+            "RX6800 (Polygeist-GPU)", "RX6800 (clang)"]
+        assert repr(fig17_data(workers=2, **kwargs)) == repr(in_process)
+
+    def test_table2_in_process_equals_two_workers(self):
         from repro.benchsuite.experiments import table2_profile
-        from repro.benchsuite.sweeps import sharded_table2_profile
-        assert sharded_table2_profile(workers=2) == table2_profile()
+        assert table2_profile(workers=2) == table2_profile()
 
     def test_failure_surfaces_instead_of_partial_data(self, monkeypatch):
         from repro.benchsuite import sweeps
         outcome = sweeps.run_figure_sweep(
             "fig16", workers=2, benchmarks=["no-such-benchmark"],
-            archs=[A100], tiers=("clang",), retries=0, degrade=False,
-            serial_fallback=False)
+            archs=[A100], tiers=("clang",), retries=0)
         assert outcome.data is None
         assert len(outcome.failed) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_job_raises_naming_it(self, workers):
+        from repro.benchsuite.experiments import fig16_data
+        with pytest.raises(RuntimeError,
+                           match="fig16[|]no-such-benchmark[|]NVIDIA A100"):
+            fig16_data(benchmarks=["no-such-benchmark"], archs=[A100],
+                       tiers=("clang",), workers=workers)
+
+    def test_engine_needs_one_worker(self):
+        from repro.benchsuite.experiments import fig13_data
+        from repro.engine import TuningEngine
+        with pytest.raises(ValueError, match="workers=1"):
+            fig13_data(benchmarks=["nn"], engine=TuningEngine(), workers=2)
+
+    def test_in_process_spans_reach_the_callers_tracer(self):
+        from repro.autotune.search import default_configs
+        from repro.benchsuite.experiments import fig16_data
+        from repro.obs.tracer import tracing
+        with tracing() as tracer:
+            fig16_data(benchmarks=["nn"], archs=[A100], tiers=("clang",),
+                       configs=default_configs(max_total=2))
+        spans = tracer.finished()
+        assert spans
+        assert {span.pid for span in spans} == {0}  # recorded here
 
 
 class TestResume:
@@ -499,14 +571,12 @@ class TestResume:
                                              write_sweep_json)
         kwargs = dict(benchmarks=["nn"], archs=[A100], tiers=("clang",),
                       configs=default_configs(max_total=2))
-        first = run_figure_sweep("fig16", workers=2,
-                                 serial_fallback=False, **kwargs)
+        first = run_figure_sweep("fig16", workers=2, **kwargs)
         assert first.data is not None and len(first.results) == 1
         path = str(tmp_path / "sweep.json")
         write_sweep_json(path, first, {"workers": 2})
         values = load_resume_values(path, "fig16")
         second = run_figure_sweep("fig16", workers=2,
-                                  serial_fallback=False,
                                   resume_values=values, **kwargs)
         assert second.results == {}  # nothing re-run
         assert second.resumed == sorted(first.values)
@@ -526,7 +596,7 @@ class TestResume:
                                              run_figure_sweep)
         outcome = run_figure_sweep(
             "fig13", workers=2, benchmarks=["nn"],
-            configs=default_configs(max_total=2), serial_fallback=False)
+            configs=default_configs(max_total=2))
         (key, value), = outcome.values.items()
         restored = decode_value("fig13", json.loads(
             json.dumps(encode_value("fig13", value))))
