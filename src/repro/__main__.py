@@ -172,6 +172,8 @@ def cmd_tune(args) -> int:
             table = _tune_table(outcome, log.decisions[-1], arch)
         except ValueError as error:  # InvalidLaunch included
             print("tune failed: %s" % error, file=sys.stderr)
+            if args.explain:
+                print(log.explain())
             return 1
         print(table)
         if outcome.validation is not None:

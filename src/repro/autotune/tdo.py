@@ -15,7 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import polygeist
 from ..engine import stage_timer
-from ..ir import Operation, Value, collector_paused, unlink_subtree
+from ..ir import (Operation, Value, collector_paused, swap_regions,
+                  unlink_subtree)
 from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
@@ -220,30 +221,10 @@ def _wrapper_label(wrapper: Operation) -> str:
     return "gpu_wrapper"
 
 
-def clone_baseline(wrapper: Operation
-                   ) -> Tuple[Optional[Operation], Optional[Operation]]:
-    """A detached clone of the enclosing func, taken *before* alternative
-    generation erases the wrapper body, plus the cloned wrapper matching
-    ``wrapper`` (for launch-shape sizing). ``(None, None)`` when the
-    wrapper is not nested in a function."""
-    func_op = wrapper
-    while func_op is not None and func_op.name != "func.func":
-        func_op = func_op.parent_op
-    if func_op is None:
-        return None, None
-    wrappers = polygeist.find_gpu_wrappers(func_op)
-    position = next((i for i, w in enumerate(wrappers) if w is wrapper), -1)
-    baseline_func = func_op.clone({})
-    clones = polygeist.find_gpu_wrappers(baseline_func)
-    if not 0 <= position < len(clones):
-        return None, None
-    return baseline_func, clones[position]
-
-
-def _validation_gate(alt: Operation, baseline_func: Operation,
-                     sizing_wrapper: Operation, env, decision
+def _validation_gate(alt: Operation, baseline: Operation, env, decision
                      ) -> Tuple[object, Optional[List[int]]]:
-    """Run the differential gate on a (post-filter) alternatives op.
+    """Run the differential gate on a (post-filter) alternatives op,
+    against ``baseline``, the untransformed wrapper snapshot.
 
     Prunes diverging regions in place and returns ``(report, keep)`` where
     ``keep`` maps post-validation region indices back to post-filter ones
@@ -253,8 +234,7 @@ def _validation_gate(alt: Operation, baseline_func: Operation,
     from ..validate import validate_alternatives
 
     env0 = env[0] if isinstance(env, (list, tuple)) else env
-    validation = validate_alternatives(baseline_func, alt, env0,
-                                       sizing_wrapper)
+    validation = validate_alternatives(baseline, alt, env0)
     if validation.baseline_note and decision is not None:
         decision.note("validation inconclusive: baseline not executable: %s"
                       % validation.baseline_note)
@@ -352,6 +332,11 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     :meth:`~repro.pipeline.Program.profile_launch` executes each region
     instead (the paper's profiling mode).
 
+    The tune commits a winner or leaves the wrapper as it was. One
+    untransformed snapshot, taken just before materialization, is the
+    validation gate's baseline; if a later step raises, it goes back in
+    place of the alternatives op and the error propagates.
+
     The tune runs with the cycle collector paused: it builds tens of
     thousands of IR objects, all reference cycles while live, and takes
     apart everything it drops, so an automatic collection here would walk
@@ -367,14 +352,6 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
     decision = log.begin(_wrapper_label(wrapper), arch.name) \
         if log is not None else None
     with collector_paused():
-        baseline_func = sizing_wrapper = None
-        if engine.validate:
-            # the baseline must be cloned before materialization erases
-            # the body
-            baseline_func, sizing_wrapper = clone_baseline(wrapper)
-            if baseline_func is None and decision is not None:
-                decision.note("validation skipped: wrapper not nested in "
-                              "a function")
         with stage("alternatives"), \
                 obs_tracer.span("tune.alternatives", category="tune"):
             report = plan_coarsening_alternatives(wrapper, configs)
@@ -400,30 +377,41 @@ def tune_wrapper(wrapper: Operation, arch: GPUArchitecture,
                 alt = report.materialize(indices)
             return _clean(alt, stage)
 
-        # the IR is stable from materialization until selection, so the
-        # spill filter and the timing models may share one linearized
-        # thread body per loop
-        with linearized_cache():
-            filters, alt = run_planned_filters(report.alternatives, arch,
-                                               materialize, stage)
-            survivors = filters.survivors
-            validation = None
-            if engine.validate and baseline_func is not None:
-                # gate after the cheap static filters, before the ranking:
-                # a fast-but-miscompiled alternative must never win
-                with stage("validate"), \
-                        obs_tracer.span("tune.validate", category="tune"):
-                    try:
+        snapshot = wrapper.clone({})
+        step = "filters"
+        try:
+            # the IR is stable from materialization until selection, so
+            # the spill filter and the timing models may share one
+            # linearized thread body per loop
+            with linearized_cache():
+                filters, alt = run_planned_filters(
+                    report.alternatives, arch, materialize, stage)
+                survivors = filters.survivors
+                validation = None
+                if engine.validate:
+                    # after the cheap filters, before the ranking: a
+                    # fast-but-miscompiled alternative must never win
+                    step = "validate"
+                    with stage("validate"), \
+                            obs_tracer.span("tune.validate",
+                                            category="tune"):
                         validation, keep = _validation_gate(
-                            alt, baseline_func, sizing_wrapper, env,
-                            decision)
-                    finally:
-                        # the detached baseline is dropped whole here
-                        unlink_subtree([baseline_func])
-                if keep is not None:
-                    survivors = [survivors[i] for i in keep]
-            with stage("tdo"):
-                outcome = rank(alt, arch, env)
+                            alt, snapshot, env, decision)
+                    if keep is not None:
+                        survivors = [survivors[i] for i in keep]
+                step = "rank"
+                with stage("tdo"):
+                    outcome = rank(alt, arch, env)
+        except BaseException as error:
+            # the snapshot takes the alternatives op with it
+            swap_regions(wrapper, snapshot)
+            if decision is not None:
+                decision.note("nothing selected: %s failed (%s: %s); the "
+                              "wrapper was restored untransformed"
+                              % (step, type(error).__name__, error))
+            raise
+        finally:
+            unlink_subtree([snapshot])
     outcome.filters = filters
     outcome.validation = validation
     # the winning region maps back through the validation and filter

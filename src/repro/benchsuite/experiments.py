@@ -160,15 +160,17 @@ def sweep_kernel_configs(source: str, kernel: str,
     with stage_timer(engine)("tdo"):
         outcome = timing_driven_optimization(alt, arch, envs, select=False)
     for candidate in outcome.candidates:
-        config = report.alternatives[candidate.index].config
+        info = report.alternatives[candidate.index]
+        # the totals the coarsening applied, however the config spells
+        # them (as totals or as per-dimension factors)
         sweep.results.append(ConfigTime(
-            block_total=int(config.get("block_total", 1)),
-            thread_total=int(config.get("thread_total", 1)),
+            block_total=info.result.total_block,
+            thread_total=info.result.total_thread,
             desc=candidate.desc,
             seconds=candidate.time_seconds,
             valid=candidate.valid,
             reason=candidate.reason,
-            config=config))
+            config=info.config))
     for rejected, (config, _) in zip(report.rejected,
                                      report.rejected_configs):
         sweep.results.append(ConfigTime(0, 0, rejected, float("inf"),

@@ -6,8 +6,8 @@ the launch geometry — so :class:`TuningCache` keys memoized
 :class:`~repro.autotune.tdo.TuneOutcome`s by a digest of exactly those
 inputs. A hit lets :class:`~repro.pipeline.Program` replay the winning
 coarsening directly, skipping alternative generation, filtering, and TDO
-entirely. Failed tunings (no legal alternative) are cached too, so they
-are not retried.
+entirely. Only a wrapper with no legal coarsening configuration is cached
+as a failure (a negative entry); every other tune failure is raised.
 
 The cache is in-memory by default; give it a directory (or set
 ``$REPRO_TUNING_CACHE``) to persist entries as one JSON file per key
@@ -53,8 +53,9 @@ from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 
 #: on-disk entry schema version; entries written by an older (or newer)
-#: schema are quarantined and re-tuned rather than misread
-ENTRY_SCHEMA = 2
+#: schema are quarantined and re-tuned rather than misread (since 3, a
+#: negative entry means only that no configuration is legal)
+ENTRY_SCHEMA = 3
 
 #: environment variable naming the on-disk cache directory
 CACHE_DIR_ENV = "REPRO_TUNING_CACHE"
@@ -97,10 +98,10 @@ def parse_cache_budget(text: Optional[str]
 class CacheEntry:
     """One memoized tuning decision.
 
-    ``outcome`` is ``None`` when tuning failed (no legal alternative / no
-    launchable candidate); ``selected_config`` is the coarsening kwargs of
-    the winner, used to replay the transformation without re-generating
-    alternatives.
+    ``outcome`` is ``None`` only when no coarsening configuration is
+    legal (the kernel runs untransformed); ``selected_config`` is the
+    coarsening kwargs of the winner, used to replay the transformation
+    without re-generating alternatives.
     """
 
     outcome: Optional[object] = None          # TuneOutcome
@@ -243,7 +244,7 @@ class TuningCache:
     def store(self, key: str, entry: CacheEntry) -> None:
         logger.debug("store %s (winner: %s)", key,
                      entry.outcome.selected_desc
-                     if entry.outcome is not None else "<failed tuning>")
+                     if entry.outcome is not None else "<no legal config>")
         with self._lock:
             self._memory[key] = copy.deepcopy(entry)
             self._memory.move_to_end(key)

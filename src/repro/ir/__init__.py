@@ -3,7 +3,7 @@
 from .builder import Builder
 from .core import (Block, BlockArgument, Operation, OpResult, Region, Use,
                    Value, collector_paused, single_block_region,
-                   unlink_subtree)
+                   swap_regions, unlink_subtree)
 from .module import Module
 from .parser import ParseError, parse_module, parse_op, parse_type
 from .printer import format_attr, print_module, print_op
@@ -22,5 +22,5 @@ __all__ = [
     "format_attr",
     "is_scalar", "parse_module", "parse_op", "parse_type", "print_module",
     "print_op", "register_op_verifier", "single_block_region",
-    "unlink_subtree", "verify_module", "verify_op",
+    "swap_regions", "unlink_subtree", "verify_module", "verify_op",
 ]

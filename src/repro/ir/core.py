@@ -422,6 +422,15 @@ def unlink_subtree(roots: Iterable[Operation]) -> None:
                         if id(use.owner) not in dead_ops]
 
 
+def swap_regions(first: Operation, second: Operation) -> None:
+    """Exchange the regions of two ops; each region moves with its blocks
+    and ops, so the values defined inside keep their uses."""
+    first.regions, second.regions = second.regions, first.regions
+    for op in (first, second):
+        for region in op.regions:
+            region.parent = op
+
+
 _collector_lock = threading.Lock()
 _collector_depth = 0
 _collector_was_enabled = False

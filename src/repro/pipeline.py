@@ -155,7 +155,7 @@ class Program:
         self._clean_once(wrapper_name, self.tier != "clang")
         if wrapper_name not in self._tuned:
             if self.tier == "polygeist":
-                self._tune(wrapper_name, grid)
+                self.tune_aggregate(kernel, block, [grid])
             elif self.tier == "polygeist-heuristic":
                 self._tune_heuristic(wrapper_name)
         return wrapper_name
@@ -184,7 +184,6 @@ class Program:
             kernel, len(grid), block)
         self._clean_once(wrapper_name, True)
         if wrapper_name not in self._tuned:
-            self._tuned.add(wrapper_name)
             f = self.module.func(wrapper_name)
             wrappers = polygeist.find_gpu_wrappers(f)
             if wrappers:
@@ -196,13 +195,11 @@ class Program:
                         engine=self.engine,
                         rank=self._profiling_rank(wrapper_name, coerced,
                                                   runs_per_alternative))
-                except NoLegalConfiguration:
-                    # nothing was materialized: launch the untransformed
-                    # kernel; any later failure propagates
-                    outcome = None
-                if outcome is not None:
                     self._run_cleanup(True)
                     self.tuning_outcomes[wrapper_name] = outcome
+                except NoLegalConfiguration:
+                    pass  # nothing was materialized: run it untransformed
+            self._tuned.add(wrapper_name)
         return self.launch(kernel, grid, block, args, runtime=runtime)
 
     def _profiling_rank(self, wrapper_name: str, coerced: List[object],
@@ -240,6 +237,8 @@ class Program:
             finally:
                 self._interpreter.tracer = saved_tracer
                 self._interpreter.alternative_selector = saved_selector
+                # the compiled regions are about to be spliced or dropped
+                self._interpreter.forget_plans()
             return select_fastest(alt, candidates, "profiled")
         return rank
 
@@ -248,7 +247,8 @@ class Program:
 
         This is the paper's profiling mode: alternatives are ranked by
         their time summed over every launch of the application (important
-        when grids shrink across launches, as in gaussian).
+        when grids shrink across launches, as in gaussian). A tune that
+        raises leaves the wrapper untuned, so asking again raises again.
         """
         block = _as_dims(block)
         grids = [_as_dims(g) for g in grids]
@@ -261,15 +261,14 @@ class Program:
             return
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
+        if wrappers:
+            grid_args = f.body_block().args[:len(grids[0])]
+            envs = [dict(zip(grid_args, grid)) for grid in grids]
+            outcome = self._tune_with_cache(wrapper_name, wrappers[0], envs,
+                                            grids)
+            if outcome is not None:
+                self.tuning_outcomes[wrapper_name] = outcome
         self._tuned.add(wrapper_name)
-        if not wrappers:
-            return
-        grid_args = f.body_block().args[:len(grids[0])]
-        envs = [dict(zip(grid_args, grid)) for grid in grids]
-        outcome = self._tune_with_cache(wrapper_name, wrappers[0], envs,
-                                        [tuple(g) for g in grids])
-        if outcome is not None:
-            self.tuning_outcomes[wrapper_name] = outcome
 
     def model_launch(self, kernel: str, grid, block,
                      runtime: Optional[GPURuntime] = None):
@@ -343,20 +342,6 @@ class Program:
         self._run_cleanup(True)
         self.heuristic_choices[wrapper_name] = choice
 
-    def _tune(self, wrapper_name: str, grid: Tuple[int, ...]
-              ) -> Optional[TuneOutcome]:
-        f = self.module.func(wrapper_name)
-        wrappers = polygeist.find_gpu_wrappers(f)
-        self._tuned.add(wrapper_name)
-        if not wrappers:
-            return None
-        env = dict(zip(f.body_block().args[:len(grid)], grid))
-        outcome = self._tune_with_cache(wrapper_name, wrappers[0], [env],
-                                        [tuple(grid)])
-        if outcome is not None:
-            self.tuning_outcomes[wrapper_name] = outcome
-        return outcome
-
     # -- cached tuning ------------------------------------------------------------
 
     def _tuning_key(self, wrapper_name: str,
@@ -371,8 +356,8 @@ class Program:
 
         On a hit the cached winner's coarsening is replayed directly on
         the wrapper — no alternative generation, filtering, or TDO runs at
-        all. Failed tunings are cached as negative entries so they are not
-        retried either.
+        all. Only "no legal configuration" is cached, as a negative entry;
+        every other tune error propagates uncached, so warm fails as cold.
         """
         cache = self.engine.cache
         counter = self.engine.registry.counter
@@ -381,32 +366,35 @@ class Program:
         if hit and (entry.outcome is None or
                     entry.selected_config is not None):
             counter("cache_hits").inc()
-            return self._replay_cached(wrapper, entry)
+            return self._replay_cached(key, wrapper, entry)
         counter("cache_misses").inc()
         try:
             outcome = tune_wrapper(wrapper, self.arch, envs,
                                    self.autotune_configs,
                                    engine=self.engine)
-        except (ValueError, InvalidLaunch):
+        except NoLegalConfiguration:
             cache.store(key, CacheEntry(None, None))
-            return None  # keep the untransformed kernel
+            return None  # nothing was materialized: keep the kernel
         self._run_cleanup(True)
         cache.store(key, CacheEntry(outcome, outcome.selected_config))
         return outcome
 
-    def _replay_cached(self, wrapper,
+    def _replay_cached(self, key: str, wrapper,
                        entry: CacheEntry) -> Optional[TuneOutcome]:
-        """Apply a cached tuning decision to a freshly built wrapper."""
+        """Apply a cached tuning decision to a freshly built wrapper; a
+        config that does not apply raises, naming ``key`` and the config."""
         if entry.outcome is None:
-            return None  # tuning is known to fail for this key
+            return None  # no legal configuration for this key
         from .transforms.coarsen import CoarsenError, coarsen_wrapper
-        config = {key: tuple(value) if isinstance(value, list) else value
-                  for key, value in entry.selected_config.items()}
+        config = {name: tuple(value) if isinstance(value, list) else value
+                  for name, value in entry.selected_config.items()}
         with self.engine.stage("replay"):
             try:
                 coarsen_wrapper(wrapper, **config)
-            except CoarsenError:
-                return None
+            except CoarsenError as error:
+                raise CoarsenError(
+                    "cached config %r of tuning key %s does not apply: %s"
+                    % (config, key, error)) from error
         self._run_cleanup(True)
         return entry.outcome
 

@@ -206,7 +206,8 @@ class LaunchScorer:
         try:
             rows = self._launch_rows(loops, counts)
         except InvalidLaunch as error:
-            self._plans.append(error)
+            # its traceback's frames would hold this scorer in a cycle
+            self._plans.append(error.with_traceback(None))
             return
         self._plans.append((rows, counts))
 

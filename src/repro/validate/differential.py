@@ -32,7 +32,7 @@ import numpy as np
 
 from ..dialects import polygeist
 from ..ir import FloatType, IndexType, IntegerType, MemRefType, Module, \
-    Operation, Value
+    Operation, Value, swap_regions
 from ..interpreter import ConvergenceError, Interpreter, InterpreterError, \
     MemoryBuffer
 from ..simulator.model import InvalidLaunch
@@ -310,9 +310,8 @@ def _budget_exceeded(error: Exception) -> bool:
 # -- gate-mode validation ------------------------------------------------------
 
 
-def validate_alternatives(baseline_func: Operation, alt_op: Operation,
+def validate_alternatives(baseline: Operation, alt_op: Operation,
                           grid_env: Dict[Value, int],
-                          wrapper_for_sizing: Operation,
                           seed: int = 0,
                           rtol: float = DEFAULT_RTOL,
                           atol: float = DEFAULT_ATOL,
@@ -321,14 +320,27 @@ def validate_alternatives(baseline_func: Operation, alt_op: Operation,
                           ) -> ValidationReport:
     """Differentially validate every region of an alternatives op.
 
-    ``baseline_func`` is a *detached clone* of the enclosing function taken
-    before alternative generation replaced the wrapper body; it is executed
-    via :meth:`Interpreter.run_block`. Each alternative is executed through
+    ``baseline`` is the tune's untransformed snapshot of the wrapper
+    (``wrapper.clone({})``, taken before materialization replaced its
+    body). It is swapped into the live wrapper for the baseline runs,
+    which execute the enclosing function via
+    :meth:`Interpreter.run_block`. Each alternative is executed through
     the live module with a fixed alternative selector. All runs see
     identically seeded inputs.
     """
     func_op = _enclosing_func(alt_op)
     module = _root_module(alt_op)
+    wrapper = alt_op.parent_op
+
+    def run_baseline(args, reverse: bool = False) -> None:
+        interp = Interpreter(module, max_steps=max_steps,
+                             reverse_parallel=reverse)
+        swap_regions(wrapper, baseline)
+        try:
+            interp.run_block(func_op.body_block(), args)
+        finally:
+            swap_regions(wrapper, baseline)
+
     label = str(func_op.attr("sym_name") or "<wrapper>")
     descs = polygeist.alternative_descs(alt_op)
     report = ValidationReport(label=label)
@@ -340,13 +352,11 @@ def validate_alternatives(baseline_func: Operation, alt_op: Operation,
     baseline_args: List[object] = []
     reason = ""
     for int_value in _INT_SCALAR_LADDER:
-        trial = build_arg_specs(func_op, grid_env, wrapper_for_sizing,
-                                seed=seed, grid_cap=grid_cap,
-                                int_value=int_value)
+        trial = build_arg_specs(func_op, grid_env, baseline, seed=seed,
+                                grid_cap=grid_cap, int_value=int_value)
         args = [spec.materialize() for spec in trial]
         try:
-            interp = Interpreter(module, max_steps=max_steps)
-            interp.run_block(baseline_func.body_block(), args)
+            run_baseline(args)
         except (InterpreterError, IndexError) as error:
             reason = "step budget exceeded" if _budget_exceeded(error) \
                 else str(error)
@@ -370,9 +380,7 @@ def validate_alternatives(baseline_func: Operation, alt_op: Operation,
     # manufacturing races the original program does not have)
     reversed_args = [spec.materialize() for spec in specs]
     try:
-        interp = Interpreter(module, max_steps=max_steps,
-                             reverse_parallel=True)
-        interp.run_block(baseline_func.body_block(), reversed_args)
+        run_baseline(reversed_args, reverse=True)
         race = _snapshot_diff(specs, baseline_args, reversed_args,
                               rtol, atol)
     except (InterpreterError, IndexError) as error:
@@ -431,22 +439,22 @@ def validate_source(source: str, kernel: Optional[str],
     all coarsening alternatives, and validate each against the
     untransformed baseline."""
     from ..autotune.search import default_configs
-    from ..autotune.tdo import clone_baseline, materialize_every_plan
+    from ..autotune.tdo import materialize_every_plan
     from ..pipeline import build_launch_wrapper
 
     if configs is None:
         configs = default_configs()
     built = build_launch_wrapper(source, kernel, len(grid), block)
-    baseline_func, sizing_wrapper = clone_baseline(built.wrapper)
+    # the untransformed snapshot, taken as tune_wrapper takes it
+    baseline = built.wrapper.clone({})
     planned, alt = materialize_every_plan(built.wrapper, configs)
     if alt is None:
         report = ValidationReport(label=built.name)
         report.baseline_note = "no legal coarsening configuration: %s" % \
             "; ".join(planned.rejected)
         return report
-    return validate_alternatives(baseline_func, alt, built.env(grid),
-                                 sizing_wrapper, seed=seed, rtol=rtol,
-                                 atol=atol, max_steps=max_steps,
+    return validate_alternatives(baseline, alt, built.env(grid), seed=seed,
+                                 rtol=rtol, atol=atol, max_steps=max_steps,
                                  grid_cap=grid_cap)
 
 

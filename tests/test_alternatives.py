@@ -199,7 +199,7 @@ class TestSelection:
             for index, desc in enumerate(descs)])
         monkeypatch.setattr(repro.validate, "validate_alternatives",
                             lambda *args: report)
-        _, keep = _validation_gate(alt, None, None, {}, None)
+        _, keep = _validation_gate(alt, None, {}, None)
         assert keep == [1, 3] and len(alt.regions) == 2
         assert _dangling_uses(module) == []
 

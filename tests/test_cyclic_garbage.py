@@ -5,8 +5,9 @@ Every IR object links back to its parent (``OpResult.owner``,
 while still wired together is a reference cycle only the cycle collector
 can free. Unrolling erases the source loop's shell, materialization
 erases the original nest, pruning drops regions, selection erases the
-alternatives op and the validation gate drops its baseline clone; each
-of them takes the dropped IR apart first
+alternatives op, and the tune drops its untransformed snapshot (or, when
+it fails, the alternatives op the snapshot replaces); each of them takes
+the dropped IR apart first
 (:func:`repro.ir.unlink_subtree`), so none of it is left for the
 collector. These tests run with the collector off and
 ``gc.DEBUG_SAVEALL`` on, which keeps every object the collector would
@@ -39,6 +40,8 @@ from repro.transforms import run_cleanup
 from repro.transforms.alternatives import (plan_coarsening_alternatives,
                                            prune_alternatives,
                                            select_alternative)
+
+from tests.test_tune_rollback import FAILURES, failure_case
 
 #: objects one cold gaussian+lud job each on A100 and MI210 leaves for
 #: the cycle collector: the Program's module, which the job drops whole
@@ -105,14 +108,22 @@ def test_cold_job_leaves_only_the_programs_module():
 
 def _tune_garbage(monkeypatch, run):
     """Cyclic objects left by each ``tune_wrapper`` call ``run()``
-    makes, counted around the call itself."""
+    makes, counted around the call itself. A failing call is counted
+    after its traceback is dropped, then its error is raised again."""
     real = repro.pipeline.tune_wrapper
     counts = []
 
     def counted(*args, **kwargs):
+        failure = None
         with _saved_garbage() as garbage:
-            outcome = real(*args, **kwargs)
+            try:
+                outcome = real(*args, **kwargs)
+            except Exception as error:
+                # the traceback holds the tune's frames, and so its IR
+                failure = error.with_traceback(None)
         counts.append(len(garbage))
+        if failure is not None:
+            raise failure
         return outcome
 
     monkeypatch.setattr(repro.pipeline, "tune_wrapper", counted)
@@ -161,6 +172,25 @@ def test_profiled_tune_leaves_no_cyclic_garbage(monkeypatch, validate):
             matrix = make_diagonally_dominant(32, 0).ravel()
             program.profile_launch("lud_internal", (1, 1), (16, 16),
                                    [matrix, 32, 0])
+    counts = _tune_garbage(monkeypatch, run)
+    assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failed_tune_wrapper_leaves_no_cyclic_garbage(monkeypatch, name):
+    # the dropped alternatives op and the snapshot are both taken apart,
+    # cold and warm on one cache
+    source, configs, validate, grid, block, error, match, _ = \
+        failure_case(monkeypatch, name)
+    cache = TuningCache(None)
+
+    def run():
+        for _ in ("cold", "warm"):
+            program = repro.pipeline.Program(
+                source, A100, autotune_configs=configs,
+                engine=TuningEngine(cache=cache, validate=validate))
+            with pytest.raises(error, match=match):
+                program.model_launch("k", grid, block)
     counts = _tune_garbage(monkeypatch, run)
     assert counts == [0, 0]
 

@@ -107,6 +107,20 @@ class TestKernelSweep:
         assert sweep.baseline().config["block_factors"] == (1, 1)
         assert sweep.speedup() > 1.0
 
+    def test_totals_come_from_the_applied_coarsening(self):
+        # a config spelled as factors records the totals it coarsens by,
+        # so a block-coarsened row never counts as thread-only
+        bench = get_benchmark("lud")
+        sweep = sweep_kernel_configs(
+            bench.source, "lud_internal", (16, 16), [(120, 120)], A100,
+            [{"block_factors": (2, 1), "thread_factors": (1, 1)},
+             {"block_factors": (1, 1), "thread_factors": (1, 1)}], "lud",
+            engine=TuningEngine(validate=False))
+        coarsened, = [r for r in sweep.results
+                      if r.config["block_factors"] == (2, 1)]
+        assert (coarsened.block_total, coarsened.thread_total) == (2, 1)
+        assert sweep.best(thread_only=True) is sweep.baseline()
+
 
 class TestFig14Shapes:
     @pytest.fixture(scope="class")

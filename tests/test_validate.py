@@ -83,13 +83,11 @@ class TestDifferentialHarness:
 
     def test_miscompiled_alternative_diverges_with_minimized_diff(self):
         generator, _, func_op, wrapper = build_wrapper(SHARED_KERNEL)
-        baseline_func = func_op.clone({})
-        sizing = polygeist.find_gpu_wrappers(baseline_func)[0]
+        baseline = wrapper.clone({})
         grid_env = {func_op.body_block().args[0]: 4}
         alt = materialize_all(wrapper)
         sabotage_first_addf(alt, 1)
-        report = validate_alternatives(baseline_func, alt,
-                                       grid_env, sizing)
+        report = validate_alternatives(baseline, alt, grid_env)
         assert not report.ok
         bad = report.verdicts[1]
         assert bad.status == DIVERGED
@@ -135,8 +133,7 @@ class TestDifferentialHarness:
 
     def test_divergent_barrier_alternative_reports_error(self):
         generator, _, func_op, wrapper = build_wrapper(SHARED_KERNEL)
-        baseline_func = func_op.clone({})
-        sizing = polygeist.find_gpu_wrappers(baseline_func)[0]
+        baseline = wrapper.clone({})
         grid_env = {func_op.body_block().args[0]: 4}
         alt = materialize_all(wrapper)
         # guard region 1's barrier behind a thread-dependent condition
@@ -158,8 +155,7 @@ class TestDifferentialHarness:
         then_b.insert(barrier)
         scf.yield_(then_b)
         scf.yield_(Builder(scf.if_else_block(if_op)))
-        report = validate_alternatives(baseline_func, alt,
-                                       grid_env, sizing)
+        report = validate_alternatives(baseline, alt, grid_env)
         assert report.verdicts[1].status == ERROR
         assert "barrier divergence" in report.verdicts[1].detail
 
