@@ -6,7 +6,7 @@ These feed both the legality checks of the coarsening transformations
 shared-memory accounting).
 """
 
-from .affine import AffineForm, affine_of, stride_in
+from .affine import AffineForm, affine_of
 from .shared_memory import shared_allocas, shared_bytes_per_block
 from .stats import KernelStats, kernel_statistics
 from .uniformity import contains_barrier, depends_on_values, is_uniform_in
@@ -16,7 +16,7 @@ __all__ = [
     "KernelStats", "affine_of", "analyze_benchmark", "check_files",
     "compare_records", "contains_barrier", "depends_on_values",
     "is_uniform_in", "kernel_statistics", "shared_allocas",
-    "shared_bytes_per_block", "stride_in",
+    "shared_bytes_per_block",
 ]
 
 #: report/check live behind a lazy import: they pull in the pipeline,

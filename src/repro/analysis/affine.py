@@ -3,17 +3,21 @@
 Expresses an index value as ``const + Σ coeff_i · sym_i`` where symbols are
 SSA values the decomposition cannot see through (parallel ivs, loop ivs,
 loaded values, function arguments). The memory model uses this to compute
-the stride of a global access with respect to ``threadIdx.x`` — the quantity
-that decides whether a warp's loads coalesce (§II-A2, Fig. 11).
+the stride of a memory access with respect to ``threadIdx.x`` — the quantity
+that decides whether a warp's loads coalesce (§II-A2, Fig. 11) and how its
+shared accesses spread over banks. :class:`AccessMemo` holds that one
+stride rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from ..ir import OpResult, Value
 from ..dialects import arith
+from ..dialects import memref as memref_d
+from ..ir import MemRefType, Operation, OpResult, Value
+from .uniformity import DependenceMemo
 
 
 @dataclass
@@ -103,19 +107,103 @@ def affine_of(value: Value, depth: int = 0) -> AffineForm:
     return AffineForm(0, {value: 1})
 
 
-def stride_in(index: Value, variable: Value) -> Optional[int]:
-    """Stride of ``index`` w.r.t. ``variable``, or None if unknown.
+#: cache marker of an index not yet asked about (``None`` is an answer)
+_UNKNOWN = object()
 
-    The stride is known when ``variable`` appears as a plain affine term and
-    none of the other symbols transitively depend on ``variable``.
+
+class AccessMemo:
+    """The ``threadIdx.x`` stride of the memory accesses of one thread body.
+
+    Holds the affine form of each index value, as ``affine_of(index)``
+    computes it from the root, the stride of each index and a
+    :class:`DependenceMemo` over ``{threadIdx.x}``. Every answer equals a
+    fresh memo's, so results do not depend on sharing.
     """
-    from .uniformity import depends_on_values
 
-    form = affine_of(index)
-    coeff = form.coefficient(variable)
+    def __init__(self, thread_parallel: Operation):
+        self.tid_x = thread_parallel.body_block().arg(0)
+        self.depends_on_tid = DependenceMemo((self.tid_x,))
+        self._forms: Dict[Value, AffineForm] = {}
+        self._strides: Dict[Value, Optional[int]] = {}
+
+    def affine(self, index: Value) -> AffineForm:
+        # forms are shared: callers build new forms, never mutate these
+        form = self._forms.get(index)
+        if form is None:
+            form = self._forms[index] = affine_of(index)
+        return form
+
+    def index_stride(self, index: Value) -> Optional[int]:
+        """``threadIdx.x`` coefficient of ``index``; None when another of
+        its symbols depends on ``threadIdx.x``."""
+        stride = self._strides.get(index, _UNKNOWN)
+        if stride is _UNKNOWN:
+            stride = self._strides[index] = _stride_of(self.affine(index),
+                                                       self)
+        return stride
+
+    def stride(self, op: Operation) -> Optional[int]:
+        """Elements the flattened address of a load, store or atomic steps
+        per +1 of ``threadIdx.x``; None when unknown or irregular.
+
+        The sum of each index's stride times its row-major scale. When an
+        index's stride is unknown, the flattened form decides instead:
+        tid-dependent symbols of two indices may cancel in the sum (with
+        one index, nothing can cancel).
+        """
+        scales = _row_major_scales(memref_d.load_op_ref(op))
+        if scales is None:
+            return None
+        indices = memref_d.access_indices(op)
+        total = 0
+        for scale, index in zip(scales, indices):
+            stride = self.index_stride(index)
+            if stride is None:
+                if len(indices) == 1:
+                    return None
+                return _stride_of(_flat_affine(op, self), self)
+            total += scale * stride
+        return total
+
+
+def _row_major_scales(ref: Value) -> Optional[List[int]]:
+    type_ = ref.type
+    if not isinstance(type_, MemRefType):
+        return None
+    # row-major strides only need the non-outermost extents to be static
+    if any(extent < 0 for extent in type_.shape[1:]):
+        return None
+    scales: List[int] = []
+    scale = 1
+    for extent in reversed(type_.shape):
+        scales.append(scale)
+        scale *= max(extent, 1)
+    scales.reverse()
+    return scales
+
+
+def _flat_affine(op: Operation, memo: AccessMemo) -> Optional[AffineForm]:
+    """Affine form of the row-major flattened address of an access."""
+    scales = _row_major_scales(memref_d.load_op_ref(op))
+    if scales is None:
+        return None
+    form = AffineForm(0)
+    for scale, index in zip(scales, memref_d.access_indices(op)):
+        form = form.add(memo.affine(index).scaled(scale))
+    return form
+
+
+def _stride_of(form: Optional[AffineForm],
+               memo: AccessMemo) -> Optional[int]:
+    """``threadIdx.x`` coefficient of ``form``; None when ``form`` is None
+    or another of its symbols depends on ``threadIdx.x``."""
+    if form is None:
+        return None
+    tid_x = memo.tid_x
+    coeff = form.coefficient(tid_x)
     for sym in form.terms:
-        if sym is variable:
+        if sym is tid_x:
             continue
-        if depends_on_values(sym, {variable}):
+        if memo.depends_on_tid(sym):
             return None
     return coeff

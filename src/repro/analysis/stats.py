@@ -9,9 +9,12 @@ trip counts, exact when bounds are compile-time constants and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..ir import FloatType, MemRefType, Operation
-from ..targets.lowering import Linearized
+from ..ir import FloatType
+
+if TYPE_CHECKING:  # the stream's module imports the analyses
+    from ..targets.lowering import Linearized
 
 
 @dataclass
@@ -70,18 +73,15 @@ _FLOAT_ARITH = {"arith.addf", "arith.subf", "arith.mulf", "arith.divf",
                 "arith.cmpf", "arith.select"}
 
 
-def _classify_access(stats: KernelStats, op: Operation, factor: float,
-                     is_load: bool) -> None:
-    from ..dialects import memref as memref_d
-    ref = memref_d.load_op_ref(op)
-    space = ref.type.memory_space if isinstance(ref.type, MemRefType) \
-        else "global"
-    attr = {"global": ("loads_global", "stores_global"),
-            "shared": ("loads_shared", "stores_shared"),
-            "local": ("loads_local", "stores_local"),
-            "constant": ("loads_global", "stores_global")}[space]
-    name = attr[0] if is_load else attr[1]
-    setattr(stats, name, getattr(stats, name) + factor)
+#: the counter of a load (index 0) or store (index 1) in each memory space;
+#: an operand that is not a memref counts as global
+_ACCESS_COUNTERS = {
+    "global": ("loads_global", "stores_global"),
+    "constant": ("loads_global", "stores_global"),
+    None: ("loads_global", "stores_global"),
+    "shared": ("loads_shared", "stores_shared"),
+    "local": ("loads_local", "stores_local"),
+}
 
 
 def kernel_statistics(lin: Linearized) -> KernelStats:
@@ -101,12 +101,8 @@ def kernel_statistics(lin: Linearized) -> KernelStats:
                 stats.branches += factor
         elif kind == "branch":
             stats.branches += factor
-        elif name == "memref.load":
-            _classify_access(stats, op, factor, is_load=True)
-        elif name == "memref.store":
-            _classify_access(stats, op, factor, is_load=False)
-        elif name == "memref.atomic_rmw":
-            stats.atomics += factor
+        elif kind == "load" or kind == "store":
+            continue  # counted from the access table below
         elif name == "polygeist.barrier":
             stats.barriers += factor
         elif name in _FLOAT_ARITH:
@@ -124,4 +120,11 @@ def kernel_statistics(lin: Linearized) -> KernelStats:
             stats.special_ops += factor
         elif name.startswith("arith.") and name != "arith.constant":
             stats.int_ops += factor
+    for access in lin.access_table():
+        if access.is_atomic:
+            stats.atomics += access.executions
+            continue
+        counter = _ACCESS_COUNTERS[access.space][access.is_store]
+        setattr(stats, counter,
+                getattr(stats, counter) + access.executions)
     return stats

@@ -70,7 +70,7 @@ def choose_factors(block_parallel: Operation,
     lin = linearize_thread_body(threads)
     stats = kernel_statistics(lin)
     registers = estimate_registers(lin, arch)
-    shared = shared_bytes_per_block(block_parallel)
+    shared = shared_bytes_per_block(block_parallel, lin)
     occupancy = compute_occupancy(arch, threads_per_block,
                                   registers.registers_per_thread, shared)
 

@@ -1,23 +1,21 @@
 """Static coalescing analysis (§II-A2, Fig. 11 of the paper).
 
 For every global-memory access in a linearized thread body (see
-:mod:`repro.targets.lowering`), compute the affine stride of its flattened
-address with respect to ``threadIdx.x`` and derive how many memory
-transactions one warp's execution of the access needs. Thread coarsening
-with the coalescing-friendly ``iv + k·new_ub`` indexing keeps stride 1
-for every copy; naive ``iv·f + k`` indexing would double the stride — the
-distinction at the heart of Fig. 11.
+:mod:`repro.targets.lowering`), take the affine stride of its flattened
+address with respect to ``threadIdx.x`` from the stream's access table and
+derive how many memory transactions one warp's execution of the access
+needs. Thread coarsening with the coalescing-friendly ``iv + k·new_ub``
+indexing keeps stride 1 for every copy; naive ``iv·f + k`` indexing would
+double the stride — the distinction at the heart of Fig. 11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..analysis.affine import AffineForm, affine_of
-from ..analysis.uniformity import DependenceMemo
-from ..dialects import memref as memref_d
-from ..ir import MemRefType, Operation, Value, byte_width
+from ..analysis.affine import AccessMemo
+from ..ir import Operation
 from ..targets.lowering import Linearized
 
 
@@ -36,60 +34,6 @@ class GlobalAccess:
     transactions_per_warp: float
     #: useful bytes / transferred bytes
     efficiency: float
-
-
-class AccessMemo:
-    """The questions both access analyses ask about one thread body.
-
-    Holds the affine form of each index value, as ``affine_of(index)``
-    computes it from the root, and a :class:`DependenceMemo` over
-    ``{threadIdx.x}``. Build one per thread loop and pass it to
-    :func:`analyze_coalescing` and :func:`analyze_shared_conflicts`; the
-    answers equal fresh calls', so results do not depend on sharing.
-    """
-
-    def __init__(self, thread_parallel: Operation):
-        self.tid_x = thread_parallel.body_block().arg(0)
-        self.depends_on_tid = DependenceMemo((self.tid_x,))
-        self._forms: Dict[Value, AffineForm] = {}
-
-    def affine(self, index: Value) -> AffineForm:
-        # forms are shared: callers build new forms, never mutate these
-        form = self._forms.get(index)
-        if form is None:
-            form = self._forms[index] = affine_of(index)
-        return form
-
-
-def _flat_affine(op: Operation, memo: AccessMemo) -> Optional[AffineForm]:
-    ref = memref_d.load_op_ref(op)
-    type_ = ref.type
-    if not isinstance(type_, MemRefType):
-        return None
-    # row-major strides only need the non-outermost extents to be static
-    if any(extent < 0 for extent in type_.shape[1:]):
-        return None
-    strides: List[int] = []
-    stride = 1
-    for extent in reversed(type_.shape):
-        strides.append(stride)
-        stride *= max(extent, 1)
-    strides.reverse()
-    form = AffineForm(0)
-    for scale, index in zip(strides, memref_d.access_indices(op)):
-        form = form.add(memo.affine(index).scaled(scale))
-    return form
-
-
-def _stride_of(form: AffineForm, memo: AccessMemo) -> Optional[int]:
-    tid_x = memo.tid_x
-    coeff = form.coefficient(tid_x)
-    for sym in form.terms:
-        if sym is tid_x:
-            continue
-        if memo.depends_on_tid(sym):
-            return None
-    return coeff
 
 
 def transactions_for_stride(stride_elements: Optional[int],
@@ -128,54 +72,40 @@ def bank_conflict_factor(stride_elements: Optional[int],
 def analyze_shared_conflicts(lin: Linearized, memo: AccessMemo,
                              banks: int = 32) -> float:
     """Execution-weighted average bank-conflict factor over all shared
-    accesses of a linearized thread body (1.0 = conflict free)."""
+    loads and stores of a linearized thread body (1.0 = conflict free).
+    ``memo`` answers the strides if the stream's access table is not built
+    yet."""
     total_weight = 0.0
     weighted = 0.0
-    for instr in lin.instrs:
-        op = instr.op
-        if op.name != "memref.load" and op.name != "memref.store":
+    for access in lin.access_table(memo):
+        if access.space != "shared" or access.is_atomic:
             continue
-        ref = memref_d.load_op_ref(op)
-        if not isinstance(ref.type, MemRefType) or \
-                ref.type.memory_space != "shared":
-            continue
-        element_bytes = byte_width(ref.type.element)
-        form = _flat_affine(op, memo)
-        stride = None if form is None else _stride_of(form, memo)
-        conflict = bank_conflict_factor(stride, element_bytes, banks)
-        weighted += instr.executions * conflict
-        total_weight += instr.executions
+        conflict = bank_conflict_factor(access.stride_x,
+                                        access.element_bytes, banks)
+        weighted += access.executions * conflict
+        total_weight += access.executions
     return weighted / total_weight if total_weight else 1.0
 
 
 def analyze_coalescing(lin: Linearized, memo: AccessMemo, warp_size: int,
                        transaction_bytes: int = 32) -> List[GlobalAccess]:
-    """Analyze every global access of a linearized thread body."""
+    """Analyze every global access of a linearized thread body. ``memo``
+    answers the strides if the stream's access table is not built yet."""
     accesses: List[GlobalAccess] = []
-    for instr in lin.instrs:
-        op = instr.op
-        if op.name not in ("memref.load", "memref.store",
-                           "memref.atomic_rmw"):
+    for access in lin.access_table(memo):
+        if access.space != "global" and access.space != "constant":
             continue
-        ref = memref_d.load_op_ref(op)
-        if not isinstance(ref.type, MemRefType):
-            continue
-        space = ref.type.memory_space
-        if space not in ("global", "constant"):
-            continue
-        element_bytes = byte_width(ref.type.element)
-        form = _flat_affine(op, memo)
-        stride = None if form is None else _stride_of(form, memo)
+        element_bytes = access.element_bytes
         transactions = transactions_for_stride(
-            stride, element_bytes, warp_size, transaction_bytes)
+            access.stride_x, element_bytes, warp_size, transaction_bytes)
         useful = warp_size * element_bytes
         efficiency = min(1.0, useful / (transactions * transaction_bytes))
         accesses.append(GlobalAccess(
-            op=op,
-            is_store=(op.name == "memref.store"),
+            op=access.instr.op,
+            is_store=access.is_store,
             element_bytes=element_bytes,
-            executions=instr.executions,
-            stride_x=stride,
+            executions=access.executions,
+            stride_x=access.stride_x,
             transactions_per_warp=transactions,
             efficiency=efficiency))
     return accesses

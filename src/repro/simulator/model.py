@@ -231,14 +231,16 @@ class KernelModel:
             self.threads_per_block *= max(1, extent)
         # one walk of the thread body feeds every analysis below
         lin = linearize_thread_body(self.threads)
-        self.stats = kernel_statistics(lin)
+        # answers the strides when the coalescing fold builds the
+        # stream's access table; the other folds reuse that table
         memo = AccessMemo(self.threads)
         self.accesses = analyze_coalescing(
             lin, memo, arch.warp_size, arch.transaction_bytes)
-        self.registers = estimate_registers(lin, arch)
         self.bank_conflicts = analyze_shared_conflicts(
             lin, memo, arch.shared_banks)
-        self.shared_per_block = shared_bytes_per_block(block_parallel)
+        self.stats = kernel_statistics(lin)
+        self.registers = estimate_registers(lin, arch)
+        self.shared_per_block = shared_bytes_per_block(block_parallel, lin)
         self.block_factor = _coarsen_totals(block_parallel)
         self.thread_factor = _coarsen_totals(self.threads)
         self.coarsen_total = self.block_factor * self.thread_factor

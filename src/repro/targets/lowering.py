@@ -6,7 +6,9 @@ Here the equivalent is one linearized instruction list with loop span
 markers and per-thread execution weights. It is the only walk of a thread
 body on the modeling path: the operation statistics, the coalescing and
 bank-conflict analyses, the divergence count and the register estimator
-(live intervals) all consume it.
+(live intervals) all consume it. Its memory accesses form one
+arch-independent table (:meth:`Linearized.access_table`), built on first
+use, that the access analyses and the load/store counts fold over.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.affine import AccessMemo
 from ..dialects import arith
+from ..dialects import memref as memref_d
 from ..ir import (Block, FloatType, IndexType, IntegerType, MemRefType,
-                  Operation, OpResult, Value)
+                  Operation, OpResult, Value, byte_width)
 
 #: assumed trip count for loops whose bounds are not compile-time constants
 SYMBOLIC_TRIPS = 16.0
@@ -75,6 +80,23 @@ class LinearInstr:
 
 
 @dataclass
+class MemoryAccess:
+    """One load, store or atomic of a stream: the facts the access
+    analyses and the operation statistics fold over."""
+
+    instr: LinearInstr
+    is_store: bool
+    is_atomic: bool
+    #: memory space of the accessed memref (None when it is not a memref)
+    space: Optional[str]
+    element_bytes: int
+    #: executions per thread, as on :attr:`instr`
+    executions: float
+    #: elements stepped per +1 of threadIdx.x (None = unknown/irregular)
+    stride_x: Optional[int]
+
+
+@dataclass
 class Linearized:
     """A flattened thread body."""
 
@@ -87,31 +109,64 @@ class Linearized:
     loop_spans: List[Tuple[int, int]] = field(default_factory=list)
     #: True when some trip count was estimated (``SYMBOLIC_TRIPS``)
     symbolic: bool = False
+    #: the load, store and atomic instructions, in stream order
+    memory: List[LinearInstr] = field(default_factory=list)
+    #: shared-space allocas in the body (in every region the walk enters)
+    shared_allocas: List[Operation] = field(default_factory=list)
+    #: the GPU thread loop whose body this is
+    loop: Optional[Operation] = None
+    _accesses: Optional[List[MemoryAccess]] = field(default=None,
+                                                    repr=False)
 
     @property
     def length(self) -> int:
         return len(self.instrs)
 
+    def access_table(self, memo: Optional[AccessMemo] = None
+                     ) -> List[MemoryAccess]:
+        """One record per memory instruction, in stream order.
+
+        Built on the first call, with ``memo`` (by default a fresh
+        :class:`AccessMemo` over :attr:`loop`) answering the strides.
+        Every memo of the loop answers alike, so later calls return the
+        same table whichever memo they pass.
+        """
+        if self._accesses is not None:
+            return self._accesses
+        if memo is None:
+            memo = AccessMemo(self.loop)
+        table = []
+        for instr in self.memory:
+            op = instr.op
+            type_ = memref_d.load_op_ref(op).type
+            if isinstance(type_, MemRefType):
+                space = type_.memory_space
+                element_bytes = byte_width(type_.element)
+            else:
+                space = None
+                element_bytes = 0
+            table.append(MemoryAccess(
+                instr, op.name == memref_d.STORE,
+                op.name == memref_d.ATOMIC_RMW, space, element_bytes,
+                instr.executions, memo.stride(op)))
+        self._accesses = table
+        return table
+
     @cached_property
     def max_live(self) -> int:
         """Most 32-bit register units live at once over the stream."""
-        events = []  # (index, +units) and (index, -units)
+        # a value holds its units from its definition through its last
+        # use: +units at the one index, -units just past the other
+        deltas = [0] * (len(self.instrs) + 2)
+        last_use = self.last_use
         for value, definition in self.def_index.items():
-            last = self.last_use.get(value)
+            last = last_use.get(value)
             if last is None or last < definition:
                 continue
             units = _value_registers(value)
-            if units == 0:
-                continue
-            events.append((definition, units))
-            events.append((last + 1, -units))
-        events.sort()
-        live = 0
-        max_live = 0
-        for _, delta in events:
-            live += delta
-            max_live = max(max_live, live)
-        return max_live
+            deltas[definition] += units
+            deltas[last + 1] -= units
+        return max(0, max(accumulate(deltas)))
 
 
 def _kind_of(op: Operation) -> str:
@@ -189,7 +244,14 @@ def _note_use(lin: Linearized, value: Value, index: int) -> None:
 def _emit(lin: Linearized, op: Operation, kind: str,
           executions: float) -> None:
     index = len(lin.instrs)
-    lin.instrs.append(LinearInstr(index, op, kind, executions))
+    instr = LinearInstr(index, op, kind, executions)
+    lin.instrs.append(instr)
+    if kind == "load" or kind == "store":
+        lin.memory.append(instr)
+    elif op.name == memref_d.ALLOCA:
+        type_ = op.results[0].type
+        if isinstance(type_, MemRefType) and type_.memory_space == "shared":
+            lin.shared_allocas.append(op)
     for operand in op.operands:
         _note_use(lin, operand, index)
     for result in op.results:
@@ -257,6 +319,7 @@ def linearize_thread_body(thread_parallel: Operation) -> Linearized:
         if hit is not None:
             return hit
     lin = Linearized()
+    lin.loop = thread_parallel
     _walk_block(lin, thread_parallel.body_block(), 1.0)
 
     # extend lifetimes across loop back-edges: any value defined before a

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis import shared_allocas
+from ..analysis.shared_memory import shared_allocas, shared_bytes
 from ..dialects import polygeist
 from ..ir import Operation, Region, single_block_region, unlink_subtree
 from .coarsen import (CoarsenError, CoarsenResult, block_parallels,
@@ -47,15 +47,13 @@ def _shared_alloca_split(main: Operation) -> Tuple[int, int]:
     coarsening only the thread loop's body — and only the first thread
     loop, which is exactly the one :func:`thread_parallel` resolves.
     """
-    total = sum(op.result().type.size_bytes()
-                for op in shared_allocas(main))
     try:
         threads = thread_parallel(main)
     except CoarsenError:
-        return total, 0
-    inside = sum(op.result().type.size_bytes()
-                 for op in shared_allocas(threads))
-    return total - inside, inside
+        return shared_bytes(shared_allocas(main)), 0
+    # one walk: the thread loop's subtree is skipped, then walked alone
+    return (shared_bytes(shared_allocas(main, threads)),
+            shared_bytes(shared_allocas(threads)))
 
 
 @dataclass

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (affine_of, is_uniform_in, kernel_statistics,
-                            shared_bytes_per_block, stride_in)
+from repro.analysis import (affine_of, depends_on_values, is_uniform_in,
+                            kernel_statistics, shared_bytes_per_block)
 from repro.dialects import arith, func, memref, polygeist, scf
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import (Builder, F32, FunctionType, INDEX, MemRefType, Module,
@@ -13,6 +13,21 @@ from repro.ir import (Builder, F32, FunctionType, INDEX, MemRefType, Module,
 from repro.targets import linearize_thread_body
 from repro.targets.lowering import SYMBOLIC_TRIPS
 from repro.transforms.coarsen import block_parallels, thread_parallel
+
+
+def stride_in(index, variable):
+    """Stride of ``index`` w.r.t. ``variable``, or None if unknown.
+
+    The stride rule from fresh calls: the stride is known when
+    ``variable`` appears as a plain affine term and none of the other
+    symbols transitively depend on ``variable``. The oracle for
+    :meth:`repro.analysis.affine.AccessMemo.index_stride`.
+    """
+    form = affine_of(index)
+    for sym in form.terms:
+        if sym is not variable and depends_on_values(sym, {variable}):
+            return None
+    return form.coefficient(variable)
 
 
 def kernel_ir(source, kernel="k", block=(8,), grid_rank=1):
@@ -273,3 +288,23 @@ class TestSharedBytes:
         block_coarsen(wrapper, (4,))
         main = block_parallels(wrapper, include_epilogues=False)[0]
         assert shared_bytes_per_block(main) == 4 * 32 * 4
+
+    def test_thread_loop_allocas_come_from_the_stream(self):
+        # no benchsuite kernel allocates shared memory inside its thread
+        # loop; given the loop's stream, the walk skips the loop's body
+        from repro.transforms.alternatives import _shared_alloca_split
+        source = """
+        __global__ void k(float *a) {
+            __shared__ float s[32];
+            s[threadIdx.x] = 1.0f;
+            a[threadIdx.x] = s[threadIdx.x];
+        }
+        """
+        _, blocks, threads = kernel_ir(source)
+        memref.alloca(Builder(threads.body_block(), 0),
+                      MemRefType((4, 4), F32, "shared"))
+        lin = linearize_thread_body(threads)
+        assert len(lin.shared_allocas) == 1
+        assert shared_bytes_per_block(blocks, lin) == \
+            shared_bytes_per_block(blocks) == 32 * 4 + 16 * 4
+        assert _shared_alloca_split(blocks) == (32 * 4, 16 * 4)

@@ -154,22 +154,22 @@ class TestLinearize:
         assert loads == [SYMBOLIC_TRIPS]
 
     def test_model_walks_the_thread_body_once(self):
-        # the one other walk is shared_bytes_per_block's alloca walk,
-        # which starts from the block loop
+        # shared_bytes_per_block's alloca walk skips the thread loop and
+        # takes its allocas from the stream
         from repro.simulator.model import KernelModel
         threads = kernel_threads(BRANCHY_SHARED_KERNEL)
         loop = threads.parent_op
         body = threads.body_block()
         body.ops = ops = _CountingOps(body.ops)
         KernelModel(loop, A100)
-        assert ops.iterations <= 2
+        assert ops.iterations == 1
         with linearized_cache():
             # the spill filter's question, answered before the model's
             estimate_registers(linearize_thread_body(threads), A100)
             for arch in (A100, MI210):
                 ops.iterations = 0
                 KernelModel(loop, arch)
-                assert ops.iterations <= 1
+                assert ops.iterations == 0
 
     def test_analyses_leave_no_cyclic_garbage(self):
         # the recursive walker is a module-level function: a nested
