@@ -137,24 +137,22 @@ def test_ablation_aggregate_tdo(benchmark, report):
     report.name = "ablation_tdo"
     from repro.autotune import default_configs
     from repro.benchsuite import get_benchmark
+    from repro.benchsuite.base import group_launches
     from repro.pipeline import Program
 
     def run():
         bench = get_benchmark("gaussian")
         size = 512
         launches = list(bench.iter_launches(size))
+        groups = group_launches(launches)
 
         def total_with(tune_grids):
             program = Program(bench.source, arch=A100, tier="polygeist",
                               autotune_configs=default_configs(8))
-            grouped = {}
-            for kernel, grid, block in launches:
-                grouped.setdefault((kernel, tuple(block)),
-                                   []).append(grid)
-            for (kernel, block), grids in grouped.items():
+            for (kernel, block), table in groups.tables.items():
                 program.tune_aggregate(kernel, block,
-                                       grids if tune_grids == "all"
-                                       else grids[:1])
+                                       table if tune_grids == "all"
+                                       else table[:1])
             return sum(program.model_launch(k, g, b).time_seconds
                        for k, g, b in launches)
 

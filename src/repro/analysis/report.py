@@ -512,7 +512,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
     import platform
 
     from .. import __version__
-    from ..benchsuite.base import get_benchmark
+    from ..benchsuite.base import get_benchmark, group_launches
     from ..engine import TuningCache, TuningEngine
     from ..obs import decisions as obs_decisions
     from ..obs import tracer as obs_tracer
@@ -532,24 +532,23 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
     engine = TuningEngine(cache=TuningCache(None))
     log = obs_decisions.DecisionLog()
     tracer = obs_tracer.Tracer()
-    launches = list(bench.iter_launches(size))
-    grouped: Dict[Tuple[str, Tuple[int, ...]], List] = {}
-    for kernel, grid, block in launches:
-        grouped.setdefault((kernel, tuple(block)), []).append(tuple(grid))
+    groups = group_launches(bench.iter_launches(size))
 
     with obs_tracer.tracing(tracer), obs_decisions.logging_decisions(log):
         program = Program(bench.source, arch=arch, tier=tier,
                           autotune_configs=configs, engine=engine)
         if tier == "polygeist":
-            for (kernel, block), grids in grouped.items():
-                program.tune_aggregate(kernel, block, grids)
+            for (kernel, block), table in groups.tables.items():
+                program.tune_aggregate(kernel, block, table)
+        # groups come in first-launch order, so wrappers are first used
+        # in the order the launches would use them
         per_group: Dict[Tuple[str, Tuple[int, ...]], List] = {}
-        composite = 0.0
-        for kernel, grid, block in launches:
-            timing = program.model_launch(kernel, grid, block)
-            composite += timing.time_seconds
-            per_group.setdefault((kernel, tuple(block)),
-                                 []).append(timing)
+        for (kernel, block), table in groups.tables.items():
+            per_group[(kernel, block)] = [
+                program.model_launch(kernel, grid, block)
+                for grid in table.tolist()]
+        composite = groups.total([[timing.time_seconds for timing in timings]
+                                  for timings in per_group.values()])
 
     # the uncoarsened reference: same launches through the noopt tier
     baseline_program = None
@@ -558,7 +557,8 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                                    tier="polygeist-noopt", engine=engine)
 
     reports: List[KernelReport] = []
-    for (kernel, block), grids in grouped.items():
+    for (kernel, block), table in groups.tables.items():
+        grids = table.tolist()
         timings = per_group[(kernel, block)]
         seconds = sum(t.time_seconds for t in timings)
         breakdown: Dict[str, float] = {}

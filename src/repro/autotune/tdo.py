@@ -152,8 +152,9 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
                                select: bool = True) -> TuneOutcome:
     """Model every alternative and (optionally) select the fastest.
 
-    ``env`` may be a single launch-environment dict or a sequence of them:
-    the paper's profiling mode times each alternative over the *whole*
+    ``env`` may be a single launch-environment dict, a sequence of them
+    or a :class:`~repro.simulator.model.LaunchEnvs` grid table: the
+    paper's profiling mode times each alternative over the *whole*
     application run, so alternatives are ranked by their time summed over
     every launch geometry observed (e.g. gaussian's shrinking grids).
 
@@ -163,7 +164,7 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
     scalar visit order, one vectorized timing pass over every launching
     entry). This is :func:`tune_wrapper`'s default ranking step.
     """
-    envs = env if isinstance(env, (list, tuple)) else [env]
+    envs = [env] if isinstance(env, dict) else env
     with obs_tracer.span("tdo", category="tdo",
                          alternatives=len(alt.regions),
                          launches=len(envs)):
@@ -233,7 +234,7 @@ def _validation_gate(alt: Operation, baseline: Operation, env, decision
     from ..transforms.alternatives import prune_alternatives
     from ..validate import validate_alternatives
 
-    env0 = env[0] if isinstance(env, (list, tuple)) else env
+    env0 = env if isinstance(env, dict) else env[0]
     validation = validate_alternatives(baseline, alt, env0)
     if validation.baseline_note and decision is not None:
         decision.note("validation inconclusive: baseline not executable: %s"

@@ -14,11 +14,11 @@ Each benchmark provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..pipeline import Program
+from ..pipeline import Program, grid_table
 from ..runtime import GPURuntime
 from ..runtime.gpu_runtime import PCIE_BANDWIDTH, PCIE_LATENCY
 from ..targets import GPUArchitecture
@@ -147,6 +147,49 @@ def verify_benchmark(name: str, arch: GPUArchitecture,
     )
 
 
+@dataclass
+class LaunchGroups:
+    """A launch sequence grouped by (kernel, block shape)."""
+
+    #: per group, in first-launch order: its int64 grid table, one row
+    #: per launch in launch order (:func:`repro.pipeline.grid_table`)
+    tables: Dict[Tuple[str, Tuple[int, ...]], np.ndarray]
+    #: per launch, in launch order: the position of its group in
+    #: ``tables``
+    order: np.ndarray
+
+    def total(self, per_group: Sequence[Sequence[float]]) -> float:
+        """The sum of ``per_group`` (one value per table row, groups in
+        ``tables`` order) taken in launch order, left to right from 0.0:
+        the same float as adding each launch's value as it happens."""
+        values = np.empty(len(self.order))
+        for position, group in enumerate(per_group):
+            values[self.order == position] = group
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        return total
+
+
+def group_launches(launches: Iterable[Launch]) -> LaunchGroups:
+    """Group ``launches`` by (kernel, block shape) in one pass; a group
+    whose grids differ in rank raises ``ValueError``."""
+    grids: Dict[Tuple[str, Tuple[int, ...]], List] = {}
+    positions: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+    order: List[int] = []
+    for kernel, grid, block in launches:
+        key = (kernel, tuple(block))
+        position = positions.get(key)
+        if position is None:
+            position = positions[key] = len(positions)
+            grids[key] = []
+        grids[key].append(grid)
+        order.append(position)
+    return LaunchGroups({key: grid_table(key[0], rows)
+                         for key, rows in grids.items()},
+                        np.array(order, dtype=np.intp))
+
+
 def simulate_composite(name: str, arch,
                        tier: str = "polygeist",
                        autotune_configs: Optional[Sequence[Dict]] = None,
@@ -175,21 +218,16 @@ def simulate_composite(name: str, arch,
     size = size or bench.model_size
     program = Program(bench.source, arch=arch, tier=tier,
                       autotune_configs=autotune_configs, engine=engine)
-    launches = list(bench.iter_launches(size))
-    grouped: Dict[Tuple[str, Tuple[int, ...]], List] = {}
-    for kernel, grid, block in launches:
-        grouped.setdefault((kernel, tuple(block)), []).append(grid)
+    groups = group_launches(bench.iter_launches(size))
     if tier == "polygeist":
         # profiling-mode tuning: rank alternatives over ALL launches
-        for (kernel, block), grids in grouped.items():
-            program.tune_aggregate(kernel, block, grids)
-    total = 0.0
+        for (kernel, block), table in groups.tables.items():
+            program.tune_aggregate(kernel, block, table)
     # model each kernel group's launches in one batch, then reduce in the
     # original launch order (groups interleave in e.g. lud)
-    per_group = {key: iter(program.model_launch_seconds(
-        key[0], key[1], grids)) for key, grids in grouped.items()}
-    for kernel, grid, block in launches:
-        total += next(per_group[(kernel, tuple(block))])
+    total = groups.total([
+        program.model_launch_seconds(kernel, block, table)
+        for (kernel, block), table in groups.tables.items()])
     bytes_moved = bench.transfer_bytes(size)
     total += 2 * PCIE_LATENCY + bytes_moved / PCIE_BANDWIDTH
     if outcomes is not None:

@@ -36,7 +36,7 @@ from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800, \
     arch_by_name
 from ..transforms import is_uncoarsened, run_cleanup
 from ..translate import retarget_ease_report
-from .base import BENCHMARKS, get_benchmark
+from .base import BENCHMARKS, get_benchmark, group_launches
 
 #: kernel-measurement cutoff, as in §VII-A ("measurements with runtimes
 #: less than 0.0001s are discarded")
@@ -204,10 +204,9 @@ def _apply_measurement_cutoff(plans, alt, arch, envs):
 
 def _launch_groups(bench) -> Dict[Tuple[str, Tuple[int, ...]],
                                   List[Tuple[int, ...]]]:
-    groups: Dict[Tuple[str, Tuple[int, ...]], List[Tuple[int, ...]]] = {}
-    for kernel, grid, block in bench.iter_launches(bench.model_size):
-        groups.setdefault((kernel, tuple(block)), []).append(tuple(grid))
-    return groups
+    groups = group_launches(bench.iter_launches(bench.model_size))
+    return {key: [tuple(grid) for grid in table.tolist()]
+            for key, table in groups.tables.items()}
 
 
 def resolve_benchmark(name: str):

@@ -247,25 +247,25 @@ class Program:
 
         This is the paper's profiling mode: alternatives are ranked by
         their time summed over every launch of the application (important
-        when grids shrink across launches, as in gaussian). A tune that
-        raises leaves the wrapper untuned, so asking again raises again.
+        when grids shrink across launches, as in gaussian). ``grids`` is
+        a sequence of grids or a :func:`grid_table`; grids of different
+        ranks raise ``ValueError``. A tune that raises leaves the wrapper
+        untuned, so asking again raises again.
         """
         block = _as_dims(block)
-        grids = [_as_dims(g) for g in grids]
-        if not grids:
+        if not len(grids):
             return
+        table = grid_table(kernel, grids)
         wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grids[0]), block)
+            kernel, table.shape[1], block)
         self._clean_once(wrapper_name, self.tier != "clang")
         if self.tier != "polygeist" or wrapper_name in self._tuned:
             return
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if wrappers:
-            grid_args = f.body_block().args[:len(grids[0])]
-            envs = [dict(zip(grid_args, grid)) for grid in grids]
-            outcome = self._tune_with_cache(wrapper_name, wrappers[0], envs,
-                                            grids)
+            outcome = self._tune_with_cache(
+                wrapper_name, wrappers[0], self._launch_envs(f, table))
             if outcome is not None:
                 self.tuning_outcomes[wrapper_name] = outcome
         self._tuned.add(wrapper_name)
@@ -304,21 +304,23 @@ class Program:
         count matrix, one vectorized timing) for the whole group instead
         of a full walk per launch. This is the composite-modeling hot
         path of :func:`repro.benchsuite.base.simulate_composite`.
+        ``grids`` is a sequence of grids or a :func:`grid_table`; grids
+        of different ranks raise ``ValueError``.
         """
         from .simulator.batch import LaunchScorer
         from .simulator.model import UNEVALUABLE_GRID
         from .transforms.coarsen import block_parallels
         block = _as_dims(block)
-        grids = [_as_dims(g) for g in grids]
-        if not grids:
+        if not len(grids):
             return []
-        wrapper_name = self._prepare(kernel, grids[0], block)
+        table = grid_table(kernel, grids)
+        wrapper_name = self._prepare(kernel, tuple(table[0].tolist()),
+                                     block)
         f = self.module.func(wrapper_name)
         wrappers = polygeist.find_gpu_wrappers(f)
         if not wrappers:
             raise InvalidLaunch("no GPU wrapper in %s" % wrapper_name)
-        envs = [dict(zip(f.body_block().args[:len(grid)], grid))
-                for grid in grids]
+        envs = self._launch_envs(f, table)
         with obs_tracer.span("model.launch_group", category="simulator",
                              launches=len(envs)) as span:
             scorer = LaunchScorer(envs, self.arch, self._model_cache,
@@ -329,6 +331,13 @@ class Program:
                 raise seconds
             span.set(seconds=sum(seconds))
         return seconds
+
+    @staticmethod
+    def _launch_envs(f: Operation, table: np.ndarray):
+        """The launches of ``table`` bound to wrapper function ``f``'s
+        grid arguments."""
+        from .simulator.model import LaunchEnvs
+        return LaunchEnvs(f.body_block().args[:table.shape[1]], table)
 
     def _tune_heuristic(self, wrapper_name: str) -> None:
         """Apply the static heuristic (SVIII-A future work) in place."""
@@ -349,10 +358,11 @@ class Program:
         return tuning_key(self._source_hash, self.arch, self.tier,
                           self.autotune_configs, wrapper_name, grids)
 
-    def _tune_with_cache(self, wrapper_name: str, wrapper,
-                         envs: List[Dict], grids: Sequence[Tuple[int, ...]]
+    def _tune_with_cache(self, wrapper_name: str, wrapper, envs
                          ) -> Optional[TuneOutcome]:
-        """Tune one wrapper, consulting the engine's tuning cache.
+        """Tune one wrapper over ``envs`` (a
+        :class:`~repro.simulator.model.LaunchEnvs`), consulting the
+        engine's tuning cache.
 
         On a hit the cached winner's coarsening is replayed directly on
         the wrapper — no alternative generation, filtering, or TDO runs at
@@ -361,7 +371,9 @@ class Program:
         """
         cache = self.engine.cache
         counter = self.engine.registry.counter
-        key = self._tuning_key(wrapper_name, grids)
+        # a table's rows encode to the same JSON as grid tuples, so the
+        # key (and every on-disk entry) does not depend on the grids' form
+        key = self._tuning_key(wrapper_name, envs.table.tolist())
         hit, entry = cache.lookup(key)
         if hit and (entry.outcome is None or
                     entry.selected_config is not None):
@@ -485,6 +497,29 @@ def _coerce(params: Sequence, args: Sequence[object]
         else:  # index and integer parameters
             coerced.append(int(value))
     return coerced, writeback
+
+
+def grid_table(kernel: str, grids) -> np.ndarray:
+    """``grids``, one launch group's grids, as an int64 table with one
+    row per launch; a table passes through as it is.
+
+    Raises ``ValueError`` naming ``kernel`` and the ranks when the grids
+    differ in rank, and when the rank is not 1 to 3.
+    """
+    try:
+        table = np.asarray(grids, dtype=np.int64)
+    except (TypeError, ValueError):
+        table = None  # ragged, or a mix of ints and tuples
+    if table is None or table.ndim != 2:
+        dims = [_as_dims(grid) for grid in grids]
+        ranks = sorted({len(grid) for grid in dims})
+        if len(ranks) > 1:
+            raise ValueError("the launch group of %s mixes grid ranks %s"
+                             % (kernel, ", ".join(map(str, ranks))))
+        table = np.array(dims, dtype=np.int64)
+    if not 1 <= table.shape[1] <= 3:
+        raise ValueError("grid/block must have 1 to 3 dimensions")
+    return table
 
 
 def _as_dims(value) -> Tuple[int, ...]:

@@ -20,7 +20,10 @@ seconds compare ``==`` to the scalar ones — which the equivalence suite
 a list of block-level loops, e.g. one coarsening alternative or one
 tuned wrapper) over a set of launch environments. Each candidate becomes
 an (envs × loops) block-count matrix, and every launching entry of every
-candidate is timed in one :class:`BatchedKernelModel` pass.
+candidate is timed in one :class:`BatchedKernelModel` pass. The block
+counts are evaluated over int64 grid columns: a launch group's
+:class:`~repro.simulator.model.LaunchEnvs` gives its table's columns as
+they are, and a sequence of env dicts is stacked once, on construction.
 
 The scalar path is the reference implementation: the equivalence suite
 substitutes it for the scorer in TDO and composite modeling and compares
@@ -37,7 +40,7 @@ from ..ir import Operation, Value
 from ..obs import tracer as obs_tracer
 from ..targets import GPUArchitecture
 from .model import (LAUNCH_OVERHEAD, OVERLAP_LEAK, InvalidLaunch,
-                    KernelModel, block_counts, env_columns)
+                    KernelModel, LaunchEnvs, block_counts, env_columns)
 
 #: LaunchFeatures fields stacked as float64 columns
 _FLOAT_FIELDS = (
@@ -185,7 +188,7 @@ class LaunchScorer:
     accumulation exactly.
     """
 
-    def __init__(self, envs: Sequence[Dict[Value, int]],
+    def __init__(self, envs: Union[LaunchEnvs, Sequence[Dict[Value, int]]],
                  arch: GPUArchitecture, models: Dict[int, KernelModel],
                  unevaluable: str):
         self.envs = envs

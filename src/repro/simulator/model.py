@@ -604,17 +604,53 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
     return None
 
 
+class LaunchEnvs:
+    """Many launches of one wrapper: its grid arguments bound to the
+    columns of an int64 grid table (one row per launch).
+
+    :func:`env_columns` hands the scorer :attr:`columns` as they are.
+    Indexing or iterating gives the per-launch environment dicts that
+    the scalar paths read; iteration builds them all once and keeps
+    them, so each launch's dict keeps one identity while this object
+    lives.
+    """
+
+    def __init__(self, args: Sequence[Value], table: np.ndarray):
+        self.table = table
+        self.columns = {arg: table[:, position]
+                        for position, arg in enumerate(args)}
+        self._launches: Optional[List[Dict[Value, int]]] = None
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index: int) -> Dict[Value, int]:
+        if self._launches is not None:
+            return self._launches[index]
+        return dict(zip(self.columns, self.table[index].tolist()))
+
+    def __iter__(self):
+        if self._launches is None:
+            self._launches = [dict(zip(self.columns, grid))
+                              for grid in self.table.tolist()]
+        return iter(self._launches)
+
+
 def env_columns(envs: Sequence[Dict[Value, int]]):
-    """Stack launch environments into per-key int64 columns.
+    """Per-key int64 columns of many launch environments.
 
     Returns ``None`` when the envs cannot be stacked (fewer than two, or
     ragged key sets) — callers fall back to the scalar
-    :func:`block_count`. Computing the columns once and passing
-    them to every :func:`block_counts` call over the same envs avoids
-    re-validating and re-stacking per (loop, alternative).
+    :func:`block_count`. A :class:`LaunchEnvs` gives its columns as they
+    are; a sequence of dicts is stacked here, the one place that does.
+    Computing the columns once and passing them to every
+    :func:`block_counts` call over the same envs avoids re-validating and
+    re-stacking per (loop, alternative).
     """
     if len(envs) < 2:
         return None
+    if isinstance(envs, LaunchEnvs):
+        return envs.columns
     keys = list(envs[0])
     if any(len(env) != len(keys) or any(k not in env for k in keys)
            for env in envs[1:]):
@@ -630,12 +666,13 @@ def block_counts(block_parallel: Operation,
 
     Returns one int64 per env, ``-1`` where :func:`block_count` returns
     ``None`` (block counts are never negative). One evaluation of the
-    bound expressions over stacked int64 columns replaces ``len(envs)``
+    bound expressions over int64 columns replaces ``len(envs)``
     recursive walks; any env set the vectorized evaluator cannot express
     (ragged keys, env-dependent zero divisors) falls back to per-env
     :func:`block_count`, so the result is always elementwise-identical
     to the scalar path.
 
+    ``envs`` is a :class:`LaunchEnvs` or a sequence of env dicts.
     ``cols`` may carry :func:`env_columns`'s result for these same envs,
     letting repeat callers pay the stacking cost once.
     """

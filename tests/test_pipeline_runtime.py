@@ -8,13 +8,13 @@ from repro.autotune import (default_configs, paper_sweep_configs,
                             prune_planned_by_shared_memory,
                             run_planned_filters,
                             timing_driven_optimization, tune_wrapper)
-from repro.benchsuite.base import get_benchmark
+from repro.benchsuite.base import get_benchmark, group_launches
 from repro.benchsuite.lud import make_diagonally_dominant
 from repro.dialects import polygeist
-from repro.engine import TuningEngine
+from repro.engine import TuningCache, TuningEngine
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import verify_module
-from repro.pipeline import Program, compile_cuda
+from repro.pipeline import Program, compile_cuda, grid_table
 from repro.runtime import GPURuntime
 from repro.targets import A100, RX6800
 from repro.transforms import plan_coarsening_alternatives, run_cleanup
@@ -239,6 +239,55 @@ class TestProgram:
         with pytest.raises(TypeError):
             program.launch("scale", 1, 64, args=[np.zeros(4,
                                                           np.float32)])
+
+    @pytest.mark.parametrize("tier", ["polygeist", "polygeist-noopt"])
+    def test_launch_group_of_mixed_grid_ranks_raises(self, tier):
+        # the rank comes from every grid of the group, not the first one:
+        # the second launch's 4096 must not be dropped silently
+        program = compile_cuda(SOURCE, arch=A100, tier=tier,
+                               autotune_configs=default_configs(4),
+                               engine=TuningEngine(cache=TuningCache(None)))
+        grids = [(4,), (4, 4096)]
+        with pytest.raises(ValueError, match=r"scale mixes grid ranks 1, 2"):
+            program.model_launch_seconds("scale", (64,), grids)
+        with pytest.raises(ValueError, match=r"scale mixes grid ranks 1, 2"):
+            program.tune_aggregate("scale", (64,), grids)
+        with pytest.raises(ValueError, match=r"scale mixes grid ranks 1, 2"):
+            group_launches([("scale", grid, (64,)) for grid in grids])
+
+    def test_grid_table_models_like_its_grids(self):
+        grids = [(4,), (7,), 16]
+        seconds = []
+        for launches in (grids, grid_table("scale", grids)):
+            program = compile_cuda(
+                SOURCE, arch=A100, autotune_configs=default_configs(4),
+                engine=TuningEngine(cache=TuningCache(None)))
+            seconds.append(program.model_launch_seconds("scale", 64,
+                                                        launches))
+        program = compile_cuda(SOURCE, arch=A100,
+                               autotune_configs=default_configs(4),
+                               engine=TuningEngine(cache=TuningCache(None)))
+        assert seconds[0] == seconds[1] == [
+            program.model_launch("scale", grid, 64).time_seconds
+            for grid in grids]
+        assert grid_table("scale", grids).tolist() == [[4], [7], [16]]
+
+    def test_launch_groups_sum_in_launch_order(self):
+        launches = [("a", (8,), (64,)), ("b", (2, 2), (8, 8)),
+                    ("a", (4,), (64,)), ("a", (2,), (32,)),
+                    ("b", (1, 1), (8, 8))]
+        groups = group_launches(launches)
+        assert list(groups.tables) == [("a", (64,)), ("b", (8, 8)),
+                                       ("a", (32,))]
+        assert [table.tolist() for table in groups.tables.values()] == \
+            [[[8], [4]], [[2, 2], [1, 1]], [[2]]]
+        assert groups.order.tolist() == [0, 1, 0, 2, 1]
+        per_group = [[1e16, -1e16], [1.0, 3.0], [2.0]]
+        # launch order: 1e16 + 1.0 - 1e16 + 2.0 + 3.0, one add at a time
+        expected = 0.0
+        for value in (1e16, 1.0, -1e16, 2.0, 3.0):
+            expected += value
+        assert groups.total(per_group) == expected == 5.0
 
     def test_amd_target(self):
         program = compile_cuda(SOURCE, arch=RX6800,
