@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from . import c_ast as ast
@@ -511,14 +512,36 @@ def _sizeof(type_: ast.CType) -> int:
             "bool": 1, "char": 1}.get(type_.base, 4)
 
 
+#: how many parsed units :func:`parse_translation_unit` keeps per process
+#: (the benchsuite and HeCBench sources fit with room to spare)
+_PARSE_MEMO_SIZE = 64
+
+
 def parse_translation_unit(source: str, defines=None) -> ast.TranslationUnit:
-    """Preprocess, tokenize, and parse a CUDA source file."""
+    """Preprocess, tokenize, and parse a CUDA source file.
+
+    Each ``(source, defines)`` is parsed once per process: a later call
+    returns the same :class:`~.c_ast.TranslationUnit` object, so nothing
+    may mutate a unit it gets. The memo is a thread-safe LRU of
+    :data:`_PARSE_MEMO_SIZE` units, and holds no errors: a bad source
+    raises on every call.
+    """
     from ..obs import tracer as obs_tracer
+    # the preprocessor sees each define only as ``str(value)``
+    macros = tuple(sorted((name, str(value))
+                          for name, value in (defines or {}).items()))
     with obs_tracer.span("frontend.parse", category="frontend",
                          bytes=len(source)):
-        with obs_tracer.span("frontend.preprocess", category="frontend"):
-            text = preprocess(source, defines)
-        with obs_tracer.span("frontend.tokenize", category="frontend"):
-            tokens = tokenize(text)
-        with obs_tracer.span("frontend.ast", category="frontend"):
-            return Parser(tokens).parse_translation_unit()
+        return _parse(source, macros)
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse(source: str, macros: Tuple[Tuple[str, str], ...]
+           ) -> ast.TranslationUnit:
+    from ..obs import tracer as obs_tracer
+    with obs_tracer.span("frontend.preprocess", category="frontend"):
+        text = preprocess(source, dict(macros))
+    with obs_tracer.span("frontend.tokenize", category="frontend"):
+        tokens = tokenize(text)
+    with obs_tracer.span("frontend.ast", category="frontend"):
+        return Parser(tokens).parse_translation_unit()

@@ -28,6 +28,10 @@ _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FLOAT = re.compile(
     r"(\d+\.\d*([eE][-+]?\d+)?|\.\d+([eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fF]?")
 _INT = re.compile(r"(0[xX][0-9a-fA-F]+|\d+)[uUlL]*")
+#: every operator in one alternation: the first alternative that matches
+#: wins, and :data:`OPERATORS` lists the longest first
+_OPERATOR = re.compile("|".join(map(re.escape, OPERATORS)))
+_BLANKS = re.compile(r"[ \t\r]+")
 
 
 class LexError(ValueError):
@@ -63,43 +67,48 @@ def tokenize(source: str) -> List[Token]:
             pos += 1
             continue
         if ch in " \t\r":
-            pos += 1
+            pos = _BLANKS.match(source, pos).end()
             continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line)
-            line += source.count("\n", pos, end)
-            pos = end + 2
-            continue
-        match = _FLOAT.match(source, pos)
-        if match:
-            text = match.group()
-            is_f32 = text[-1] in "fF"
-            number = float(text.rstrip("fF"))
-            tokens.append(Token("float", text, line, number, is_f32))
-            pos = match.end()
-            continue
-        match = _INT.match(source, pos)
-        if match:
-            text = match.group()
-            digits = text.rstrip("uUlL")
-            value = int(digits, 16) if digits.lower().startswith("0x") \
-                else int(digits)
-            tokens.append(Token("int", text, line, value))
-            pos = match.end()
-            continue
-        match = _ID.match(source, pos)
-        if match:
-            text = match.group()
-            kind = "keyword" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, line))
-            pos = match.end()
-            continue
+        if ch == "/":
+            if source.startswith("//", pos):
+                end = source.find("\n", pos)
+                pos = n if end == -1 else end
+                continue
+            if source.startswith("/*", pos):
+                end = source.find("*/", pos + 2)
+                if end == -1:
+                    raise LexError("unterminated block comment", line)
+                line += source.count("\n", pos, end)
+                pos = end + 2
+                continue
+        # a number starts with a dot or a decimal digit (what ``\d``
+        # matches), an identifier with neither
+        if ch == "." or ch.isdecimal():
+            match = _FLOAT.match(source, pos)
+            if match:
+                text = match.group()
+                is_f32 = text[-1] in "fF"
+                number = float(text.rstrip("fF"))
+                tokens.append(Token("float", text, line, number, is_f32))
+                pos = match.end()
+                continue
+            match = _INT.match(source, pos)
+            if match:
+                text = match.group()
+                digits = text.rstrip("uUlL")
+                value = int(digits, 16) if digits.lower().startswith("0x") \
+                    else int(digits)
+                tokens.append(Token("int", text, line, value))
+                pos = match.end()
+                continue
+        else:
+            match = _ID.match(source, pos)
+            if match:
+                text = match.group()
+                kind = "keyword" if text in KEYWORDS else "id"
+                tokens.append(Token(kind, text, line))
+                pos = match.end()
+                continue
         if ch == '"':
             end = pos + 1
             while end < n and source[end] != '"':
@@ -121,12 +130,10 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token("char", source[pos:end + 1], line, value))
             pos = end + 1
             continue
-        for operator in OPERATORS:
-            if source.startswith(operator, pos):
-                tokens.append(Token("op", operator, line))
-                pos += len(operator)
-                break
-        else:
+        match = _OPERATOR.match(source, pos)
+        if match is None:
             raise LexError("unexpected character %r" % ch, line)
+        tokens.append(Token("op", match.group(), line))
+        pos = match.end()
     tokens.append(Token("eof", "", line))
     return tokens

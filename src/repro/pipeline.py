@@ -112,17 +112,20 @@ class Program:
             "cache": cache_stats,
         }
 
-    def _run_cleanup(self, parallel: bool) -> None:
+    def _run_cleanup(self, func_name: str, parallel: bool) -> None:
+        """Clean function ``func_name``: the only function the rewrite
+        before it changed, since every function is isolated from above."""
         with self.engine.stage("cleanup"):
-            run_cleanup(self.module, parallel_optimizations=parallel)
+            run_cleanup(self.module.func(func_name),
+                        parallel_optimizations=parallel)
         # every IR rewrite ends in a cleanup: blocks the interpreter
         # compiled before it may have changed
         self._interpreter.forget_plans()
 
     def _clean_once(self, func_name: str, parallel: bool) -> None:
-        """Clean the module the first time ``func_name`` is used."""
+        """Clean function ``func_name`` the first time it is used."""
         if func_name not in self._cleaned:
-            self._run_cleanup(parallel)
+            self._run_cleanup(func_name, parallel)
             self._cleaned.add(func_name)
 
     # -- kernel launches ---------------------------------------------------------
@@ -195,7 +198,7 @@ class Program:
                         engine=self.engine,
                         rank=self._profiling_rank(wrapper_name, coerced,
                                                   runs_per_alternative))
-                    self._run_cleanup(True)
+                    self._run_cleanup(wrapper_name, True)
                     self.tuning_outcomes[wrapper_name] = outcome
                 except NoLegalConfiguration:
                     pass  # nothing was materialized: run it untransformed
@@ -348,7 +351,7 @@ class Program:
         if not wrappers:
             return
         choice = heuristic_tune(wrappers[0], self.arch)
-        self._run_cleanup(True)
+        self._run_cleanup(wrapper_name, True)
         self.heuristic_choices[wrapper_name] = choice
 
     # -- cached tuning ------------------------------------------------------------
@@ -378,7 +381,7 @@ class Program:
         if hit and (entry.outcome is None or
                     entry.selected_config is not None):
             counter("cache_hits").inc()
-            return self._replay_cached(key, wrapper, entry)
+            return self._replay_cached(key, wrapper_name, wrapper, entry)
         counter("cache_misses").inc()
         try:
             outcome = tune_wrapper(wrapper, self.arch, envs,
@@ -387,11 +390,11 @@ class Program:
         except NoLegalConfiguration:
             cache.store(key, CacheEntry(None, None))
             return None  # nothing was materialized: keep the kernel
-        self._run_cleanup(True)
+        self._run_cleanup(wrapper_name, True)
         cache.store(key, CacheEntry(outcome, outcome.selected_config))
         return outcome
 
-    def _replay_cached(self, key: str, wrapper,
+    def _replay_cached(self, key: str, wrapper_name: str, wrapper,
                        entry: CacheEntry) -> Optional[TuneOutcome]:
         """Apply a cached tuning decision to a freshly built wrapper; a
         config that does not apply raises, naming ``key`` and the config."""
@@ -407,7 +410,7 @@ class Program:
                 raise CoarsenError(
                     "cached config %r of tuning key %s does not apply: %s"
                     % (config, key, error)) from error
-        self._run_cleanup(True)
+        self._run_cleanup(wrapper_name, True)
         return entry.outcome
 
     def _coerce_args(self, wrapper_name: str, grid: Tuple[int, ...],
@@ -572,7 +575,7 @@ def build_launch_wrapper(source: str, kernel: Optional[str],
                          engine: Optional[TuningEngine] = None
                          ) -> LaunchWrapper:
     """Parse ``source``, generate ``kernel``'s launch wrapper over
-    ``block`` and clean the module: where every tool that transforms a
+    ``block`` and clean its function: where every tool that transforms a
     single kernel outside a :class:`Program` starts.
 
     ``kernel=None`` picks the source's first kernel. ``engine`` times the
@@ -585,9 +588,10 @@ def build_launch_wrapper(source: str, kernel: Optional[str],
     if kernel is None:
         kernel = first_kernel(unit)
     name = generator.get_launch_wrapper(kernel, grid_rank, tuple(block))
+    func_op = generator.module.func(name)
     with stage("cleanup"):
-        run_cleanup(generator.module)
-    wrapper = polygeist.find_gpu_wrappers(generator.module.func(name))[0]
+        run_cleanup(func_op)
+    wrapper = polygeist.find_gpu_wrappers(func_op)[0]
     return LaunchWrapper(generator.module, name, wrapper)
 
 

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
-from ..ir import Module, Region
+from ..ir import Module, Operation, Region
 from .cleanup import REWRITES, SCALAR_REWRITES, cleanup
 
 
-def run_cleanup(module: Module, parallel_optimizations: bool = True) -> None:
-    """Clean the whole module until no rewrite applies.
+def run_cleanup(target: Union[Module, Operation],
+                parallel_optimizations: bool = True) -> None:
+    """Clean ``target``, a whole module or one ``func.func`` op, until no
+    rewrite applies.
+
+    A function is isolated from above, as in MLIR: every launch and call
+    is inlined into it, so cleaning it alone gives the same IR as
+    cleaning the whole module and changes no other function.
 
     With ``parallel_optimizations`` disabled only the classical scalar
     cleanups run (no LICM, no barrier elimination) — this models the
     paper's "Polygeist-GPU without optimizations" configuration used as
     the clang-parity baseline in Fig. 16.
     """
-    cleanup(module.op.regions,
+    op = target.op if isinstance(target, Module) else target
+    cleanup(op.regions,
             REWRITES if parallel_optimizations else SCALAR_REWRITES,
             whole=True, parallel=parallel_optimizations)
 
@@ -28,9 +35,9 @@ def cleanup_regions(regions: Sequence[Region],
     The enclosing module is never walked: the pure ops that dominate the
     regions from outside are reused by CSE, and the rest of the module is
     left as it is. With the enclosing IR already clean (the autotuning
-    flow pre-cleans the whole module before generating alternatives) the
-    result is identical to a whole-module :func:`run_cleanup` — proven by
-    the benchsuite-wide equivalence test.
+    flow pre-cleans the wrapper's function before generating
+    alternatives) the result is identical to a whole-module
+    :func:`run_cleanup` — proven by the benchsuite-wide equivalence test.
     """
     cleanup(regions, REWRITES if parallel_optimizations else SCALAR_REWRITES,
             whole=False, parallel=parallel_optimizations,

@@ -2,26 +2,32 @@
 
 The autotuning flow cleans only the ``polygeist.alternatives`` regions
 (:func:`repro.transforms.cleanup_regions`) instead of re-walking the whole
-module, and materializes IR clones only for the configurations that
-survive the metadata-level shared-memory filter. Both are pure
-performance moves: this file proves, benchsuite-wide, that they change
-nothing observable — the printed IR after scoped cleanup equals the
-whole-module result, the TDO selection is identical, the planner's
-shared-memory prediction equals what the cleaned IR allocates, and the
-number of wrapper clones built is one less than the post-filter survivor
-count (the last survivor coarsens the wrapper's own body).
+module, a :class:`~repro.pipeline.Program` cleans only the function a
+launch uses, and the flow materializes IR clones only for the
+configurations that survive the metadata-level shared-memory filter. All
+three are pure performance moves: this file proves, benchsuite-wide, that
+they change nothing observable — the printed IR after scoped cleanup
+equals the whole-module result, the TDO selection is identical, the
+planner's shared-memory prediction equals what the cleaned IR allocates,
+and the number of wrapper clones built is one less than the post-filter
+survivor count (the last survivor coarsens the wrapper's own body).
 """
 
 import pytest
 
+import repro.benchsuite.base as benchsuite_base
 from repro.autotune import paper_sweep_configs
 from repro.analysis import shared_bytes_per_block
 from repro.autotune.tdo import timing_driven_optimization, tune_wrapper
-from repro.engine import TuningEngine
-from repro.benchsuite.base import BENCHMARKS, get_benchmark
+from repro.engine import TuningCache, TuningEngine
+from repro.benchsuite.base import (BENCHMARKS, get_benchmark,
+                                   group_launches, simulate_composite)
 from repro.dialects import polygeist
 from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import print_module
+from repro.obs import metrics as obs_metrics
+from repro.obs.tracer import tracing
+from repro.pipeline import Program
 from repro.targets import arch_by_name
 from repro.transforms import cleanup_regions, run_cleanup
 from repro.transforms.alternatives import plan_coarsening_alternatives
@@ -201,3 +207,78 @@ def test_materialize_is_one_shot():
     planned.materialize(range(len(planned.alternatives)))
     with pytest.raises(ValueError, match="already materialized"):
         planned.materialize([0])
+
+
+class _RecordingProgram(Program):
+    """A :class:`Program` that remembers every instance built."""
+
+    built = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.built.append(self)
+
+
+@pytest.mark.parametrize("arch", ["a100", "mi210"])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_function_scoped_jobs_leave_the_module_clean(name, arch,
+                                                     monkeypatch):
+    """A Program cleans only the function each launch uses. After a job
+    of every tier (and a warm replay), cleaning the whole module again
+    must change nothing: no function was left dirty."""
+    monkeypatch.setattr(_RecordingProgram, "built", [])
+    monkeypatch.setattr(benchsuite_base, "Program", _RecordingProgram)
+    configs = paper_sweep_configs(max_product=8)
+    engine = TuningEngine(cache=TuningCache(None), validate=False)
+    jobs = [("polygeist", "cold"), ("polygeist", "warm"), ("clang", ""),
+            ("polygeist-noopt", ""), ("polygeist-heuristic", "")]
+    for tier, _ in jobs:
+        simulate_composite(name, arch, tier, configs, engine=engine)
+    assert len(_RecordingProgram.built) == len(jobs)
+    for (tier, run), program in zip(jobs, _RecordingProgram.built):
+        assert program._cleaned, "%s %s cleaned nothing" % (tier, run)
+        printed = print_module(program.module)
+        run_cleanup(program.module, tier != "clang")
+        assert print_module(program.module) == printed, \
+            "%s %s %s left a function unclean" % (name, tier, run)
+
+
+def _op_count(op):
+    count = 0
+    stack = [op]
+    while stack:
+        for region in stack.pop().regions:
+            for block in region.blocks:
+                count += len(block.ops)
+                stack.extend(block.ops)
+    return count
+
+
+def test_second_group_cleanup_visits_only_its_function():
+    """The first-use cleanup of gaussian's second launch group (Fan2)
+    visits each op of Fan2's wrapper once and none of Fan1's."""
+    bench = get_benchmark("gaussian")
+    (first, first_grids), (second, second_grids) = \
+        group_launches(bench.iter_launches(bench.verify_size)).tables.items()
+    alone = ModuleGenerator(parse_translation_unit(bench.source))
+    wrapper = alone.module.func(alone.get_launch_wrapper(
+        second[0], second_grids.shape[1], second[1]))
+    ops = _op_count(wrapper)
+
+    program = Program(bench.source, A100,
+                      autotune_configs=paper_sweep_configs(max_product=4),
+                      engine=TuningEngine(cache=TuningCache(None),
+                                          validate=False))
+    program.tune_aggregate(first[0], first[1], first_grids)
+    # a whole-module cleanup would visit these too
+    assert _op_count(program.module.op) > 0
+    with tracing() as tracer, obs_metrics.collecting() as registry:
+        program.tune_aggregate(second[0], second[1], second_grids)
+    spans = [span for span in tracer.finished() if span.name == "cleanup"]
+    # the first-use cleanup is whole-function; the tune's own cleanups
+    # are region-scoped and name their region count
+    first_use = spans[0]
+    assert "regions" not in first_use.args
+    assert first_use.args["visited"] == ops
+    assert registry.counter("cleanup.visited").value == sum(
+        span.args["visited"] for span in spans)
