@@ -454,24 +454,18 @@ def _coalescing_dict(models) -> Dict[str, float]:
     }
 
 
-def _group_models(program, wrapper_name: str, arch):
-    """The per-loop KernelModels of a tuned wrapper, cache-shared with
-    the program's own modeling path."""
+def _group_models(program, wrapper_name: str):
+    """The per-loop KernelModels of a tuned wrapper, the ones the
+    program's own modeling path used."""
     from ..dialects import polygeist
-    from ..simulator.model import KernelModel
     from ..transforms.coarsen import block_parallels
 
     f = program.module.func(wrapper_name)
     wrappers = polygeist.find_gpu_wrappers(f)
     if not wrappers:
         return f, []
-    models = []
-    for loop in block_parallels(wrappers[0]):
-        model = program._model_cache.get(loop.stable_uid())
-        if model is None:
-            model = KernelModel(loop, arch)
-        models.append((loop, model))
-    return f, models
+    return f, [(loop, program.loop_model(loop))
+               for loop in block_parallels(wrappers[0])]
 
 
 def _roofline(arch, flops32: float, flops64: float, dram_bytes: float,
@@ -573,7 +567,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
 
         wrapper_name = program.generator.get_launch_wrapper(
             kernel, len(grids[0]), block)
-        f, loop_models = _group_models(program, wrapper_name, arch)
+        f, loop_models = _group_models(program, wrapper_name)
         grid_args = f.body_block().args[:len(grids[0])]
 
         flops32 = flops64 = 0.0
@@ -619,8 +613,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                          if d.wrapper == wrapper_name), None)
         baseline_occ = None
         if baseline_program is not None and decision is not None:
-            bf, bmodels = _group_models(baseline_program, wrapper_name,
-                                        arch)
+            bf, bmodels = _group_models(baseline_program, wrapper_name)
             if bmodels:
                 baseline_occ = _occupancy_dict(bmodels[0][1])
         decisions = _decision_summary(decision, occupancy, baseline_occ,

@@ -325,18 +325,37 @@ class ModuleGenerator:
         key = (kernel_name, grid_rank, tuple(block_shape))
         if key in self._wrapper_cache:
             return self._wrapper_cache[key]
-        kernel = self.unit.functions.get(kernel_name)
-        if kernel is None or not kernel.is_kernel:
-            raise CodegenError("no kernel named %r" % kernel_name)
-        wrapper_name = "%s__g%db%s" % (
-            kernel_name, grid_rank, "x".join(map(str, block_shape)))
+        wrapper_name = self.launch_wrapper_name(kernel_name, grid_rank,
+                                                block_shape)
         from ..obs import tracer as obs_tracer
         with obs_tracer.span("frontend.codegen", category="frontend",
                              kernel=kernel_name, wrapper=wrapper_name):
-            self._emit_launch_wrapper(wrapper_name, kernel, grid_rank,
-                                      tuple(block_shape))
+            self._emit_launch_wrapper(wrapper_name,
+                                      self.unit.functions[kernel_name],
+                                      grid_rank, tuple(block_shape))
         self._wrapper_cache[key] = wrapper_name
         return wrapper_name
+
+    def launch_wrapper_name(self, kernel_name: str, grid_rank: int,
+                            block_shape: Tuple[int, ...]) -> str:
+        """The symbol :meth:`get_launch_wrapper` gives the wrapper, without
+        generating it; raises :class:`CodegenError` for an unknown kernel."""
+        kernel = self.unit.functions.get(kernel_name)
+        if kernel is None or not kernel.is_kernel:
+            raise CodegenError("no kernel named %r" % kernel_name)
+        return "%s__g%db%s" % (
+            kernel_name, grid_rank, "x".join(map(str, block_shape)))
+
+    def adopt_launch_wrapper(self, kernel_name: str, grid_rank: int,
+                             block_shape: Tuple[int, ...],
+                             func_op: Operation) -> None:
+        """Append ``func_op``, a launch wrapper built outside this module
+        (a clone of one generated from the same unit), where
+        :meth:`get_launch_wrapper` would emit it, and hand it out from
+        then on."""
+        self.module_builder.insert(func_op)
+        self._wrapper_cache[(kernel_name, grid_rank, tuple(block_shape))] = \
+            func_op.attr("sym_name")
 
     # -- globals ----------------------------------------------------------------
 

@@ -22,6 +22,8 @@ before the winner is compiled in.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -38,11 +40,79 @@ from .interpreter import Interpreter, MemoryBuffer
 from .ir import FloatType, MemRefType, Module, Operation, Value
 from .obs import tracer as obs_tracer
 from .runtime import DeviceBuffer, GPURuntime
-from .simulator.model import InvalidLaunch
+from .simulator.model import InvalidLaunch, ModelCache, SharedModels
 from .targets import A100, GPUArchitecture
 from .transforms import run_cleanup
+from .transforms.coarsen import block_parallels
 
 TIERS = ("clang", "polygeist-noopt", "polygeist", "polygeist-heuristic")
+
+#: most cleaned wrapper functions one process keeps in its memo
+_FUNCTION_MEMO_SIZE = 256
+
+
+class MemoizedFunction:
+    """One cleaned wrapper function of the memo.
+
+    ``template`` is a ``func.func`` that sits in no module and is never
+    mutated: a :class:`Program` clones it into its own module. ``models``
+    models the template's block loops, by ordinal, for every clone.
+    """
+
+    __slots__ = ("template", "models")
+
+    def __init__(self, template: Operation):
+        self.template = template
+        self.models = SharedModels(_block_loops(template))
+
+
+class FunctionMemo:
+    """A bounded, thread-safe LRU of cleaned wrapper functions.
+
+    The key is ``(source hash, wrapper name, cleanup's parallel flag,
+    selected coarsening config or None)``: the wrapper name encodes the
+    kernel, grid rank and block, and the source hash the defines, so a
+    key determines the function it holds.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: "OrderedDict[tuple, MemoizedFunction]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> Optional[MemoizedFunction]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def store(self, key: tuple, func_op: Operation
+              ) -> Tuple[MemoizedFunction, int]:
+        """Memoize a clone of ``func_op`` under ``key``. Returns the entry
+        the memo now holds (of racing stores, the first wins) and how many
+        least recently used entries it evicted."""
+        entry = MemoizedFunction(func_op.clone())
+        with self._lock:
+            entry = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            evicted = 0
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+                evicted += 1
+        return entry, evicted
+
+    def entries(self) -> List[Tuple[tuple, MemoizedFunction]]:
+        with self._lock:
+            return list(self._entries.items())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: the process's memo: every Program of one source shares its functions
+FUNCTION_MEMO = FunctionMemo(_FUNCTION_MEMO_SIZE)
 
 
 @dataclass
@@ -79,7 +149,7 @@ class Program:
         self._interpreter = Interpreter(self.module)
         self._cleaned: Set[str] = set()
         self._tuned: Set[str] = set()
-        self._model_cache: Dict = {}
+        self._model_cache = ModelCache(arch)
         self.tuning_outcomes: Dict[str, TuneOutcome] = {}
         self.heuristic_choices: Dict[str, object] = {}
 
@@ -115,6 +185,8 @@ class Program:
     def _run_cleanup(self, func_name: str, parallel: bool) -> None:
         """Clean function ``func_name``: the only function the rewrite
         before it changed, since every function is isolated from above."""
+        # the function is no longer its memo template's clone
+        self._model_cache.unlink(func_name)
         with self.engine.stage("cleanup"):
             run_cleanup(self.module.func(func_name),
                         parallel_optimizations=parallel)
@@ -127,6 +199,54 @@ class Program:
         if func_name not in self._cleaned:
             self._run_cleanup(func_name, parallel)
             self._cleaned.add(func_name)
+
+    # -- memoized wrapper functions ------------------------------------------------
+
+    def _wrapper(self, kernel: str, grid_rank: int, block: Tuple[int, ...],
+                 parallel: bool) -> str:
+        """The name of ``kernel``'s launch wrapper over ``block``, cleaned
+        in this module on first use: cloned from the memo, or generated,
+        cleaned and memoized."""
+        name = self.generator.launch_wrapper_name(kernel, grid_rank, block)
+        if name not in self._cleaned:
+            key = (self._source_hash, name, parallel, None)
+            if not self._adopt(kernel, grid_rank, block, key):
+                self.generator.get_launch_wrapper(kernel, grid_rank, block)
+                self._run_cleanup(name, parallel)
+                self._memoize(key, name)
+            self._cleaned.add(name)
+        return name
+
+    def _adopt(self, kernel: str, grid_rank: int, block: Tuple[int, ...],
+               key: tuple) -> bool:
+        """Clone the memo's function of ``key`` into this module, if the
+        memo holds one; its loops share the memoized models."""
+        entry = FUNCTION_MEMO.get(key)
+        counter = self.engine.registry.counter
+        if entry is None:
+            counter("pipeline.function_memo.misses").inc()
+            return False
+        counter("pipeline.function_memo.hits").inc()
+        func_op = entry.template.clone()
+        self.generator.adopt_launch_wrapper(kernel, grid_rank, block,
+                                            func_op)
+        self._link(func_op, entry)
+        return True
+
+    def _memoize(self, key: tuple, func_name: str) -> None:
+        """Memoize function ``func_name`` as built here under ``key``."""
+        func_op = self.module.func(func_name)
+        entry, evicted = FUNCTION_MEMO.store(key, func_op)
+        if evicted:
+            self.engine.registry.counter(
+                "pipeline.function_memo.evictions").inc(evicted)
+        self._link(func_op, entry)
+
+    def _link(self, func_op: Operation, entry: MemoizedFunction) -> None:
+        """Model ``func_op``'s loops with ``entry``'s shared models until
+        :meth:`_run_cleanup` cleans it after a rewrite."""
+        self._model_cache.link(func_op.attr("sym_name"),
+                               _block_loops(func_op), entry.models)
 
     # -- kernel launches ---------------------------------------------------------
 
@@ -153,14 +273,14 @@ class Program:
                  block: Tuple[int, ...]) -> str:
         """The launch wrapper of ``kernel`` over ``block``, cleaned and
         (per the tier) tuned for ``grid`` on first use."""
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        self._clean_once(wrapper_name, self.tier != "clang")
-        if wrapper_name not in self._tuned:
-            if self.tier == "polygeist":
-                self.tune_aggregate(kernel, block, [grid])
-            elif self.tier == "polygeist-heuristic":
-                self._tune_heuristic(wrapper_name)
+        if self.tier == "polygeist":
+            return self._tuned_wrapper(kernel, block,
+                                       grid_table(kernel, [grid]))
+        wrapper_name = self._wrapper(kernel, len(grid), block,
+                                     self.tier != "clang")
+        if self.tier == "polygeist-heuristic" and \
+                wrapper_name not in self._tuned:
+            self._tune_heuristic(wrapper_name)
         return wrapper_name
 
     def profile_launch(self, kernel: str, grid, block,
@@ -183,9 +303,7 @@ class Program:
         """
         grid = _as_dims(grid)
         block = _as_dims(block)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, len(grid), block)
-        self._clean_once(wrapper_name, True)
+        wrapper_name = self._wrapper(kernel, len(grid), block, True)
         if wrapper_name not in self._tuned:
             f = self.module.func(wrapper_name)
             wrappers = polygeist.find_gpu_wrappers(f)
@@ -259,19 +377,26 @@ class Program:
         if not len(grids):
             return
         table = grid_table(kernel, grids)
-        wrapper_name = self.generator.get_launch_wrapper(
-            kernel, table.shape[1], block)
-        self._clean_once(wrapper_name, self.tier != "clang")
-        if self.tier != "polygeist" or wrapper_name in self._tuned:
-            return
-        f = self.module.func(wrapper_name)
-        wrappers = polygeist.find_gpu_wrappers(f)
-        if wrappers:
-            outcome = self._tune_with_cache(
-                wrapper_name, wrappers[0], self._launch_envs(f, table))
+        if self.tier == "polygeist":
+            self._tuned_wrapper(kernel, block, table)
+        else:
+            self._wrapper(kernel, table.shape[1], block,
+                          self.tier != "clang")
+
+    def _tuned_wrapper(self, kernel: str, block: Tuple[int, ...],
+                       table: np.ndarray) -> str:
+        """The name of ``kernel``'s launch wrapper over ``block``, tuned
+        for the launches of ``table`` on first use."""
+        grid_rank = table.shape[1]
+        wrapper_name = self.generator.launch_wrapper_name(kernel, grid_rank,
+                                                          block)
+        if wrapper_name not in self._tuned:
+            outcome = self._tune_with_cache(kernel, grid_rank, block,
+                                            wrapper_name, table)
             if outcome is not None:
                 self.tuning_outcomes[wrapper_name] = outcome
-        self._tuned.add(wrapper_name)
+            self._tuned.add(wrapper_name)
+        return wrapper_name
 
     def model_launch(self, kernel: str, grid, block,
                      runtime: Optional[GPURuntime] = None):
@@ -335,6 +460,12 @@ class Program:
             span.set(seconds=sum(seconds))
         return seconds
 
+    def loop_model(self, loop: Operation):
+        """The :class:`~repro.simulator.model.KernelModel` of ``loop``, a
+        block loop of this module: the one its modeling uses, shared with
+        every Program whose function came from the same memo entry."""
+        return self._model_cache.model(loop)
+
     @staticmethod
     def _launch_envs(f: Operation, table: np.ndarray):
         """The launches of ``table`` bound to wrapper function ``f``'s
@@ -361,10 +492,10 @@ class Program:
         return tuning_key(self._source_hash, self.arch, self.tier,
                           self.autotune_configs, wrapper_name, grids)
 
-    def _tune_with_cache(self, wrapper_name: str, wrapper, envs
-                         ) -> Optional[TuneOutcome]:
-        """Tune one wrapper over ``envs`` (a
-        :class:`~repro.simulator.model.LaunchEnvs`), consulting the
+    def _tune_with_cache(self, kernel: str, grid_rank: int,
+                         block: Tuple[int, ...], wrapper_name: str,
+                         table: np.ndarray) -> Optional[TuneOutcome]:
+        """Tune one wrapper over the launches of ``table``, consulting the
         engine's tuning cache.
 
         On a hit the cached winner's coarsening is replayed directly on
@@ -376,15 +507,19 @@ class Program:
         counter = self.engine.registry.counter
         # a table's rows encode to the same JSON as grid tuples, so the
         # key (and every on-disk entry) does not depend on the grids' form
-        key = self._tuning_key(wrapper_name, envs.table.tolist())
+        key = self._tuning_key(wrapper_name, table.tolist())
         hit, entry = cache.lookup(key)
         if hit and (entry.outcome is None or
                     entry.selected_config is not None):
             counter("cache_hits").inc()
-            return self._replay_cached(key, wrapper_name, wrapper, entry)
+            return self._replay_cached(key, kernel, grid_rank, block,
+                                       wrapper_name, entry)
         counter("cache_misses").inc()
+        self._wrapper(kernel, grid_rank, block, True)
+        f = self.module.func(wrapper_name)
         try:
-            outcome = tune_wrapper(wrapper, self.arch, envs,
+            outcome = tune_wrapper(_gpu_wrapper(f), self.arch,
+                                   self._launch_envs(f, table),
                                    self.autotune_configs,
                                    engine=self.engine)
         except NoLegalConfiguration:
@@ -394,23 +529,37 @@ class Program:
         cache.store(key, CacheEntry(outcome, outcome.selected_config))
         return outcome
 
-    def _replay_cached(self, key: str, wrapper_name: str, wrapper,
+    def _replay_cached(self, key: str, kernel: str, grid_rank: int,
+                       block: Tuple[int, ...], wrapper_name: str,
                        entry: CacheEntry) -> Optional[TuneOutcome]:
-        """Apply a cached tuning decision to a freshly built wrapper; a
-        config that does not apply raises, naming ``key`` and the config."""
+        """Apply a cached tuning decision to the wrapper: clone the
+        memoized winner, or replay the winner's coarsening on the untuned
+        wrapper and memoize the result. A config that does not apply
+        raises, naming ``key`` and the config."""
         if entry.outcome is None:
-            return None  # no legal configuration for this key
+            # no legal configuration for this key: the kernel stays as is
+            self._wrapper(kernel, grid_rank, block, True)
+            return None
         from .transforms.coarsen import CoarsenError, coarsen_wrapper
         config = {name: tuple(value) if isinstance(value, list) else value
                   for name, value in entry.selected_config.items()}
+        memo_key = (self._source_hash, wrapper_name, True,
+                    tuple(sorted(config.items())))
+        if wrapper_name not in self._cleaned and \
+                self._adopt(kernel, grid_rank, block, memo_key):
+            self._cleaned.add(wrapper_name)
+            return entry.outcome
+        self._wrapper(kernel, grid_rank, block, True)
         with self.engine.stage("replay"):
             try:
-                coarsen_wrapper(wrapper, **config)
+                coarsen_wrapper(_gpu_wrapper(self.module.func(wrapper_name)),
+                                **config)
             except CoarsenError as error:
                 raise CoarsenError(
                     "cached config %r of tuning key %s does not apply: %s"
                     % (config, key, error)) from error
         self._run_cleanup(wrapper_name, True)
+        self._memoize(memo_key, wrapper_name)
         return entry.outcome
 
     def _coerce_args(self, wrapper_name: str, grid: Tuple[int, ...],
@@ -457,6 +606,18 @@ class Program:
 
     def kernels(self) -> List[str]:
         return [f.name for f in self.unit.kernels()]
+
+
+def _gpu_wrapper(func_op: Operation) -> Operation:
+    """The ``polygeist.gpu_wrapper`` of launch wrapper function
+    ``func_op``: codegen inlines each launch into exactly one, and no
+    rewrite removes it."""
+    return polygeist.find_gpu_wrappers(func_op)[0]
+
+
+def _block_loops(func_op: Operation) -> List[Operation]:
+    """The block loops of launch wrapper function ``func_op``, in order."""
+    return block_parallels(_gpu_wrapper(func_op))
 
 
 def _fixed_selector(index: int):
@@ -591,7 +752,7 @@ def build_launch_wrapper(source: str, kernel: Optional[str],
     func_op = generator.module.func(name)
     with stage("cleanup"):
         run_cleanup(func_op)
-    wrapper = polygeist.find_gpu_wrappers(func_op)[0]
+    wrapper = _gpu_wrapper(func_op)
     return LaunchWrapper(generator.module, name, wrapper)
 
 

@@ -507,6 +507,83 @@ class KernelModel:
                             breakdown)
 
 
+# -- shared models --------------------------------------------------------------------
+
+
+class SharedModels:
+    """The models of one never-mutated function's block loops.
+
+    A :class:`KernelModel` reads its loop only while it is built, so the
+    model of ``loops[i]`` also models loop ``i`` of any structurally
+    identical clone. Each model is built lazily from ``loops``, once per
+    ``(ordinal, arch)``; threads that race on a build both build, and the
+    first model stored wins.
+    """
+
+    def __init__(self, loops: Sequence[Operation]):
+        self.loops = list(loops)
+        self._built: Dict[tuple, KernelModel] = {}
+
+    def model(self, ordinal: int, arch: GPUArchitecture) -> KernelModel:
+        key = (ordinal, arch)
+        model = self._built.get(key)
+        if model is None:
+            model = self._built.setdefault(
+                key, KernelModel(self.loops[ordinal], arch))
+        return model
+
+
+class ModelCache(dict):
+    """:class:`KernelModel` instances keyed by their loop's
+    :meth:`~repro.ir.Operation.stable_uid`: the ``models`` argument of
+    :func:`model_wrapper_launch` and
+    :class:`~repro.simulator.batch.LaunchScorer`.
+
+    A loop passed to :meth:`link` resolves to its :class:`SharedModels`
+    model, built on first lookup, so it is built at the point and in the
+    order a plain dict would have the caller build it, and raises there
+    as that would. :meth:`unlink` ends that before the loops' IR changes.
+    """
+
+    def __init__(self, arch: GPUArchitecture):
+        super().__init__()
+        self.arch = arch
+        self._links: Dict[int, tuple] = {}
+        self._linked: Dict[object, List[int]] = {}
+
+    def link(self, owner, loops: Sequence[Operation],
+             shared: SharedModels) -> None:
+        """Resolve ``loops[i]`` to ``shared``'s model ``i`` until
+        :meth:`unlink` of ``owner``, a key naming the loops' function."""
+        uids = self._linked[owner] = [loop.stable_uid() for loop in loops]
+        for ordinal, uid in enumerate(uids):
+            self._links[uid] = (shared, ordinal)
+
+    def unlink(self, owner) -> None:
+        for uid in self._linked.pop(owner, ()):
+            del self._links[uid]
+
+    def __missing__(self, uid: int) -> KernelModel:
+        link = self._links.get(uid)
+        if link is None:
+            raise KeyError(uid)
+        shared, ordinal = link
+        return shared.model(ordinal, self.arch)
+
+    def __contains__(self, uid) -> bool:
+        return dict.__contains__(self, uid) or uid in self._links
+
+    def get(self, uid, default=None):
+        return self[uid] if uid in self else default
+
+    def model(self, loop: Operation) -> KernelModel:
+        """``loop``'s model: stored, shared, or built now and stored."""
+        uid = loop.stable_uid()
+        if uid not in self:
+            self[uid] = KernelModel(loop, self.arch)
+        return self[uid]
+
+
 # -- wrapper-level modeling -----------------------------------------------------------
 
 

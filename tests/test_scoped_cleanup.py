@@ -27,7 +27,7 @@ from repro.frontend import ModuleGenerator, parse_translation_unit
 from repro.ir import print_module
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import tracing
-from repro.pipeline import Program
+from repro.pipeline import FUNCTION_MEMO, Program
 from repro.targets import arch_by_name
 from repro.transforms import cleanup_regions, run_cleanup
 from repro.transforms.alternatives import plan_coarsening_alternatives
@@ -265,6 +265,8 @@ def test_second_group_cleanup_visits_only_its_function():
         second[0], second_grids.shape[1], second[1]))
     ops = _op_count(wrapper)
 
+    # a memoized wrapper is cloned, not cleaned: clean on first use
+    FUNCTION_MEMO.clear()
     program = Program(bench.source, A100,
                       autotune_configs=paper_sweep_configs(max_product=4),
                       engine=TuningEngine(cache=TuningCache(None),
