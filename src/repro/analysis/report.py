@@ -268,7 +268,8 @@ def classify_bottleneck(breakdown: Dict[str, float],
                         divergent_branches: int) -> Bottleneck:
     """Name the limiting resource from the summed pipeline breakdown.
 
-    Mirrors :func:`repro.simulator.model.evaluate_launch`'s structure: the
+    Mirrors the structure of the timing formula's terms
+    (:meth:`repro.simulator.batch.BatchedKernelModel.times`): the
     dominant work term (compute/memory/shared) sets the pace unless the
     per-block dependence chain (latency floor) exceeds it, in which case
     the kernel is starved of parallelism — occupancy-capped when the
@@ -513,7 +514,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
     from ..obs.export import _aggregate
     from ..pipeline import Program
     from ..runtime.gpu_runtime import PCIE_BANDWIDTH, PCIE_LATENCY
-    from ..simulator.model import InvalidLaunch, block_count
+    from ..simulator.model import InvalidLaunch, LaunchEnvs, block_counts
     from ..targets import arch_by_name
 
     if isinstance(arch, str):
@@ -568,7 +569,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
         wrapper_name = program.generator.get_launch_wrapper(
             kernel, len(grids[0]), block)
         f, loop_models = _group_models(program, wrapper_name)
-        grid_args = f.body_block().args[:len(grids[0])]
+        envs = LaunchEnvs(f.body_block().args[:len(grids[0])], table)
 
         flops32 = flops64 = 0.0
         divergent = 0
@@ -579,9 +580,8 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                 primary_model = model
             divergent = max(divergent, model.divergent_branches)
             coarsen_total = max(coarsen_total, model.coarsen_total)
-            for grid in grids:
-                blocks = block_count(loop, dict(zip(grid_args, grid)))
-                if blocks:
+            for blocks in block_counts(loop, envs).tolist():
+                if blocks > 0:
                     work = model.threads_per_block * blocks
                     flops32 += model.stats.flops_f32 * work
                     flops64 += model.stats.flops_f64 * work

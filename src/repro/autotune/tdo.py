@@ -21,7 +21,7 @@ from ..obs import decisions as obs_decisions
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 from ..obs.log import get_logger
-from ..simulator.model import InvalidLaunch, block_count
+from ..simulator.model import InvalidLaunch
 from ..targets import GPUArchitecture, linearized_cache
 from ..transforms.alternatives import select_alternative
 from ..transforms.coarsen import block_parallels_in_region
@@ -76,41 +76,11 @@ class TuneOutcome:
                        % baseline_desc)
 
 
-def _time_region(alt: Operation, index: int, arch: GPUArchitecture,
-                 env: Dict[Value, int],
-                 model_cache: Optional[Dict[int, object]] = None,
-                 blocks_cache: Optional[Dict[tuple, int]] = None) -> float:
-    from ..simulator.model import KernelModel
-    total = 0.0
-    for loop in block_parallels_in_region(alt.region(index)):
-        key = loop.stable_uid()
-        blocks = None
-        if blocks_cache is not None:
-            # env dicts stay alive for the whole optimization call, so
-            # their id() is a stable per-call identity
-            blocks = blocks_cache.get((key, id(env)))
-        if blocks is None:
-            blocks = block_count(loop, env)
-            if blocks is None:
-                raise InvalidLaunch(_UNEVALUABLE)
-            if blocks_cache is not None:
-                blocks_cache[(key, id(env))] = blocks
-        if blocks <= 0:
-            continue
-        model = None if model_cache is None else model_cache.get(key)
-        if model is None:
-            model = KernelModel(loop, arch)
-            if model_cache is not None:
-                model_cache[key] = model
-        total += model.time_seconds_for(blocks)
-    return total
-
-
 def _batched_seconds(alt: Operation, arch: GPUArchitecture, envs):
     """Every alternative through one
-    :class:`~repro.simulator.batch.LaunchScorer`: per-env totals with the
-    failure order and accumulation of :func:`_time_region` applied one
-    launch at a time, summed with the builtin ``sum``."""
+    :class:`~repro.simulator.batch.LaunchScorer`: per-env totals, each
+    alternative's first failure found in env-outer, loop-inner order,
+    summed with the builtin ``sum``."""
     from ..simulator.batch import LaunchScorer
     scorer = LaunchScorer(envs, arch, {}, _UNEVALUABLE)
     for index in range(len(alt.regions)):
@@ -123,9 +93,9 @@ def score_alternatives(alt: Operation, arch: GPUArchitecture,
                        envs: Sequence[Dict[Value, int]]) -> List[Candidate]:
     """Every alternative's modeled seconds summed over ``envs``.
 
-    The equivalence tests substitute a one-launch-at-a-time oracle built
-    on :func:`_time_region` for :func:`_batched_seconds`; the two must
-    give ``==`` candidates (time, validity and reason).
+    The equivalence tests substitute a one-launch-at-a-time scalar oracle
+    for :func:`_batched_seconds`; the two must give ``==`` candidates
+    (time, validity and reason).
     """
     descs = polygeist.alternative_descs(alt)
     results = iter(_batched_seconds(alt, arch, envs))
@@ -160,9 +130,9 @@ def timing_driven_optimization(alt: Operation, arch: GPUArchitecture,
 
     Scoring is :func:`score_alternatives`: all alternatives in one
     :class:`~repro.simulator.batch.LaunchScorer` batch (each one's
-    launches × loops block-count matrix, its first failure found in the
-    scalar visit order, one vectorized timing pass over every launching
-    entry). This is :func:`tune_wrapper`'s default ranking step.
+    launches × loops block-count matrix, its first failure found in
+    env-outer, loop-inner order, one vectorized timing pass over every
+    launching entry). This is :func:`tune_wrapper`'s default ranking step.
     """
     envs = [env] if isinstance(env, dict) else env
     with obs_tracer.span("tdo", category="tdo",

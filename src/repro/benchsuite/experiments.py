@@ -26,15 +26,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..autotune import paper_sweep_configs
 from ..autotune.tdo import materialize_every_plan, timing_driven_optimization
 from ..engine import TuningEngine, stage_timer
 from ..engine.scheduler import Job
 from ..pipeline import build_launch_wrapper
-from ..simulator.model import InvalidLaunch
+from ..simulator.batch import LaunchScorer
+from ..simulator.model import (UNEVALUABLE_GRID, InvalidLaunch, KernelModel,
+                               block_counts, env_columns)
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800, \
     arch_by_name
 from ..transforms import is_uncoarsened, run_cleanup
+from ..transforms.coarsen import block_parallels_in_region
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark, group_launches
 
@@ -183,22 +188,42 @@ def _apply_measurement_cutoff(plans, alt, arch, envs):
     """Drop launch geometries whose baseline runtime is below the paper's
     0.0001 s measurement cutoff (§VII-A); keeps kernel measurements from
     being dominated by launch-overhead tails (e.g. lud's shrinking grids).
+
+    A geometry the baseline cannot be timed at is dropped too: one with
+    an unevaluable grid, or one launching a loop whose model cannot be
+    built or cannot launch. The rest are timed in one
+    :class:`~repro.simulator.batch.LaunchScorer` pass.
     """
-    from ..autotune.tdo import _time_region
     baseline_index = next((info.index for info in plans
                            if is_uncoarsened(info.config)), None)
     if baseline_index is None:
         return envs
-    cache = {}
-    kept = []
-    for env in envs:
-        try:
-            seconds = _time_region(alt, baseline_index, arch, env,
-                                   cache)
-        except InvalidLaunch:
+    loops = block_parallels_in_region(alt.region(baseline_index))
+    cols = env_columns(envs)
+    counts = [block_counts(loop, envs, cols) for loop in loops]
+    timeable = np.ones(len(envs), dtype=bool)
+    for loop_counts in counts:
+        timeable &= loop_counts >= 0
+    models = {}
+    for loop, loop_counts in zip(loops, counts):
+        launches = timeable & (loop_counts > 0)
+        if not launches.any():
             continue
-        if seconds >= MIN_KERNEL_SECONDS:
-            kept.append(env)
+        try:
+            model = KernelModel(loop, arch)
+            model.ensure_launchable()
+        except InvalidLaunch:
+            timeable &= ~launches
+            continue
+        models[loop.stable_uid()] = model
+    timed = [env for env, keep in zip(envs, timeable.tolist()) if keep]
+    if not timed:
+        return envs
+    scorer = LaunchScorer(timed, arch, models, UNEVALUABLE_GRID)
+    scorer.add(loops)
+    seconds, = scorer.env_seconds()
+    kept = [env for env, total in zip(timed, seconds)
+            if total >= MIN_KERNEL_SECONDS]
     return kept or envs
 
 

@@ -10,11 +10,11 @@ produce Nsight-Compute-style counters (Table II).
 from .coalescing import GlobalAccess, analyze_coalescing
 from .metrics import KernelMetrics
 from .model import (KernelModel, LaunchFeatures, LaunchTiming,
-                    evaluate_launch, model_wrapper_launch)
+                    model_wrapper_launch)
 from .trace import TraceCollector, trace_kernel
 
 __all__ = [
     "GlobalAccess", "KernelMetrics", "KernelModel", "LaunchFeatures",
     "LaunchTiming", "TraceCollector", "analyze_coalescing",
-    "evaluate_launch", "model_wrapper_launch", "trace_kernel",
+    "model_wrapper_launch", "trace_kernel",
 ]

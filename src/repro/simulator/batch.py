@@ -1,33 +1,31 @@
 """Batched (vectorized) evaluation of the analytical timing model.
 
-:class:`~repro.simulator.model.KernelModel` scores one launch per Python
-call — fine for a handful of configurations, quadratically painful for
-TDO's alternatives × launch-geometries product. This module stacks the
-launch-count-independent :class:`~repro.simulator.model.LaunchFeatures`
-of many models into numpy arrays and evaluates *all* requested
-(model, num_blocks) pairs in one array pass.
+This module holds the product's one copy of the timing formula.
+:class:`BatchedKernelModel` stacks the launch-count-independent
+:class:`~repro.simulator.model.LaunchFeatures` of many models into numpy
+arrays and evaluates *all* requested (model, num_blocks) pairs in one
+array pass. One launch is a one-row batch:
+:meth:`~repro.simulator.model.KernelModel.time_launch` derives its
+metrics and breakdown from the terms :meth:`BatchedKernelModel.times`
+returns.
 
-Bit-identical by construction: every expression below mirrors
-:func:`repro.simulator.model.evaluate_launch` operand-for-operand (same
-grouping, same branch structure via ``np.where``), the integer ceil
-division uses the same ``-(-n // d)`` idiom on int64, and both paths read
-the *same* cached ``LaunchFeatures`` instance per model. IEEE-754 float64
-arithmetic is deterministic given identical operand order, so the batched
-seconds compare ``==`` to the scalar ones — which the equivalence suite
-(``tests/test_batched_equivalence.py``) asserts across the benchsuite.
-
-:class:`LaunchScorer` is what consumers use: it scores candidates (each
-a list of block-level loops, e.g. one coarsening alternative or one
-tuned wrapper) over a set of launch environments. Each candidate becomes
-an (envs × loops) block-count matrix, and every launching entry of every
-candidate is timed in one :class:`BatchedKernelModel` pass. The block
-counts are evaluated over int64 grid columns: a launch group's
+:class:`LaunchScorer` is what the ranking consumers use: it scores
+candidates (each a list of block-level loops, e.g. one coarsening
+alternative or one tuned wrapper) over a set of launch environments.
+Each candidate becomes an (envs × loops) block-count matrix, and every
+launching entry of every candidate is timed in one
+:class:`BatchedKernelModel` pass. The block counts are evaluated over
+int64 grid columns: a launch group's
 :class:`~repro.simulator.model.LaunchEnvs` gives its table's columns as
 they are, and a sequence of env dicts is stacked once, on construction.
 
-The scalar path is the reference implementation: the equivalence suite
-substitutes it for the scorer in TDO and composite modeling and compares
-the two.
+The scalar one-launch-at-a-time formula lives on only as the test
+oracle (``tests/scalar_oracle.py``): the equivalence suite substitutes
+it for the scorer in TDO, composite modeling and the Fig. 13-15 cutoff,
+and holds the two to ``==`` results. The oracle shares this module's
+operand grouping, the integer ceil division's ``-(-n // d)`` idiom and
+the cached ``LaunchFeatures`` of every model, so IEEE-754 float64
+arithmetic gives the same bits on both.
 """
 
 from __future__ import annotations
@@ -103,27 +101,28 @@ class BatchedKernelModel:
         return self._columns
 
     def times(self, model_rows: Sequence[int],
-              num_blocks: Sequence[int]) -> np.ndarray:
-        """Modeled seconds for each (model row, block count) pair.
+              num_blocks: Sequence[int]) -> Dict[str, np.ndarray]:
+        """The timing terms of each (model row, block count) pair.
 
-        Mirrors :func:`repro.simulator.model.evaluate_launch` (plus the
-        launch overhead and the ``num_blocks <= 0`` zero-time early exit
-        of ``_compute_launch_inner``) expression-for-expression; callers
-        must have run :meth:`KernelModel.ensure_launchable` first, which
-        this re-checks defensively.
+        Returns float64 arrays keyed ``compute``, ``memory`` and
+        ``shared`` (the three pipelines' seconds), ``latency`` (the
+        latency floor), ``busy`` (the overlapped pipelines, at least the
+        floor) and ``time`` (busy plus the launch overhead: the modeled
+        seconds). A row launching ``num_blocks <= 0`` blocks times to
+        0.0; its other terms are those of one block. Callers must have
+        run :meth:`KernelModel.ensure_launchable` first, which this
+        re-checks defensively.
         """
         idx = np.asarray(model_rows, dtype=np.intp)
         nb = np.asarray(num_blocks, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.float64)
         cols = self._column_view()
 
         blocks_per_sm = cols["blocks_per_sm"][idx]
         bad = (blocks_per_sm == 0) & (nb > 0)
         if bad.any():
             self._models[int(idx[int(np.argmax(bad))])].ensure_launchable()
-        # zero/negative block counts time to 0.0 (scalar early exit);
-        # clamp so the shared arithmetic below never divides by zero
+        # zero/negative block counts time to 0.0; clamp so the shared
+        # arithmetic below never divides by zero
         nb_safe = np.maximum(nb, 1)
 
         sms_used = np.minimum(cols["num_sms"][idx], nb_safe)
@@ -139,8 +138,9 @@ class BatchedKernelModel:
 
         shared_nb = cols["shared_bytes"][idx] * nb_safe
         offloaded = cols["lds_offloaded"][idx]
-        # both branches evaluated dense, then selected — the expressions
-        # themselves keep the scalar operand grouping
+        # AMD LDS offload: shared memory demoted to global memory is both
+        # slower and bandwidth-consuming. Both branches are evaluated
+        # dense, then selected
         shared_off = shared_nb * cols["lds_offload_penalty"][idx] / \
             achieved_bw
         memory_off = (total_bytes + shared_nb) / achieved_bw
@@ -153,25 +153,31 @@ class BatchedKernelModel:
         latency_floor = waves * cols["block_latency_cycles"][idx] / \
             cols["clock"][idx]
 
+        # compute / global-memory / shared-memory pipelines overlap, but
+        # imperfectly: the dominant one sets the pace and the others leak
+        # through (issue slots, LSU contention). The per-block dependence
+        # chain is a separate lower bound.
         dominant = np.maximum(np.maximum(compute_seconds, memory_seconds),
                               shared_seconds)
-        # scalar sum(tuple) accumulates left-to-right from 0
-        work_sum = 0.0 + compute_seconds + memory_seconds + shared_seconds
+        work_sum = compute_seconds + memory_seconds + shared_seconds
         busy = dominant + OVERLAP_LEAK * (work_sum - dominant)
         busy = np.maximum(busy, latency_floor)
-        time = busy + LAUNCH_OVERHEAD
-        return np.where(nb > 0, time, 0.0)
+        time = np.where(nb > 0, busy + LAUNCH_OVERHEAD, 0.0)
+        return {"compute": compute_seconds, "memory": memory_seconds,
+                "shared": shared_seconds, "latency": latency_floor,
+                "busy": busy, "time": time}
 
 
 class LaunchScorer:
     """Per-env modeled seconds of many candidates, scored in one batch.
 
     A candidate is a sequence of block-level loops run one after another
-    per launch (a wrapper's main loop and its epilogues). For each env
-    the scalar reference walks the loops in order, adding each launching
-    loop's time to a running total from ``0.0``, and stops at the first
-    failure: an unevaluable grid (reported as ``unevaluable``), or a
-    launching loop whose model cannot be built or cannot launch. Loops
+    per launch (a wrapper's main loop and its epilogues). Its seconds in
+    one env are those of walking the loops in order, adding each
+    launching loop's time to a running total from ``0.0``, and stopping
+    at the first failure: an unevaluable grid (reported as
+    ``unevaluable``), or a launching loop whose model cannot be built or
+    cannot launch. Loops
     that launch 0 blocks are skipped and need no model. ``models``
     caches :class:`KernelModel` instances by the loop's
     :meth:`~repro.ir.Operation.stable_uid` and is filled as loops are
@@ -184,7 +190,7 @@ class LaunchScorer:
     :meth:`env_seconds` times every launching entry of every valid
     candidate in one :class:`BatchedKernelModel` pass. Zero-block entries
     stay in the matrix as 0.0 (``x + 0.0 == x`` for the non-negative
-    times here), so the per-env column-by-column sums repeat the scalar
+    times here), so the per-env column-by-column sums repeat that walk's
     accumulation exactly.
     """
 
@@ -258,9 +264,10 @@ class LaunchScorer:
             model_rows.append(np.broadcast_to(rows, counts.shape)[mask])
             model_counts.append(counts[mask])
         with obs_tracer.span("model.compute", category="simulator"):
-            times = self._batch.times(
+            terms = self._batch.times(
                 np.concatenate(model_rows) if model_rows else [],
                 np.concatenate(model_counts) if model_counts else [])
+        times = terms["time"]
         results: List[Union[List[float], InvalidLaunch]] = []
         start = 0
         valid = iter(masks)
@@ -273,7 +280,7 @@ class LaunchScorer:
             matrix = np.zeros(mask.shape)
             matrix[mask] = times[start:stop]
             start = stop
-            # left-to-right adds from 0.0: the scalar per-env operation
+            # left-to-right adds from 0.0: the one-env walk's operation
             # sequence, plus exact +0.0 for the skipped launches
             totals = np.zeros(mask.shape[0])
             for column in range(mask.shape[1]):

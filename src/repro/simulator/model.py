@@ -86,10 +86,11 @@ class LaunchFeatures:
     """Everything the timing formula needs that does NOT depend on the
     launch's block count.
 
-    Extracted once per :class:`KernelModel` so the scalar reference path
-    and :class:`~repro.simulator.batch.BatchedKernelModel` consume the
-    *same* per-model scalars — the equivalence between the two paths then
-    reduces to the (identically-grouped) arithmetic over ``num_blocks``.
+    Extracted once per :class:`KernelModel`.
+    :class:`~repro.simulator.batch.BatchedKernelModel`, the one home of
+    the timing formula, stacks these per-model scalars into columns and
+    evaluates the arithmetic over ``num_blocks``; one launch is a
+    one-row batch.
     """
 
     # compute pipeline
@@ -122,62 +123,6 @@ class LaunchFeatures:
     clock: float
     num_sms: int
     blocks_per_sm: int
-
-
-@dataclass(frozen=True)
-class LaunchTerms:
-    """The intermediate pipeline terms of one scored launch."""
-
-    compute_seconds: float
-    memory_seconds: float
-    shared_seconds: float
-    latency_floor: float
-    busy: float
-    time_seconds: float
-
-
-def evaluate_launch(f: LaunchFeatures, num_blocks: int) -> LaunchTerms:
-    """The scalar reference evaluation of the timing formula.
-
-    :class:`~repro.simulator.batch.BatchedKernelModel` mirrors this
-    function expression-for-expression (same operand grouping), which is
-    what makes the batched times bit-identical — keep the two in sync.
-    """
-    sms_used = min(f.num_sms, num_blocks)
-    compute_seconds = (f.compute_cycles_per_block * num_blocks /
-                       (sms_used * f.clock * f.compute_util))
-
-    total_bytes = f.rw_bytes * num_blocks
-    achievable_bw = sms_used * f.inflight_bytes_per_sm / \
-        f.dram_latency_seconds
-    achieved_bw = min(f.peak_bandwidth, achievable_bw)
-    memory_seconds = total_bytes / achieved_bw if total_bytes else 0.0
-
-    if f.lds_offloaded:
-        # demoted to global memory: both slower and bandwidth-consuming
-        shared_seconds = (f.shared_bytes * num_blocks *
-                          f.lds_offload_penalty / achieved_bw)
-        total_bytes += f.shared_bytes * num_blocks
-        memory_seconds = total_bytes / achieved_bw
-    else:
-        shared_seconds = (f.shared_bytes * num_blocks *
-                          f.bank_conflicts /
-                          (sms_used * f.shared_bw_per_sm))
-
-    waves = -(-num_blocks // f.wave_divisor)
-    latency_floor = waves * f.block_latency_cycles / f.clock
-
-    # compute / global-memory / shared-memory pipelines overlap, but
-    # imperfectly: the dominant one sets the pace and the others leak
-    # through (issue slots, LSU contention). The per-block dependence
-    # chain is a separate lower bound.
-    work_terms = (compute_seconds, memory_seconds, shared_seconds)
-    dominant = max(work_terms)
-    busy = dominant + OVERLAP_LEAK * (sum(work_terms) - dominant)
-    busy = max(busy, latency_floor)
-    time = busy + LAUNCH_OVERHEAD
-    return LaunchTerms(compute_seconds, memory_seconds, shared_seconds,
-                       latency_floor, busy, time)
 
 
 def _coarsen_totals(parallel: Operation) -> int:
@@ -285,9 +230,9 @@ class KernelModel:
     def ensure_launchable(self) -> None:
         """Raise :class:`InvalidLaunch` if no block fits on an SM.
 
-        The single home of the resource-exhaustion error: the scalar path
-        and the batched TDO wiring both raise through here, so the two
-        paths produce byte-identical failure reasons.
+        The single home of the resource-exhaustion error: one-launch
+        timing, the batched scorer and the Fig. 13-15 cutoff all raise
+        through here, so they produce byte-identical failure reasons.
         """
         if self.occupancy.blocks_per_sm == 0:
             raise InvalidLaunch(
@@ -312,26 +257,62 @@ class KernelModel:
                             replace(cached.metrics),
                             dict(cached.breakdown))
 
-    def time_seconds_for(self, num_blocks: int) -> float:
-        """Modeled seconds only — skips the defensive copy of
-        :meth:`time_launch`; the hot path of candidate ranking."""
-        cached = self._timing_cache.get(num_blocks)
-        if cached is None:
-            cached = self._compute_launch(num_blocks)
-            self._timing_cache[num_blocks] = cached
-        return cached.time_seconds
-
     def _compute_launch(self, num_blocks: int) -> LaunchTiming:
         with obs_tracer.span("model.compute", category="simulator",
                              blocks=num_blocks):
-            return self._compute_launch_inner(num_blocks)
+            if num_blocks <= 0:
+                return LaunchTiming(0.0, self.occupancy, KernelMetrics(),
+                                    {})
+            self.ensure_launchable()
+            # one launch is a one-row batch of the one timing formula
+            from .batch import BatchedKernelModel
+            batch = BatchedKernelModel()
+            terms = {name: float(column[0]) for name, column in
+                     batch.times([batch.add_model(self)],
+                                 [num_blocks]).items()}
+        T = self.threads_per_block
+        stats = self.stats
+        f = self.features()
+        busy = terms["busy"]
+        # The analytical model has no cache-hit modeling, so every L2→L1
+        # transaction reaches DRAM: DRAM traffic equals the *transferred*
+        # (transaction-granular) bytes, which for uncoalesced access is ≥
+        # the useful bytes — the same invariant trace.py's counters obey.
+        metrics = KernelMetrics(
+            time_seconds=terms["time"],
+            lsu_utilization=min(1.0, terms["memory"] / busy
+                                if busy else 0.0),
+            fma_utilization=min(1.0, terms["compute"] / busy
+                                if busy else 0.0),
+            l2_to_l1_read_bytes=f.read_bytes * num_blocks,
+            l1_to_l2_write_bytes=f.write_bytes * num_blocks,
+            dram_read_bytes=f.read_bytes * num_blocks,
+            dram_write_bytes=f.write_bytes * num_blocks,
+            l1_to_sm_read_requests=f.read_requests * num_blocks,
+            sm_to_l1_write_requests=f.write_requests * num_blocks,
+            shmem_to_sm_read_requests=stats.loads_shared * T * num_blocks,
+            sm_to_shmem_write_requests=stats.stores_shared * T * num_blocks,
+            occupancy=self.occupancy.occupancy,
+            registers_per_thread=self.registers.registers_per_thread,
+            shared_bytes_per_block=self.shared_per_block,
+            threads_per_block=T,
+            num_blocks=num_blocks,
+        )
+        breakdown = {
+            "compute": terms["compute"],
+            "memory": terms["memory"],
+            "shared": terms["shared"],
+            "latency": terms["latency"],
+            "overhead": LAUNCH_OVERHEAD,
+        }
+        return LaunchTiming(terms["time"], self.occupancy, metrics,
+                            breakdown)
 
     def features(self) -> LaunchFeatures:
         """The launch-count-independent scalars of this kernel, cached.
 
         This is the data :class:`~repro.simulator.batch.BatchedKernelModel`
-        stacks into arrays; the scalar path consumes the same instance so
-        the two can only disagree in the ``num_blocks`` arithmetic.
+        stacks into arrays.
         """
         if self._features is None:
             self._features = self._compute_features()
@@ -458,54 +439,6 @@ class KernelModel:
             blocks_per_sm=occupancy.blocks_per_sm,
         )
 
-    def _compute_launch_inner(self, num_blocks: int) -> LaunchTiming:
-        occupancy = self.occupancy
-        if num_blocks <= 0:
-            metrics = KernelMetrics()
-            return LaunchTiming(0.0, occupancy, metrics, {})
-        self.ensure_launchable()
-
-        T = self.threads_per_block
-        stats = self.stats
-        f = self.features()
-        terms = evaluate_launch(f, num_blocks)
-        busy = terms.busy
-
-        # -- metrics -----------------------------------------------------------------
-        # The analytical model has no cache-hit modeling, so every L2→L1
-        # transaction reaches DRAM: DRAM traffic equals the *transferred*
-        # (transaction-granular) bytes, which for uncoalesced access is ≥
-        # the useful bytes — the same invariant trace.py's counters obey.
-        metrics = KernelMetrics(
-            time_seconds=terms.time_seconds,
-            lsu_utilization=min(1.0, terms.memory_seconds / busy
-                                if busy else 0.0),
-            fma_utilization=min(1.0, terms.compute_seconds / busy
-                                if busy else 0.0),
-            l2_to_l1_read_bytes=f.read_bytes * num_blocks,
-            l1_to_l2_write_bytes=f.write_bytes * num_blocks,
-            dram_read_bytes=f.read_bytes * num_blocks,
-            dram_write_bytes=f.write_bytes * num_blocks,
-            l1_to_sm_read_requests=f.read_requests * num_blocks,
-            sm_to_l1_write_requests=f.write_requests * num_blocks,
-            shmem_to_sm_read_requests=stats.loads_shared * T * num_blocks,
-            sm_to_shmem_write_requests=stats.stores_shared * T * num_blocks,
-            occupancy=occupancy.occupancy,
-            registers_per_thread=self.registers.registers_per_thread,
-            shared_bytes_per_block=self.shared_per_block,
-            threads_per_block=T,
-            num_blocks=num_blocks,
-        )
-        breakdown = {
-            "compute": terms.compute_seconds,
-            "memory": terms.memory_seconds,
-            "shared": terms.shared_seconds,
-            "latency": terms.latency_floor,
-            "overhead": LAUNCH_OVERHEAD,
-        }
-        return LaunchTiming(terms.time_seconds, occupancy, metrics,
-                            breakdown)
-
 
 # -- shared models --------------------------------------------------------------------
 
@@ -587,62 +520,16 @@ class ModelCache(dict):
 # -- wrapper-level modeling -----------------------------------------------------------
 
 
-_INDEX_OPS = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.divsi": lambda a, b: a // b if b else None,
-    "arith.remsi": lambda a, b: a % b if b else None,
-    "arith.minsi": min, "arith.maxsi": max,
-}
+def _eval_columns(value: Value, cols: Dict[Value, object],
+                  zero_divisor: np.ndarray):
+    """Evaluate an index SSA expression over int64 grid columns.
 
-
-def _eval_index(value: Value, env: Dict[Value, int]) -> Optional[int]:
-    """Evaluate an index SSA expression given known leaf values."""
-    if value in env:
-        return env[value]
-    if not isinstance(value, OpResult):
-        return None
-    op = value.owner
-    if op.name == arith.CONSTANT:
-        return int(op.attr("value"))
-    operands = [_eval_index(v, env) for v in op.operands]
-    if any(v is None for v in operands):
-        return None
-    fn = _INDEX_OPS.get(op.name)
-    if fn is None or len(operands) != 2:
-        if op.name == "arith.index_cast":
-            return operands[0]
-        return None
-    return fn(*operands)
-
-
-def block_count(block_parallel: Operation,
-                env: Dict[Value, int]) -> Optional[int]:
-    """Number of blocks this loop executes, given launch parameter values."""
-    total = 1
-    for lb, ub in zip(scf.parallel_lower_bounds(block_parallel),
-                      scf.parallel_upper_bounds(block_parallel)):
-        lb_value = _eval_index(lb, env)
-        ub_value = _eval_index(ub, env)
-        if lb_value is None or ub_value is None:
-            return None
-        total *= max(0, ub_value - lb_value)
-    return total
-
-
-class _VecFallback(Exception):
-    """Vectorized index evaluation hit a case only the scalar path handles
-    (per-env zero divisor, missing leaf binding)."""
-
-
-def _eval_index_vec(value: Value, cols: Dict[Value, object]):
-    """Vectorized :func:`_eval_index`: leaves bind int64 column arrays.
-
-    Returns an int64 array (or plain int for env-independent
-    subexpressions), ``None`` for inexpressible values — mirroring the
-    scalar evaluator — and raises :class:`_VecFallback` where per-env
-    divergence (a zero divisor in *some* envs) needs the scalar path.
+    Leaves bind one int64 array per launch parameter; the result is an
+    int64 array, a plain int for an env-independent subexpression, or
+    ``None`` when the expression cannot be evaluated at all (an unbound
+    leaf, an op outside the index arithmetic, a constant zero divisor).
+    A row that divides by zero is marked in ``zero_divisor`` and divided
+    by 1 instead, so the caller can mask exactly those rows.
     """
     if value in cols:
         return cols[value]
@@ -651,7 +538,7 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
     op = value.owner
     if op.name == arith.CONSTANT:
         return int(op.attr("value"))
-    operands = [_eval_index_vec(v, cols) for v in op.operands]
+    operands = [_eval_columns(v, cols, zero_divisor) for v in op.operands]
     if any(v is None for v in operands):
         return None
     if op.name == "arith.index_cast":
@@ -670,9 +557,11 @@ def _eval_index_vec(value: Value, cols: Dict[Value, object]):
         if isinstance(b, int):
             if b == 0:
                 return None
-            return a // b if op.name == "arith.divsi" else a % b
-        if np.any(b == 0):
-            raise _VecFallback
+        else:
+            zero = b == 0
+            if zero.any():
+                zero_divisor |= zero
+                b = np.where(zero, 1, b)
         return a // b if op.name == "arith.divsi" else a % b
     if op.name == "arith.minsi":
         return min(a, b) if scalar else np.minimum(a, b)
@@ -686,52 +575,42 @@ class LaunchEnvs:
     columns of an int64 grid table (one row per launch).
 
     :func:`env_columns` hands the scorer :attr:`columns` as they are.
-    Indexing or iterating gives the per-launch environment dicts that
-    the scalar paths read; iteration builds them all once and keeps
-    them, so each launch's dict keeps one identity while this object
-    lives.
+    Indexing or iterating gives per-launch environment dicts, built on
+    demand.
     """
 
     def __init__(self, args: Sequence[Value], table: np.ndarray):
         self.table = table
         self.columns = {arg: table[:, position]
                         for position, arg in enumerate(args)}
-        self._launches: Optional[List[Dict[Value, int]]] = None
 
     def __len__(self) -> int:
         return len(self.table)
 
     def __getitem__(self, index: int) -> Dict[Value, int]:
-        if self._launches is not None:
-            return self._launches[index]
         return dict(zip(self.columns, self.table[index].tolist()))
 
     def __iter__(self):
-        if self._launches is None:
-            self._launches = [dict(zip(self.columns, grid))
-                              for grid in self.table.tolist()]
-        return iter(self._launches)
+        return (dict(zip(self.columns, grid))
+                for grid in self.table.tolist())
 
 
-def env_columns(envs: Sequence[Dict[Value, int]]):
-    """Per-key int64 columns of many launch environments.
+def env_columns(envs: Sequence[Dict[Value, int]]) -> Dict[Value, object]:
+    """Per-key int64 columns of many launch environments, one row each.
 
-    Returns ``None`` when the envs cannot be stacked (fewer than two, or
-    ragged key sets) — callers fall back to the scalar
-    :func:`block_count`. A :class:`LaunchEnvs` gives its columns as they
-    are; a sequence of dicts is stacked here, the one place that does.
+    A :class:`LaunchEnvs` gives its columns as they are; a sequence of
+    env dicts is stacked here, the one place that does. Every dict must
+    bind the same keys: a ragged sequence raises ``ValueError``.
     Computing the columns once and passing them to every
     :func:`block_counts` call over the same envs avoids re-validating and
     re-stacking per (loop, alternative).
     """
-    if len(envs) < 2:
-        return None
     if isinstance(envs, LaunchEnvs):
         return envs.columns
-    keys = list(envs[0])
+    keys = list(envs[0]) if len(envs) else []
     if any(len(env) != len(keys) or any(k not in env for k in keys)
            for env in envs[1:]):
-        return None
+        raise ValueError("launch environments bind different parameters")
     return {key: np.array([env[key] for env in envs], dtype=np.int64)
             for key in keys}
 
@@ -739,45 +618,33 @@ def env_columns(envs: Sequence[Dict[Value, int]]):
 def block_counts(block_parallel: Operation,
                  envs: Sequence[Dict[Value, int]],
                  cols=None) -> np.ndarray:
-    """:func:`block_count` over many launch environments at once.
+    """Number of blocks this loop executes in each launch environment.
 
-    Returns one int64 per env, ``-1`` where :func:`block_count` returns
-    ``None`` (block counts are never negative). One evaluation of the
-    bound expressions over int64 columns replaces ``len(envs)``
-    recursive walks; any env set the vectorized evaluator cannot express
-    (ragged keys, env-dependent zero divisors) falls back to per-env
-    :func:`block_count`, so the result is always elementwise-identical
-    to the scalar path.
+    Returns one int64 per env, ``-1`` where the grid cannot be evaluated
+    (block counts are never negative): for every env when a bound is
+    inexpressible, and for exactly the envs that divide by zero. One
+    evaluation of the bound expressions over int64 columns serves every
+    env, one launch being a one-row table.
 
     ``envs`` is a :class:`LaunchEnvs` or a sequence of env dicts.
     ``cols`` may carry :func:`env_columns`'s result for these same envs,
     letting repeat callers pay the stacking cost once.
     """
-    if cols is None and len(envs) >= 2:
-        cols = env_columns(envs)
     if cols is None:
-        return _per_env_block_counts(block_parallel, envs)
+        cols = env_columns(envs)
+    rows = len(envs)
+    zero_divisor = np.zeros(rows, dtype=bool)
     total = 1
-    try:
-        for lb, ub in zip(scf.parallel_lower_bounds(block_parallel),
-                          scf.parallel_upper_bounds(block_parallel)):
-            lb_value = _eval_index_vec(lb, cols)
-            ub_value = _eval_index_vec(ub, cols)
-            if lb_value is None or ub_value is None:
-                return np.full(len(envs), -1, dtype=np.int64)
-            total = total * np.maximum(0, np.asarray(ub_value - lb_value,
-                                                     dtype=np.int64))
-    except _VecFallback:
-        return _per_env_block_counts(block_parallel, envs)
-    return np.broadcast_to(np.asarray(total, dtype=np.int64),
-                           (len(envs),))
-
-
-def _per_env_block_counts(block_parallel: Operation,
-                          envs: Sequence[Dict[Value, int]]) -> np.ndarray:
-    counts = [block_count(block_parallel, env) for env in envs]
-    return np.array([-1 if blocks is None else blocks for blocks in counts],
-                    dtype=np.int64)
+    for lb, ub in zip(scf.parallel_lower_bounds(block_parallel),
+                      scf.parallel_upper_bounds(block_parallel)):
+        lb_value = _eval_columns(lb, cols, zero_divisor)
+        ub_value = _eval_columns(ub, cols, zero_divisor)
+        if lb_value is None or ub_value is None:
+            return np.full(rows, -1, dtype=np.int64)
+        total = total * np.maximum(0, np.asarray(ub_value - lb_value,
+                                                 dtype=np.int64))
+    counts = np.broadcast_to(np.asarray(total, dtype=np.int64), (rows,))
+    return np.where(zero_divisor, -1, counts)
 
 
 def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
@@ -796,13 +663,15 @@ def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
     breakdown: Dict[str, float] = {}
     metrics = KernelMetrics()
     occupancy = None
+    envs = [env]
+    cols = env_columns(envs)
     with obs_tracer.span("model.wrapper_launch",
                          category="simulator") as span:
         for loop in block_parallels(wrapper):
-            blocks = block_count(loop, env)
-            if blocks is None:
+            blocks = int(block_counts(loop, envs, cols)[0])
+            if blocks < 0:
                 raise InvalidLaunch(UNEVALUABLE_GRID)
-            if blocks <= 0:
+            if blocks == 0:
                 # an empty launch (e.g. a coarsening epilogue with no
                 # remainder) costs nothing and needs no model
                 continue

@@ -1,24 +1,28 @@
 """Scalar vs batched model equivalence, benchsuite-wide.
 
 The product scores through the batched numpy path
-(``repro.simulator.batch.LaunchScorer``): TDO's ``_batched_seconds`` and
-``Program.model_launch_seconds``. This module keeps the scalar reference
-as a test oracle — one alternative, one launch, one loop at a time — and
-substitutes it for both with ``monkeypatch``. The tests hold the batched
-path to bit-identical results with ``==`` comparisons — no tolerances —
-across every benchsuite kernel on both a 32-wide (A100) and a 64-wide
-(MI210) target, plus a hypothesis property sweep over random feature
-vectors. A guard test proves the oracle really runs.
+(``repro.simulator.batch.LaunchScorer``): TDO's ``_batched_seconds``,
+``Program.model_launch_seconds`` and the Fig. 13-15 measurement cutoff.
+``tests/scalar_oracle.py`` keeps the scalar reference as a test oracle —
+one alternative, one launch, one loop at a time — and this module
+substitutes it for all three with ``monkeypatch``. The tests hold the
+batched path to bit-identical results with ``==`` comparisons — no
+tolerances — across every benchsuite kernel on both a 32-wide (A100) and
+a 64-wide (MI210) target, plus a hypothesis property sweep over random
+feature vectors. A guard test proves the oracle really runs.
 """
 
 import pytest
 
+import repro.benchsuite.experiments as experiments
 from repro.autotune import paper_sweep_configs
 from repro.autotune import tdo
 from repro.engine import TuningEngine, default_engine, set_default_engine
 from repro.pipeline import Program
 from repro.simulator.model import InvalidLaunch
 from repro.targets import A100, MI210
+
+from . import scalar_oracle
 
 #: a small factor grid keeps the sweep fast while still exercising the
 #: multi-alternative scoring the batched path exists for
@@ -27,30 +31,25 @@ SMALL_CONFIGS = paper_sweep_configs((1, 2, 4), (1, 2, 4))
 
 def _scalar_seconds(alt, arch, envs):
     """The reference for ``tdo._batched_seconds``: one alternative, one
-    launch, one loop at a time through ``tdo._time_region``."""
-    model_cache = {}
-    blocks_cache = {}
-    for index in range(len(alt.regions)):
-        try:
-            yield sum(tdo._time_region(alt, index, arch, one, model_cache,
-                                       blocks_cache)
-                      for one in envs)
-        except InvalidLaunch as error:
-            yield error
+    launch, one loop at a time through the oracle's ``time_region``."""
+    return scalar_oracle.scalar_seconds(alt, arch, envs)
 
 
 def _model_launch_seconds(self, kernel, block, grids):
-    """The reference for ``Program.model_launch_seconds``: one
+    """The reference for ``Program.model_launch_seconds``: one oracle
     ``model_launch`` per grid."""
-    return [self.model_launch(kernel, grid, block).time_seconds
-            for grid in grids]
+    return [scalar_oracle.model_launch(self, kernel, grid, block)
+            .time_seconds for grid in grids]
 
 
 def _use_scalar_oracle(monkeypatch):
-    """Route TDO and composite modeling through the scalar references."""
+    """Route TDO, composite modeling and the measurement cutoff through
+    the scalar references."""
     monkeypatch.setattr(tdo, "_batched_seconds", _scalar_seconds)
     monkeypatch.setattr(Program, "model_launch_seconds",
                         _model_launch_seconds)
+    monkeypatch.setattr(experiments, "_apply_measurement_cutoff",
+                        scalar_oracle.apply_measurement_cutoff)
 
 
 def _run_mode(monkeypatch, scalar, fn):
@@ -110,37 +109,79 @@ def test_per_config_seconds_identical(arch, monkeypatch):
 
 
 def test_scalar_oracle_really_runs(monkeypatch):
-    """The oracle pass scores through ``_time_region`` and builds no
-    ``LaunchScorer``; without this, a wrong substitution target would make
-    every ``scalar == batched`` test compare the batch with itself."""
+    """The oracle pass scores through the oracle's own formula and bound
+    evaluator, and never through the product's: no ``LaunchScorer`` and no
+    ``BatchedKernelModel.times`` call. Without this, a wrong substitution
+    target, or an oracle that reaches product modeling, would make every
+    ``scalar == batched`` test compare the batch with itself."""
     import repro.simulator.batch as batch_mod
     from repro.benchsuite import simulate_composite
 
-    calls = {"time_region": 0, "scorers": 0}
-    time_region = tdo._time_region
+    calls = {"evaluate_launch": 0, "block_count": 0, "scorers": 0,
+             "times": 0}
 
-    def counting_time_region(*args, **kwargs):
-        calls["time_region"] += 1
-        return time_region(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     class CountingScorer(batch_mod.LaunchScorer):
         def __init__(self, *args, **kwargs):
             calls["scorers"] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(tdo, "_time_region", counting_time_region)
+    for name in ("evaluate_launch", "block_count"):
+        monkeypatch.setattr(scalar_oracle, name,
+                            counting(name, getattr(scalar_oracle, name)))
     monkeypatch.setattr(batch_mod, "LaunchScorer", CountingScorer)
+    monkeypatch.setattr(batch_mod.BatchedKernelModel, "times",
+                        counting("times",
+                                 batch_mod.BatchedKernelModel.times))
 
     def run():
         return simulate_composite("gaussian", A100,
                                   autotune_configs=SMALL_CONFIGS)
 
     scalar, _ = _run_mode(monkeypatch, True, run)
-    assert calls["time_region"] > 0
+    assert calls["evaluate_launch"] > 0
+    assert calls["block_count"] > 0
     assert calls["scorers"] == 0
+    assert calls["times"] == 0
     # the counters see the product path: it scores through LaunchScorer
+    calls.update(evaluate_launch=0, block_count=0)
     batched, _ = _run_mode(monkeypatch, False, run)
     assert calls["scorers"] > 0
+    assert calls["times"] > 0
+    assert calls["evaluate_launch"] == calls["block_count"] == 0
+    assert scalar == batched
+
+
+def test_scalar_oracle_really_runs_the_cutoff(monkeypatch):
+    """The Fig. 13-15 oracle pass takes the oracle's cutoff: no product
+    ``BatchedKernelModel.times`` call on either side of the ranking."""
+    import repro.simulator.batch as batch_mod
+
+    calls = {"times": 0}
+    times = batch_mod.BatchedKernelModel.times
+
+    def counting_times(*args, **kwargs):
+        calls["times"] += 1
+        return times(*args, **kwargs)
+
+    monkeypatch.setattr(batch_mod.BatchedKernelModel, "times",
+                        counting_times)
+
+    def run():
+        return [[(r.desc, r.seconds, r.valid, r.reason)
+                 for r in sweep.results]
+                for sweep in experiments.fig13_data(
+                    arch=A100, benchmarks=["lud"], configs=SMALL_CONFIGS)]
+
+    scalar, _ = _run_mode(monkeypatch, True, run)
+    assert calls["times"] == 0
+    batched, _ = _run_mode(monkeypatch, False, run)
+    assert calls["times"] > 0
     assert scalar == batched
 
 
@@ -166,17 +207,33 @@ _BLOCK_CONFIGS = paper_sweep_configs((1, 2, 3), (1,))
 
 
 def _stage_alternatives(shared_floats):
-    """Block-coarsened alternatives of ``stage`` and its grid argument."""
-    from repro.dialects import polygeist
+    """Block-coarsened alternatives of ``stage`` whose block loop runs to
+    ``gx * n / n`` blocks, and ``launch(gx, n=1)``, the env of one launch.
+
+    The bound is ``gx`` wherever ``n != 0``; a launch with ``n = 0``
+    divides by zero, so its grid cannot be evaluated while the other
+    launches of the same table can."""
+    from repro.dialects import arith, polygeist
     from repro.frontend import ModuleGenerator, parse_translation_unit
+    from repro.ir import Builder
     from repro.transforms.alternatives import plan_coarsening_alternatives
+    from repro.transforms.coarsen import block_parallels
 
     gen = ModuleGenerator(parse_translation_unit(_STAGE % shared_floats))
     f = gen.module.func(gen.get_launch_wrapper("stage", 1, (64,)))
     wrapper = polygeist.find_gpu_wrappers(f)[0]
+    grid, _, n = f.body_block().args
+    builder = Builder()
+    builder.set_insertion_point_before(wrapper)
+    bound = arith.divsi(builder, arith.muli(builder, grid, n), n)
+    block_parallels(wrapper)[0].set_operand(1, bound)
     planned = plan_coarsening_alternatives(wrapper, _BLOCK_CONFIGS)
     alt = planned.materialize(range(len(planned.alternatives)))
-    return alt, f.body_block().args[0]
+
+    def launch(gx, divisor=1):
+        return {grid: gx, n: divisor}
+
+    return alt, launch
 
 
 def _scored_both_ways(monkeypatch, alt, envs):
@@ -208,19 +265,18 @@ def _scored_both_ways(monkeypatch, alt, envs):
     return results
 
 
-def _loop_blocks(alt, arg, n):
-    from repro.simulator.model import block_count
+def _loop_blocks(alt, env):
     from repro.transforms.coarsen import block_parallels_in_region
-    return [[block_count(loop, {arg: n})
+    return [[scalar_oracle.block_count(loop, env)
              for loop in block_parallels_in_region(region)]
             for region in alt.regions]
 
 
 def test_epilogue_launching_no_blocks_anywhere(monkeypatch):
-    alt, arg = _stage_alternatives(_SMALL)
-    envs = [{arg: n} for n in (2, 4, 6, 8)]
+    alt, launch = _stage_alternatives(_SMALL)
+    envs = [launch(n) for n in (2, 4, 6, 8)]
     # block=2: main loop launches, the epilogue launches 0 in every env
-    assert all(_loop_blocks(alt, arg, n)[1][1] == 0 for n in (2, 4, 6, 8))
+    assert all(_loop_blocks(alt, env)[1][1] == 0 for env in envs)
     (scalar, scalar_built), (batched, batched_built) = \
         _scored_both_ways(monkeypatch, alt, envs)
     assert scalar == batched
@@ -231,9 +287,9 @@ def test_epilogue_launching_no_blocks_anywhere(monkeypatch):
 
 
 def test_epilogue_launching_no_blocks_in_some_envs(monkeypatch):
-    alt, arg = _stage_alternatives(_SMALL)
-    envs = [{arg: n} for n in (2, 3, 4, 5, 7)]
-    assert [_loop_blocks(alt, arg, n)[1][1] for n in (2, 3, 4, 5, 7)] == \
+    alt, launch = _stage_alternatives(_SMALL)
+    envs = [launch(n) for n in (2, 3, 4, 5, 7)]
+    assert [_loop_blocks(alt, env)[1][1] for env in envs] == \
         [0, 1, 0, 1, 1]
     (scalar, scalar_built), (batched, batched_built) = \
         _scored_both_ways(monkeypatch, alt, envs)
@@ -243,10 +299,12 @@ def test_epilogue_launching_no_blocks_in_some_envs(monkeypatch):
 
 
 def test_unevaluable_grid_after_a_launch(monkeypatch):
-    alt, arg = _stage_alternatives(_SMALL)
+    alt, launch = _stage_alternatives(_SMALL)
     # the third env cannot size the grid: every alternative fails there,
     # after launching in the first two
-    envs = [{arg: 4}, {arg: 5}, {}]
+    envs = [launch(4), launch(5), launch(4, divisor=0)]
+    assert all(blocks is None
+               for region in _loop_blocks(alt, envs[2]) for blocks in region)
     (scalar, scalar_built), (batched, batched_built) = \
         _scored_both_ways(monkeypatch, alt, envs)
     assert scalar == batched
@@ -257,11 +315,12 @@ def test_unevaluable_grid_after_a_launch(monkeypatch):
 
 def test_unlaunchable_loop_first_launching_after_unevaluable_grid(
         monkeypatch):
-    alt, arg = _stage_alternatives(_BIG)
-    # n=1: only the epilogues launch; {}: no grid; n=6: the over-sized
+    alt, launch = _stage_alternatives(_BIG)
+    # gx=1: only the epilogues launch; n=0: no grid; gx=6: the over-sized
     # coarsened main loops launch — after the unevaluable grid
-    assert [blocks[0] for blocks in _loop_blocks(alt, arg, 1)[1:]] == [0, 0]
-    envs = [{arg: 1}, {}, {arg: 6}]
+    assert [blocks[0] for blocks in _loop_blocks(alt, launch(1))[1:]] == \
+        [0, 0]
+    envs = [launch(1), launch(1, divisor=0), launch(6)]
     (scalar, scalar_built), (batched, batched_built) = \
         _scored_both_ways(monkeypatch, alt, envs)
     assert scalar == batched
@@ -272,7 +331,7 @@ def test_unlaunchable_loop_first_launching_after_unevaluable_grid(
     assert len(batched_built) == 3
 
     # the same launches in the other order fail on resources instead
-    envs = [{arg: 1}, {arg: 6}, {}]
+    envs = [launch(1), launch(6), launch(1, divisor=0)]
     (scalar, scalar_built), (batched, batched_built) = \
         _scored_both_ways(monkeypatch, alt, envs)
     assert scalar == batched
@@ -405,19 +464,23 @@ def _features(draw):
 def test_batched_matches_scalar_on_random_features(cases):
     pytest.importorskip("numpy")
     from repro.simulator.batch import BatchedKernelModel
-    from repro.simulator.model import evaluate_launch
 
     batch = BatchedKernelModel()
     rows = []
     counts = []
-    expected = []
     for features, num_blocks in cases:
         rows.append(batch.add_model(_StubModel(features)))
         counts.append(num_blocks)
+    terms = batch.times(rows, counts)
+    got = {name: column.tolist() for name, column in terms.items()}
+    for position, (features, num_blocks) in enumerate(cases):
         if num_blocks <= 0:
-            expected.append(0.0)
-        else:
-            terms = evaluate_launch(features, num_blocks)
-            expected.append(terms.time_seconds)
-    got = batch.times(rows, counts).tolist()
-    assert got == expected
+            assert got["time"][position] == 0.0
+            continue
+        expected = scalar_oracle.evaluate_launch(features, num_blocks)
+        assert (got["compute"][position], got["memory"][position],
+                got["shared"][position], got["latency"][position],
+                got["busy"][position], got["time"][position]) == \
+            (expected.compute_seconds, expected.memory_seconds,
+             expected.shared_seconds, expected.latency_floor,
+             expected.busy, expected.time_seconds)

@@ -423,7 +423,8 @@ class TestMetricsBugfixes:
 
 class TestBlockCountsVectorized:
     def test_block_counts_matches_scalar(self):
-        from repro.simulator.model import block_count, block_counts
+        from repro.simulator.model import block_counts
+        from tests.scalar_oracle import block_count
 
         module, name, wrapper = build(COALESCED, grid_rank=1)
         loop = block_parallels(wrapper)[0]
@@ -434,9 +435,12 @@ class TestBlockCountsVectorized:
         expected = [block_count(loop, env) for env in envs]
         assert None not in expected
         assert block_counts(loop, envs).tolist() == expected
+        # one launch is a one-row table
+        for env, blocks in zip(envs, expected):
+            assert block_counts(loop, [env]).tolist() == [blocks]
 
-    def test_block_counts_ragged_envs_fall_back(self):
-        from repro.simulator.model import block_count, block_counts
+    def test_block_counts_ragged_envs_raise(self):
+        from repro.simulator.model import block_counts
 
         module, name, wrapper = build(COALESCED, grid_rank=1)
         loop = block_parallels(wrapper)[0]
@@ -444,12 +448,14 @@ class TestBlockCountsVectorized:
         args = list(f.body_block().args)
         envs = [dict(zip(args, [8] * len(args))),
                 {args[0]: 16}]  # ragged: missing keys
-        expected = [block_count(loop, env) for env in envs]
-        assert None not in expected
-        assert block_counts(loop, envs).tolist() == expected
+        with pytest.raises(ValueError, match="different parameters"):
+            block_counts(loop, envs)
+        with pytest.raises(ValueError, match="different parameters"):
+            block_counts(loop, envs[::-1])
 
     def test_block_counts_marks_unevaluable_grids(self):
-        from repro.simulator.model import block_count, block_counts
+        from repro.simulator.model import block_counts
+        from tests.scalar_oracle import block_count
 
         module, name, wrapper = build(COALESCED, grid_rank=1)
         loop = block_parallels(wrapper)[0]
