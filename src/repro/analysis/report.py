@@ -514,6 +514,7 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
     from ..obs.export import _aggregate
     from ..pipeline import Program
     from ..runtime.gpu_runtime import PCIE_BANDWIDTH, PCIE_LATENCY
+    from ..simulator.batch import merge_timings
     from ..simulator.model import InvalidLaunch, LaunchEnvs, block_counts
     from ..targets import arch_by_name
 
@@ -537,11 +538,9 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                 program.tune_aggregate(kernel, block, table)
         # groups come in first-launch order, so wrappers are first used
         # in the order the launches would use them
-        per_group: Dict[Tuple[str, Tuple[int, ...]], List] = {}
-        for (kernel, block), table in groups.tables.items():
-            per_group[(kernel, block)] = [
-                program.model_launch(kernel, grid, block)
-                for grid in table.tolist()]
+        per_group: Dict[Tuple[str, Tuple[int, ...]], List] = {
+            group: program.model_launches(*group, table)
+            for group, table in groups.tables.items()}
         composite = groups.total([[timing.time_seconds for timing in timings]
                                   for timings in per_group.values()])
 
@@ -553,23 +552,14 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
 
     reports: List[KernelReport] = []
     for (kernel, block), table in groups.tables.items():
-        grids = table.tolist()
-        timings = per_group[(kernel, block)]
-        seconds = sum(t.time_seconds for t in timings)
-        breakdown: Dict[str, float] = {}
-        metrics = None
-        for timing in timings:
-            for key, value in timing.breakdown.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-            if metrics is None:
-                metrics = timing.metrics
-            else:
-                _sum_metrics(metrics, timing.metrics)
+        total = merge_timings(per_group[(kernel, block)])
+        seconds, metrics = total.time_seconds, total.metrics
 
+        launches, rank = table.shape
         wrapper_name = program.generator.get_launch_wrapper(
-            kernel, len(grids[0]), block)
+            kernel, rank, block)
         f, loop_models = _group_models(program, wrapper_name)
-        envs = LaunchEnvs(f.body_block().args[:len(grids[0])], table)
+        envs = LaunchEnvs(f.body_block().args[:rank], table)
 
         flops32 = flops64 = 0.0
         divergent = 0
@@ -586,12 +576,11 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
                     flops32 += model.stats.flops_f32 * work
                     flops64 += model.stats.flops_f64 * work
 
-        roofline = _roofline(arch, flops32, flops64,
-                             metrics.dram_bytes if metrics else 0.0,
+        roofline = _roofline(arch, flops32, flops64, metrics.dram_bytes,
                              seconds)
         occupancy = _occupancy_dict(primary_model) \
             if primary_model is not None else {}
-        bottleneck = classify_bottleneck(breakdown, occupancy, roofline,
+        bottleneck = classify_bottleneck(total.breakdown, occupancy, roofline,
                                          divergent)
 
         baseline_seconds = None
@@ -600,9 +589,8 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
         if baseline_program is not None:
             try:
                 baseline_seconds = sum(
-                    baseline_program.model_launch(kernel, grid,
-                                                  block).time_seconds
-                    for grid in grids)
+                    baseline_program.model_launch_seconds(kernel, block,
+                                                          table))
                 if seconds > 0:
                     speedup = baseline_seconds / seconds
             except InvalidLaunch as error:
@@ -622,15 +610,15 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
 
         reports.append(KernelReport(
             benchmark=name, kernel=kernel, arch=arch.name, tier=tier,
-            block=block, launches=len(grids),
-            num_blocks=metrics.num_blocks if metrics else 0,
+            block=block, launches=launches,
+            num_blocks=metrics.num_blocks,
             modeled_seconds=seconds,
             baseline_seconds=baseline_seconds,
             speedup_vs_baseline=speedup,
             baseline_note=baseline_note,
-            breakdown=breakdown,
+            breakdown=total.breakdown,
             occupancy=occupancy,
-            metrics=metrics.as_dict() if metrics else {},
+            metrics=metrics.as_dict(),
             coalescing=_coalescing_dict([m for _, m in loop_models]),
             roofline=roofline,
             bottleneck=bottleneck,
@@ -655,28 +643,3 @@ def analyze_benchmark(name: str, arch, tier: str = "polygeist",
             "created": None,
         },
     )
-
-
-def _sum_metrics(into, other) -> None:
-    """Accumulate per-launch KernelMetrics across a kernel's launches."""
-    into.time_seconds += other.time_seconds
-    into.l2_to_l1_read_bytes += other.l2_to_l1_read_bytes
-    into.l1_to_l2_write_bytes += other.l1_to_l2_write_bytes
-    into.dram_read_bytes += other.dram_read_bytes
-    into.dram_write_bytes += other.dram_write_bytes
-    into.l1_to_sm_read_requests += other.l1_to_sm_read_requests
-    into.sm_to_l1_write_requests += other.sm_to_l1_write_requests
-    into.shmem_to_sm_read_requests += other.shmem_to_sm_read_requests
-    into.sm_to_shmem_write_requests += other.sm_to_shmem_write_requests
-    into.lsu_utilization = max(into.lsu_utilization,
-                               other.lsu_utilization)
-    into.fma_utilization = max(into.fma_utilization,
-                               other.fma_utilization)
-    into.occupancy = max(into.occupancy, other.occupancy)
-    into.registers_per_thread = max(into.registers_per_thread,
-                                    other.registers_per_thread)
-    into.shared_bytes_per_block = max(into.shared_bytes_per_block,
-                                      other.shared_bytes_per_block)
-    into.threads_per_block = max(into.threads_per_block,
-                                 other.threads_per_block)
-    into.num_blocks += other.num_blocks

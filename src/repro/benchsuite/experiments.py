@@ -39,7 +39,7 @@ from ..simulator.model import (UNEVALUABLE_GRID, InvalidLaunch, KernelModel,
 from ..targets import A100, A4000, GPUArchitecture, MI210, RX6800, \
     arch_by_name
 from ..transforms import is_uncoarsened, run_cleanup
-from ..transforms.coarsen import block_parallels_in_region
+from ..transforms.coarsen import block_parallels, block_parallels_in_region
 from ..translate import retarget_ease_report
 from .base import BENCHMARKS, get_benchmark, group_launches
 
@@ -400,7 +400,6 @@ def table2_profile_row(config: Dict[str, int], arch: GPUArchitecture,
     from ..interpreter import MemoryBuffer
     from ..ir import F32
     from ..simulator import trace_kernel
-    from ..simulator.model import model_wrapper_launch
     from ..transforms import coarsen_wrapper
     from .lud import make_diagonally_dominant, B
 
@@ -423,8 +422,13 @@ def table2_profile_row(config: Dict[str, int], arch: GPUArchitecture,
     # runtime from the analytical model at paper-ish scale
     model_grid = bench.model_size // B - 1
     modeled = coarsened()
-    timing = model_wrapper_launch(modeled.wrapper, arch,
-                                  modeled.env((model_grid, model_grid)))
+    scorer = LaunchScorer([modeled.env((model_grid, model_grid))], arch, {},
+                          UNEVALUABLE_GRID)
+    scorer.add(block_parallels(modeled.wrapper))
+    timings, = scorer.env_timings()
+    if isinstance(timings, InvalidLaunch):
+        raise timings
+    timing, = timings
     metrics = trace.metrics
     metrics.time_seconds = timing.time_seconds
     # unit utilizations come from the analytical model (the trace only

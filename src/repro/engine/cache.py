@@ -118,11 +118,18 @@ def arch_token(arch) -> str:
     """A stable digest input for an architecture model.
 
     Uses every dataclass field, not just the name, so a custom arch that
-    shares a name with a stock one cannot alias its cache entries.
+    shares a name with a stock one cannot alias its cache entries. A
+    frozen arch keeps its token, so it is encoded once.
     """
     from dataclasses import asdict, is_dataclass
-    payload = asdict(arch) if is_dataclass(arch) else repr(arch)
-    return json.dumps(payload, sort_keys=True, default=_jsonable)
+    frozen = is_dataclass(arch) and arch.__dataclass_params__.frozen
+    token = arch.__dict__.get("_arch_token") if frozen else None
+    if token is None:
+        payload = asdict(arch) if is_dataclass(arch) else repr(arch)
+        token = json.dumps(payload, sort_keys=True, default=_jsonable)
+        if frozen:
+            object.__setattr__(arch, "_arch_token", token)
+    return token
 
 
 def source_hash(source: str, defines: Optional[Dict[str, object]] = None

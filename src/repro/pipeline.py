@@ -406,20 +406,15 @@ class Program:
         would be too slow; tunes on first use exactly like :meth:`launch`
         and returns a :class:`~repro.simulator.model.LaunchTiming`.
         """
-        from .simulator.model import model_wrapper_launch
-        grid = _as_dims(grid)
-        block = _as_dims(block)
-        wrapper_name = self._prepare(kernel, grid, block)
-        f = self.module.func(wrapper_name)
-        wrappers = polygeist.find_gpu_wrappers(f)
-        if not wrappers:
-            raise InvalidLaunch("no GPU wrapper in %s" % wrapper_name)
-        env = dict(zip(f.body_block().args[:len(grid)], grid))
-        timing = model_wrapper_launch(wrappers[0], self.arch, env,
-                                      self._model_cache)
+        timing, = self.model_launches(kernel, block, [_as_dims(grid)])
         if runtime is not None:
             runtime.tracer.kernel_seconds += timing.time_seconds
         return timing
+
+    def model_launches(self, kernel: str, block, grids) -> list:
+        """:meth:`model_launch` of each of ``grids`` (a sequence of grids
+        or a :func:`grid_table`), from one scorer pass over the group."""
+        return self._model_group(kernel, block, grids, timings=True)
 
     def model_launch_seconds(self, kernel: str, block,
                              grids) -> List[float]:
@@ -435,9 +430,13 @@ class Program:
         ``grids`` is a sequence of grids or a :func:`grid_table`; grids
         of different ranks raise ``ValueError``.
         """
+        return self._model_group(kernel, block, grids, timings=False)
+
+    def _model_group(self, kernel: str, block, grids, timings: bool) -> list:
+        """``env_timings`` or ``env_seconds`` of ``grids`` through one
+        scorer over ``kernel``'s wrapper; an InvalidLaunch is raised."""
         from .simulator.batch import LaunchScorer
         from .simulator.model import UNEVALUABLE_GRID
-        from .transforms.coarsen import block_parallels
         block = _as_dims(block)
         if not len(grids):
             return []
@@ -450,15 +449,15 @@ class Program:
             raise InvalidLaunch("no GPU wrapper in %s" % wrapper_name)
         envs = self._launch_envs(f, table)
         with obs_tracer.span("model.launch_group", category="simulator",
-                             launches=len(envs)) as span:
+                             launches=len(envs)):
             scorer = LaunchScorer(envs, self.arch, self._model_cache,
                                   UNEVALUABLE_GRID)
             scorer.add(block_parallels(wrappers[0]))
-            seconds, = scorer.env_seconds()
-            if isinstance(seconds, InvalidLaunch):
-                raise seconds
-            span.set(seconds=sum(seconds))
-        return seconds
+            result, = scorer.env_timings() if timings else \
+                scorer.env_seconds()
+            if isinstance(result, InvalidLaunch):
+                raise result
+        return result
 
     def loop_model(self, loop: Operation):
         """The :class:`~repro.simulator.model.KernelModel` of ``loop``, a

@@ -9,12 +9,10 @@ produce Nsight-Compute-style counters (Table II).
 
 from .coalescing import GlobalAccess, analyze_coalescing
 from .metrics import KernelMetrics
-from .model import (KernelModel, LaunchFeatures, LaunchTiming,
-                    model_wrapper_launch)
+from .model import KernelModel, LaunchFeatures, LaunchTiming
 from .trace import TraceCollector, trace_kernel
 
 __all__ = [
     "GlobalAccess", "KernelMetrics", "KernelModel", "LaunchFeatures",
-    "LaunchTiming", "TraceCollector", "analyze_coalescing",
-    "model_wrapper_launch", "trace_kernel",
+    "LaunchTiming", "TraceCollector", "analyze_coalescing", "trace_kernel",
 ]

@@ -19,6 +19,10 @@ int64 grid columns: a launch group's
 :class:`~repro.simulator.model.LaunchEnvs` gives its table's columns as
 they are, and a sequence of env dicts is stacked once, on construction.
 
+The scorer is the one walk of a wrapper's loops: its
+:meth:`~LaunchScorer.env_timings` folds the loops' full
+:meth:`BatchedKernelModel.fields` the way it folds their seconds.
+
 The scalar one-launch-at-a-time formula lives on only as the test
 oracle (``tests/scalar_oracle.py``): the equivalence suite substitutes
 it for the scorer in TDO, composite modeling and the Fig. 13-15 cutoff,
@@ -36,9 +40,11 @@ import numpy as np
 
 from ..ir import Operation, Value
 from ..obs import tracer as obs_tracer
-from ..targets import GPUArchitecture
+from ..targets import GPUArchitecture, Occupancy
+from .metrics import KernelMetrics
 from .model import (LAUNCH_OVERHEAD, OVERLAP_LEAK, InvalidLaunch,
-                    KernelModel, LaunchEnvs, block_counts, env_columns)
+                    KernelModel, LaunchEnvs, LaunchTiming, block_counts,
+                    env_columns)
 
 #: LaunchFeatures fields stacked as float64 columns
 _FLOAT_FIELDS = (
@@ -54,9 +60,29 @@ _FLOAT_FIELDS = (
     "lds_offload_penalty",
     "block_latency_cycles",
     "clock",
+    # read only by the counters
+    "read_bytes", "write_bytes", "read_requests", "write_requests",
 )
 #: LaunchFeatures fields stacked as int64 columns
 _INT_FIELDS = ("wave_divisor", "num_sms", "blocks_per_sm")
+
+_METRICS = tuple(vars(KernelMetrics()))
+#: KernelMetrics counters: a per-block column times the block count. No
+#: cache hits are modeled: every transferred byte reaches DRAM
+_PER_BLOCK = {
+    "l2_to_l1_read_bytes": "read_bytes", "dram_read_bytes": "read_bytes",
+    "l1_to_l2_write_bytes": "write_bytes", "dram_write_bytes": "write_bytes",
+    "l1_to_sm_read_requests": "read_requests",
+    "sm_to_l1_write_requests": "write_requests",
+    "shmem_to_sm_read_requests": "shared_read_requests",
+    "sm_to_shmem_write_requests": "shared_write_requests"}
+#: KernelMetrics fields a launch carries as its model has them
+_CARRIED = ("occupancy", "registers_per_thread", "shared_bytes_per_block",
+            "threads_per_block")
+#: the fields that keep their peak when merged; the rest add up
+_PEAK_FIELDS = ("lsu_utilization", "fma_utilization") + _CARRIED
+#: LaunchTiming.breakdown keys, in order
+_BREAKDOWN = ("compute", "memory", "shared", "latency", "overhead")
 
 
 class BatchedKernelModel:
@@ -73,9 +99,7 @@ class BatchedKernelModel:
         self._models: List[KernelModel] = []
         self._rows: Dict[int, int] = {}
         self._columns: Dict[str, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._models)
+        self._metric_columns: Dict[str, np.ndarray] = {}
 
     def add_model(self, model: KernelModel) -> int:
         """Intern ``model`` and return its row index (stable per instance)."""
@@ -84,21 +108,48 @@ class BatchedKernelModel:
             row = len(self._models)
             self._models.append(model)
             self._rows[id(model)] = row
-            self._columns.clear()
+            self._columns = {}
+            self._metric_columns = {}
         return row
+
+    # built whole, then published: a KernelModel's one-row batch may be
+    # read by several threads
 
     def _column_view(self) -> Dict[str, np.ndarray]:
         if not self._columns:
             feats = [model.features() for model in self._models]
-            for name in _FLOAT_FIELDS:
-                self._columns[name] = np.array(
-                    [getattr(f, name) for f in feats], dtype=np.float64)
+            columns = {name: np.array([getattr(f, name) for f in feats],
+                                      dtype=np.float64)
+                       for name in _FLOAT_FIELDS}
             for name in _INT_FIELDS:
-                self._columns[name] = np.array(
-                    [getattr(f, name) for f in feats], dtype=np.int64)
-            self._columns["lds_offloaded"] = np.array(
+                columns[name] = np.array([getattr(f, name) for f in feats],
+                                         dtype=np.int64)
+            columns["lds_offloaded"] = np.array(
                 [f.lds_offloaded for f in feats], dtype=bool)
+            self._columns = columns
         return self._columns
+
+    def _metric_view(self) -> Dict[str, np.ndarray]:
+        """Per model: what the counters read beyond its LaunchFeatures."""
+        if not self._metric_columns:
+            models = self._models
+
+            def column(values, dtype=np.float64):
+                return np.array([values(m) for m in models], dtype=dtype)
+
+            self._metric_columns = {
+                "shared_read_requests": column(
+                    lambda m: m.stats.loads_shared * m.threads_per_block),
+                "shared_write_requests": column(
+                    lambda m: m.stats.stores_shared * m.threads_per_block),
+                "occupancy": column(lambda m: m.occupancy.occupancy),
+                "registers_per_thread": column(
+                    lambda m: m.registers.registers_per_thread, np.int64),
+                "shared_bytes_per_block": column(
+                    lambda m: m.shared_per_block, np.int64),
+                "threads_per_block": column(
+                    lambda m: m.threads_per_block, np.int64)}
+        return self._metric_columns
 
     def times(self, model_rows: Sequence[int],
               num_blocks: Sequence[int]) -> Dict[str, np.ndarray]:
@@ -166,6 +217,76 @@ class BatchedKernelModel:
         return {"compute": compute_seconds, "memory": memory_seconds,
                 "shared": shared_seconds, "latency": latency_floor,
                 "busy": busy, "time": time}
+
+    def fields(self, model_rows: Sequence[int],
+               num_blocks: Sequence[int]) -> Dict[str, np.ndarray]:
+        """Every :class:`~repro.simulator.model.LaunchTiming` number of
+        each (model row, block count > 0) pair, by name, from one
+        :meth:`times` pass: the KernelMetrics fields and breakdown terms."""
+        terms = self.times(model_rows, num_blocks)
+        idx = np.asarray(model_rows, dtype=np.intp)
+        nb = np.asarray(num_blocks, dtype=np.int64)
+        cols = dict(self._column_view(), **self._metric_view())
+        busy = terms["busy"]
+        busy_safe = np.where(busy != 0.0, busy, 1.0)
+        fields = {"time_seconds": terms["time"], "num_blocks": nb,
+                  "overhead": np.full(nb.shape, LAUNCH_OVERHEAD)}
+        for name, column in _PER_BLOCK.items():
+            fields[name] = cols[column][idx] * nb
+        for name in _CARRIED:
+            fields[name] = cols[name][idx]
+        for key in ("compute", "memory", "shared", "latency"):
+            fields[key] = terms[key]
+        for name, term in (("lsu_utilization", "memory"),
+                           ("fma_utilization", "compute")):
+            fields[name] = np.minimum(1.0, np.where(
+                busy != 0.0, terms[term] / busy_safe, 0.0))
+        return fields
+
+
+def _fold(fields: Dict[str, np.ndarray], mask) -> Dict[str, np.ndarray]:
+    """Each field's values laid out at ``mask``'s cells of a zero matrix,
+    folded over its columns from zero, left to right: peak fields by
+    ``max``, the rest by ``+`` (values are non-negative)."""
+    folded = {}
+    for name, values in fields.items():
+        matrix = np.zeros(mask.shape, dtype=values.dtype)
+        matrix[mask] = values
+        combine = np.maximum if name in _PEAK_FIELDS else np.add
+        total = np.zeros(len(matrix), dtype=values.dtype)
+        for column in range(matrix.shape[1]):
+            total = combine(total, matrix[:, column])
+        folded[name] = total
+    return folded
+
+
+def launch_timings(folded: Dict[str, np.ndarray],
+                   occupancies: list) -> List[LaunchTiming]:
+    """A LaunchTiming per row of (folded) ``fields``, given each row's
+    first launching loop's occupancy; ``None`` gives an all-zero one and
+    an empty breakdown."""
+    columns = {name: values.tolist() for name, values in folded.items()}
+    timings = []
+    for row, occupancy in enumerate(occupancies):
+        metrics = KernelMetrics(*(columns[name][row] for name in _METRICS))
+        breakdown = {key: columns[key][row] for key in _BREAKDOWN}
+        if occupancy is None:
+            occupancy, breakdown = Occupancy(0, 0, 0.0, "none"), {}
+        timings.append(LaunchTiming(metrics.time_seconds, occupancy,
+                                    metrics, breakdown))
+    return timings
+
+
+def merge_timings(timings: Sequence[LaunchTiming]) -> LaunchTiming:
+    """Many launches as one, folded in order like a wrapper's loops, with
+    the occupancy of the first launch that ran blocks."""
+    rows = [dict(vars(timing.metrics), **timing.breakdown)
+            for timing in timings]
+    folded = _fold({name: np.array([row.get(name, 0.0) for row in rows])
+                    for name in _METRICS + _BREAKDOWN},
+                   np.ones((1, len(rows)), dtype=bool))
+    launched = [timing.occupancy for timing in timings if timing.breakdown]
+    return launch_timings(folded, launched[:1] or [None])[0]
 
 
 class LaunchScorer:
@@ -252,6 +373,16 @@ class LaunchScorer:
     def env_seconds(self) -> List[Union[List[float], InvalidLaunch]]:
         """Per candidate, in :meth:`add` order: one total per env, or
         the :class:`InvalidLaunch` that stopped it."""
+        return self._score(timings=False)
+
+    def env_timings(self) -> List[Union[List[LaunchTiming],
+                                        InvalidLaunch]]:
+        """:meth:`env_seconds` as LaunchTimings: an env's loops'
+        :meth:`BatchedKernelModel.fields` folded like their seconds, with
+        the occupancy of the first loop that launches."""
+        return self._score(timings=True)
+
+    def _score(self, timings: bool) -> list:
         masks = []
         model_rows = []
         model_counts = []
@@ -264,11 +395,11 @@ class LaunchScorer:
             model_rows.append(np.broadcast_to(rows, counts.shape)[mask])
             model_counts.append(counts[mask])
         with obs_tracer.span("model.compute", category="simulator"):
-            terms = self._batch.times(
-                np.concatenate(model_rows) if model_rows else [],
-                np.concatenate(model_counts) if model_counts else [])
-        times = terms["time"]
-        results: List[Union[List[float], InvalidLaunch]] = []
+            rows = np.concatenate(model_rows) if model_rows else []
+            counts = np.concatenate(model_counts) if model_counts else []
+            fields = self._batch.fields(rows, counts) if timings else \
+                {"time_seconds": self._batch.times(rows, counts)["time"]}
+        results = []
         start = 0
         valid = iter(masks)
         for plan in self._plans:
@@ -277,13 +408,14 @@ class LaunchScorer:
                 continue
             mask = next(valid)
             stop = start + int(np.count_nonzero(mask))
-            matrix = np.zeros(mask.shape)
-            matrix[mask] = times[start:stop]
+            folded = _fold({name: values[start:stop]
+                            for name, values in fields.items()}, mask)
             start = stop
-            # left-to-right adds from 0.0: the one-env walk's operation
-            # sequence, plus exact +0.0 for the skipped launches
-            totals = np.zeros(mask.shape[0])
-            for column in range(mask.shape[1]):
-                totals = totals + matrix[:, column]
-            results.append(totals.tolist())
+            if not timings:
+                results.append(folded["time_seconds"].tolist())
+                continue
+            first = plan[0][mask.argmax(axis=1)].tolist()
+            results.append(launch_timings(folded, [
+                self._batch._models[row].occupancy if launched else None
+                for row, launched in zip(first, mask.any(axis=1).tolist())]))
         return results

@@ -27,6 +27,7 @@ of comparisons (which configuration wins, where cliffs fall) is.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -221,6 +222,7 @@ class KernelModel:
                                 self.alloc_threads_per_block)
         self._timing_cache: Dict[int, LaunchTiming] = {}
         self._features: Optional[LaunchFeatures] = None
+        self._one_row = None
 
     # -- derived quantities -------------------------------------------------
 
@@ -264,49 +266,14 @@ class KernelModel:
                 return LaunchTiming(0.0, self.occupancy, KernelMetrics(),
                                     {})
             self.ensure_launchable()
-            # one launch is a one-row batch of the one timing formula
-            from .batch import BatchedKernelModel
-            batch = BatchedKernelModel()
-            terms = {name: float(column[0]) for name, column in
-                     batch.times([batch.add_model(self)],
-                                 [num_blocks]).items()}
-        T = self.threads_per_block
-        stats = self.stats
-        f = self.features()
-        busy = terms["busy"]
-        # The analytical model has no cache-hit modeling, so every L2→L1
-        # transaction reaches DRAM: DRAM traffic equals the *transferred*
-        # (transaction-granular) bytes, which for uncoalesced access is ≥
-        # the useful bytes — the same invariant trace.py's counters obey.
-        metrics = KernelMetrics(
-            time_seconds=terms["time"],
-            lsu_utilization=min(1.0, terms["memory"] / busy
-                                if busy else 0.0),
-            fma_utilization=min(1.0, terms["compute"] / busy
-                                if busy else 0.0),
-            l2_to_l1_read_bytes=f.read_bytes * num_blocks,
-            l1_to_l2_write_bytes=f.write_bytes * num_blocks,
-            dram_read_bytes=f.read_bytes * num_blocks,
-            dram_write_bytes=f.write_bytes * num_blocks,
-            l1_to_sm_read_requests=f.read_requests * num_blocks,
-            sm_to_l1_write_requests=f.write_requests * num_blocks,
-            shmem_to_sm_read_requests=stats.loads_shared * T * num_blocks,
-            sm_to_shmem_write_requests=stats.stores_shared * T * num_blocks,
-            occupancy=self.occupancy.occupancy,
-            registers_per_thread=self.registers.registers_per_thread,
-            shared_bytes_per_block=self.shared_per_block,
-            threads_per_block=T,
-            num_blocks=num_blocks,
-        )
-        breakdown = {
-            "compute": terms["compute"],
-            "memory": terms["memory"],
-            "shared": terms["shared"],
-            "latency": terms["latency"],
-            "overhead": LAUNCH_OVERHEAD,
-        }
-        return LaunchTiming(terms["time"], self.occupancy, metrics,
-                            breakdown)
+            # a one-row batch, kept; by proxy, so it makes no ref cycle
+            from .batch import BatchedKernelModel, launch_timings
+            if self._one_row is None:
+                batch = BatchedKernelModel()
+                batch.add_model(weakref.proxy(self))
+                self._one_row = batch
+            return launch_timings(self._one_row.fields([0], [num_blocks]),
+                                  [self.occupancy])[0]
 
     def features(self) -> LaunchFeatures:
         """The launch-count-independent scalars of this kernel, cached.
@@ -469,7 +436,6 @@ class SharedModels:
 class ModelCache(dict):
     """:class:`KernelModel` instances keyed by their loop's
     :meth:`~repro.ir.Operation.stable_uid`: the ``models`` argument of
-    :func:`model_wrapper_launch` and
     :class:`~repro.simulator.batch.LaunchScorer`.
 
     A loop passed to :meth:`link` resolves to its :class:`SharedModels`
@@ -645,73 +611,3 @@ def block_counts(block_parallel: Operation,
                                                  dtype=np.int64))
     counts = np.broadcast_to(np.asarray(total, dtype=np.int64), (rows,))
     return np.where(zero_divisor, -1, counts)
-
-
-def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
-                         env: Dict[Value, int],
-                         models: Optional[Dict[int, KernelModel]] = None
-                         ) -> LaunchTiming:
-    """Model one execution of a gpu_wrapper (main + epilogue loops).
-
-    ``env`` maps launch-parameter SSA values (e.g. grid-dimension function
-    arguments) to their runtime integers. ``models`` optionally caches
-    :class:`KernelModel` instances keyed by the loop's
-    :meth:`~repro.ir.Operation.stable_uid` (never-reused, unlike ``id()``).
-    """
-    from ..transforms.coarsen import block_parallels
-    total_time = 0.0
-    breakdown: Dict[str, float] = {}
-    metrics = KernelMetrics()
-    occupancy = None
-    envs = [env]
-    cols = env_columns(envs)
-    with obs_tracer.span("model.wrapper_launch",
-                         category="simulator") as span:
-        for loop in block_parallels(wrapper):
-            blocks = int(block_counts(loop, envs, cols)[0])
-            if blocks < 0:
-                raise InvalidLaunch(UNEVALUABLE_GRID)
-            if blocks == 0:
-                # an empty launch (e.g. a coarsening epilogue with no
-                # remainder) costs nothing and needs no model
-                continue
-            key = loop.stable_uid()
-            if models is not None and key in models:
-                model = models[key]
-            else:
-                model = KernelModel(loop, arch)
-                if models is not None:
-                    models[key] = model
-            timing = model.time_launch(blocks)
-            total_time += timing.time_seconds
-            _merge_metrics(metrics, timing.metrics)
-            for name, value in timing.breakdown.items():
-                breakdown[name] = breakdown.get(name, 0.0) + value
-            if occupancy is None:
-                occupancy = timing.occupancy
-        span.set(seconds=total_time)
-    if occupancy is None:
-        occupancy = Occupancy(0, 0, 0.0, "none")
-    metrics.time_seconds = total_time
-    return LaunchTiming(total_time, occupancy, metrics, breakdown)
-
-
-def _merge_metrics(into: KernelMetrics, other: KernelMetrics) -> None:
-    into.l2_to_l1_read_bytes += other.l2_to_l1_read_bytes
-    into.l1_to_l2_write_bytes += other.l1_to_l2_write_bytes
-    into.dram_read_bytes += other.dram_read_bytes
-    into.dram_write_bytes += other.dram_write_bytes
-    into.l1_to_sm_read_requests += other.l1_to_sm_read_requests
-    into.sm_to_l1_write_requests += other.sm_to_l1_write_requests
-    into.shmem_to_sm_read_requests += other.shmem_to_sm_read_requests
-    into.sm_to_shmem_write_requests += other.sm_to_shmem_write_requests
-    into.lsu_utilization = max(into.lsu_utilization, other.lsu_utilization)
-    into.fma_utilization = max(into.fma_utilization, other.fma_utilization)
-    into.occupancy = max(into.occupancy, other.occupancy)
-    into.registers_per_thread = max(into.registers_per_thread,
-                                    other.registers_per_thread)
-    into.shared_bytes_per_block = max(into.shared_bytes_per_block,
-                                      other.shared_bytes_per_block)
-    into.threads_per_block = max(into.threads_per_block,
-                                 other.threads_per_block)
-    into.num_blocks += other.num_blocks

@@ -14,7 +14,8 @@ one-launch-at-a-time scalar reference they replaced:
   :class:`~repro.simulator.model.LaunchTiming` from the model's features;
 * :func:`time_region`, one alternative's seconds in one env;
 * :func:`model_wrapper_launch` and :func:`model_launch`, one launch of a
-  wrapper and of a :class:`~repro.pipeline.Program` kernel;
+  wrapper and of a :class:`~repro.pipeline.Program` kernel, the loops'
+  counters merged by :func:`merge_metrics`;
 * :func:`apply_measurement_cutoff`, the Fig. 13-15 cutoff one env at a
   time.
 
@@ -38,8 +39,7 @@ from repro.pipeline import _as_dims
 from repro.simulator.metrics import KernelMetrics
 from repro.simulator.model import (LAUNCH_OVERHEAD, OVERLAP_LEAK,
                                    UNEVALUABLE_GRID, InvalidLaunch,
-                                   KernelModel, LaunchFeatures, LaunchTiming,
-                                   _merge_metrics)
+                                   KernelModel, LaunchFeatures, LaunchTiming)
 from repro.targets import GPUArchitecture, Occupancy
 from repro.transforms import is_uncoarsened
 from repro.transforms.coarsen import (block_parallels,
@@ -257,7 +257,7 @@ def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
                 models[key] = model
         timing = launch_timing(model, blocks)
         total_time += timing.time_seconds
-        _merge_metrics(metrics, timing.metrics)
+        merge_metrics(metrics, timing.metrics)
         for name, value in timing.breakdown.items():
             breakdown[name] = breakdown.get(name, 0.0) + value
         if occupancy is None:
@@ -266,6 +266,28 @@ def model_wrapper_launch(wrapper: Operation, arch: GPUArchitecture,
         occupancy = Occupancy(0, 0, 0.0, "none")
     metrics.time_seconds = total_time
     return LaunchTiming(total_time, occupancy, metrics, breakdown)
+
+
+def merge_metrics(into: KernelMetrics, other: KernelMetrics) -> None:
+    """Add one loop's launch counters into a wrapper launch's."""
+    into.l2_to_l1_read_bytes += other.l2_to_l1_read_bytes
+    into.l1_to_l2_write_bytes += other.l1_to_l2_write_bytes
+    into.dram_read_bytes += other.dram_read_bytes
+    into.dram_write_bytes += other.dram_write_bytes
+    into.l1_to_sm_read_requests += other.l1_to_sm_read_requests
+    into.sm_to_l1_write_requests += other.sm_to_l1_write_requests
+    into.shmem_to_sm_read_requests += other.shmem_to_sm_read_requests
+    into.sm_to_shmem_write_requests += other.sm_to_shmem_write_requests
+    into.lsu_utilization = max(into.lsu_utilization, other.lsu_utilization)
+    into.fma_utilization = max(into.fma_utilization, other.fma_utilization)
+    into.occupancy = max(into.occupancy, other.occupancy)
+    into.registers_per_thread = max(into.registers_per_thread,
+                                    other.registers_per_thread)
+    into.shared_bytes_per_block = max(into.shared_bytes_per_block,
+                                      other.shared_bytes_per_block)
+    into.threads_per_block = max(into.threads_per_block,
+                                 other.threads_per_block)
+    into.num_blocks += other.num_blocks
 
 
 def model_launch(program, kernel: str, grid, block) -> LaunchTiming:

@@ -614,16 +614,17 @@ class TestBaselineFailure:
     def _fail_baseline(monkeypatch, error):
         from repro.pipeline import Program
 
-        model_launch = Program.model_launch
+        # the baseline's launch groups are modeled through here
+        model_launch_seconds = Program.model_launch_seconds
 
         def failing(self, *args, **kwargs):
-            timing = model_launch(self, *args, **kwargs)
+            seconds = model_launch_seconds(self, *args, **kwargs)
             if self.tier == "polygeist-noopt":
                 # as a real failure would: after the wrapper was built
                 raise error
-            return timing
+            return seconds
 
-        monkeypatch.setattr(Program, "model_launch", failing)
+        monkeypatch.setattr(Program, "model_launch_seconds", failing)
 
     def test_unlaunchable_baseline_gives_note(self, monkeypatch):
         from repro.simulator.model import InvalidLaunch

@@ -59,6 +59,41 @@ class TestDesign:
                 "EXPERIMENTS.md must describe %s" % path.name
 
 
+class TestObservability:
+    """docs/OBSERVABILITY.md's span table names exactly the spans the
+    product emits."""
+
+    @staticmethod
+    def _emitted():
+        names = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            for name in re.findall(r'obs_tracer\.span\(\s*"([^"]+)"',
+                                   path.read_text()):
+                names.add(name.replace("%s", "<name>"))
+        return names
+
+    @staticmethod
+    def _documented():
+        text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        table = text[text.index("| span | site |"):]
+        table = table[:table.index("\n\n")]
+        names = set()
+        for row in table.splitlines()[2:]:
+            first_cell = row.split("|")[1]
+            # the names, not the category in parentheses
+            names.update(re.findall(r"`([^`]+)`",
+                                    first_cell.split("(")[0]))
+        return names
+
+    def test_every_emitted_span_is_documented(self):
+        emitted = self._emitted()
+        assert "model.launch_group" in emitted
+        assert emitted - self._documented() == set()
+
+    def test_every_documented_span_is_emitted(self):
+        assert self._documented() - self._emitted() == set()
+
+
 class TestExamples:
     def test_examples_exist_and_have_mains(self):
         examples = sorted((ROOT / "examples").glob("*.py"))

@@ -178,6 +178,46 @@ class TestTuningCache:
         assert base == tuning_key("h", A100, "polygeist",
                                   [{"block_total": 2}], "w", [(256,)])
 
+    def test_stock_arch_keys_are_pinned(self):
+        # recorded before the arch token was memoized: on-disk caches
+        # written by earlier versions must keep hitting
+        from repro.autotune import paper_sweep_configs
+        from repro.targets import MI210
+        src = source_hash("__global__ void k(float *x) "
+                          "{ x[threadIdx.x] = 0; }", {"N": 64})
+        configs = paper_sweep_configs(max_product=4)
+        for _ in range(2):
+            assert tuning_key(src, A100, "polygeist", configs,
+                              "k_wrapper_1_256", [(64,), (128,)]) == \
+                "82da1529b82a23b71c5d7b69eb1036bee39681754652a2a97c79497c86fccf20"
+            assert tuning_key(src, MI210, "polygeist", configs,
+                              "k_wrapper_1_256", [(64,), (128,)]) == \
+                "bd5e1f0ee00fd5f3cdf65be2b97ef916b58759d8d5a8b7a1f8c26e5db95761b4"
+
+    def test_arch_token_is_encoded_once_per_frozen_arch(self, monkeypatch):
+        import dataclasses
+        import json
+
+        from repro.engine.cache import arch_token
+        arch = dataclasses.replace(A100, name="A100-token-test")
+        first = arch_token(arch)
+        monkeypatch.setattr(json, "dumps", None)
+        assert arch_token(arch) is first
+        monkeypatch.undo()
+        # the memo is not a field: equality, hashing and replace ignore it
+        assert arch == dataclasses.replace(A100, name="A100-token-test")
+        assert arch_token(dataclasses.replace(arch, num_sms=1)) != first
+
+        @dataclasses.dataclass
+        class Mutable:
+            name: str
+
+        mutable = Mutable("x")
+        before = arch_token(mutable)
+        mutable.name = "y"
+        assert arch_token(mutable) != before
+        assert arch_token("not-a-dataclass") == json.dumps("'not-a-dataclass'")
+
     def test_source_hash_includes_defines(self):
         assert source_hash("x") != source_hash("y")
         assert source_hash("x", {"N": 1}) != source_hash("x", {"N": 2})

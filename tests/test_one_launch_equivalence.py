@@ -3,9 +3,10 @@
 The product has no scalar timing path. ``KernelModel.time_launch``
 times one launch as a one-row ``BatchedKernelModel`` batch and derives
 its metrics and breakdown from the batch's terms;
-``Program.model_launch`` counts each loop's blocks with ``block_counts``
-over a one-row table and builds on ``time_launch``. These tests hold both
-to the scalar oracle of ``tests/scalar_oracle.py`` with ``==``, no
+``Program.model_launch`` is a one-launch ``LaunchScorer`` walk whose
+loops' ``BatchedKernelModel.fields`` fold into one timing, and
+``Program.model_launches`` walks a whole launch group at once. These
+tests hold all three to the scalar oracle of ``tests/scalar_oracle.py`` with ``==``, no
 tolerance, on every field: benchsuite-wide in every tier on A100 and
 MI210. A hypothesis property sweep holds ``block_counts`` to the oracle's
 ``block_count`` over random index expression trees and grid tables.
@@ -66,12 +67,18 @@ def test_one_launch_matches_scalar_oracle(name, arch):
     for tier in TIERS:
         program, groups = _modeled_program(name, arch, tier)
         for (kernel, block), table in groups.tables.items():
+            oracles = []
             for grid in table.tolist():
                 product = _outcome(program.model_launch, kernel, grid,
                                    block)
                 oracle = _outcome(scalar_oracle.model_launch, program,
                                   kernel, grid, block)
                 assert product == oracle, (tier, kernel, grid)
+                oracles.append(oracle)
+            # the group fails where its first failing launch does
+            failures = [o for o in oracles if isinstance(o, str)]
+            assert _outcome(program.model_launches, kernel, block,
+                            table) == (failures[0] if failures else oracles)
         if tier == "polygeist":
             # the tuned winners are among the loops checked below
             assert program.tuning_outcomes
@@ -170,3 +177,85 @@ def test_block_counts_match_scalar_evaluator(bounds, table):
     assert block_counts(loop, dicts).tolist() == expected
     for env, blocks in zip(dicts, expected):
         assert block_counts(loop, [env]).tolist() == [blocks]
+
+
+# -- failure parity ----------------------------------------------------------
+
+#: a 1-D kernel whose shared buffer decides launchability
+_STAGE = r"""
+__global__ void stage(float *x, int n) {
+    __shared__ float buf[%d];
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    buf[threadIdx.x] = x[i];
+    __syncthreads();
+    x[i] = buf[63 - threadIdx.x];
+}
+"""
+
+
+def _stage_program(shared_floats, tier, configs=None):
+    return Program(_STAGE % shared_floats, arch=A100, tier=tier,
+                   autotune_configs=configs,
+                   engine=TuningEngine(cache=TuningCache(None),
+                                       validate=False))
+
+
+def _both_ways(program, grid):
+    """``model_launch`` on the product and on the oracle: a timing, or
+    the text of the InvalidLaunch raised."""
+    return (_outcome(program.model_launch, "stage", grid, (64,)),
+            _outcome(scalar_oracle.model_launch, program, "stage", grid,
+                     (64,)))
+
+
+def _stage_wrapper(program):
+    """The function and GPU wrapper ``program`` models ``stage`` with."""
+    program.model_launch("stage", (5,), (64,))
+    f = program.module.func(
+        program.generator.get_launch_wrapper("stage", 1, (64,)))
+    return f, polygeist.find_gpu_wrappers(f)[0]
+
+
+@pytest.mark.parametrize("loop", [0, 1], ids=["main", "epilogue"])
+def test_unevaluable_grid_fails_like_the_oracle(loop):
+    # block factor 2: a main loop and the epilogue of the odd block
+    program = _stage_program(1024, "polygeist",
+                             [{"block_total": 2, "thread_total": 1}])
+    f, wrapper = _stage_wrapper(program)
+    loops = block_parallels(wrapper)
+    assert len(loops) == 2
+    # an upper bound on the kernel argument ``n``, which no grid binds
+    loops[loop].set_operand(1, f.body_block().args[2])
+    product, oracle = _both_ways(program, (5,))
+    assert product == oracle == \
+        "InvalidLaunch: cannot evaluate grid size for modeling"
+
+
+def test_resource_exhaustion_fails_like_the_oracle():
+    # 72 KiB of shared memory cannot launch on A100 even uncoarsened
+    program = _stage_program(18432, "polygeist-noopt")
+    product, oracle = _both_ways(program, (3,))
+    assert product == oracle == "InvalidLaunch: kernel exceeds NVIDIA " \
+        "A100 resources (limited by shared)"
+
+
+def test_missing_wrapper_fails_like_the_oracle():
+    program = _stage_program(1024, "clang")
+    f, wrapper = _stage_wrapper(program)
+    wrapper.erase()
+    product, oracle = _both_ways(program, (3,))
+    assert product == oracle == "InvalidLaunch: no GPU wrapper in %s" % \
+        f.attr("sym_name")
+
+
+def test_wrapper_launching_no_blocks_times_to_nothing():
+    from repro.targets import Occupancy
+
+    program = _stage_program(1024, "polygeist",
+                             [{"block_total": 2, "thread_total": 1}])
+    product, oracle = _both_ways(program, (0,))
+    assert product == oracle
+    assert product.time_seconds == 0.0
+    assert product.occupancy == Occupancy(0, 0, 0.0, "none")
+    assert product.breakdown == {}
+    assert product.metrics == scalar_oracle.KernelMetrics()

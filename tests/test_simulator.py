@@ -10,8 +10,8 @@ from repro.ir import F32, verify_module
 from repro.simulator import analyze_coalescing, trace_kernel
 from repro.simulator.cache import Cache
 from repro.simulator.coalescing import AccessMemo, transactions_for_stride
-from repro.simulator.model import (InvalidLaunch, KernelModel,
-                                   model_wrapper_launch)
+from repro.simulator.batch import LaunchScorer
+from repro.simulator.model import UNEVALUABLE_GRID, InvalidLaunch, KernelModel
 from repro.targets import A100, A4000, RX6800, linearize_thread_body
 from repro.transforms import block_coarsen, coarsen_wrapper, thread_coarsen
 from repro.transforms.coarsen import block_parallels, thread_parallel
@@ -230,14 +230,18 @@ class TestKernelModel:
         with pytest.raises(InvalidLaunch):
             model.time_launch(64)
 
-    def test_model_wrapper_launch_with_epilogue(self):
+    def test_scorer_times_wrapper_with_epilogue(self):
+        from tests import scalar_oracle
         m, n, w = build(COALESCED,
                         coarsen=lambda w_: block_coarsen(w_, (3,)))
         env = grid_env(m, n, [100])
-        timing = model_wrapper_launch(w, A100, env)
+        scorer = LaunchScorer([env], A100, {}, UNEVALUABLE_GRID)
+        scorer.add(block_parallels(w))
+        (timing,), = scorer.env_timings()
         assert timing.time_seconds > 0
         # main runs 33 fused blocks + epilogue 1 block
         assert timing.metrics.num_blocks == 34
+        assert timing == scalar_oracle.model_wrapper_launch(w, A100, env)
 
 
 class TestCache:
